@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "buffer/alternative_replacers.h"
-#include "buffer/page_policy.h"
 #include "buffer/policies/scan_position_board.h"
 #include "io/file_backend.h"
 #include "io/prefetcher.h"
@@ -12,6 +11,31 @@
 #include "ssm/sharing_policy.h"
 
 namespace scanshare::exec {
+
+namespace {
+
+/// The SSM's pool size and extent always come from the buffer geometry.
+ssm::SsmOptions SsmOptionsFor(const RunConfig& config) {
+  ssm::SsmOptions options = config.ssm;
+  options.bufferpool_pages = config.buffer.num_frames;
+  options.prefetch_extent_pages = config.buffer.prefetch_extent_pages;
+  return options;
+}
+
+/// A zero `bufferpool_blocks` is derived from the buffer geometry (frames /
+/// prefetch extent, the typical MDC block size).
+ssm::IsmOptions IsmOptionsFor(const RunConfig& config) {
+  ssm::IsmOptions options = config.ism;
+  if (options.bufferpool_blocks == 0) {
+    const uint64_t block_pages =
+        std::max<uint64_t>(1, config.buffer.prefetch_extent_pages);
+    options.bufferpool_blocks =
+        std::max<uint64_t>(1, config.buffer.num_frames / block_pages);
+  }
+  return options;
+}
+
+}  // namespace
 
 Database::Database(sim::DiskOptions disk_options)
     : env_(disk_options), disk_manager_(&env_), catalog_(&disk_manager_) {}
@@ -25,87 +49,59 @@ size_t Database::FramesForFraction(double fraction, uint64_t extent_pages) const
 
 StatusOr<RunResult> Database::Run(const RunConfig& config,
                                   const std::vector<StreamSpec>& streams) {
+  SCANSHARE_ASSIGN_OR_RETURN(std::unique_ptr<EngineInstance> engine,
+                             EngineInstance::Create(this, config));
+  SCANSHARE_ASSIGN_OR_RETURN(
+      RunResult result, engine->executor()->Run(streams, config.series_bucket,
+                                                config.record_traces));
+  result.trace = engine->trace();
+  return result;
+}
+
+// Shared runs route replacer + release hints + SSM decisions through one
+// PolicyKind-selected pair; the position board (predictive policy only)
+// carries scan trajectories from the SSM side to eviction. Baseline runs
+// never consult the SSM, so they take the default pair via nullptr.
+EngineInstance::EngineInstance(Database* db, const RunConfig& config)
+    : db_(db),
+      config_(config),
+      board_(shared() && config.policy == PolicyKind::kPbmPredictive
+                 ? std::make_shared<buffer::ScanPositionBoard>()
+                 : nullptr),
+      page_policy_(shared() ? buffer::MakePagePolicy(config.policy, board_)
+                            : nullptr),
+      ssm_(SsmOptionsFor(config),
+           shared() ? ssm::MakeSharingPolicy(config.policy,
+                                             SsmOptionsFor(config), board_)
+                    : nullptr,
+           page_policy_),
+      ism_(IsmOptionsFor(config)) {}
+
+EngineInstance::~EngineInstance() { db_->env()->disk().SetTracer(nullptr); }
+
+StatusOr<std::unique_ptr<EngineInstance>> EngineInstance::Create(
+    Database* db, const RunConfig& config, Pool pool) {
   // Cold, reproducible start.
-  env_.clock().Reset();
-  env_.disk().Reset();
-
-  // Shared runs route replacer + release hints + SSM decisions through one
-  // PolicyKind-selected pair. The position board only exists for the
-  // predictive policy — it is the sole channel between the SSM side (which
-  // publishes scan trajectories) and the pool side (which consults them at
-  // eviction time).
-  std::shared_ptr<buffer::ScanPositionBoard> board;
-  std::shared_ptr<const buffer::PagePolicy> page_policy;
-  std::unique_ptr<buffer::ReplacementPolicy> policy;
-  if (config.mode == ScanMode::kShared) {
-    if (config.policy == PolicyKind::kPbmPredictive) {
-      board = std::make_shared<buffer::ScanPositionBoard>();
-    }
-    page_policy = buffer::MakePagePolicy(config.policy, board);
-    policy = page_policy->MakeReplacer(config.buffer.num_frames);
-  } else {
-    switch (config.baseline_policy) {
-      case BaselinePolicy::kLru:
-        policy = std::make_unique<buffer::LruReplacer>(config.buffer.num_frames);
-        break;
-      case BaselinePolicy::kClock:
-        policy = std::make_unique<buffer::ClockReplacer>(config.buffer.num_frames);
-        break;
-      case BaselinePolicy::kTwoQ:
-        policy = std::make_unique<buffer::TwoQReplacer>(config.buffer.num_frames);
-        break;
-    }
-  }
-  buffer::BufferPool pool(&disk_manager_, std::move(policy), config.buffer);
-
-  ssm::SsmOptions ssm_options = config.ssm;
-  ssm_options.bufferpool_pages = config.buffer.num_frames;
-  ssm_options.prefetch_extent_pages = config.buffer.prefetch_extent_pages;
-  // The sharing policy must see the post-override options (extent / pool
-  // size feed grouping and throttling). Baseline runs never consult the
-  // SSM, so they take the default (group-throttle) pair via the nullptr
-  // fallbacks.
-  std::shared_ptr<ssm::SharingPolicy> sharing;
-  if (config.mode == ScanMode::kShared) {
-    sharing = ssm::MakeSharingPolicy(config.policy, ssm_options, board);
-  }
-  ssm::ScanSharingManager ssm(ssm_options, std::move(sharing), page_policy);
-
-  ssm::IsmOptions ism_options = config.ism;
-  if (ism_options.bufferpool_blocks == 0) {
-    const uint64_t block_pages =
-        std::max<uint64_t>(1, config.buffer.prefetch_extent_pages);
-    ism_options.bufferpool_blocks =
-        std::max<uint64_t>(1, config.buffer.num_frames / block_pages);
-  }
-  ssm::IndexScanSharingManager ism(ism_options);
-
-  // Per-run event tracer. The pool/SSM die with this scope, but the disk
-  // lives in env_ across runs — its tracer pointer must be detached before
-  // every return below, hence the scope guard.
-  std::shared_ptr<obs::Tracer> tracer;
+  db->env()->clock().Reset();
+  db->env()->disk().Reset();
+  std::unique_ptr<EngineInstance> engine(new EngineInstance(db, config));
+  EngineInstance& e = *engine;
   if (config.trace.enabled) {
-    tracer = std::make_shared<obs::Tracer>(config.trace);
-    pool.SetTracer(tracer.get());
-    ssm.SetTracer(tracer.get());
-    env_.disk().SetTracer(tracer.get());
+    e.tracer_ = std::make_shared<obs::Tracer>(config.trace);
+    e.ssm_.SetTracer(e.tracer_.get());
+    db->env()->disk().SetTracer(e.tracer_.get());
   }
-  struct DiskTracerDetach {
-    sim::Disk* disk;
-    ~DiskTracerDetach() { disk->SetTracer(nullptr); }
-  } detach{&env_.disk()};
+  if (pool == Pool::kNone) return engine;
 
-  const bool shared = config.mode == ScanMode::kShared;
+  e.pool_ = std::make_unique<buffer::BufferPool>(
+      db->disk_manager(), e.MakeReplacer(config.buffer.num_frames),
+      config.buffer);
+  if (e.tracer_ != nullptr) e.pool_->SetTracer(e.tracer_.get());
 
   // Push I/O pipeline (opt-in; the prefetch_depth==0 + kSim default leaves
-  // pipeline null and the pool on the legacy pull path, bit-identically).
-  // Destruction order matters: the prefetcher joins outstanding reads in
-  // its destructor, so it must die before the backend — both outlive the
-  // executor run below. The pool only dereferences its pipeline pointer
-  // inside FetchSlow, never at destruction, so pool-vs-prefetcher order is
-  // free.
-  std::unique_ptr<io::IoBackend> io_backend;
-  std::unique_ptr<io::Prefetcher> prefetcher;
+  // it null and the pool on the legacy pull path, bit-identically). The
+  // pool only dereferences its pipeline inside FetchSlow, never at
+  // destruction, so pool-vs-prefetcher destruction order is free.
   if (config.io.prefetch_depth > 0 ||
       config.io.backend == IoOptions::Backend::kFile) {
     if (config.io.backend == IoOptions::Backend::kFile) {
@@ -113,32 +109,42 @@ StatusOr<RunResult> Database::Run(const RunConfig& config,
       file_options.path = config.io.file_path;
       file_options.workers = config.io.file_workers;
       SCANSHARE_ASSIGN_OR_RETURN(
-          io_backend, io::FileIoBackend::Open(&disk_manager_, file_options));
+          e.io_backend_, io::FileIoBackend::Open(db->disk_manager(), file_options));
     } else {
-      io_backend = std::make_unique<io::SimIoBackend>(&disk_manager_);
+      e.io_backend_ = std::make_unique<io::SimIoBackend>(db->disk_manager());
     }
     io::PrefetchOptions prefetch_options;
     prefetch_options.depth = config.io.prefetch_depth;
     prefetch_options.queue_bound = config.io.queue_bound;
-    prefetcher = std::make_unique<io::Prefetcher>(
-        io_backend.get(), shared ? &ssm : nullptr, &pool,
+    e.prefetcher_ = std::make_unique<io::Prefetcher>(
+        e.io_backend_.get(), e.ssm(), e.pool_.get(),
         config.buffer.prefetch_extent_pages, prefetch_options);
-    if (tracer != nullptr) prefetcher->SetTracer(tracer.get());
-    pool.SetIoPipeline(prefetcher.get());
+    if (e.tracer_ != nullptr) e.prefetcher_->SetTracer(e.tracer_.get());
+    e.pool_->SetIoPipeline(e.prefetcher_.get());
   }
 
-  StreamExecutor executor(&env_, &pool, &catalog_, shared ? &ssm : nullptr,
-                          shared ? &ism : nullptr, config.cost, config.mode,
-                          config.kernel, tracer.get());
+  e.executor_ = std::make_unique<StreamExecutor>(
+      db->env(), e.pool_.get(), db->catalog(), e.ssm(), e.ism(), config.cost,
+      config.mode, config.kernel, e.tracer_.get());
   // Attach even when prefetch_depth is 0 (the sync-file arm): pumping a
   // depth-0 window issues nothing, and the attachment is what routes the
   // pipeline/backend counters into RunResult::io / RunResult::real_io.
-  if (prefetcher != nullptr) executor.SetIoPipeline(prefetcher.get());
-  SCANSHARE_ASSIGN_OR_RETURN(
-      RunResult result,
-      executor.Run(streams, config.series_bucket, config.record_traces));
-  result.trace = std::move(tracer);
-  return result;
+  if (e.prefetcher_ != nullptr) e.executor_->SetIoPipeline(e.prefetcher_.get());
+  return engine;
+}
+
+std::unique_ptr<buffer::ReplacementPolicy> EngineInstance::MakeReplacer(
+    size_t frames) const {
+  if (page_policy_ != nullptr) return page_policy_->MakeReplacer(frames);
+  switch (config_.baseline_policy) {
+    case BaselinePolicy::kClock:
+      return std::make_unique<buffer::ClockReplacer>(frames);
+    case BaselinePolicy::kTwoQ:
+      return std::make_unique<buffer::TwoQReplacer>(frames);
+    case BaselinePolicy::kLru:
+      break;
+  }
+  return std::make_unique<buffer::LruReplacer>(frames);
 }
 
 }  // namespace scanshare::exec

@@ -5,6 +5,8 @@
 // executes experiment runs — each run gets a fresh buffer pool (sized and
 // policied per the run config), a fresh Scan Sharing Manager, and a reset
 // clock/disk, so base-vs-shared comparisons are exactly apples-to-apples.
+// EngineInstance is that per-run engine, built in this one place for every
+// driver: Database::Run, the scan service and the morsel-parallel runner.
 
 #pragma once
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "buffer/page_policy.h"
 #include "common/policy_kind.h"
 #include "common/status.h"
 #include "exec/stream_executor.h"
@@ -144,8 +147,7 @@ class Database {
                            uint64_t extent_pages = 16) const;
 
   /// Executes `streams` under `config` from a cold cache at virtual time
-  /// zero. Resets the clock, the disk (head, queue, counters), and builds
-  /// a fresh pool + SSM, then runs to completion.
+  /// zero: builds an EngineInstance and runs its executor to completion.
   [[nodiscard]] StatusOr<RunResult> Run(const RunConfig& config,
                           const std::vector<StreamSpec>& streams);
 
@@ -153,6 +155,56 @@ class Database {
   sim::Env env_;
   storage::DiskManager disk_manager_;
   storage::Catalog catalog_;
+};
+
+/// One run's engine over a Database's storage. Create resets the clock and
+/// disk, then builds the policy pair, the SSM (with its post-override
+/// SsmOptions), the ISM, the tracer and — for Pool::kSequential — the
+/// BufferPool, the optional push pipeline and a StreamExecutor over them.
+/// Destruction detaches the tracer from the disk, which outlives the run.
+class EngineInstance {
+ public:
+  enum class Pool {
+    kSequential,  ///< BufferPool + push pipeline + StreamExecutor.
+    kNone,  ///< The caller builds a pool from MakeReplacer() + tracer().
+  };
+
+  /// Fails only when the file backend cannot open its table image.
+  [[nodiscard]] static StatusOr<std::unique_ptr<EngineInstance>> Create(
+      Database* db, const RunConfig& config, Pool pool = Pool::kSequential);
+  ~EngineInstance();
+  EngineInstance(const EngineInstance&) = delete;
+  EngineInstance& operator=(const EngineInstance&) = delete;
+
+  /// The PagePolicy's replacer in shared mode, else the baseline policy.
+  std::unique_ptr<buffer::ReplacementPolicy> MakeReplacer(size_t frames) const;
+
+  buffer::BufferPool* pool() { return pool_.get(); }      // Null for kNone.
+  StreamExecutor* executor() { return executor_.get(); }  // Null for kNone.
+  /// Null in baseline mode, which never consults them.
+  ssm::ScanSharingManager* ssm() { return shared() ? &ssm_ : nullptr; }
+  ssm::IndexScanSharingManager* ism() { return shared() ? &ism_ : nullptr; }
+  /// Null unless config.trace.enabled.
+  obs::Tracer* tracer() { return tracer_.get(); }
+  std::shared_ptr<const obs::Tracer> trace() const { return tracer_; }
+
+ private:
+  EngineInstance(Database* db, const RunConfig& config);
+  bool shared() const { return config_.mode == ScanMode::kShared; }
+
+  Database* db_;
+  const RunConfig config_;
+  std::shared_ptr<buffer::ScanPositionBoard> board_;
+  std::shared_ptr<const buffer::PagePolicy> page_policy_;
+  ssm::ScanSharingManager ssm_;
+  ssm::IndexScanSharingManager ism_;
+  std::shared_ptr<obs::Tracer> tracer_;
+  std::unique_ptr<buffer::BufferPool> pool_;
+  // The prefetcher joins outstanding reads when destroyed: it must die
+  // before the backend.
+  std::unique_ptr<io::IoBackend> io_backend_;
+  std::unique_ptr<io::Prefetcher> prefetcher_;
+  std::unique_ptr<StreamExecutor> executor_;
 };
 
 }  // namespace scanshare::exec

@@ -6,10 +6,16 @@
 // 100-stream soak runs schedule at the same per-step cost.
 //
 // Ordering contract (must match the linear scan it replaced exactly):
-// the earliest ready time wins, and ties break toward the LOWEST stream
-// index. Every stream has at most one event in the heap at a time — the
-// executor pops a stream, advances it, and pushes it back with its new
-// ready time (or drops it when finished).
+// the earliest ready time wins, and ties break toward the LOWEST job
+// index. Every job has at most one event in the heap at a time — the
+// executor pops a job, advances it, and pushes it back with its new ready
+// time (or drops it when finished).
+//
+// The executor's two tie rules, pinned by the trace goldens:
+//   - A stream's query open is its own event keyed (time, stream index):
+//     of streams starting at t, stream 1 opens after stream 0's first step.
+//   - A service arrival at t beats every event at t, and a job it admits
+//     opens at once, with its first step due at t.
 
 #pragma once
 

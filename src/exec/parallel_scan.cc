@@ -7,49 +7,13 @@
 #include <utility>
 #include <vector>
 
-#include "buffer/alternative_replacers.h"
-#include "buffer/page_policy.h"
-#include "buffer/policies/scan_position_board.h"
 #include "common/lock_order.h"
 #include "common/mutex.h"
 #include "common/thread_pool.h"
-#include "ssm/sharing_policy.h"
 #include "exec/chunk_processor.h"
 #include "exec/scan_ops.h"
 
 namespace scanshare::exec {
-
-namespace {
-
-/// Builds the per-partition replacement-policy factory for the configured
-/// mode (mirrors Database::Run's policy selection). Shared mode routes
-/// through the PolicyKind-selected PagePolicy — each partition gets its own
-/// replacer instance; predictive replacers share the (thread-safe) position
-/// board through the policy.
-buffer::ReplacementPolicyFactory MakePolicyFactory(
-    const RunConfig& config,
-    const std::shared_ptr<const buffer::PagePolicy>& page_policy) {
-  if (config.mode == ScanMode::kShared) {
-    return
-        [page_policy](size_t frames) -> std::unique_ptr<buffer::ReplacementPolicy> {
-          return page_policy->MakeReplacer(frames);
-        };
-  }
-  const BaselinePolicy baseline = config.baseline_policy;
-  return [baseline](size_t frames) -> std::unique_ptr<buffer::ReplacementPolicy> {
-    switch (baseline) {
-      case BaselinePolicy::kClock:
-        return std::make_unique<buffer::ClockReplacer>(frames);
-      case BaselinePolicy::kTwoQ:
-        return std::make_unique<buffer::TwoQReplacer>(frames);
-      case BaselinePolicy::kLru:
-        break;
-    }
-    return std::make_unique<buffer::LruReplacer>(frames);
-  };
-}
-
-}  // namespace
 
 StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
                                                const RunConfig& config,
@@ -67,55 +31,32 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
   const uint64_t extent = std::max<uint64_t>(1, config.buffer.prefetch_extent_pages);
   const uint64_t morsel_pages = std::max<uint64_t>(1, options.morsel_extents) * extent;
 
-  // Cold, reproducible start — same contract as Database::Run.
-  db->env()->clock().Reset();
-  db->env()->disk().Reset();
-
-  // Policy pair (see Database::Run): one PagePolicy serves every
-  // partition's replacer; the position board (predictive policy only) is
-  // the thread-safe channel from SSM-published trajectories to per-
-  // partition eviction decisions.
-  std::shared_ptr<buffer::ScanPositionBoard> board;
-  std::shared_ptr<const buffer::PagePolicy> page_policy;
-  if (config.mode == ScanMode::kShared) {
-    if (config.policy == PolicyKind::kPbmPredictive) {
-      board = std::make_shared<buffer::ScanPositionBoard>();
-    }
-    page_policy = buffer::MakePagePolicy(config.policy, board);
+  // The morsel driver never pumps (DESIGN.md §15.2): a push or file
+  // configuration would silently run as pull-sim.
+  if (config.io.prefetch_depth > 0 ||
+      config.io.backend == IoOptions::Backend::kFile) {
+    return Status::InvalidArgument(
+        "RunQueryParallel: the push I/O pipeline is not supported "
+        "(RunConfig::io must stay default)");
   }
 
+  // The engine core with a concurrent-mode tracer (workers emit through the
+  // pool, the SSM and the disk); each partition gets its own replacer.
+  RunConfig engine_config = config;
+  engine_config.trace.concurrent = true;
+  SCANSHARE_ASSIGN_OR_RETURN(
+      std::unique_ptr<EngineInstance> engine,
+      EngineInstance::Create(db, engine_config, EngineInstance::Pool::kNone));
   buffer::PartitionedBufferPoolOptions pool_options;
   pool_options.partitions = options.partitions > 0 ? options.partitions : jobs;
   pool_options.pool = config.buffer;
-  buffer::PartitionedBufferPool pool(db->disk_manager(),
-                                     MakePolicyFactory(config, page_policy),
-                                     pool_options);
-
-  ssm::SsmOptions ssm_options = config.ssm;
-  ssm_options.bufferpool_pages = config.buffer.num_frames;
-  ssm_options.prefetch_extent_pages = config.buffer.prefetch_extent_pages;
-  std::shared_ptr<ssm::SharingPolicy> sharing;
-  if (config.mode == ScanMode::kShared) {
-    sharing = ssm::MakeSharingPolicy(config.policy, ssm_options, board);
-  }
-  ssm::ScanSharingManager ssm(ssm_options, std::move(sharing), page_policy);
-  const bool use_ssm = options.use_ssm && config.mode == ScanMode::kShared;
-
-  // Concurrent-mode tracer: multiple workers emit through the pool, the
-  // SSM, and the disk. The disk outlives this call — detach on every exit.
-  std::shared_ptr<obs::Tracer> tracer;
-  if (config.trace.enabled) {
-    obs::TraceOptions trace_options = config.trace;
-    trace_options.concurrent = true;
-    tracer = std::make_shared<obs::Tracer>(trace_options);
-    pool.SetTracer(tracer.get());
-    ssm.SetTracer(tracer.get());
-    db->env()->disk().SetTracer(tracer.get());
-  }
-  struct DiskTracerDetach {
-    sim::Disk* disk;
-    ~DiskTracerDetach() { disk->SetTracer(nullptr); }
-  } detach{&db->env()->disk()};
+  buffer::PartitionedBufferPool pool(
+      db->disk_manager(),
+      [&engine](size_t frames) { return engine->MakeReplacer(frames); },
+      pool_options);
+  if (engine->tracer() != nullptr) pool.SetTracer(engine->tracer());
+  ssm::ScanSharingManager* ssm = options.use_ssm ? engine->ssm() : nullptr;
+  const bool use_ssm = ssm != nullptr;
 
   // Bind the query once; workers share the bound predicate (const reads)
   // and copy the bound aggregator (copies reset compiled hot state, which
@@ -155,7 +96,7 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
         *table, spec, config.cost, db->env()->disk().options(), range_pages);
     desc.throttle_tolerance = spec.throttle_tolerance;
     SCANSHARE_ASSIGN_OR_RETURN(ssm::StartInfo info,
-                               ssm.StartScan(desc, ticks.fetch_add(1)));
+                               ssm->StartScan(desc, ticks.fetch_add(1)));
     scan_id = info.id;
     start_page = info.start_page;
   }
@@ -195,7 +136,7 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
           std::min<sim::PageId>(first + morsel_pages, range_end);
       buffer::PagePriority priority = buffer::PagePriority::kNormal;
       if (use_ssm) {
-        auto advised = ssm.AdvisePriority(scan_id);
+        auto advised = ssm->AdvisePriority(scan_id);
         if (advised.ok()) priority = *advised;
       }
       const sim::Micros now = ticks.fetch_add(1);
@@ -217,7 +158,7 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
         // past the range end means back to the range start.
         const sim::PageId position = end >= range_end ? range_first : end;
         auto update =
-            ssm.UpdateLocation(scan_id, position, done, ticks.fetch_add(1));
+            ssm->UpdateLocation(scan_id, position, done, ticks.fetch_add(1));
         if (update.ok() && update->wait > 0) {
           worker_metrics[w].throttle_wait += update->wait;
         }
@@ -232,7 +173,7 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
 
   const sim::Micros close_tick = ticks.fetch_add(1);
   if (use_ssm) {
-    SCANSHARE_RETURN_IF_ERROR(ssm.EndScan(scan_id, close_tick));
+    SCANSHARE_RETURN_IF_ERROR(ssm->EndScan(scan_id, close_tick));
   }
   if (failed.load()) {
     // Workers are joined; the lock is uncontended and only held so the
@@ -265,14 +206,14 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
 
   SCANSHARE_RETURN_IF_ERROR(pool.CheckInvariants());
   if (use_ssm) {
-    SCANSHARE_RETURN_IF_ERROR(ssm.CheckInvariants());
+    SCANSHARE_RETURN_IF_ERROR(ssm->CheckInvariants());
   }
   result.buffer = pool.stats();
-  if (use_ssm) result.ssm = ssm.stats();
+  if (use_ssm) result.ssm = ssm->stats();
   result.jobs = jobs;
   result.partitions = pool.partitions();
   result.morsels = num_morsels;
-  result.trace = std::move(tracer);
+  result.trace = engine->trace();
   return result;
 }
 

@@ -7,17 +7,22 @@
 // with an exactly reproducible discrete-event schedule while preserving
 // the phenomena under study: concurrent position drift, buffer-pool
 // competition, and disk queueing between streams.
+// Its event loop is the engine's only one: a JobSource feeds it the fixed
+// streams of Run(streams) or the scan service's admitted arrivals.
 
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "exec/event_heap.h"
 #include "exec/index_scan_ops.h"
 #include "exec/query.h"
 #include "exec/scan_ops.h"
@@ -68,6 +73,7 @@ struct StreamRecord {
 struct RunResult {
   std::vector<StreamRecord> streams;
   sim::Micros makespan = 0;             ///< End of the last stream.
+  uint64_t steps = 0;                   ///< Cursor steps executed.
   sim::DiskStats disk;                  ///< Disk counters for the run.
   buffer::BufferPoolStats buffer;       ///< Pool counters for the run.
   ssm::SsmStats ssm;                    ///< SSM counters (zero for baseline).
@@ -103,6 +109,33 @@ enum class ScanMode {
   kShared,    ///< SharedScanOp through the Scan Sharing Manager.
 };
 
+class StreamExecutor;
+
+/// Where the executor's jobs come from. A job has a dense id from 0 and
+/// runs queries back to back; hooks start jobs through the executor's
+/// ScheduleOpen / Open. Tie rules: exec/event_heap.h.
+class JobSource {
+ public:
+  virtual ~JobSource() = default;
+  /// Called once before the first event, at the run's start time.
+  [[nodiscard]] virtual Status Begin(sim::Micros, StreamExecutor*) {
+    return Status::OK();
+  }
+  /// Time of the next pending arrival, if any.
+  virtual std::optional<sim::Micros> NextArrival() { return std::nullopt; }
+  /// Handles the arrival NextArrival() announced, at its time.
+  [[nodiscard]] virtual Status Arrive(StreamExecutor*) { return Status::OK(); }
+  /// Job `id`'s `index`-th query, about to open at `now`.
+  virtual const QuerySpec& NextQuery(size_t id, size_t index,
+                                     sim::Micros now) = 0;
+  /// Runs after every cursor step; `step` counts from 1.
+  [[nodiscard]] virtual Status AfterStep(uint64_t) { return Status::OK(); }
+  /// Job `id`'s query closed at `end`; its cursor is already released.
+  [[nodiscard]] virtual Status QueryDone(size_t id, sim::Micros end,
+                                         QueryRecord record,
+                                         StreamExecutor* executor) = 0;
+};
+
 /// Drives a set of streams to completion over one buffer pool.
 class StreamExecutor {
  public:
@@ -124,14 +157,46 @@ class StreamExecutor {
                           sim::Micros series_bucket = sim::Seconds(1),
                           bool record_traces = false);
 
+  /// Runs every job `source` starts to completion. Per-query records go
+  /// to JobSource::QueryDone; RunResult::streams stays empty.
+  [[nodiscard]] StatusOr<RunResult> Run(JobSource* source,
+                                        sim::Micros series_bucket,
+                                        bool record_traces);
+
+  /// For JobSource hooks: job `id`'s next query opens at `at` as its own
+  /// heap event keyed (at, id).
+  void ScheduleOpen(size_t id, sim::Micros at) {
+    JobAt(id).ready_at = at;
+    events_.Push(at, id);
+  }
+
+  /// For JobSource hooks: job `id`'s next query opens at `at` (never before
+  /// the clock) right away; its first step is due at `at`.
+  [[nodiscard]] Status Open(size_t id, sim::Micros at);
+
   /// Attaches a borrowed push I/O prefetcher. The executor pumps it once
-  /// after every stream step (a fixed, deterministic schedule — the push
+  /// after every cursor step (a fixed, deterministic schedule — the push
   /// pipeline's determinism contract depends on pumping only here), and
   /// folds its counters into RunResult::io / RunResult::real_io at the end
   /// of the run. Null (the default) skips both.
   void SetIoPipeline(io::Prefetcher* prefetcher) { prefetcher_ = prefetcher; }
 
  private:
+  struct Job {
+    std::unique_ptr<ScanCursor> cursor;  ///< Null between queries.
+    sim::Micros ready_at = 0;
+    size_t next_query = 0;
+    std::vector<LocationSample> trace;
+  };
+
+  /// Created on first use; a deque keeps references valid as it grows.
+  Job& JobAt(size_t id) {
+    if (id >= jobs_.size()) jobs_.resize(id + 1);
+    return jobs_[id];
+  }
+
+  [[nodiscard]] Status Step(size_t id);
+
   sim::Env* env_;
   buffer::BufferPool* pool_;
   const storage::Catalog* catalog_;
@@ -142,6 +207,17 @@ class StreamExecutor {
   KernelMode kernel_;
   obs::Tracer* tracer_;  // Borrowed; null when tracing is off.
   io::Prefetcher* prefetcher_ = nullptr;  // Borrowed; null in pull mode.
+
+  // State of the running Run(source): at most one heap event per job,
+  // keyed (ready time, job id).
+  JobSource* source_ = nullptr;
+  bool record_traces_ = false;
+  sim::Micros t0_ = 0;
+  sim::Micros last_close_ = 0;
+  sim::DiskStats last_;  // Disk counters at the previous step.
+  std::deque<Job> jobs_;
+  EventHeap events_;
+  RunResult result_;
 };
 
 }  // namespace scanshare::exec

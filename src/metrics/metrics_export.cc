@@ -7,49 +7,47 @@ namespace scanshare::metrics {
 void RegisterRunMetrics(const exec::RunResult* result,
                         obs::MetricsRegistry* registry) {
   const exec::RunResult* r = result;
-  auto counter = [&](const char* name, auto reader) {
-    registry->RegisterCounter(name, reader);
+  auto field = [&](const char* name, const uint64_t* value) {
+    registry->RegisterCounter(name, [value] { return *value; });
   };
 
-  counter("run.makespan_us", [r] { return static_cast<uint64_t>(r->makespan); });
+  field("run.makespan_us", &r->makespan);
 
-  counter("disk.requests", [r] { return r->disk.requests; });
-  counter("disk.pages_read", [r] { return r->disk.pages_read; });
-  counter("disk.bytes_read", [r] { return r->disk.bytes_read; });
-  counter("disk.seeks", [r] { return r->disk.seeks; });
-  counter("disk.busy_us", [r] { return static_cast<uint64_t>(r->disk.busy_micros); });
-  counter("disk.queue_wait_us",
-          [r] { return static_cast<uint64_t>(r->disk.queue_wait_micros); });
+  field("disk.requests", &r->disk.requests);
+  field("disk.pages_read", &r->disk.pages_read);
+  field("disk.bytes_read", &r->disk.bytes_read);
+  field("disk.seeks", &r->disk.seeks);
+  field("disk.busy_us", &r->disk.busy_micros);
+  field("disk.queue_wait_us", &r->disk.queue_wait_micros);
 
-  counter("buffer.logical_reads", [r] { return r->buffer.logical_reads; });
-  counter("buffer.hits", [r] { return r->buffer.hits; });
-  counter("buffer.misses", [r] { return r->buffer.misses; });
-  counter("buffer.physical_pages", [r] { return r->buffer.physical_pages; });
-  counter("buffer.io_requests", [r] { return r->buffer.io_requests; });
-  counter("buffer.evictions", [r] { return r->buffer.evictions; });
-  counter("buffer.partitions", [r] { return r->buffer.partitions; });
-  counter("buffer.partitions_requested",
-          [r] { return r->buffer.partitions_requested; });
+  field("buffer.logical_reads", &r->buffer.logical_reads);
+  field("buffer.hits", &r->buffer.hits);
+  field("buffer.misses", &r->buffer.misses);
+  field("buffer.physical_pages", &r->buffer.physical_pages);
+  field("buffer.io_requests", &r->buffer.io_requests);
+  field("buffer.evictions", &r->buffer.evictions);
+  field("buffer.partitions", &r->buffer.partitions);
+  field("buffer.partitions_requested", &r->buffer.partitions_requested);
 
-  counter("ssm.scans_started", [r] { return r->ssm.scans_started; });
-  counter("ssm.scans_joined", [r] { return r->ssm.scans_joined; });
-  counter("ssm.scans_ended", [r] { return r->ssm.scans_ended; });
-  counter("ssm.updates", [r] { return r->ssm.updates; });
-  counter("ssm.regroups", [r] { return r->ssm.regroups; });
-  counter("ssm.throttle_events", [r] { return r->ssm.throttle_events; });
-  counter("ssm.total_wait_us",
-          [r] { return static_cast<uint64_t>(r->ssm.total_wait); });
-  counter("ssm.cap_suppressions", [r] { return r->ssm.cap_suppressions; });
+  field("ssm.scans_started", &r->ssm.scans_started);
+  field("ssm.scans_joined", &r->ssm.scans_joined);
+  field("ssm.scans_ended", &r->ssm.scans_ended);
+  field("ssm.updates", &r->ssm.updates);
+  field("ssm.regroups", &r->ssm.regroups);
+  field("ssm.throttle_events", &r->ssm.throttle_events);
+  field("ssm.total_wait_us", &r->ssm.total_wait);
+  field("ssm.cap_suppressions", &r->ssm.cap_suppressions);
 
-  counter("ism.scans_started", [r] { return r->ism.scans_started; });
-  counter("ism.scans_joined", [r] { return r->ism.scans_joined; });
-  counter("ism.scans_ended", [r] { return r->ism.scans_ended; });
-  counter("ism.updates", [r] { return r->ism.updates; });
-  counter("ism.throttle_events", [r] { return r->ism.throttle_events; });
-  counter("ism.total_wait_us",
-          [r] { return static_cast<uint64_t>(r->ism.total_wait); });
-  counter("ism.anchor_merges", [r] { return r->ism.anchor_merges; });
-  counter("ism.cap_suppressions", [r] { return r->ism.cap_suppressions; });
+  field("ism.scans_started", &r->ism.scans_started);
+  field("ism.scans_joined", &r->ism.scans_joined);
+  field("ism.scans_ended", &r->ism.scans_ended);
+  field("ism.updates", &r->ism.updates);
+  field("ism.throttle_events", &r->ism.throttle_events);
+  field("ism.total_wait_us", &r->ism.total_wait);
+  field("ism.anchor_merges", &r->ism.anchor_merges);
+  field("ism.cap_suppressions", &r->ism.cap_suppressions);
+
+  io::RegisterIoMetrics(&r->io, &r->real_io, registry);
 
   // Hit ratio as a derived gauge — the number every buffer-locality plot in
   // the paper is ultimately about.
@@ -63,10 +61,11 @@ void RegisterRunMetrics(const exec::RunResult* result,
   if (r->trace != nullptr) {
     for (size_t k = 0; k < obs::kNumEventKinds; ++k) {
       const auto kind = static_cast<obs::EventKind>(k);
-      counter((std::string("trace.") + obs::EventKindName(kind)).c_str(),
-              [r, kind] { return r->trace->count(kind); });
+      registry->RegisterCounter(std::string("trace.") + obs::EventKindName(kind),
+                                [r, kind] { return r->trace->count(kind); });
     }
-    counter("trace.dropped", [r] { return r->trace->dropped(); });
+    registry->RegisterCounter("trace.dropped",
+                              [r] { return r->trace->dropped(); });
   }
 }
 

@@ -1,13 +1,15 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // Bridges the engine's ad-hoc stats structs (DiskStats, BufferPoolStats,
-// SsmStats, IsmStats, trace counters) into the unified obs::MetricsRegistry
-// so every run exposes one flat, uniformly named metric namespace:
+// SsmStats, IsmStats, IoPipelineStats, RealIoStats, trace counters) into
+// the unified obs::MetricsRegistry so every run exposes one flat, uniformly
+// named metric namespace:
 //
 //   disk.requests, disk.pages_read, ...
 //   buffer.hits, buffer.misses, ...
 //   ssm.scans_started, ssm.total_wait_us, ...
 //   ism.scans_started, ...
+//   io.*, real_io.*   (push pipeline / file backend; zero when unused)
 //   run.makespan_us
 //   trace.<event_kind>, trace.dropped   (only when the run was traced)
 //

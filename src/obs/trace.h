@@ -59,7 +59,7 @@ enum class EventKind : uint8_t {
   kDiskSeek,          ///< Head repositioned; arg0 = travel distance in pages.
   kDiskFault,         ///< Injected failure; arg0 = first page, arg1 = count.
   // Executor (actor = stream index).
-  kQueryBegin,        ///< Cursor opened; arg0 = query index in stream.
+  kQueryBegin,        ///< Cursor opened; arg0 = query index in its job.
   kQueryEnd,          ///< Span over the whole query; arg0 = query index.
   // Push I/O pipeline (actor = table id; src/io/). Only emitted when a
   // prefetcher is attached (RunConfig::io.prefetch_depth > 0), so default

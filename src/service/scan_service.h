@@ -9,24 +9,13 @@
 // streams) but a production scan service lives in: thousands of scans,
 // bursty arrivals, skewed table popularity (ROADMAP item 4).
 //
-// Execution stays a single-threaded discrete-event simulation over the
-// virtual clock, sharing the executor's cursor machinery: each admitted
-// job is one single-query scan driven step-by-step (extent granularity),
-// interleaved with every other running job through one event heap. The
-// merge of arrivals and steps is deterministic:
-//   - among pending events, the earliest virtual time wins;
-//   - an arrival at time t is processed before any job step at t (the
-//     admission decision must see the pre-step state; document order for
-//     the trace goldens);
-//   - simultaneous job steps break toward the lowest job id (EventHeap).
-// Same options => bit-identical JobRecords, admission counters, traces
-// (arrival_determinism_test pins this across thread placements).
-//
-// Per run the service builds a fresh pool / SSM / ISM / tracer exactly
-// like Database::Run, so service runs compose with every PolicyKind and
-// both scan modes. The push I/O pipeline is not supported here (the
-// service exercises the demand-pull path; RunConfig::io must stay
-// default).
+// Execution stays a single-threaded discrete-event simulation: the service
+// is a job source for the executor's one event loop, each admitted job a
+// single-query scan stepped at extent granularity, with the tie rules of
+// exec/event_heap.h. Same options => bit-identical JobRecords, admission
+// counters and traces (arrival_determinism_test). Each run builds the same
+// exec::EngineInstance as Database::Run, so it composes with every
+// PolicyKind, both scan modes, and the push I/O pipeline.
 
 #pragma once
 
@@ -53,7 +42,7 @@ struct ServiceOptions {
   WorkloadSpec workload;
   AdmissionOptions admission;
   /// Engine configuration (mode, policy, buffer geometry, SSM knobs,
-  /// cost model, tracing). RunConfig::io must stay default (pull path).
+  /// cost model, I/O pipeline, tracing).
   exec::RunConfig run;
   /// When > 0, run the full pool + SSM invariant audit every N job steps
   /// even outside SCANSHARE_AUDIT builds — the stress tests' "invariants
@@ -95,13 +84,15 @@ struct ServiceResult {
   buffer::BufferPoolStats buffer;
   ssm::SsmStats ssm;  ///< Zero for baseline-mode runs.
   ssm::IsmStats ism;
+  io::IoPipelineStats io;   ///< Push pipeline (zero in pull mode).
+  io::RealIoStats real_io;  ///< File backend (zero for the sim backend).
   /// Event trace (null unless options.run.trace.enabled).
   std::shared_ptr<const obs::Tracer> trace;
 };
 
 /// Drives service runs over a Database's storage. The Database provides
 /// the simulated machine, disk, and catalog (populate it once with
-/// BuildServiceTables); each Run builds fresh per-run engine state and
+/// BuildServiceTables); each Run builds a fresh exec::EngineInstance, which
 /// resets the clock and disk, exactly like Database::Run.
 class ScanService {
  public:

@@ -4,63 +4,39 @@ namespace scanshare::service {
 
 void RegisterServiceMetrics(const ServiceResult* result,
                             obs::MetricsRegistry* registry) {
-  const auto counter = [&](const char* name, auto read) {
-    registry->RegisterCounter(name, [result, read] { return read(*result); });
+  const auto field = [&](const char* name, const uint64_t* value) {
+    registry->RegisterCounter(name, [value] { return *value; });
   };
-  const auto gauge = [&](const char* name, auto read) {
-    registry->RegisterGauge(name, [result, read] { return read(*result); });
+  const auto micros = [&](const char* name, const uint64_t* value) {
+    registry->RegisterGauge(name,
+                            [value] { return static_cast<double>(*value); });
   };
 
-  counter("service.arrived",
-          [](const ServiceResult& r) { return r.admission.arrived; });
-  counter("service.admitted",
-          [](const ServiceResult& r) { return r.admission.admitted; });
-  counter("service.queued",
-          [](const ServiceResult& r) { return r.admission.queued; });
-  counter("service.shed",
-          [](const ServiceResult& r) { return r.admission.shed; });
-  counter("service.shed_global_cap",
-          [](const ServiceResult& r) { return r.admission.shed_global_cap; });
-  counter("service.shed_table_cap",
-          [](const ServiceResult& r) { return r.admission.shed_table_cap; });
-  counter("service.admitted_from_queue", [](const ServiceResult& r) {
-    return r.admission.admitted_from_queue;
-  });
-  counter("service.released",
-          [](const ServiceResult& r) { return r.admission.released; });
-  counter("service.max_queue_depth",
-          [](const ServiceResult& r) { return r.admission.max_queue_depth; });
-  counter("service.max_running",
-          [](const ServiceResult& r) { return r.admission.max_running; });
-  counter("service.completed",
-          [](const ServiceResult& r) { return r.sojourn.count; });
-  counter("service.steps", [](const ServiceResult& r) { return r.steps; });
-  counter("service.makespan_us",
-          [](const ServiceResult& r) { return r.makespan; });
+  field("service.arrived", &result->admission.arrived);
+  field("service.admitted", &result->admission.admitted);
+  field("service.queued", &result->admission.queued);
+  field("service.shed", &result->admission.shed);
+  field("service.shed_global_cap", &result->admission.shed_global_cap);
+  field("service.shed_table_cap", &result->admission.shed_table_cap);
+  field("service.admitted_from_queue", &result->admission.admitted_from_queue);
+  field("service.released", &result->admission.released);
+  field("service.max_queue_depth", &result->admission.max_queue_depth);
+  field("service.max_running", &result->admission.max_running);
+  field("service.completed", &result->sojourn.count);
+  field("service.steps", &result->steps);
+  field("service.makespan_us", &result->makespan);
 
-  gauge("service.sojourn_p50_us", [](const ServiceResult& r) {
-    return static_cast<double>(r.sojourn.p50);
-  });
-  gauge("service.sojourn_p99_us", [](const ServiceResult& r) {
-    return static_cast<double>(r.sojourn.p99);
-  });
-  gauge("service.sojourn_p999_us", [](const ServiceResult& r) {
-    return static_cast<double>(r.sojourn.p999);
-  });
-  gauge("service.sojourn_max_us", [](const ServiceResult& r) {
-    return static_cast<double>(r.sojourn.max);
-  });
-  gauge("service.sojourn_mean_us",
-        [](const ServiceResult& r) { return r.sojourn.mean; });
-  gauge("service.queue_wait_p50_us", [](const ServiceResult& r) {
-    return static_cast<double>(r.queue_wait.p50);
-  });
-  gauge("service.queue_wait_p99_us", [](const ServiceResult& r) {
-    return static_cast<double>(r.queue_wait.p99);
-  });
-  gauge("service.queue_wait_p999_us", [](const ServiceResult& r) {
-    return static_cast<double>(r.queue_wait.p999);
-  });
+  io::RegisterIoMetrics(&result->io, &result->real_io, registry);
+
+  micros("service.sojourn_p50_us", &result->sojourn.p50);
+  micros("service.sojourn_p99_us", &result->sojourn.p99);
+  micros("service.sojourn_p999_us", &result->sojourn.p999);
+  micros("service.sojourn_max_us", &result->sojourn.max);
+  registry->RegisterGauge("service.sojourn_mean_us",
+                          [result] { return result->sojourn.mean; });
+  micros("service.queue_wait_p50_us", &result->queue_wait.p50);
+  micros("service.queue_wait_p99_us", &result->queue_wait.p99);
+  micros("service.queue_wait_p999_us", &result->queue_wait.p999);
 }
 
 std::vector<obs::MetricSample> CollectServiceMetrics(

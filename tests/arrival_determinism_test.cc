@@ -34,7 +34,8 @@ service::WorkloadSpec TinyWorkload() {
 }
 
 // A small grid of service configurations spanning all four arrival kinds,
-// both engine modes, and both admission regimes (roomy and saturated).
+// both engine modes, both admission regimes (roomy and saturated), and the
+// push I/O pipeline.
 std::vector<ServiceOptions> MakeJobs() {
   std::vector<ServiceOptions> jobs;
   {
@@ -86,6 +87,19 @@ std::vector<ServiceOptions> MakeJobs() {
     j.run.ssm.adaptive_regroup = true;
     jobs.push_back(j);
   }
+  {
+    // The push I/O pipeline under the service loop, pumped after every
+    // job step.
+    ServiceOptions j;
+    j.workload = TinyWorkload();
+    j.arrival.kind = service::ArrivalKind::kPoissonBurst;
+    j.arrival.seed = 29;
+    j.arrival.num_jobs = 60;
+    j.arrival.rate_per_sec = 300.0;
+    j.run.buffer.num_frames = 96;
+    j.run.io.prefetch_depth = 8;
+    jobs.push_back(j);
+  }
   return jobs;
 }
 
@@ -111,6 +125,11 @@ void ExpectSameResult(const ServiceResult& a, const ServiceResult& b,
   EXPECT_EQ(a.makespan, b.makespan) << label;
   EXPECT_EQ(a.steps, b.steps) << label;
   EXPECT_EQ(a.sojourn.p99, b.sojourn.p99) << label;
+  EXPECT_EQ(a.disk.pages_read, b.disk.pages_read) << label;
+  EXPECT_EQ(a.disk.seeks, b.disk.seeks) << label;
+  EXPECT_EQ(a.io.submitted, b.io.submitted) << label;
+  EXPECT_EQ(a.io.prefetch_hits, b.io.prefetch_hits) << label;
+  EXPECT_EQ(a.io.dropped_stale, b.io.dropped_stale) << label;
 
   ASSERT_EQ(a.jobs.size(), b.jobs.size()) << label;
   for (size_t i = 0; i < a.jobs.size(); ++i) {
@@ -219,6 +238,8 @@ TEST(ArrivalDeterminismTest, WorkerThreadRunsMatchSequential) {
   // admission-decision comparison above is vacuous).
   EXPECT_GT(sequential[1].admission.queued, 0u);
   EXPECT_GT(sequential[1].admission.shed, 0u);
+  // The push config must really have pushed.
+  EXPECT_GT(sequential[4].io.submitted, 0u);
 }
 
 }  // namespace

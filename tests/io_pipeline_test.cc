@@ -15,12 +15,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "io/file_backend.h"
 #include "io/prefetcher.h"
 #include "io/sim_backend.h"
+#include "metrics/metrics_export.h"
+#include "service/scan_service.h"
+#include "service/service_metrics.h"
 #include "ssm/scan_sharing_manager.h"
 #include "testutil.h"
 
@@ -248,23 +255,36 @@ exec::RunConfig PushConfig(size_t frames, uint64_t depth) {
   return config;
 }
 
+/// Same rows and groups; values equal to 4 ULPs, or to `rel_tol` when it
+/// is nonzero.
+void ExpectSameOutput(const exec::QueryOutput& a, const exec::QueryOutput& b,
+                      double rel_tol = 0.0) {
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+  EXPECT_EQ(a.rows_matched, b.rows_matched);
+  ASSERT_EQ(a.groups.size(), b.groups.size());
+  for (size_t g = 0; g < a.groups.size(); ++g) {
+    EXPECT_EQ(a.groups[g].key, b.groups[g].key);
+    ASSERT_EQ(a.groups[g].values.size(), b.groups[g].values.size());
+    for (size_t v = 0; v < a.groups[g].values.size(); ++v) {
+      const double x = a.groups[g].values[v];
+      const double y = b.groups[g].values[v];
+      if (rel_tol == 0.0) {
+        EXPECT_DOUBLE_EQ(x, y);
+      } else {
+        EXPECT_NEAR(x, y, rel_tol * std::max(std::abs(x), std::abs(y)));
+      }
+    }
+  }
+}
+
 void ExpectSameOutputs(const exec::RunResult& a, const exec::RunResult& b) {
   ASSERT_EQ(a.streams.size(), b.streams.size());
   for (size_t s = 0; s < a.streams.size(); ++s) {
     ASSERT_EQ(a.streams[s].queries.size(), b.streams[s].queries.size());
     for (size_t q = 0; q < a.streams[s].queries.size(); ++q) {
-      const exec::QueryOutput& ao = a.streams[s].queries[q].output;
-      const exec::QueryOutput& bo = b.streams[s].queries[q].output;
-      EXPECT_EQ(ao.rows_scanned, bo.rows_scanned) << "s" << s << " q" << q;
-      EXPECT_EQ(ao.rows_matched, bo.rows_matched) << "s" << s << " q" << q;
-      ASSERT_EQ(ao.groups.size(), bo.groups.size());
-      for (size_t g = 0; g < ao.groups.size(); ++g) {
-        EXPECT_EQ(ao.groups[g].key, bo.groups[g].key);
-        ASSERT_EQ(ao.groups[g].values.size(), bo.groups[g].values.size());
-        for (size_t v = 0; v < ao.groups[g].values.size(); ++v) {
-          EXPECT_DOUBLE_EQ(ao.groups[g].values[v], bo.groups[g].values[v]);
-        }
-      }
+      SCOPED_TRACE(testing::Message() << "s" << s << " q" << q);
+      ExpectSameOutput(a.streams[s].queries[q].output,
+                       b.streams[s].queries[q].output);
     }
   }
 }
@@ -383,6 +403,158 @@ TEST(PushPipelineEngineTest, PushEmitsIoTraceEvents) {
   // Every successfully charged submit gets a completion event.
   EXPECT_LE(completes, submits);
   EXPECT_GT(completes, 0u);
+}
+
+// Every io.* and real_io.* counter reaches the metrics registry: nonzero
+// where a push-file run exercised it, zero on a pull run.
+TEST(PushPipelineEngineTest, PipelineCountersReachTheRegistry) {
+  auto db = testutil::MakeLineitemDb(kTablePages, /*seed=*/3);
+  const auto streams = testutil::StaggeredQ1Q6("lineitem", sim::Millis(50));
+  const std::string path = testing::TempDir() + "/io_pipeline_metrics.tbl";
+  ASSERT_TRUE(io::FileIoBackend::WriteTableFile(*db->disk_manager(), path).ok());
+
+  exec::RunConfig push = PushConfig(4 * kExtent, /*depth=*/4);
+  push.io.backend = exec::IoOptions::Backend::kFile;
+  push.io.file_path = path;
+  auto pushed = db->Run(push, streams);
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  auto pulled = db->Run(PushConfig(4 * kExtent, /*depth=*/0), streams);
+  ASSERT_TRUE(pulled.ok()) << pulled.status().ToString();
+
+  const auto find = [](const std::vector<obs::MetricSample>& samples,
+                       const std::string& name) -> const obs::MetricSample* {
+    for (const obs::MetricSample& s : samples) {
+      if (s.name == name) return &s;
+    }
+    return nullptr;
+  };
+  const auto push_metrics = metrics::CollectRunMetrics(*pushed);
+  const auto pull_metrics = metrics::CollectRunMetrics(*pulled);
+  for (const char* name :
+       {"io.submitted", "io.prefetch_hits", "io.sync_reads", "io.queue_full",
+        "io.dropped_stale", "io.reissue_suppressed", "real_io.reads",
+        "real_io.pages_read", "real_io.bytes_read", "real_io.seeks"}) {
+    const obs::MetricSample* pushed_sample = find(push_metrics, name);
+    const obs::MetricSample* pulled_sample = find(pull_metrics, name);
+    ASSERT_NE(pushed_sample, nullptr) << name;
+    ASSERT_NE(pulled_sample, nullptr) << name;
+    EXPECT_EQ(pulled_sample->counter, 0u) << name;
+  }
+  EXPECT_EQ(find(push_metrics, "io.submitted")->counter, pushed->io.submitted);
+  EXPECT_GT(pushed->io.submitted, 0u);
+  EXPECT_GT(find(push_metrics, "io.prefetch_hits")->counter, 0u);
+  EXPECT_GT(find(push_metrics, "io.sync_reads")->counter, 0u);
+  EXPECT_EQ(find(push_metrics, "real_io.reads")->counter, pushed->disk.requests);
+  EXPECT_GT(find(push_metrics, "real_io.pages_read")->counter, 0u);
+  EXPECT_GT(find(push_metrics, "real_io.bytes_read")->counter, 0u);
+  EXPECT_GT(find(push_metrics, "real_io.seeks")->counter, 0u);
+}
+
+// ---------------------------------------------------------------- service
+
+/// An open-loop fixed-rate schedule whose caps are high enough that no job
+/// queues or sheds: every job runs from its arrival.
+service::ServiceOptions RoomyService(uint64_t depth) {
+  service::ServiceOptions o;
+  o.workload.num_tables = 3;
+  o.workload.mdc_every = 2;  // Table 0 carries a block index (X1/X2).
+  o.workload.pages_per_table = 96;
+  o.workload.seed = 31;
+  o.arrival.kind = service::ArrivalKind::kFixedRate;
+  o.arrival.seed = 7;
+  o.arrival.num_jobs = 30;
+  o.arrival.rate_per_sec = 150.0;
+  o.admission.global_cap = 1000;
+  o.admission.per_table_cap = 1000;
+  o.admission.queue_bound = 1000;
+  o.run = PushConfig(4 * kExtent, depth);
+  return o;
+}
+
+class ServicePushPipelineTest : public ::testing::Test {
+ protected:
+  ServicePushPipelineTest() : db_(std::make_unique<exec::Database>()) {
+    auto tables =
+        service::BuildServiceTables(db_->catalog(), RoomyService(0).workload);
+    EXPECT_TRUE(tables.ok()) << tables.status().ToString();
+    if (tables.ok()) tables_ = *std::move(tables);
+  }
+
+  StatusOr<service::ServiceResult> Run(const service::ServiceOptions& o) {
+    service::ScanService svc(db_.get());
+    return svc.Run(o, tables_);
+  }
+
+  std::unique_ptr<exec::Database> db_;
+  std::vector<service::ServiceTable> tables_;
+};
+
+TEST_F(ServicePushPipelineTest, PushMatchesPullOutputsAndPushes) {
+  auto pull = Run(RoomyService(/*depth=*/0));
+  ASSERT_TRUE(pull.ok()) << pull.status().ToString();
+  auto push = Run(RoomyService(/*depth=*/8));
+  ASSERT_TRUE(push.ok()) << push.status().ToString();
+
+  // Nothing queued or shed, so both runs complete every job. Push changes
+  // timing, so a shared scan may join its group at a different page and
+  // sum its tuples in a different order: values agree to rounding.
+  EXPECT_EQ(pull->admission.queued + pull->admission.shed, 0u);
+  EXPECT_EQ(push->admission.queued + push->admission.shed, 0u);
+  ASSERT_EQ(pull->jobs.size(), push->jobs.size());
+  for (size_t j = 0; j < pull->jobs.size(); ++j) {
+    EXPECT_EQ(pull->jobs[j].query, push->jobs[j].query) << "job " << j;
+    SCOPED_TRACE(testing::Message() << "job " << j);
+    ExpectSameOutput(pull->jobs[j].output, push->jobs[j].output, 1e-12);
+  }
+  EXPECT_GT(push->ssm.scans_joined, 0u);  // Jobs really shared scans.
+  EXPECT_EQ(pull->io.submitted, 0u);
+  EXPECT_GT(push->io.submitted, 0u);
+  EXPECT_GT(push->io.prefetch_hits, 0u);
+
+  // The registry sees the service's pipeline counters too.
+  bool saw_submitted = false;
+  for (const obs::MetricSample& s : service::CollectServiceMetrics(*push)) {
+    if (s.name != "io.submitted") continue;
+    saw_submitted = true;
+    EXPECT_EQ(s.counter, push->io.submitted);
+  }
+  EXPECT_TRUE(saw_submitted);
+}
+
+TEST_F(ServicePushPipelineTest, PushFileMatchesPushSim) {
+  auto sim_run = Run(RoomyService(/*depth=*/8));
+  ASSERT_TRUE(sim_run.ok()) << sim_run.status().ToString();
+
+  const std::string path = testing::TempDir() + "/service_push_file.tbl";
+  ASSERT_TRUE(io::FileIoBackend::WriteTableFile(*db_->disk_manager(), path).ok());
+  service::ServiceOptions file = RoomyService(/*depth=*/8);
+  file.run.io.backend = exec::IoOptions::Backend::kFile;
+  file.run.io.file_path = path;
+  auto file_run = Run(file);
+  ASSERT_TRUE(file_run.ok()) << file_run.status().ToString();
+
+  EXPECT_EQ(file_run->makespan, sim_run->makespan);
+  EXPECT_EQ(file_run->disk.pages_read, sim_run->disk.pages_read);
+  EXPECT_EQ(file_run->disk.seeks, sim_run->disk.seeks);
+  EXPECT_EQ(file_run->io.submitted, sim_run->io.submitted);
+  EXPECT_EQ(file_run->real_io.reads, file_run->disk.requests);
+  EXPECT_EQ(file_run->real_io.pages_read, file_run->disk.pages_read);
+  EXPECT_EQ(sim_run->real_io.reads, 0u);
+}
+
+TEST_F(ServicePushPipelineTest, DiskFaultParityWithPullPath) {
+  sim::DiskFaultOptions faults;
+  faults.fail_range_first = 40;
+  faults.fail_range_end = 41;
+  db_->env()->disk().SetFaults(faults);
+  auto pull = Run(RoomyService(/*depth=*/0));
+  ASSERT_FALSE(pull.ok());
+
+  db_->env()->disk().SetFaults(faults);  // Re-arm (counts restart).
+  auto push = Run(RoomyService(/*depth=*/8));
+  ASSERT_FALSE(push.ok());
+  EXPECT_EQ(pull.status().code(), push.status().code());
+  db_->env()->disk().SetFaults(sim::DiskFaultOptions{});
 }
 
 }  // namespace

@@ -122,5 +122,21 @@ TEST_F(ParallelScanTest, RejectsIndexScanQueries) {
   EXPECT_EQ(r.status().code(), Status::Code::kNotSupported);
 }
 
+// The morsel driver never pumps the push pipeline, so a push or file
+// configuration must fail loudly instead of quietly running as pull-sim.
+TEST_F(ParallelScanTest, RejectsPushPipelineConfigs) {
+  const QuerySpec q = workload::MakeQ6Like("lineitem");
+  RunConfig push = config_;
+  push.io.prefetch_depth = 8;
+  auto r = RunQueryParallel(db_.get(), push, q, ParallelScanOptions{});
+  EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+
+  RunConfig file = config_;
+  file.io.backend = IoOptions::Backend::kFile;
+  file.io.file_path = testing::TempDir() + "/parallel_scan_unused.tbl";
+  r = RunQueryParallel(db_.get(), file, q, ParallelScanOptions{});
+  EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace scanshare::exec

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <map>
+#include <thread>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -58,6 +60,11 @@ int ConcurrencyWitness::Enter() {
   const int inside = current_.fetch_add(1) + 1;
   int seen = max_.load();
   while (inside > seen && !max_.compare_exchange_weak(seen, inside)) {
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (max_.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
   return inside;
 }

@@ -52,6 +52,9 @@ std::vector<exec::StreamSpec> StaggeredQ1Q6(const std::string& table,
 class ConcurrencyWitness {
  public:
   /// Returns the occupancy at entry (>= 1) and folds it into the maximum.
+  /// Until two tasks have been seen inside at once, Enter() waits (up to
+  /// 200 ms, yielding) for a second task, so regions shorter than a thread
+  /// start-up still overlap on a multi-core host.
   int Enter();
   void Exit();
   int max_concurrent() const { return max_.load(); }
