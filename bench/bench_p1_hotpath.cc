@@ -1,18 +1,19 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // bench_p1_hotpath: wall-clock microbenchmarks of the engine's three hot
-// paths, old implementation vs new:
+// paths:
 //
-//   1. Buffer-pool page translation: hit-path fetch/unpin throughput with
-//      the direct-mapped translation array vs the legacy unordered_map
-//      page table, over a large fully-resident page population visited in
-//      random order (every fetch after warmup is a hit).
+//   1. Buffer-pool page translation: hit-path fetch throughput of the
+//      direct-mapped translation array over a large fully-resident page
+//      population visited in random order (every fetch after warmup is a
+//      hit).
 //   2. Stream scheduling: end-to-end engine steps/sec on a multi-stream
 //      throughput run (heap-based event scheduling; the linear scan it
 //      replaced was O(streams) per step).
 //   3. Scan+aggregate inner loop: tuples/sec for Q6-like and Q1-like
-//      processing, interpreted per-tuple dispatch vs the compiled
-//      predicate/aggregate path with hoisted offsets.
+//      processing, the interpreted reference (Predicate::Eval +
+//      Aggregator::Consume per tuple) vs the engine's columnar kernel.
+//      Both must match the same rows.
 //
 // Unlike the figure benches (virtual time), these numbers are real elapsed
 // time of this process, so they vary with the machine. Use --json=PATH for
@@ -37,18 +38,14 @@ constexpr int kFetchSweeps = 8;  // Working-set fetch sweeps per repetition.
 //
 // The translation kernel uses its own disk with small (512 B) pages so the
 // pool can cache a realistically large page population (64x --pages;
-// 131072 pages at defaults) without gigabytes of frame memory. The
-// translation array stays compact (8 B/page), while the unordered_map's
-// buckets and nodes scatter — exactly the working-set effect that
-// motivates the array.
+// 131072 pages at defaults) without gigabytes of frame memory; the
+// translation array stays compact (8 B/page).
 //
 // The kernel measures the pure hit path: setup faults every page in once
 // (one page per miss, in a fixed random order) and leaves it pinned, the
 // way a scan group holds its active extent resident; the timed sweeps then
-// re-fetch the whole population in that same order. Page ids arrive
-// looking random — translating them is the map's worst case, a dependent
-// bucket-then-node chase per fetch — while the pin bookkeeping both modes
-// share stays out of the way.
+// re-fetch the whole population in that same order, so page ids arrive
+// looking random.
 
 struct FetchRig {
   sim::Env env;
@@ -88,12 +85,10 @@ uint64_t FetchSweep(buffer::BufferPool* pool,
   return hits;
 }
 
-WallMeasurement MeasureFetch(FetchRig* rig, buffer::TranslationMode mode,
-                             const BenchConfig& config) {
+WallMeasurement MeasureFetch(FetchRig* rig, const BenchConfig& config) {
   buffer::BufferPoolOptions opt;
   opt.num_frames = static_cast<size_t>(rig->pages);
   opt.prefetch_extent_pages = 1;  // Fault pages in one at a time.
-  opt.translation = mode;
   buffer::BufferPool pool(
       &rig->dm, std::make_unique<buffer::LruReplacer>(opt.num_frames), opt);
   // Fault the whole population in and hold the pins for the duration of the
@@ -107,12 +102,9 @@ WallMeasurement MeasureFetch(FetchRig* rig, buffer::TranslationMode mode,
       std::exit(1);
     }
   }
-  const char* name = mode == buffer::TranslationMode::kArray
-                         ? "fetch_hit_array"
-                         : "fetch_hit_map";
   const double ops =
       static_cast<double>(rig->pages) * static_cast<double>(kFetchSweeps);
-  return MeasureWall(name, ops, config.warmup, config.reps,
+  return MeasureWall("fetch_hit_array", ops, config.warmup, config.reps,
                      [&] { return FetchSweep(&pool, rig->order, rig->pages); });
 }
 
@@ -230,40 +222,10 @@ struct TupleKernel {
     return matched;
   }
 
-  uint64_t RunCompiled() const {
-    exec::Aggregator agg = prototype;
-    Status st = agg.PrepareHot(table->schema);
-    if (!st.ok()) {
-      std::fprintf(stderr, "PrepareHot failed: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    uint64_t matched = 0;
-    for (sim::PageId p = table->first_page; p < table->end_page(); ++p) {
-      storage::Page view(const_cast<uint8_t*>(PageBytes(p)), dm->page_size());
-      const uint16_t count = view.tuple_count();
-      if (compiled_pred.empty()) {
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          agg.ConsumeHot(view.TupleDataUnchecked(slot));
-        }
-        matched += count;
-      } else {
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          const uint8_t* tuple = view.TupleDataUnchecked(slot);
-          if (compiled_pred.Match(tuple)) {
-            agg.ConsumeHot(tuple);
-            ++matched;
-          }
-        }
-      }
-    }
-    return matched;
-  }
-
-  // The columnar kernel the engine runs under KernelMode::kColumnar:
-  // gather the page's tuple pointers, build the selection bitmap in one
-  // branch-free pass, then fold the survivors batch-at-a-time. The
-  // checksum (matched row count) and the aggregate state it produces are
-  // bit-identical to the scalar paths above.
+  // The columnar kernel ChunkProcessor runs: gather the page's tuple
+  // pointers, build the selection bitmap in one branch-free pass, then
+  // fold the survivors batch-at-a-time. The checksum (matched row count)
+  // and the aggregate state it produces match RunGeneric's.
   uint64_t RunColumnar() const {
     exec::Aggregator agg = prototype;
     Status st = agg.PrepareHot(table->schema);
@@ -282,16 +244,8 @@ struct TupleKernel {
         batch[slot] = view.TupleDataUnchecked(slot);
       }
       sel.resize(count);
-      if (compiled_pred.empty()) {
-        std::fill(sel.begin(), sel.end(), uint8_t{1});
-        matched += count;
-      } else {
-        compiled_pred.MatchBatch(batch.data(), count, sel.data());
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          matched += static_cast<uint64_t>(sel[slot]);
-        }
-      }
-      agg.ConsumeBatch(batch.data(), sel.data(), count);
+      compiled_pred.MatchBatch(batch.data(), count, sel.data());
+      matched += agg.ConsumeBatch(batch.data(), sel.data(), count);
     }
     return matched;
   }
@@ -308,59 +262,36 @@ int Main(int argc, char** argv) {
   if (!table.ok()) std::exit(1);
   const storage::TableInfo* t = *table;
 
-  // 1. Buffer-pool hit path: translation array vs unordered_map.
+  // 1. Buffer-pool hit path.
   FetchRig fetch_rig(config);
-  WallMeasurement fetch_array =
-      MeasureFetch(&fetch_rig, buffer::TranslationMode::kArray, config);
-  WallMeasurement fetch_map =
-      MeasureFetch(&fetch_rig, buffer::TranslationMode::kMap, config);
-  const double fetch_speedup =
-      fetch_map.ops_per_sec() > 0
-          ? fetch_array.ops_per_sec() / fetch_map.ops_per_sec()
-          : 0.0;
+  WallMeasurement fetch_array = MeasureFetch(&fetch_rig, config);
 
   // 2. Scheduler: steps/sec of a full multi-stream engine run.
   SchedulerResult sched = MeasureScheduler(db.get(), config);
 
-  // 3. Inner loop: interpreted vs compiled tuple processing.
+  // 3. Inner loop: interpreted reference vs columnar kernel.
   TupleKernel q6(db.get(), workload::MakeQ6Like("lineitem"));
   TupleKernel q1(db.get(), workload::MakeQ1Like("lineitem"));
   const double tuple_ops = static_cast<double>(t->num_tuples);
   WallMeasurement q6_generic =
       MeasureWall("tuples_q6_interpreted", tuple_ops, config.warmup,
                   config.reps, [&] { return q6.RunGeneric(); });
-  WallMeasurement q6_compiled =
-      MeasureWall("tuples_q6_compiled", tuple_ops, config.warmup, config.reps,
-                  [&] { return q6.RunCompiled(); });
   WallMeasurement q1_generic =
       MeasureWall("tuples_q1_interpreted", tuple_ops, config.warmup,
                   config.reps, [&] { return q1.RunGeneric(); });
-  WallMeasurement q1_compiled =
-      MeasureWall("tuples_q1_compiled", tuple_ops, config.warmup, config.reps,
-                  [&] { return q1.RunCompiled(); });
   WallMeasurement q6_columnar =
       MeasureWall("tuples_q6_columnar", tuple_ops, config.warmup, config.reps,
                   [&] { return q6.RunColumnar(); });
   WallMeasurement q1_columnar =
       MeasureWall("tuples_q1_columnar", tuple_ops, config.warmup, config.reps,
                   [&] { return q1.RunColumnar(); });
-  if (q6_generic.checksum != q6_compiled.checksum ||
-      q1_generic.checksum != q1_compiled.checksum ||
-      q6_generic.checksum != q6_columnar.checksum ||
+  if (q6_generic.checksum != q6_columnar.checksum ||
       q1_generic.checksum != q1_columnar.checksum) {
     std::fprintf(stderr,
-                 "FAIL: compiled/columnar paths matched different rows than "
-                 "the interpreted path\n");
+                 "FAIL: the columnar kernel matched different rows than the "
+                 "interpreted reference\n");
     std::exit(1);
   }
-  const double q6_speedup = q6_generic.ops_per_sec() > 0
-                                ? q6_compiled.ops_per_sec() /
-                                      q6_generic.ops_per_sec()
-                                : 0.0;
-  const double q1_speedup = q1_generic.ops_per_sec() > 0
-                                ? q1_compiled.ops_per_sec() /
-                                      q1_generic.ops_per_sec()
-                                : 0.0;
   const double q6_col_speedup = q6_generic.ops_per_sec() > 0
                                     ? q6_columnar.ops_per_sec() /
                                           q6_generic.ops_per_sec()
@@ -369,31 +300,15 @@ int Main(int argc, char** argv) {
                                     ? q1_columnar.ops_per_sec() /
                                           q1_generic.ops_per_sec()
                                     : 0.0;
-  const double q6_col_vs_compiled =
-      q6_compiled.ops_per_sec() > 0
-          ? q6_columnar.ops_per_sec() / q6_compiled.ops_per_sec()
-          : 0.0;
-  const double q1_col_vs_compiled =
-      q1_compiled.ops_per_sec() > 0
-          ? q1_columnar.ops_per_sec() / q1_compiled.ops_per_sec()
-          : 0.0;
 
   PrintWall(fetch_array);
-  PrintWall(fetch_map);
-  std::printf("%-28s %12.2fx\n", "fetch speedup (array/map)", fetch_speedup);
   PrintWall(sched.wall);
   PrintWall(q6_generic);
-  PrintWall(q6_compiled);
   PrintWall(q6_columnar);
-  std::printf("%-28s %12.2fx\n", "Q6 speedup (compiled)", q6_speedup);
   std::printf("%-28s %12.2fx\n", "Q6 speedup (columnar)", q6_col_speedup);
-  std::printf("%-28s %12.2fx\n", "Q6 columnar vs compiled", q6_col_vs_compiled);
   PrintWall(q1_generic);
-  PrintWall(q1_compiled);
   PrintWall(q1_columnar);
-  std::printf("%-28s %12.2fx\n", "Q1 speedup (compiled)", q1_speedup);
   std::printf("%-28s %12.2fx\n", "Q1 speedup (columnar)", q1_col_speedup);
-  std::printf("%-28s %12.2fx\n", "Q1 columnar vs compiled", q1_col_vs_compiled);
 
   if (!config.json_path.empty()) {
     JsonObject cfg;
@@ -407,25 +322,17 @@ int Main(int argc, char** argv) {
         .Put("warmup", config.warmup)
         .Put("reps", config.reps);
     JsonObject fetch;
-    fetch.PutRaw("array", WallToJson(fetch_array))
-        .PutRaw("map", WallToJson(fetch_map))
-        .Put("speedup_array_vs_map", fetch_speedup);
+    fetch.PutRaw("array", WallToJson(fetch_array));
     JsonObject scheduler;
     scheduler.Put("steps_per_run", sched.steps)
         .PutRaw("run", WallToJson(sched.wall));
     JsonObject tuples;
     tuples.PutRaw("q6_interpreted", WallToJson(q6_generic))
-        .PutRaw("q6_compiled", WallToJson(q6_compiled))
         .PutRaw("q6_columnar", WallToJson(q6_columnar))
-        .Put("q6_speedup_compiled", q6_speedup)
         .Put("q6_speedup_columnar", q6_col_speedup)
-        .Put("q6_columnar_vs_compiled", q6_col_vs_compiled)
         .PutRaw("q1_interpreted", WallToJson(q1_generic))
-        .PutRaw("q1_compiled", WallToJson(q1_compiled))
         .PutRaw("q1_columnar", WallToJson(q1_columnar))
-        .Put("q1_speedup_compiled", q1_speedup)
-        .Put("q1_speedup_columnar", q1_col_speedup)
-        .Put("q1_columnar_vs_compiled", q1_col_vs_compiled);
+        .Put("q1_speedup_columnar", q1_col_speedup);
     JsonObject root;
     root.Put("bench", std::string("p1_hotpath"))
         .PutRaw("config", cfg.ToString())

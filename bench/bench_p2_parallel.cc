@@ -9,10 +9,7 @@
 //      result of the parallel driver is checked bit-identical to the
 //      sequential driver's (metrics::BitIdentical) — the speedup is only
 //      reported for a driver that provably changes nothing.
-//   2. Scan kernels: one full shared-engine run under the scalar
-//      tuple-at-a-time kernel vs the columnar batch kernel
-//      (KernelMode), outputs verified bit-identical, tuples/sec compared.
-//   3. Intra-query morsel parallelism: RunQueryParallel on Q1 and Q6 at
+//   2. Intra-query morsel parallelism: RunQueryParallel on Q1 and Q6 at
 //      jobs=1 vs --intra-jobs=N over the latch-partitioned buffer pool.
 //      Aggregates are verified bit-identical (metrics::BitIdentical on
 //      QueryOutput) before anything is timed.
@@ -69,7 +66,8 @@ uint64_t ResultsChecksum(const std::vector<exec::RunResult>& results) {
 int Main(int argc, char** argv) {
   BenchConfig config = ParseFlags(argc, argv);
   auto db = BuildDatabase(config);
-  PrintHeader("P2: parallel run driver + vectorized kernels", *db, config);
+  PrintHeader("P2: parallel run driver + intra-query parallelism", *db,
+              config);
 
   const size_t hw = ThreadPool::HardwareConcurrency();
   BenchConfig seq_config = config;
@@ -112,47 +110,6 @@ int Main(int argc, char** argv) {
   const double driver_speedup =
       driver_seq.ops_per_sec() > 0
           ? driver_par.ops_per_sec() / driver_seq.ops_per_sec()
-          : 0.0;
-
-  // Kernel series: same engine run, scalar vs columnar tuple kernel.
-  std::vector<exec::StreamSpec> kernel_streams = jobs[1].streams;
-  exec::RunConfig scalar_cfg = jobs[1].run;
-  scalar_cfg.kernel = exec::KernelMode::kScalar;
-  exec::RunConfig columnar_cfg = jobs[1].run;
-  columnar_cfg.kernel = exec::KernelMode::kColumnar;
-  auto scalar_probe = db->Run(scalar_cfg, kernel_streams);
-  auto columnar_probe = db->Run(columnar_cfg, kernel_streams);
-  if (!scalar_probe.ok() || !columnar_probe.ok()) {
-    std::fprintf(stderr, "kernel probe run failed\n");
-    std::exit(1);
-  }
-  std::string kernel_diff;
-  if (!metrics::BitIdentical(*scalar_probe, *columnar_probe, &kernel_diff)) {
-    std::fprintf(stderr, "FAIL: scalar and columnar kernels diverge (%s)\n",
-                 kernel_diff.c_str());
-    std::exit(1);
-  }
-  const uint64_t kernel_tuples = scalar_probe->SumOverQueries(
-      [](const exec::ScanMetrics& m) { return m.tuples_scanned; });
-  std::printf("kernel parity: scalar vs columnar bit-identical "
-              "(%llu tuples/run)\n\n",
-              static_cast<unsigned long long>(kernel_tuples));
-  const double kernel_ops = static_cast<double>(kernel_tuples);
-  WallMeasurement engine_scalar = MeasureWall(
-      "engine_scalar", kernel_ops, config.warmup, config.reps, [&] {
-        auto run = db->Run(scalar_cfg, kernel_streams);
-        if (!run.ok()) std::exit(1);
-        return run->disk.pages_read;
-      });
-  WallMeasurement engine_columnar = MeasureWall(
-      "engine_columnar", kernel_ops, config.warmup, config.reps, [&] {
-        auto run = db->Run(columnar_cfg, kernel_streams);
-        if (!run.ok()) std::exit(1);
-        return run->disk.pages_read;
-      });
-  const double kernel_speedup =
-      engine_scalar.ops_per_sec() > 0
-          ? engine_columnar.ops_per_sec() / engine_scalar.ops_per_sec()
           : 0.0;
 
   // Intra-query morsel parallelism: one query, many workers over the
@@ -231,9 +188,6 @@ int Main(int argc, char** argv) {
   PrintWall(driver_seq);
   PrintWall(driver_par);
   std::printf("%-28s %12.2fx\n", "driver speedup (parallel)", driver_speedup);
-  PrintWall(engine_scalar);
-  PrintWall(engine_columnar);
-  std::printf("%-28s %12.2fx\n", "engine speedup (columnar)", kernel_speedup);
   for (const IntraSeries& s : intra_series) {
     PrintWall(s.jobs1);
     PrintWall(s.jobsN);
@@ -259,11 +213,6 @@ int Main(int argc, char** argv) {
         .PutRaw("jobs1", WallToJson(driver_seq))
         .PutRaw("jobsN", WallToJson(driver_par))
         .Put("speedup_parallel", driver_speedup);
-    JsonObject kernels;
-    kernels.Put("tuples_per_run", kernel_tuples)
-        .PutRaw("scalar", WallToJson(engine_scalar))
-        .PutRaw("columnar", WallToJson(engine_columnar))
-        .Put("speedup_columnar", kernel_speedup);
     JsonObject intra;
     intra.Put("jobs", static_cast<uint64_t>(intra_jobs))
         .Put("single_core_notice", single_core ? std::string("true")
@@ -281,7 +230,6 @@ int Main(int argc, char** argv) {
     root.Put("bench", std::string("p2_parallel"))
         .PutRaw("config", cfg.ToString())
         .PutRaw("driver", driver.ToString())
-        .PutRaw("kernels", kernels.ToString())
         .PutRaw("intra_query", intra.ToString());
     WriteFileOrDie(config.json_path, root.ToString());
     std::printf("wrote %s\n", config.json_path.c_str());

@@ -11,8 +11,7 @@ BufferPool::BufferPool(storage::DiskManager* disk_manager,
                        BufferPoolOptions options)
     : disk_(disk_manager),
       policy_(std::move(policy)),
-      options_(options),
-      use_array_(options.translation == TranslationMode::kArray) {
+      options_(options) {
   // One contiguous cache-line-aligned arena for every frame payload —
   // sized once here; no other allocation ever touches page data.
   const size_t page_size = disk_->page_size();
@@ -28,42 +27,16 @@ BufferPool::BufferPool(storage::DiskManager* disk_manager,
     free_list_.push_back(static_cast<FrameId>(options_.num_frames - 1 - i));
   }
   const uint64_t pages = disk_->num_pages();
-  if (use_array_) translation_.assign(pages, kInvalidFrame);
+  translation_.assign(pages, kInvalidFrame);
   resident_.assign(static_cast<size_t>((pages + 63) / 64), 0);
 }
 
 void BufferPool::EnsureCapacity(sim::PageId max_page) {
-  if (use_array_ && max_page >= translation_.size()) {
+  if (max_page >= translation_.size()) {
     translation_.resize(max_page + 1, kInvalidFrame);
   }
   const size_t word = static_cast<size_t>(max_page >> 6);
   if (word >= resident_.size()) resident_.resize(word + 1, 0);
-}
-
-FrameId BufferPool::LookupFrame(sim::PageId page) const {
-  if (use_array_) {
-    return page < translation_.size() ? translation_[page] : kInvalidFrame;
-  }
-  auto it = page_table_.find(page);
-  return it != page_table_.end() ? it->second : kInvalidFrame;
-}
-
-void BufferPool::MapInsert(sim::PageId page, FrameId frame) {
-  if (use_array_) {
-    translation_[page] = frame;
-  } else {
-    page_table_[page] = frame;
-  }
-  SetResident(page);
-}
-
-void BufferPool::MapErase(sim::PageId page) {
-  if (use_array_) {
-    if (page < translation_.size()) translation_[page] = kInvalidFrame;
-  } else {
-    page_table_.erase(page);
-  }
-  if (static_cast<size_t>(page >> 6) < resident_.size()) ClearResident(page);
 }
 
 StatusOr<FrameId> BufferPool::GetVictimFrame(sim::Micros now) {
@@ -129,23 +102,8 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
   }
 
   FetchResult result;
-  const FrameId hit_frame = LookupFrame(page);
-  if (hit_frame != kInvalidFrame) {
-    ++stats_.logical_reads;
-    Frame& f = frames_[hit_frame];
-    ++f.pin_count;
-    policy_->Pin(hit_frame);
-    policy_->RecordAccess(hit_frame);
-    ++stats_.hits;
-    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kPoolHit, now, /*actor=*/0,
-                          page);
-    result.data = f.data;
-    result.hit = true;
-    SCANSHARE_AUDIT_OK(CheckInvariants());
-    return result;
-  }
-
-  // Miss: read the aligned prefetch extent containing `page`, clipped.
+  // Miss (the inline FetchPage returned every hit): read the aligned
+  // prefetch extent containing `page`, clipped.
   // Frames are secured *before* the disk is touched and the counters are
   // only charged once the read succeeds, so a fetch that fails for lack of
   // frames (or an injected read fault) leaves the statistics and the
@@ -378,31 +336,21 @@ Status BufferPool::CheckInvariants() const {
         std::to_string(frames_.size()) + " frames (frame leak)");
   }
 
-  // --- Translation structure ↔ frames, entry by entry. ---
+  // --- Translation array ↔ frames, entry by entry. ---
   size_t mapped = 0;
-  if (use_array_) {
-    for (sim::PageId p = 0; p < translation_.size(); ++p) {
-      const FrameId f = translation_[p];
-      if (f == kInvalidFrame) {
-        if (IsResident(p)) {
-          return Status::Internal("audit: residency bit set for unmapped page " +
-                                  std::to_string(p));
-        }
-        continue;
-      }
-      ++mapped;
-      if (f >= frames_.size() || frames_[f].page != p) {
-        return Status::Internal("audit: stale translation entry for page " +
+  for (sim::PageId p = 0; p < translation_.size(); ++p) {
+    const FrameId f = translation_[p];
+    if (f == kInvalidFrame) {
+      if (IsResident(p)) {
+        return Status::Internal("audit: residency bit set for unmapped page " +
                                 std::to_string(p));
       }
+      continue;
     }
-  } else {
-    for (const auto& [p, f] : page_table_) {
-      ++mapped;
-      if (f >= frames_.size() || frames_[f].page != p) {
-        return Status::Internal("audit: stale page-table entry for page " +
-                                std::to_string(p));
-      }
+    ++mapped;
+    if (f >= frames_.size() || frames_[f].page != p) {
+      return Status::Internal("audit: stale translation entry for page " +
+                              std::to_string(p));
     }
   }
   if (mapped != occupied) {

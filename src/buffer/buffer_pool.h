@@ -6,19 +6,16 @@
 // model at an explicit virtual timestamp supplied by the caller, so the
 // deterministic executor fully controls time.
 //
-// Page translation is array-based by default: one direct-mapped slot per
-// disk page (kInvalidFrame when absent) plus a residency bitmap, so the
-// hit path is a bounds check and one indexed load instead of a hash-map
-// probe. The original unordered_map translation is kept behind
-// BufferPoolOptions::translation for A/B parity testing; both modes must
-// produce bit-identical statistics on identical workloads.
+// Page translation is one direct-mapped array: a slot per disk page
+// (kInvalidFrame when absent) plus a residency bitmap, so the hit path is
+// a bounds check and one indexed load. CheckInvariants cross-audits the
+// array, the frames, the bitmap and the replacer.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <vector>
 
 #include "buffer/page_source.h"
@@ -34,12 +31,6 @@ namespace scanshare::buffer {
 /// Sentinel translation-table entry: "this page has no frame".
 inline constexpr FrameId kInvalidFrame = static_cast<FrameId>(-1);
 
-/// How FetchPage translates a PageId to a frame.
-enum class TranslationMode {
-  kArray,  ///< Direct-mapped array indexed by PageId (default, fast path).
-  kMap,    ///< unordered_map page table (legacy; kept for parity testing).
-};
-
 /// Tuning knobs for the buffer pool.
 struct BufferPoolOptions {
   /// Frames in the pool. The experiments size this at ~5 % of the database
@@ -50,10 +41,6 @@ struct BufferPoolOptions {
   /// aligned extent in one disk request. 16 pages of 32 KiB = 512 KiB, the
   /// paper's block/extent configuration.
   uint64_t prefetch_extent_pages = 16;
-
-  /// Page-translation structure. Behaviour and statistics are identical in
-  /// both modes; only lookup cost differs.
-  TranslationMode translation = TranslationMode::kArray;
 };
 
 /// Counters exposed for the experiments.
@@ -115,13 +102,13 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// nothing and never leaks frames. In all cases the pool remains in a
   /// state where CheckInvariants() passes.
   ///
-  /// The hit path is resolved entirely in this header: one translation-array
-  /// load plus pin bookkeeping. Everything else goes through the
+  /// Every hit is resolved in this header: one translation-array load plus
+  /// pin bookkeeping. Misses and validation failures go through the
   /// out-of-line FetchSlow.
   [[nodiscard]] StatusOr<FetchResult> FetchPage(sim::PageId page, sim::Micros now,
                                   sim::PageId clip_first,
                                   sim::PageId clip_end) override {
-    if (use_array_ && page < translation_.size()) {
+    if (page < translation_.size()) {
       const FrameId frame = translation_[page];
       if (frame != kInvalidFrame) {
         if (page < clip_first || page >= clip_end) {
@@ -188,8 +175,8 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// translation size):
   ///   - every frame is either occupied or on the free list, never both,
   ///     and the free list has no duplicates (no frame leaks);
-  ///   - every occupied frame's page maps back to that frame in the active
-  ///     translation structure and has its residency bit set;
+  ///   - every occupied frame's page maps back to that frame in the
+  ///     translation array and has its residency bit set;
   ///   - every translation entry points at a frame holding that page, and
   ///     the mapped-entry count, the residency-bitmap population count,
   ///     and the occupied-frame count all agree;
@@ -208,9 +195,6 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   }
   /// Bytes per frame (mirrors the disk page size).
   uint32_t page_size() const override { return disk_->page_size(); }
-
-  /// The translation structure in force (for reports/benches).
-  TranslationMode translation_mode() const { return options_.translation; }
 
   /// The replacement policy in force (for reports).
   const ReplacementPolicy& policy() const { return *policy_; }
@@ -241,9 +225,8 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// page sizes being powers of two well above 64).
   static constexpr size_t kSlabAlignment = 64;
 
-  /// Residency bitmap probe: one bit per disk page, maintained in both
-  /// translation modes. The prefetch path tests this instead of probing
-  /// the page table per extent page.
+  /// Residency bitmap probe: one bit per disk page. The prefetch path
+  /// tests this instead of probing the translation array per extent page.
   bool IsResident(sim::PageId page) const {
     const size_t word = static_cast<size_t>(page >> 6);
     return word < resident_.size() &&
@@ -260,16 +243,24 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// pool construction (tests allocate pages lazily).
   void EnsureCapacity(sim::PageId max_page);
 
-  /// Translation lookup for the non-fast paths (either mode).
-  FrameId LookupFrame(sim::PageId page) const;
+  /// Translation lookup off the inline hit path.
+  FrameId LookupFrame(sim::PageId page) const {
+    return page < translation_.size() ? translation_[page] : kInvalidFrame;
+  }
 
-  /// Records / removes a page→frame mapping in the active structure and
+  /// Records / removes a page→frame mapping in the translation array and
   /// the residency bitmap.
-  void MapInsert(sim::PageId page, FrameId frame);
-  void MapErase(sim::PageId page);
+  void MapInsert(sim::PageId page, FrameId frame) {
+    translation_[page] = frame;
+    SetResident(page);
+  }
+  void MapErase(sim::PageId page) {
+    translation_[page] = kInvalidFrame;
+    ClearResident(page);
+  }
 
-  /// Out-of-line continuation of FetchPage: map-mode hits, validation
-  /// failures, and the miss/prefetch path.
+  /// Out-of-line continuation of FetchPage: validation failures and the
+  /// miss/prefetch path.
   [[nodiscard]] StatusOr<FetchResult> FetchSlow(sim::PageId page, sim::Micros now,
                                   sim::PageId clip_first, sim::PageId clip_end);
 
@@ -302,7 +293,6 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   storage::DiskManager* disk_;
   std::unique_ptr<ReplacementPolicy> policy_;
   BufferPoolOptions options_;
-  bool use_array_ = true;
   /// One contiguous aligned arena holding every frame payload, sized at
   /// construction (num_frames * page_size). Replaces per-frame vector
   /// allocations: extent installs write into adjacent memory, and
@@ -310,9 +300,8 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   std::unique_ptr<uint8_t[], SlabDeleter> slab_;
   std::vector<Frame> frames_;
   std::vector<FrameId> free_list_;
-  std::vector<FrameId> translation_;   // kArray: PageId -> FrameId.
-  std::unordered_map<sim::PageId, FrameId> page_table_;  // kMap only.
-  std::vector<uint64_t> resident_;     // 1 bit per page, both modes.
+  std::vector<FrameId> translation_;   // PageId -> FrameId.
+  std::vector<uint64_t> resident_;     // 1 bit per page.
   bool installing_ = false;            // Extent install in flight (assert guard).
   BufferPoolStats stats_;
   obs::Tracer* tracer_ = nullptr;      // Borrowed; wired per run by the engine.

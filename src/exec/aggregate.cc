@@ -36,7 +36,6 @@ Aggregator& Aggregator::operator=(const Aggregator& other) {
     group_by_offsets_.clear();
     group_cache_.clear();
     ungrouped_ = nullptr;
-    hot_ready_ = false;
   }
   return *this;
 }
@@ -133,7 +132,6 @@ Status Aggregator::PrepareHot(const storage::Schema& schema) {
   }
   group_cache_.clear();
   ungrouped_ = nullptr;
-  hot_ready_ = true;
   return Status::OK();
 }
 
@@ -176,35 +174,12 @@ Aggregator::GroupState& Aggregator::HotGroup(const uint8_t* tuple) {
   return g;
 }
 
-void Aggregator::ConsumeHot(const uint8_t* tuple) {
-  GroupState& g = HotGroup(tuple);
-  ++g.rows;
-  for (size_t i = 0; i < hot_aggs_.size(); ++i) {
-    switch (hot_aggs_[i].op) {
-      case AggOp::kCount:
-        ++g.cnt[i];
-        break;
-      case AggOp::kSum:
-      case AggOp::kAvg:
-        g.acc[i] += hot_aggs_[i].expr.Eval(tuple);
-        ++g.cnt[i];
-        break;
-      case AggOp::kMin:
-        g.acc[i] = std::min(g.acc[i], hot_aggs_[i].expr.Eval(tuple));
-        break;
-      case AggOp::kMax:
-        g.acc[i] = std::max(g.acc[i], hot_aggs_[i].expr.Eval(tuple));
-        break;
-    }
-  }
-}
-
-void Aggregator::ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
-                              size_t n) {
-  if (n == 0) return;
+size_t Aggregator::ConsumeBatch(const uint8_t* const* tuples,
+                                const uint8_t* sel, size_t n) {
+  if (n == 0) return 0;
   // Phase 1: compact the selection. Folding over the compacted array
   // visits exactly the selected slots in slot order — the same sequence
-  // the tuple-at-a-time loop feeds each accumulator — while letting the
+  // a Consume loop feeds each accumulator — while letting the
   // expression passes below run dense (no wasted lanes under a selective
   // predicate, no per-lane branch in the folds).
   batch_selected_.clear();
@@ -213,7 +188,7 @@ void Aggregator::ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
     if (sel[s]) batch_selected_.push_back(tuples[s]);
   }
   const size_t m = batch_selected_.size();
-  if (m == 0) return;
+  if (m == 0) return 0;
   // Phase 2: evaluate every aggregate's input expression over the
   // selected tuples. These are the dense arithmetic passes the compiler
   // vectorizes.
@@ -232,7 +207,7 @@ void Aggregator::ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
     }
   }
   // Phase 3: fold in slot order. Each accumulator receives exactly the
-  // value sequence the tuple-at-a-time loop would have fed it, so the
+  // value sequence a Consume loop would have fed it, so the
   // floating-point result is bit-identical.
   if (group_by_offsets_.empty()) {
     GroupState& g = HotGroup(nullptr);
@@ -265,7 +240,7 @@ void Aggregator::ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
         }
       }
     }
-    return;
+    return m;
   }
   // Grouped: the fold must resolve the group per tuple, so it stays
   // tuple-at-a-time — but it still benefits from the batched expression
@@ -292,6 +267,7 @@ void Aggregator::ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
       }
     }
   }
+  return m;
 }
 
 AggPartial Aggregator::DrainPartial() {

@@ -2,7 +2,9 @@
 //
 // Grouped aggregation over a scan, shaped after TPC-H Q1/Q6: SUM/AVG/
 // COUNT/MIN/MAX of scalar expressions, optionally grouped by one or two
-// char columns (Q1 groups by l_returnflag, l_linestatus).
+// char columns (Q1 groups by l_returnflag, l_linestatus). Scans fold whole
+// pages through ConsumeBatch; Consume, which interprets the expression
+// trees one tuple at a time, is the reference it must match bit for bit.
 
 #pragma once
 
@@ -60,7 +62,7 @@ struct QueryOutput {
   const GroupResult* FindGroup(const std::string& key) const;
 };
 
-/// Streaming aggregator fed one tuple at a time by the scan operator.
+/// Streaming aggregator fed one page batch at a time by the scan operator.
 class Aggregator {
  public:
   /// `group_by` lists zero or more char columns forming the group key.
@@ -77,33 +79,27 @@ class Aggregator {
   /// Resolves expressions and group-by columns against `schema`.
   Status Bind(const storage::Schema& schema);
 
-  /// Folds one (predicate-passing) tuple.
+  /// Folds one (predicate-passing) tuple by interpreting the expression
+  /// trees: the reference implementation ConsumeBatch is checked against.
   void Consume(const storage::Schema& schema, const uint8_t* tuple);
 
   /// Lowers the aggregate expressions to CompiledExpr programs and hoists
-  /// the group-by byte offsets so ConsumeHot can fold tuples without any
+  /// the group-by byte offsets so ConsumeBatch can fold tuples without any
   /// schema lookups or per-tuple key-string construction. Requires a
   /// successful Bind against the same schema. The folded state is shared
   /// with Consume, so the two entry points may be mixed freely and Finish
   /// output is identical either way.
   Status PrepareHot(const storage::Schema& schema);
 
-  /// Folds one (predicate-passing) tuple via the compiled path.
-  /// Requires a successful PrepareHot.
-  void ConsumeHot(const uint8_t* tuple);
-
-  /// Folds a whole page batch via the columnar path: every tuple s in
-  /// [0, n) with sel[s] != 0 is folded exactly as ConsumeHot would fold
-  /// it, in slot order. The aggregate input expressions are evaluated
-  /// over the full batch first (dense vectorizable passes); the fold then
-  /// feeds each accumulator the same values in the same order as the
-  /// tuple-at-a-time loop, so Finish output is bit-identical — including
-  /// floating-point rounding. Requires a successful PrepareHot.
-  void ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
-                    size_t n);
-
-  /// True once PrepareHot has succeeded.
-  bool hot_ready() const { return hot_ready_; }
+  /// Folds a whole page batch: every tuple s in [0, n) with sel[s] != 0 is
+  /// folded exactly as Consume would fold it, in slot order. The aggregate
+  /// input expressions are evaluated over the selected tuples first (dense
+  /// vectorizable passes); the fold then feeds each accumulator the same
+  /// values in the same order as a tuple-at-a-time Consume loop, so Finish
+  /// output is bit-identical — including floating-point rounding.
+  /// Returns the number of tuples folded. Requires a successful PrepareHot.
+  size_t ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
+                      size_t n);
 
   /// Moves the accumulated raw state out and resets the group map (compiled
   /// expressions and hoisted offsets are kept, so the aggregator can keep
@@ -133,8 +129,8 @@ class Aggregator {
     uint64_t rows = 0;
   };
 
-  /// One aggregate on the compiled path: the op plus a flattened
-  /// expression program (empty for kCount).
+  /// One compiled aggregate: the op plus a flattened expression program
+  /// (empty for kCount).
   struct HotAgg {
     AggOp op = AggOp::kSum;
     CompiledExpr expr;
@@ -159,13 +155,12 @@ class Aggregator {
   std::map<std::string, GroupState> groups_;
   bool bound_ = false;
 
-  // Compiled hot path (PrepareHot):
+  // Compiled kernel state (PrepareHot):
   std::vector<HotAgg> hot_aggs_;
   std::vector<uint32_t> group_by_offsets_;
   std::vector<GroupCacheEntry> group_cache_;
   GroupState* ungrouped_ = nullptr;
   std::string raw_scratch_;
-  bool hot_ready_ = false;
 
   // ConsumeBatch scratch, reused across pages to avoid reallocation:
   // one n-wide lane of evaluated inputs per aggregate, plus the batch

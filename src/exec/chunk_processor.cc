@@ -8,43 +8,27 @@
 
 namespace scanshare::exec {
 
-ChunkProcessor::ChunkProcessor(buffer::PageSource* pool,
-                               const storage::TableInfo* table,
-                               const CostModel* cost, const Predicate* predicate,
-                               Aggregator* aggregator, ScanMetrics* metrics)
-    : pool_(pool),
-      table_(table),
-      cost_(cost),
-      predicate_(predicate),
-      aggregator_(aggregator),
-      metrics_(metrics) {}
-
-void ChunkProcessor::SetQueryCosts(size_t predicate_atoms, size_t num_aggs,
-                                   double per_tuple_extra_ns) {
-  per_tuple_ns_ = cost_->tuple_base_ns +
-                  static_cast<double>(predicate_atoms) * cost_->predicate_atom_ns +
-                  per_tuple_extra_ns;
-  per_match_ns_ = static_cast<double>(num_aggs) * cost_->agg_ns;
-}
-
-void ChunkProcessor::PrepareHot() {
-  hot_prepared_ = true;
-  const storage::Schema& schema = table_->schema;
-  if (!predicate_->empty()) {
-    StatusOr<CompiledPredicate> compiled = predicate_->Compile(schema);
-    if (!compiled.ok()) return;
-    compiled_pred_ = std::move(compiled).value();
-  }
-  if (!aggregator_->PrepareHot(schema).ok()) return;
-  hot_ok_ = true;
+StatusOr<ChunkProcessor> ChunkProcessor::Create(
+    buffer::PageSource* pool, const storage::TableInfo* table,
+    const CostModel* cost, const QuerySpec& query, Aggregator* aggregator,
+    ScanMetrics* metrics) {
+  SCANSHARE_ASSIGN_OR_RETURN(CompiledPredicate predicate,
+                             query.predicate.Compile(table->schema));
+  SCANSHARE_RETURN_IF_ERROR(aggregator->PrepareHot(table->schema));
+  ChunkProcessor chunks(pool, table, cost, std::move(predicate), aggregator,
+                        metrics);
+  chunks.per_tuple_ns_ =
+      cost->tuple_base_ns +
+      static_cast<double>(query.predicate.size()) * cost->predicate_atom_ns +
+      query.per_tuple_extra_ns;
+  chunks.per_match_ns_ = static_cast<double>(query.aggs.size()) * cost->agg_ns;
+  return chunks;
 }
 
 StatusOr<sim::Micros> ChunkProcessor::ProcessRange(sim::PageId first,
                                                    sim::PageId end,
                                                    sim::Micros now,
                                                    buffer::PagePriority priority) {
-  if (!hot_prepared_) PrepareHot();
-
   double cpu_us = 0.0;
   double ovh_us = 0.0;
   sim::Micros io_us = 0;
@@ -76,56 +60,18 @@ StatusOr<sim::Micros> ChunkProcessor::ProcessRange(sim::PageId first,
       return Status::Corruption("scan: page " + std::to_string(p) +
                                 " failed validation");
     }
+    // Materialize the page's tuple pointers once, run the predicate as
+    // dense compare-and-mask passes into a selection array, then fold the
+    // selected tuples in slot order.
     const uint16_t count = view.tuple_count();
-    uint64_t matched = 0;
-    if (hot_ok_ && kernel_ == KernelMode::kColumnar) {
-      // Columnar path: materialize the page's tuple pointers once, run the
-      // predicate as dense compare-and-mask passes into a selection array,
-      // then fold the selected tuples in slot order — the same fold order
-      // as the scalar path, so results are bit-identical.
-      batch_tuples_.resize(count);
-      for (uint16_t slot = 0; slot < count; ++slot) {
-        batch_tuples_[slot] = view.TupleDataUnchecked(slot);
-      }
-      batch_sel_.resize(count);
-      if (compiled_pred_.empty()) {
-        std::fill(batch_sel_.begin(), batch_sel_.end(), uint8_t{1});
-        matched = count;
-      } else {
-        compiled_pred_.MatchBatch(batch_tuples_.data(), count,
-                                  batch_sel_.data());
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          matched += static_cast<uint64_t>(batch_sel_[slot]);
-        }
-      }
-      aggregator_->ConsumeBatch(batch_tuples_.data(), batch_sel_.data(), count);
-    } else if (hot_ok_) {
-      // Compiled path: one tight loop over the page's tuples with hoisted
-      // byte offsets — no virtual dispatch, no schema lookups.
-      if (compiled_pred_.empty()) {
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          aggregator_->ConsumeHot(view.TupleDataUnchecked(slot));
-        }
-        matched = count;
-      } else {
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          const uint8_t* tuple = view.TupleDataUnchecked(slot);
-          if (compiled_pred_.Match(tuple)) {
-            aggregator_->ConsumeHot(tuple);
-            ++matched;
-          }
-        }
-      }
-    } else {
-      const storage::Schema& schema = table_->schema;
-      for (uint16_t slot = 0; slot < count; ++slot) {
-        const uint8_t* tuple = view.TupleDataUnchecked(slot);
-        if (predicate_->empty() || predicate_->Eval(schema, tuple)) {
-          aggregator_->Consume(schema, tuple);
-          ++matched;
-        }
-      }
+    batch_tuples_.resize(count);
+    for (uint16_t slot = 0; slot < count; ++slot) {
+      batch_tuples_[slot] = view.TupleDataUnchecked(slot);
     }
+    batch_sel_.resize(count);
+    predicate_.MatchBatch(batch_tuples_.data(), count, batch_sel_.data());
+    const uint64_t matched = aggregator_->ConsumeBatch(
+        batch_tuples_.data(), batch_sel_.data(), count);
     tuples += count;
     matches += matched;
     cpu_us += cost_->page_cpu_us +

@@ -1,16 +1,18 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // ChunkProcessor: the page-level inner loop shared by every scan operator
-// (table scans and block-index scans): fetch each page of a contiguous
-// run through the buffer pool, validate it, evaluate the predicate, fold
-// matches into the aggregator, release with a caller-chosen priority, and
+// (table scans, block-index scans and morsel workers): fetch each page of
+// a contiguous run through the buffer pool, validate it, run the columnar
+// tuple kernel (CompiledPredicate::MatchBatch into a selection array, then
+// Aggregator::ConsumeBatch), release with a caller-chosen priority, and
 // account virtual CPU/I/O cost under the pipelined model (sequential
 // prefetch overlaps transfer with tuple processing, so a chunk costs
-// max(cpu, io) plus bookkeeping).
+// max(cpu, io) plus bookkeeping). The kernel is compiled once, when the
+// scan opens; Predicate::Eval and Aggregator::Consume are its reference.
 
 #pragma once
 
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "buffer/page_source.h"
@@ -25,18 +27,15 @@ namespace scanshare::exec {
 /// Stateful page-run processor bound to one query execution.
 class ChunkProcessor {
  public:
-  /// All pointers are borrowed and must outlive the processor.
-  ChunkProcessor(buffer::PageSource* pool, const storage::TableInfo* table,
-                 const CostModel* cost, const Predicate* predicate,
-                 Aggregator* aggregator, ScanMetrics* metrics);
-
-  /// Binds the per-tuple cost constants from the query shape.
-  void SetQueryCosts(size_t predicate_atoms, size_t num_aggs,
-                     double per_tuple_extra_ns);
-
-  /// Selects the compiled tuple kernel (default kColumnar). The virtual
-  /// cost model is kernel-independent — only host wall-clock changes.
-  void SetKernelMode(KernelMode mode) { kernel_ = mode; }
+  /// Compiles `query`'s predicate and prepares `aggregator` for the
+  /// columnar kernel, and takes the per-tuple cost constants from the
+  /// query shape. Both must already be bound against `table`'s schema;
+  /// a compile failure is returned as is. All pointers are borrowed and
+  /// must outlive the processor.
+  [[nodiscard]] static StatusOr<ChunkProcessor> Create(
+      buffer::PageSource* pool, const storage::TableInfo* table,
+      const CostModel* cost, const QuerySpec& query, Aggregator* aggregator,
+      ScanMetrics* metrics);
 
   /// Processes pages [first, end) starting at virtual time `now`,
   /// releasing each with `priority`. Returns elapsed virtual micros and
@@ -47,29 +46,27 @@ class ChunkProcessor {
                                      buffer::PagePriority priority);
 
  private:
-  /// Compiles the predicate and aggregator to their offset-hoisted forms
-  /// (done lazily on the first ProcessRange). If compilation is not
-  /// possible the processor permanently falls back to the interpreted
-  /// per-tuple path; results are identical either way.
-  void PrepareHot();
+  ChunkProcessor(buffer::PageSource* pool, const storage::TableInfo* table,
+                 const CostModel* cost, CompiledPredicate predicate,
+                 Aggregator* aggregator, ScanMetrics* metrics)
+      : pool_(pool),
+        table_(table),
+        cost_(cost),
+        predicate_(std::move(predicate)),
+        aggregator_(aggregator),
+        metrics_(metrics) {}
 
   buffer::PageSource* pool_;
   const storage::TableInfo* table_;
   const CostModel* cost_;
-  const Predicate* predicate_;
+  CompiledPredicate predicate_;
   Aggregator* aggregator_;
   ScanMetrics* metrics_;
   double per_tuple_ns_ = 0.0;
   double per_match_ns_ = 0.0;
 
-  // Compiled fast path (PrepareHot):
-  CompiledPredicate compiled_pred_;
-  bool hot_prepared_ = false;
-  bool hot_ok_ = false;
-  KernelMode kernel_ = KernelMode::kColumnar;
-
-  // Columnar kernel scratch, reused across pages: materialized tuple
-  // pointers and the per-slot selection flags.
+  // Kernel scratch, reused across pages: materialized tuple pointers and
+  // the per-slot selection flags.
   std::vector<const uint8_t*> batch_tuples_;
   std::vector<uint8_t> batch_sel_;
 };

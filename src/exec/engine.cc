@@ -107,7 +107,6 @@ StatusOr<std::unique_ptr<EngineInstance>> EngineInstance::Create(
     if (config.io.backend == IoOptions::Backend::kFile) {
       io::FileBackendOptions file_options;
       file_options.path = config.io.file_path;
-      file_options.workers = config.io.file_workers;
       SCANSHARE_ASSIGN_OR_RETURN(
           e.io_backend_, io::FileIoBackend::Open(db->disk_manager(), file_options));
     } else {
@@ -125,7 +124,7 @@ StatusOr<std::unique_ptr<EngineInstance>> EngineInstance::Create(
 
   e.executor_ = std::make_unique<StreamExecutor>(
       db->env(), e.pool_.get(), db->catalog(), e.ssm(), e.ism(), config.cost,
-      config.mode, config.kernel, e.tracer_.get());
+      config.mode, KernelMode::kColumnar, e.tracer_.get());
   // Attach even when prefetch_depth is 0 (the sync-file arm): pumping a
   // depth-0 window issues nothing, and the attachment is what routes the
   // pipeline/backend counters into RunResult::io / RunResult::real_io.

@@ -63,9 +63,6 @@ struct IoOptions {
   /// Table-image path for Backend::kFile (see io::FileIoBackend::Open;
   /// write one with io::FileIoBackend::WriteTableFile).
   std::string file_path;
-
-  /// pread worker threads for Backend::kFile.
-  size_t file_workers = 2;
 };
 
 /// Everything that varies between experiment runs.
@@ -104,8 +101,8 @@ struct RunConfig {
   /// CPU cost model.
   CostModel cost;
 
-  /// Compiled tuple kernel for the scan fast path. Purely a host-speed
-  /// knob: both kernels produce bit-identical RunResults.
+  /// Unread: kept only for benchmark/layers.cc, which passes it to the
+  /// StreamExecutor constructor (see KernelMode).
   KernelMode kernel = KernelMode::kColumnar;
 
   /// Push I/O pipeline: backend selection and per-group prefetch window.

@@ -1,6 +1,7 @@
 #include "exec/expr.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace scanshare::exec {
 
@@ -97,11 +98,8 @@ StatusOr<CompiledExpr> Expr::Compile(const storage::Schema& schema) const {
   size_t max_depth = 0;
   // Emit postfix: children left-to-right, then the operator — the same
   // order the recursive Eval reduces in, so results are bit-identical.
-  Status st = EmitPostfix(schema, &compiled, &depth, &max_depth);
-  if (!st.ok()) return st;
-  if (max_depth > CompiledExpr::kMaxStack) {
-    return Status::InvalidArgument("Expr::Compile: expression too deep");
-  }
+  SCANSHARE_RETURN_IF_ERROR(
+      EmitPostfix(schema, &compiled, &depth, &max_depth));
   compiled.max_depth_ = max_depth;
   return compiled;
 }

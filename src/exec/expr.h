@@ -2,12 +2,13 @@
 //
 // Scalar expressions over tuples, used by aggregate specifications
 // (e.g. TPC-H Q6's sum(l_extendedprice * l_discount)). Expressions are
-// bound to a schema once, then evaluated per tuple on the hot scan path.
+// bound to a schema once and compiled to a postfix program that the scan
+// kernel evaluates a page batch at a time; Expr::Eval, the recursive tree
+// walk, is the reference that program must match bit for bit.
 
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,53 +21,21 @@ namespace scanshare::exec {
 class Expr;
 
 /// A flattened, schema-resolved expression: a postfix program over hoisted
-/// byte offsets. This is what the scan inner loop evaluates per tuple —
-/// no tree walk, no schema lookups, no string touches. Produced by
-/// Expr::Compile; evaluation order (and therefore floating-point rounding)
-/// is identical to the tree walker's left-to-right recursion.
+/// byte offsets — no tree walk, no schema lookups, no string touches.
+/// Produced by Expr::Compile; evaluation order (and therefore
+/// floating-point rounding) is identical to the tree walker's
+/// left-to-right recursion.
 class CompiledExpr {
  public:
   CompiledExpr() = default;
 
-  /// Evaluates against one encoded tuple.
-  double Eval(const uint8_t* tuple) const {
-    // Single-instruction programs (a bare column or constant) are the
-    // common case for aggregates; skip the stack machine entirely.
-    const Inst* inst = code_.data();
-    if (code_.size() == 1) return Leaf(*inst, tuple);
-    double stack[kMaxStack];
-    size_t sp = 0;
-    for (size_t i = 0; i < code_.size(); ++i, ++inst) {
-      switch (inst->op) {
-        case OpCode::kColumnI64:
-        case OpCode::kColumnF64:
-        case OpCode::kConst:
-          stack[sp++] = Leaf(*inst, tuple);
-          break;
-        case OpCode::kAdd:
-          stack[sp - 2] = stack[sp - 2] + stack[sp - 1];
-          --sp;
-          break;
-        case OpCode::kSub:
-          stack[sp - 2] = stack[sp - 2] - stack[sp - 1];
-          --sp;
-          break;
-        case OpCode::kMul:
-          stack[sp - 2] = stack[sp - 2] * stack[sp - 1];
-          --sp;
-          break;
-      }
-    }
-    return stack[0];
-  }
-
   /// Evaluates the program for a whole batch of tuples at once:
-  /// out[i] = Eval(tuples[i]) for i in [0, n). `stack` must hold at least
-  /// max_stack_depth() * n doubles. The per-lane instruction order matches
-  /// Eval exactly, so every lane's result is bit-identical to the scalar
-  /// path — the batch form only changes the loop nesting (instruction
-  /// outermost, lanes innermost) so the arithmetic passes run over
-  /// contiguous arrays the compiler can vectorize.
+  /// out[i] = Expr::Eval(tuples[i]) for i in [0, n). `stack` must hold at
+  /// least max_stack_depth() * n doubles. The per-lane instruction order
+  /// matches the recursion exactly, so every lane's result is
+  /// bit-identical to it — the loop nesting (instruction outermost, lanes
+  /// innermost) lets the arithmetic passes run over contiguous arrays the
+  /// compiler can vectorize.
   void EvalBatch(const uint8_t* const* tuples, size_t n, double* out,
                  double* stack) const;
 
@@ -79,10 +48,6 @@ class CompiledExpr {
  private:
   friend class Expr;
 
-  /// Deep enough for any realistic aggregate expression; Compile rejects
-  /// programs that would exceed it.
-  static constexpr size_t kMaxStack = 32;
-
   enum class OpCode : uint8_t { kColumnI64, kColumnF64, kConst, kAdd, kSub, kMul };
 
   struct Inst {
@@ -90,23 +55,6 @@ class CompiledExpr {
     uint32_t offset = 0;  // Column byte offset within the tuple.
     double value = 0.0;   // kConst payload.
   };
-
-  static double Leaf(const Inst& inst, const uint8_t* tuple) {
-    switch (inst.op) {
-      case OpCode::kColumnI64: {
-        int64_t v;
-        std::memcpy(&v, tuple + inst.offset, sizeof(v));
-        return static_cast<double>(v);
-      }
-      case OpCode::kColumnF64: {
-        double v;
-        std::memcpy(&v, tuple + inst.offset, sizeof(v));
-        return v;
-      }
-      default:
-        return inst.value;
-    }
-  }
 
   std::vector<Inst> code_;
   size_t max_depth_ = 0;
@@ -139,12 +87,14 @@ class Expr {
   /// columns (no arithmetic on strings).
   Status Bind(const storage::Schema& schema);
 
-  /// Evaluates against one encoded tuple. Requires a successful Bind.
+  /// Evaluates against one encoded tuple by walking the tree: the
+  /// reference CompiledExpr::EvalBatch is checked against. Requires a
+  /// successful Bind.
   double Eval(const storage::Schema& schema, const uint8_t* tuple) const;
 
   /// Flattens the bound tree into a postfix program with hoisted column
-  /// offsets for the scan inner loop. Requires a successful Bind against
-  /// the same schema; fails with FailedPrecondition otherwise.
+  /// offsets for the scan kernel, of any depth. Requires a successful Bind
+  /// against the same schema; fails with FailedPrecondition otherwise.
   StatusOr<CompiledExpr> Compile(const storage::Schema& schema) const;
 
   /// Node kind (for tests).
@@ -154,7 +104,7 @@ class Expr {
   Expr(Kind kind) : kind_(kind) {}
 
   /// Appends this subtree's postfix instructions to `out`, tracking the
-  /// evaluation stack depth so Compile can bound it.
+  /// evaluation stack depth EvalBatch sizes its lanes by.
   Status EmitPostfix(const storage::Schema& schema, CompiledExpr* out,
                      size_t* depth, size_t* max_depth) const;
 

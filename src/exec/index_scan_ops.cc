@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "exec/chunk_processor.h"
 
@@ -36,13 +37,10 @@ class IndexScanBase : public ScanCursor {
     SCANSHARE_RETURN_IF_ERROR(query_.predicate.Bind(schema));
     agg_ = std::make_unique<Aggregator>(query_.aggs, query_.group_by);
     SCANSHARE_RETURN_IF_ERROR(agg_->Bind(schema));
-    chunks_ = std::make_unique<ChunkProcessor>(env_.base.pool, env_.base.table,
-                                               env_.base.cost,
-                                               &query_.predicate, agg_.get(),
-                                               &metrics_);
-    chunks_->SetQueryCosts(query_.predicate.size(), query_.aggs.size(),
-                           query_.per_tuple_extra_ns);
-    chunks_->SetKernelMode(env_.base.kernel);
+    SCANSHARE_ASSIGN_OR_RETURN(
+        chunks_,
+        ChunkProcessor::Create(env_.base.pool, env_.base.table, env_.base.cost,
+                               query_, agg_.get(), &metrics_));
 
     ResolveIndexRange(*env_.index, query_, &key_lo_, &key_hi_);
     sequence_ = env_.index->BlockSequence(key_lo_, key_hi_);
@@ -76,7 +74,7 @@ class IndexScanBase : public ScanCursor {
   IndexScanEnv env_;
   QuerySpec query_;
   std::unique_ptr<Aggregator> agg_;
-  std::unique_ptr<ChunkProcessor> chunks_;
+  std::optional<ChunkProcessor> chunks_;
   ScanMetrics metrics_;
   int64_t key_lo_ = 0;
   int64_t key_hi_ = 0;

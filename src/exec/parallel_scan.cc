@@ -55,12 +55,12 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
       [&engine](size_t frames) { return engine->MakeReplacer(frames); },
       pool_options);
   if (engine->tracer() != nullptr) pool.SetTracer(engine->tracer());
-  ssm::ScanSharingManager* ssm = options.use_ssm ? engine->ssm() : nullptr;
+  ssm::ScanSharingManager* ssm = engine->ssm();  // Null in baseline mode.
   const bool use_ssm = ssm != nullptr;
 
   // Bind the query once; workers share the bound predicate (const reads)
-  // and copy the bound aggregator (copies reset compiled hot state, which
-  // each worker rebuilds privately on first use).
+  // and copy the bound aggregator (copies reset compiled state, so each
+  // worker compiles its own kernel before its first morsel).
   QuerySpec spec = query;
   const storage::Schema& schema = table->schema;
   SCANSHARE_RETURN_IF_ERROR(spec.predicate.Bind(schema));
@@ -119,14 +119,24 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
   uint64_t error_index SCANSHARE_GUARDED_BY(error_mu) =
       num_morsels;  // Lowest failing canonical index.
   Status error_status SCANSHARE_GUARDED_BY(error_mu) = Status::OK();
+  auto fail = [&](uint64_t index, Status status) {
+    MutexLock lock(error_mu);
+    if (error_status.ok() || index < error_index) {
+      error_index = index;
+      error_status = std::move(status);
+    }
+    failed.store(true, std::memory_order_relaxed);
+  };
 
   auto worker = [&](size_t w) {
     Aggregator agg = prototype;
-    ChunkProcessor chunks(&pool, table, &config.cost, &spec.predicate, &agg,
-                          &worker_metrics[w]);
-    chunks.SetQueryCosts(spec.predicate.size(), spec.aggs.size(),
-                         spec.per_tuple_extra_ns);
-    chunks.SetKernelMode(config.kernel);
+    StatusOr<ChunkProcessor> chunks = ChunkProcessor::Create(
+        &pool, table, &config.cost, spec, &agg, &worker_metrics[w]);
+    if (!chunks.ok()) {
+      // Deterministic, so every worker fails alike before its first morsel.
+      fail(0, chunks.status());
+      return;
+    }
     for (uint64_t pull = next_pull.fetch_add(1); pull < num_morsels;
          pull = next_pull.fetch_add(1)) {
       if (failed.load(std::memory_order_relaxed)) return;
@@ -140,14 +150,9 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
         if (advised.ok()) priority = *advised;
       }
       const sim::Micros now = ticks.fetch_add(1);
-      auto elapsed = chunks.ProcessRange(first, end, now, priority);
+      auto elapsed = chunks->ProcessRange(first, end, now, priority);
       if (!elapsed.ok()) {
-        MutexLock lock(error_mu);
-        if (index < error_index) {
-          error_index = index;
-          error_status = elapsed.status();
-        }
-        failed.store(true, std::memory_order_relaxed);
+        fail(index, elapsed.status());
         return;
       }
       partials[index] = agg.DrainPartial();

@@ -46,10 +46,6 @@ struct ParallelScanOptions {
   /// Morsel size in prefetch extents (>= 1). One extent per morsel keeps
   /// every fetch's prefetch window inside the morsel.
   uint64_t morsel_extents = 1;
-  /// Register the scan with a ScanSharingManager (kShared mode only):
-  /// SSM placement picks the rotation start, workers report aggregate
-  /// progress and release pages at the advised priority.
-  bool use_ssm = true;
 };
 
 /// Result of one parallel query execution.
@@ -74,8 +70,11 @@ struct ParallelQueryResult {
 /// Executes one table-scan aggregation query with `options.jobs` workers
 /// over a fresh PartitionedBufferPool, from a cold cache. Supports
 /// AccessPath::kTableScan only (NotSupported otherwise). `config` supplies
-/// the pool geometry, replacement policy family, cost model, kernel, SSM
-/// options, and tracing — the same knobs Database::Run reads.
+/// the pool geometry, replacement policy family, cost model, SSM options,
+/// and tracing — the same knobs Database::Run reads. In kShared mode the
+/// scan registers with the SSM: placement picks the rotation start,
+/// workers report aggregate progress and release pages at the advised
+/// priority.
 [[nodiscard]] StatusOr<ParallelQueryResult> RunQueryParallel(
     Database* db, const RunConfig& config, const QuerySpec& query,
     const ParallelScanOptions& options);

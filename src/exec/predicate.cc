@@ -89,7 +89,7 @@ bool CompiledPredicate::Atom::Match(const uint8_t* tuple) const {
     }
     case storage::TypeId::kChar: {
       const char* field = reinterpret_cast<const char*>(tuple + offset);
-      // Same semantics as the interpreted path: compare the zero-padded
+      // Same semantics as Predicate::Eval: compare the zero-padded
       // fixed-width field against the (possibly shorter) constant.
       int cmp = std::memcmp(field, chars.data(),
                             std::min<size_t>(width, chars.size()));

@@ -3,7 +3,9 @@
 // Row predicates: conjunctions of comparisons between a column and a
 // constant, which covers the selection logic of the scan-heavy TPC-H
 // queries the paper evaluates (Q1's shipdate bound, Q6's date/discount/
-// quantity band).
+// quantity band). Scans run the compiled form a page batch at a time
+// (CompiledPredicate::MatchBatch); Predicate::Eval, which interprets one
+// tuple, is the reference it must match decision for decision.
 
 #pragma once
 
@@ -31,27 +33,17 @@ struct PredicateAtom {
 };
 
 /// A schema-resolved predicate with hoisted byte offsets: what the scan
-/// inner loop evaluates per tuple, with no schema lookups and no per-atom
-/// string touches. Produced by Predicate::Compile; decision-identical to
-/// Predicate::Eval on every tuple.
+/// kernel evaluates, with no schema lookups and no per-atom string
+/// touches. Produced by Predicate::Compile.
 class CompiledPredicate {
  public:
   CompiledPredicate() = default;
 
-  /// Evaluates against one encoded tuple.
-  bool Match(const uint8_t* tuple) const {
-    for (const Atom& atom : atoms_) {
-      if (!atom.Match(tuple)) return false;
-    }
-    return true;
-  }
-
   /// Evaluates the conjunction for a whole batch of tuples at once:
-  /// sel[i] = Match(tuples[i]) ? 1 : 0 for i in [0, n). Branch-free per
-  /// numeric atom — each conjunct is one dense compare-and-mask pass over
-  /// the selection array that the compiler vectorizes. Decision-identical
-  /// to Match on every tuple (conjunction over the same atoms; order
-  /// cannot change the result of a pure AND).
+  /// sel[i] = Predicate::Eval(tuples[i]) ? 1 : 0 for i in [0, n).
+  /// Branch-free per numeric atom — each conjunct is one dense
+  /// compare-and-mask pass over the selection array that the compiler
+  /// vectorizes (order cannot change the result of a pure AND).
   void MatchBatch(const uint8_t* const* tuples, size_t n, uint8_t* sel) const;
 
   /// True if this predicate accepts every row.
@@ -71,6 +63,7 @@ class CompiledPredicate {
     double f64 = 0.0;                     // kDouble constant.
     std::string chars;                    // kChar constant.
 
+    /// One tuple against this atom (MatchBatch's pass for char atoms).
     bool Match(const uint8_t* tuple) const;
   };
 
@@ -88,11 +81,13 @@ class Predicate {
   /// Resolves column names and checks constant types against `schema`.
   Status Bind(const storage::Schema& schema);
 
-  /// Evaluates against one encoded tuple. Requires a successful Bind.
+  /// Evaluates against one encoded tuple by interpreting the atoms: the
+  /// reference CompiledPredicate::MatchBatch is checked against. Requires
+  /// a successful Bind.
   bool Eval(const storage::Schema& schema, const uint8_t* tuple) const;
 
   /// Lowers the bound atoms to a CompiledPredicate with hoisted offsets
-  /// for the scan inner loop. Requires a successful Bind against the same
+  /// for the scan kernel. Requires a successful Bind against the same
   /// schema; fails with FailedPrecondition otherwise.
   StatusOr<CompiledPredicate> Compile(const storage::Schema& schema) const;
 

@@ -35,11 +35,12 @@ struct CostModel {
   double ssm_call_us = 5.0;
 };
 
-/// Which tuple kernel the compiled scan fast path uses. Both produce
-/// bit-identical results (enforced by properties_test); the columnar form
-/// exists purely for wall-clock speed.
+/// The tuple kernel, of which one remains: ChunkProcessor's columnar
+/// selection + batched folds. This enum, RunConfig::kernel and the
+/// StreamExecutor constructor's KernelMode parameter are unread; they stay
+/// only because benchmark/layers.cc passes RunConfig::kernel to that
+/// constructor, and go together with it (ROADMAP.md item 2).
 enum class KernelMode {
-  kScalar,    ///< Tuple-at-a-time loop with hoisted offsets.
   kColumnar,  ///< Branch-free columnar selection + batched folds (SIMD).
 };
 

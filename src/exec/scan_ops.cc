@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "exec/chunk_processor.h"
 
@@ -31,12 +32,9 @@ class ScanOpBase : public ScanCursor {
     SCANSHARE_RETURN_IF_ERROR(agg_->Bind(schema));
     ResolveScanRange(*env_.table, query_, env_.pool->prefetch_extent_pages(),
                      &range_first_, &range_end_);
-    chunks_ = std::make_unique<ChunkProcessor>(env_.pool, env_.table, env_.cost,
-                                               &query_.predicate, agg_.get(),
-                                               &metrics_);
-    chunks_->SetQueryCosts(query_.predicate.size(), query_.aggs.size(),
-                           query_.per_tuple_extra_ns);
-    chunks_->SetKernelMode(env_.kernel);
+    SCANSHARE_ASSIGN_OR_RETURN(
+        chunks_, ChunkProcessor::Create(env_.pool, env_.table, env_.cost,
+                                        query_, agg_.get(), &metrics_));
     return Status::OK();
   }
 
@@ -51,7 +49,7 @@ class ScanOpBase : public ScanCursor {
   ScanEnv env_;
   QuerySpec query_;
   std::unique_ptr<Aggregator> agg_;
-  std::unique_ptr<ChunkProcessor> chunks_;
+  std::optional<ChunkProcessor> chunks_;
   ScanMetrics metrics_;
   sim::PageId range_first_ = 0;
   sim::PageId range_end_ = 0;

@@ -39,8 +39,6 @@ struct ScanEnv {
   const sim::DiskOptions* disk_options = nullptr;
   /// Null for baseline scans; set for shared scans.
   ssm::ScanSharingManager* ssm = nullptr;
-  /// Tuple kernel for the compiled fast path.
-  KernelMode kernel = KernelMode::kColumnar;
   /// Borrowed event tracer (null = tracing disabled). Scan operators emit
   /// throttle-release events; the SSM/pool/disk emit the rest themselves.
   obs::Tracer* tracer = nullptr;
@@ -51,8 +49,8 @@ class ScanCursor {
  public:
   virtual ~ScanCursor() = default;
 
-  /// Prepares the scan (binds predicate/aggregates, registers with the SSM
-  /// for shared scans) at virtual time `now`.
+  /// Prepares the scan (binds and compiles predicate/aggregates, registers
+  /// with the SSM for shared scans) at virtual time `now`.
   virtual Status Open(sim::Micros now) = 0;
 
   /// Executes the next unit of work at virtual time `now`; returns the

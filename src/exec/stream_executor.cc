@@ -58,7 +58,7 @@ StreamExecutor::StreamExecutor(sim::Env* env, buffer::BufferPool* pool,
                                ssm::ScanSharingManager* ssm,
                                ssm::IndexScanSharingManager* ism,
                                const CostModel& cost, ScanMode mode,
-                               KernelMode kernel, obs::Tracer* tracer)
+                               KernelMode, obs::Tracer* tracer)
     : env_(env),
       pool_(pool),
       catalog_(catalog),
@@ -66,7 +66,6 @@ StreamExecutor::StreamExecutor(sim::Env* env, buffer::BufferPool* pool,
       ism_(ism),
       cost_(cost),
       mode_(mode),
-      kernel_(kernel),
       tracer_(tracer) {}
 
 StatusOr<RunResult> StreamExecutor::Run(const std::vector<StreamSpec>& streams,
@@ -148,7 +147,6 @@ Status StreamExecutor::Open(size_t id, sim::Micros now) {
   scan_env.cost = &cost_;
   scan_env.disk_options = &env_->disk().options();
   scan_env.ssm = shared ? ssm_ : nullptr;
-  scan_env.kernel = kernel_;
   scan_env.tracer = tracer_;
   if (spec.access == AccessPath::kIndexScan) {
     SCANSHARE_ASSIGN_OR_RETURN(const storage::BlockIndex* block_index,

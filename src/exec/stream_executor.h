@@ -141,11 +141,12 @@ class StreamExecutor {
  public:
   /// `ssm`/`ism` may be null iff `mode` is kBaseline (`ism` additionally
   /// only matters for workloads with index-scan queries). All pointers are
-  /// borrowed.
+  /// borrowed. The KernelMode is unread: kept only for benchmark/layers.cc,
+  /// which passes RunConfig::kernel here (see KernelMode).
   StreamExecutor(sim::Env* env, buffer::BufferPool* pool,
                  const storage::Catalog* catalog, ssm::ScanSharingManager* ssm,
                  ssm::IndexScanSharingManager* ism, const CostModel& cost,
-                 ScanMode mode, KernelMode kernel = KernelMode::kColumnar,
+                 ScanMode mode, KernelMode = KernelMode::kColumnar,
                  obs::Tracer* tracer = nullptr);
 
   /// Runs every stream to completion; the virtual clock starts at its
@@ -204,7 +205,6 @@ class StreamExecutor {
   ssm::IndexScanSharingManager* ism_;
   CostModel cost_;
   ScanMode mode_;
-  KernelMode kernel_;
   obs::Tracer* tracer_;  // Borrowed; null when tracing is off.
   io::Prefetcher* prefetcher_ = nullptr;  // Borrowed; null in pull mode.
 

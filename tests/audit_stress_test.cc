@@ -3,8 +3,7 @@
 // Seeded randomized stress for the correctness-audit subsystem: drives the
 // buffer pool and the Scan Sharing Manager through thousands of random
 // operations *with disk fault injection armed*, calling the full
-// CheckInvariants() audits after every step, in both page-translation
-// modes. This is the harness that makes the error paths ordinary instead
+// CheckInvariants() audits after every step. This is the harness that makes the error paths ordinary instead
 // of exceptional: injected device faults and mid-extent media faults fire
 // throughout, and every structure must stay consistent after each one.
 
@@ -30,10 +29,8 @@ using buffer::BufferPool;
 using buffer::BufferPoolOptions;
 using buffer::BufferPoolStats;
 using buffer::PagePriority;
-using buffer::TranslationMode;
 
 struct PoolStressParam {
-  TranslationMode translation;
   bool priority_policy;
   uint64_t seed;
 };
@@ -56,7 +53,6 @@ TEST_P(PoolFaultStressTest, RandomOpsUnderFaultsPreserveInvariants) {
   BufferPoolOptions options;
   options.num_frames = 24;
   options.prefetch_extent_pages = 4;
-  options.translation = param.translation;
   std::unique_ptr<buffer::ReplacementPolicy> policy;
   if (param.priority_policy) {
     policy = std::make_unique<buffer::PriorityLruReplacer>(options.num_frames);
@@ -154,17 +150,12 @@ TEST_P(PoolFaultStressTest, RandomOpsUnderFaultsPreserveInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ModesAndPolicies, PoolFaultStressTest,
-    ::testing::Values(
-        PoolStressParam{TranslationMode::kArray, false, 11},
-        PoolStressParam{TranslationMode::kArray, true, 12},
-        PoolStressParam{TranslationMode::kMap, false, 13},
-        PoolStressParam{TranslationMode::kMap, true, 14}),
+    PoliciesAndSeeds, PoolFaultStressTest,
+    ::testing::Values(PoolStressParam{false, 11}, PoolStressParam{true, 12},
+                      PoolStressParam{false, 13}, PoolStressParam{true, 14}),
     [](const auto& tpi) {
-      std::string name = tpi.param.translation == TranslationMode::kArray
-                             ? "Array"
-                             : "Map";
-      name += tpi.param.priority_policy ? "PriorityLru" : "Lru";
+      std::string name = tpi.param.priority_policy ? "PriorityLru" : "Lru";
+      name += std::to_string(tpi.param.seed);
       return name;
     });
 
@@ -247,13 +238,11 @@ class ExecutorFaultTest : public ::testing::Test {
     return testutil::SharedLineitemDb(kTablePages, 2024);
   }
 
-  static exec::RunConfig Config(exec::ScanMode mode,
-                                TranslationMode translation) {
+  static exec::RunConfig Config(exec::ScanMode mode) {
     exec::RunConfig c;
     c.mode = mode;
     c.buffer.num_frames = db()->FramesForFraction(0.1);
     c.buffer.prefetch_extent_pages = 16;
-    c.buffer.translation = translation;
     return c;
   }
 };
@@ -262,43 +251,40 @@ TEST_F(ExecutorFaultTest, InjectedFaultFailsRunAndCleanRerunIsPristine) {
   const auto streams = workload::MakeStaggeredStreams(
       workload::MakeQ6Like("lineitem"), 2, sim::Millis(200));
 
-  for (const TranslationMode translation :
-       {TranslationMode::kArray, TranslationMode::kMap}) {
-    for (const exec::ScanMode mode :
-         {exec::ScanMode::kBaseline, exec::ScanMode::kShared}) {
-      const exec::RunConfig config = Config(mode, translation);
+  for (const exec::ScanMode mode :
+       {exec::ScanMode::kBaseline, exec::ScanMode::kShared}) {
+    const exec::RunConfig config = Config(mode);
 
-      // Reference: an untainted run.
-      auto reference = db()->Run(config, streams);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    // Reference: an untainted run.
+    auto reference = db()->Run(config, streams);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-      // Fault the 5th disk request of the run. Database::Run resets the
-      // disk at start, which re-arms (not clears) the injection.
-      sim::DiskFaultOptions faults;
-      faults.fail_nth_read = 5;
-      db()->env()->disk().SetFaults(faults);
-      auto faulted = db()->Run(config, streams);
-      ASSERT_FALSE(faulted.ok());
-      EXPECT_EQ(faulted.status().code(), Status::Code::kCorruption)
-          << faulted.status().ToString();
+    // Fault the 5th disk request of the run. Database::Run resets the
+    // disk at start, which re-arms (not clears) the injection.
+    sim::DiskFaultOptions faults;
+    faults.fail_nth_read = 5;
+    db()->env()->disk().SetFaults(faults);
+    auto faulted = db()->Run(config, streams);
+    ASSERT_FALSE(faulted.ok());
+    EXPECT_EQ(faulted.status().code(), Status::Code::kCorruption)
+        << faulted.status().ToString();
 
-      // Clean rerun: bit-identical to the reference — the failed run left
-      // nothing behind.
-      db()->env()->disk().ClearFaults();
-      auto rerun = db()->Run(config, streams);
-      ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-      EXPECT_EQ(rerun->buffer.logical_reads, reference->buffer.logical_reads);
-      EXPECT_EQ(rerun->buffer.hits, reference->buffer.hits);
-      EXPECT_EQ(rerun->buffer.misses, reference->buffer.misses);
-      EXPECT_EQ(rerun->buffer.physical_pages,
-                reference->buffer.physical_pages);
-      EXPECT_EQ(rerun->buffer.evictions, reference->buffer.evictions);
-      EXPECT_EQ(rerun->disk.requests, reference->disk.requests);
-      EXPECT_EQ(rerun->disk.pages_read, reference->disk.pages_read);
-      EXPECT_EQ(rerun->disk.seeks, reference->disk.seeks);
-      EXPECT_EQ(rerun->disk.busy_micros, reference->disk.busy_micros);
-      EXPECT_EQ(rerun->makespan, reference->makespan);
-    }
+    // Clean rerun: bit-identical to the reference — the failed run left
+    // nothing behind.
+    db()->env()->disk().ClearFaults();
+    auto rerun = db()->Run(config, streams);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    EXPECT_EQ(rerun->buffer.logical_reads, reference->buffer.logical_reads);
+    EXPECT_EQ(rerun->buffer.hits, reference->buffer.hits);
+    EXPECT_EQ(rerun->buffer.misses, reference->buffer.misses);
+    EXPECT_EQ(rerun->buffer.physical_pages,
+              reference->buffer.physical_pages);
+    EXPECT_EQ(rerun->buffer.evictions, reference->buffer.evictions);
+    EXPECT_EQ(rerun->disk.requests, reference->disk.requests);
+    EXPECT_EQ(rerun->disk.pages_read, reference->disk.pages_read);
+    EXPECT_EQ(rerun->disk.seeks, reference->disk.seeks);
+    EXPECT_EQ(rerun->disk.busy_micros, reference->disk.busy_micros);
+    EXPECT_EQ(rerun->makespan, reference->makespan);
   }
 }
 
@@ -307,8 +293,7 @@ TEST_F(ExecutorFaultTest, InjectedFaultFailsRunAndCleanRerunIsPristine) {
 TEST_F(ExecutorFaultTest, MediaFaultFailsRunAndCleanRerunIsPristine) {
   const auto streams = workload::MakeStaggeredStreams(
       workload::MakeQ6Like("lineitem"), 2, sim::Millis(200));
-  const exec::RunConfig config =
-      Config(exec::ScanMode::kShared, TranslationMode::kArray);
+  const exec::RunConfig config = Config(exec::ScanMode::kShared);
 
   auto reference = db()->Run(config, streams);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();

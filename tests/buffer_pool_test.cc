@@ -302,60 +302,64 @@ TEST_F(BufferPoolTest, EvictionsOnlyClaimPreexistingPages) {
 }
 
 // The residency bitmap (what Contains consults) must track install,
-// eviction, and flush in both translation modes.
-TEST_F(BufferPoolTest, ResidencyTracksInstallEvictionAndFlushInBothModes) {
-  for (TranslationMode mode : {TranslationMode::kArray, TranslationMode::kMap}) {
-    BufferPoolOptions o;
-    o.num_frames = 4;
-    o.prefetch_extent_pages = 4;
-    o.translation = mode;
-    BufferPool pool(&dm_, std::make_unique<LruReplacer>(4), o);
-    ASSERT_EQ(pool.translation_mode(), mode);
+// eviction, and flush.
+TEST_F(BufferPoolTest, ResidencyTracksInstallEvictionAndFlush) {
+  auto pool = MakePool(4, /*extent=*/4);
+  ASSERT_TRUE(pool->FetchPage(0, 0).ok());
+  ASSERT_TRUE(pool->UnpinPage(0, PagePriority::kNormal).ok());
+  for (sim::PageId p = 0; p < 4; ++p) EXPECT_TRUE(pool->Contains(p));
+  EXPECT_FALSE(pool->Contains(4));
 
-    ASSERT_TRUE(pool.FetchPage(0, 0).ok());
-    ASSERT_TRUE(pool.UnpinPage(0, PagePriority::kNormal).ok());
-    for (sim::PageId p = 0; p < 4; ++p) EXPECT_TRUE(pool.Contains(p));
-    EXPECT_FALSE(pool.Contains(4));
+  // Eviction clears residency of the victims.
+  ASSERT_TRUE(pool->FetchPage(8, 1000).ok());
+  ASSERT_TRUE(pool->UnpinPage(8, PagePriority::kNormal).ok());
+  for (sim::PageId p = 0; p < 4; ++p) EXPECT_FALSE(pool->Contains(p));
+  for (sim::PageId p = 8; p < 12; ++p) EXPECT_TRUE(pool->Contains(p));
 
-    // Eviction clears residency of the victims.
-    ASSERT_TRUE(pool.FetchPage(8, 1000).ok());
-    ASSERT_TRUE(pool.UnpinPage(8, PagePriority::kNormal).ok());
-    for (sim::PageId p = 0; p < 4; ++p) EXPECT_FALSE(pool.Contains(p));
-    for (sim::PageId p = 8; p < 12; ++p) EXPECT_TRUE(pool.Contains(p));
-
-    // FlushAll clears everything.
-    ASSERT_TRUE(pool.FlushAll().ok());
-    for (sim::PageId p = 0; p < 12; ++p) EXPECT_FALSE(pool.Contains(p));
-  }
+  // FlushAll clears everything.
+  ASSERT_TRUE(pool->FlushAll().ok());
+  for (sim::PageId p = 0; p < 12; ++p) EXPECT_FALSE(pool->Contains(p));
 }
 
-TEST_F(BufferPoolTest, MapModeMatchesArrayModeOnMixedTraffic) {
-  // Identical fetch/unpin traffic with evictions in both translation
-  // modes must produce identical counters.
-  BufferPoolStats stats[2];
-  const TranslationMode modes[2] = {TranslationMode::kArray,
-                                    TranslationMode::kMap};
-  for (int m = 0; m < 2; ++m) {
-    BufferPoolOptions o;
-    o.num_frames = 6;
-    o.prefetch_extent_pages = 4;
-    o.translation = modes[m];
-    BufferPool pool(&dm_, std::make_unique<LruReplacer>(6), o);
-    sim::Micros now = 0;
-    for (sim::PageId p = 0; p < 24; ++p) {
-      auto r = pool.FetchPage(p % 16, now);
-      ASSERT_TRUE(r.ok());
-      now += 500;
-      ASSERT_TRUE(pool.UnpinPage(p % 16, PagePriority::kNormal).ok());
-    }
-    stats[m] = pool.stats();
+// Rejected fetches move no counter and keep the pool consistent, whether
+// the inline hit path rejects them (a resident page outside the clip
+// range) or FetchSlow does. The all-pinned case is
+// FailedFetchLeavesStatsAndDiskUntouched below.
+TEST_F(BufferPoolTest, RejectedFetchesLeaveStatsUntouched) {
+  struct Probe {
+    const char* what;
+    sim::PageId page;
+    sim::PageId clip_first;
+    sim::PageId clip_end;
+    Status::Code want;
+  };
+  const Probe probes[] = {
+      {"resident page outside clip", 2, 8, 16, Status::Code::kInvalidArgument},
+      {"non-resident page outside clip", 20, 0, 16,
+       Status::Code::kInvalidArgument},
+      {"unallocated page", 1000, 0, 64, Status::Code::kOutOfRange},
+  };
+  auto pool = MakePool(8, /*extent=*/4);
+  // Pages [0, 4) resident and unpinned.
+  ASSERT_TRUE(pool->FetchPage(0, 0).ok());
+  ASSERT_TRUE(pool->UnpinPage(0, PagePriority::kNormal).ok());
+  ASSERT_TRUE(pool->Contains(2));
+  for (const Probe& probe : probes) {
+    const BufferPoolStats before = pool->stats();
+    EXPECT_EQ(pool->FetchPage(probe.page, 0, probe.clip_first, probe.clip_end)
+                  .status()
+                  .code(),
+              probe.want)
+        << probe.what;
+    const BufferPoolStats& after = pool->stats();
+    EXPECT_EQ(after.logical_reads, before.logical_reads) << probe.what;
+    EXPECT_EQ(after.hits, before.hits) << probe.what;
+    EXPECT_EQ(after.misses, before.misses) << probe.what;
+    EXPECT_EQ(after.physical_pages, before.physical_pages) << probe.what;
+    EXPECT_EQ(after.io_requests, before.io_requests) << probe.what;
+    EXPECT_EQ(after.evictions, before.evictions) << probe.what;
+    EXPECT_TRUE(pool->CheckInvariants().ok()) << probe.what;
   }
-  EXPECT_EQ(stats[0].logical_reads, stats[1].logical_reads);
-  EXPECT_EQ(stats[0].hits, stats[1].hits);
-  EXPECT_EQ(stats[0].misses, stats[1].misses);
-  EXPECT_EQ(stats[0].physical_pages, stats[1].physical_pages);
-  EXPECT_EQ(stats[0].io_requests, stats[1].io_requests);
-  EXPECT_EQ(stats[0].evictions, stats[1].evictions);
 }
 
 TEST_F(BufferPoolTest, InvariantsHoldThroughNormalTraffic) {

@@ -35,8 +35,8 @@ struct Job {
   std::vector<exec::StreamSpec> streams;
 };
 
-// A small grid spanning both engines, both kernels, staggered and
-// throughput stream shapes, and a fairness-cap variant.
+// A small grid spanning both engines, staggered and throughput stream
+// shapes, and a fairness-cap variant.
 std::vector<Job> MakeJobs() {
   std::vector<Job> jobs;
 
@@ -64,7 +64,6 @@ std::vector<Job> MakeJobs() {
     j.run.mode = exec::ScanMode::kShared;
     j.run.buffer.num_frames = 16;
     j.run.ssm.fairness_cap = 0.5;
-    j.run.kernel = exec::KernelMode::kScalar;
     j.streams = {q1, q6};
     jobs.push_back(j);
   }

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/engine.h"
-#include "metrics/report.h"
 #include "testutil.h"
 #include "workload/queries.h"
 
@@ -199,80 +198,6 @@ INSTANTIATE_TEST_SUITE_P(Extents, ExtentSweepTest,
                            name += std::to_string(tpi.param);
                            return name;
                          });
-
-// Kernel sweep: the columnar batch kernel (selection bitmap + masked
-// folds) must be indistinguishable from the scalar tuple-at-a-time
-// kernel — not epsilon-close, bit-identical, including every aggregate
-// double, every counter, and every virtual timestamp. This is the
-// contract that lets KernelMode::kColumnar be the default.
-struct KernelParam {
-  const char* label;
-  exec::QuerySpec (*make)(const std::string&, int);
-};
-
-exec::QuerySpec MakeQ6(const std::string& t, int) {
-  return workload::MakeQ6Like(t);
-}
-exec::QuerySpec MakeQ1(const std::string& t, int) {
-  return workload::MakeQ1Like(t);
-}
-exec::QuerySpec MakeMid(const std::string& t, int) {
-  return workload::MakeMidWeight(t);
-}
-
-void PrintTo(const KernelParam& p, std::ostream* os) { *os << p.label; }
-
-class KernelSweepTest : public ::testing::TestWithParam<KernelParam> {};
-
-TEST_P(KernelSweepTest, ColumnarBitIdenticalToScalar) {
-  const KernelParam p = GetParam();
-  std::vector<StreamSpec> streams(3);
-  for (size_t i = 0; i < streams.size(); ++i) {
-    streams[i].start_delay = sim::Micros{i * 5000};
-    streams[i].queries.push_back(p.make("lineitem", static_cast<int>(i)));
-  }
-
-  RunConfig c;
-  c.mode = ScanMode::kShared;
-  c.buffer.num_frames = 32;
-  c.kernel = exec::KernelMode::kScalar;
-  auto scalar = SharedDb()->Run(c, streams);
-  ASSERT_TRUE(scalar.ok());
-  c.kernel = exec::KernelMode::kColumnar;
-  auto columnar = SharedDb()->Run(c, streams);
-  ASSERT_TRUE(columnar.ok());
-
-  std::string diff;
-  EXPECT_TRUE(metrics::BitIdentical(*scalar, *columnar, &diff))
-      << "first difference: " << diff;
-}
-
-INSTANTIATE_TEST_SUITE_P(Kernels, KernelSweepTest,
-                         ::testing::Values(KernelParam{"q6", MakeQ6},
-                                           KernelParam{"q1", MakeQ1},
-                                           KernelParam{"mid", MakeMid}),
-                         [](const auto& tpi) { return tpi.param.label; });
-
-// Baseline-mode variant with the default mix (exercises the unfiltered
-// count-only path and multi-query streams).
-TEST(KernelSweepTest, BaselineMixBitIdentical) {
-  auto streams = workload::MakeThroughputStreams(
-      workload::DefaultQueryMix("lineitem"), 2, 4, 99);
-
-  RunConfig c;
-  c.mode = ScanMode::kBaseline;
-  c.buffer.num_frames = 24;
-  c.kernel = exec::KernelMode::kScalar;
-  auto scalar = SharedDb()->Run(c, streams);
-  ASSERT_TRUE(scalar.ok());
-  c.kernel = exec::KernelMode::kColumnar;
-  auto columnar = SharedDb()->Run(c, streams);
-  ASSERT_TRUE(columnar.ok());
-
-  std::string diff;
-  EXPECT_TRUE(metrics::BitIdentical(*scalar, *columnar, &diff))
-      << "first difference: " << diff;
-}
 
 }  // namespace
 }  // namespace scanshare
