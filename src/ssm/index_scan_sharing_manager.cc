@@ -1,7 +1,10 @@
 #include "ssm/index_scan_sharing_manager.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "buffer/policies/page_policies.h"
+#include "ssm/placement_policy.h"
+#include "ssm/throttle_controller.h"
 
 namespace scanshare::ssm {
 
@@ -26,10 +29,6 @@ Status ValidateDescriptor(const IndexScanDescriptor& desc) {
   return Status::OK();
 }
 
-bool KeyInRange(int64_t key, const IndexScanDescriptor& desc) {
-  return key >= desc.start_key && key <= desc.end_key;
-}
-
 }  // namespace
 
 IndexScanSharingManager::IndexScanSharingManager(IsmOptions options)
@@ -50,23 +49,18 @@ StatusOr<IndexStartInfo> IndexScanSharingManager::StartIndexScan(
   // candidate set): among ongoing scans whose current location falls in
   // the new scan's key range, pick the one with the best expected-sharing
   // score; with nobody active, harvest the last finished scan's location.
+  const bool smart = options_.enabled && options_.enable_smart_placement;
   const IndexScanState* best = nullptr;
   double best_score = 0.0;
-  if (options_.enabled && options_.enable_smart_placement) {
+  if (smart) {
     for (ScanId sid : index.active) {
       const IndexScanState& cand = scans_.at(sid);
-      if (!KeyInRange(cand.location.key, desc)) continue;
-      const double v_cand = std::max(cand.speed_bps, 1e-9);
-      const double v_new = std::max(est_speed, 1e-9);
-      const double gap = std::abs(v_new - v_cand);
-      const double threshold =
-          static_cast<double>(options_.EffectiveThresholdBlocks());
-      const double t_drift = gap < 1e-9 ? 1e18 : threshold / gap;
-      const double t_cand =
-          static_cast<double>(cand.remaining_blocks()) / v_cand;
-      const double t_new = static_cast<double>(desc.estimated_blocks) / v_new;
-      const double score =
-          std::min({t_drift, t_cand, t_new}) * std::min(v_new, v_cand);
+      if (!InScanRange(cand.location.key, desc.start_key, desc.end_key)) {
+        continue;
+      }
+      const double score = SharingScore(
+          cand.speed_bps, cand.remaining_blocks(), est_speed,
+          desc.estimated_blocks, options_.EffectiveThresholdBlocks());
       if (best == nullptr || score > best_score ||
           (score == best_score && cand.id < best->id)) {
         best = &cand;
@@ -95,36 +89,27 @@ StatusOr<IndexStartInfo> IndexScanSharingManager::StartIndexScan(
         best->blocks_processed * competitors <= options_.bufferpool_blocks &&
         best->anchor_offset == best->blocks_processed;
     auto anchor_it = anchors_.find(best->anchor);
-    if (young && anchor_it != anchors_.end() &&
-        KeyInRange(anchor_it->second.location.key, desc)) {
-      info.placed = true;
-      info.start_location = anchor_it->second.location;
-      info.joined_scan = best->id;
-      state.location = info.start_location;
-      state.anchor = best->anchor;
-      state.anchor_offset = 0;
-    } else {
-      info.placed = true;
-      info.start_location = best->location;
-      info.joined_scan = best->id;
-      state.location = best->location;
-      state.anchor = best->anchor;
-      state.anchor_offset = best->anchor_offset;
-    }
-    ++stats_.scans_joined;
-  } else if (options_.enabled && options_.enable_smart_placement &&
-             index.active.empty() && index.last_finished.has_value() &&
-             KeyInRange(index.last_finished->key, desc)) {
-    // Paper §6.3 special case: reuse the most recently finished scan's
-    // leftovers.
+    const bool at_anchor = young && anchor_it != anchors_.end() &&
+                           InScanRange(anchor_it->second.location.key,
+                                       desc.start_key, desc.end_key);
     info.placed = true;
-    info.start_location = *index.last_finished;
-    state.location = *index.last_finished;
-    state.anchor = next_anchor_++;
-    anchors_[state.anchor] = AnchorInfo{state.location, desc.index_id};
+    info.start_location =
+        at_anchor ? anchor_it->second.location : best->location;
+    info.joined_scan = best->id;
+    state.location = info.start_location;
+    state.anchor = best->anchor;
+    state.anchor_offset = at_anchor ? 0 : best->anchor_offset;
+    ++stats_.scans_joined;
   } else {
-    info.placed = false;
-    state.location = IndexScanLocation{desc.start_key, 0};
+    // A fresh anchor, at the range begin or — paper §6.3 special case, with
+    // nobody active — at the most recently finished scan's leftovers.
+    info.placed = smart && index.active.empty() &&
+                  index.last_finished.has_value() &&
+                  InScanRange(index.last_finished->key, desc.start_key,
+                              desc.end_key);
+    if (info.placed) info.start_location = *index.last_finished;
+    state.location = info.placed ? info.start_location
+                                 : IndexScanLocation{desc.start_key, 0};
     state.anchor = next_anchor_++;
     anchors_[state.anchor] = AnchorInfo{state.location, desc.index_id};
   }
@@ -164,14 +149,11 @@ const ScanGroup* IndexScanSharingManager::FindGroup(const IndexState& index,
   return &index.groups[it->second];
 }
 
-uint64_t IndexScanSharingManager::SuccessorGapBlocks(
-    const ScanGroup& group) const {
-  if (group.size() < 2) return 0;
-  const IndexScanState& trailer = scans_.at(group.trailer);
-  const IndexScanState& successor = scans_.at(group.members[1]);
-  return successor.anchor_offset >= trailer.anchor_offset
-             ? successor.anchor_offset - trailer.anchor_offset
-             : 0;
+uint64_t IndexScanSharingManager::OffsetGap(ScanId behind,
+                                            ScanId ahead) const {
+  const uint64_t from = scans_.at(behind).anchor_offset;
+  const uint64_t to = scans_.at(ahead).anchor_offset;
+  return to >= from ? to - from : 0;
 }
 
 StatusOr<IndexUpdateResult> IndexScanSharingManager::UpdateIndexScan(
@@ -247,57 +229,36 @@ StatusOr<IndexUpdateResult> IndexScanSharingManager::UpdateIndexScan(
   result.is_leader = group->leader == id;
   result.is_trailer = group->trailer == id;
 
-  // Release priority (paper §7.3 via the table-scan rules): followers
-  // behind -> High; a trailer whose successor has cleared its current
-  // block -> Low; otherwise Normal/High as for table scans.
-  if (options_.enable_priority_hints && group->size() >= 2) {
-    if (result.is_trailer) {
-      result.priority = SuccessorGapBlocks(*group) >= 1
-                            ? buffer::PagePriority::kLow
-                            : buffer::PagePriority::kHigh;
-    } else {
-      result.priority = buffer::PagePriority::kHigh;
-    }
-  }
+  // Release priority (paper §7.3): the table-scan rule with a one-block
+  // extent — a trailer releases Low once its successor cleared its block.
+  buffer::ReleaseContext release;
+  release.hints_enabled = options_.enable_priority_hints;
+  release.group_size = group->size();
+  release.is_leader = result.is_leader;
+  release.is_trailer = result.is_trailer;
+  release.successor_gap_pages =
+      group->size() >= 2 ? OffsetGap(group->trailer, group->members[1]) : 0;
+  release.extent_pages = 1;
+  result.priority = buffer::DefaultPagePolicy().ReleasePriority(release);
 
-  // Leader throttling on the offset axis (paper §7.2).
+  // Leader throttling and the fairness cap on the offset axis (paper §7.2),
+  // with the table-scan rules and a one-block update quantum.
   if (options_.enable_throttling && result.is_leader && group->size() >= 2) {
-    const IndexScanState& trailer = scans_.at(group->trailer);
-    const uint64_t gap = scan.anchor_offset >= trailer.anchor_offset
-                             ? scan.anchor_offset - trailer.anchor_offset
-                             : 0;
-    result.gap_blocks = gap;
-    const uint64_t threshold = options_.EffectiveThresholdBlocks();
-    // One block of hysteresis absorbs update-quantization noise (cf. the
-    // table-scan ThrottleController).
-    if (gap > threshold + 1 && !scan.throttling_exhausted) {
-      const double trailer_bps = std::max(trailer.speed_bps, 1e-9);
-      const double excess = static_cast<double>(gap - threshold);
-      sim::Micros wait = static_cast<sim::Micros>(
-          std::llround(excess / trailer_bps * 1e6));
-      wait = std::min(wait, options_.max_wait_per_update);
-
-      const double cap = options_.fairness_cap * scan.desc.throttle_tolerance *
-                         static_cast<double>(scan.desc.estimated_duration);
-      const double budget_left =
-          cap - static_cast<double>(scan.accumulated_wait);
-      if (budget_left <= 0.0) {
-        wait = 0;
-        scan.throttling_exhausted = true;
-        ++stats_.cap_suppressions;
-      } else if (static_cast<double>(wait) >= budget_left) {
-        wait = static_cast<sim::Micros>(budget_left);
-        scan.throttling_exhausted = true;
-      }
-      if (wait > 0) {
-        scan.accumulated_wait += wait;
-        ++stats_.throttle_events;
-        stats_.total_wait += wait;
-        result.wait = wait;
-      }
-    } else if (gap > threshold) {
-      ++stats_.cap_suppressions;
+    const ThrottleDecision decision = ChargeFairnessBudget(
+        LeaderWait(OffsetGap(group->trailer, id),
+                   options_.EffectiveThresholdBlocks(), /*quantum=*/1,
+                   scans_.at(group->trailer).speed_bps,
+                   scan.throttling_exhausted, options_.max_wait_per_update),
+        FairnessBudget(options_.fairness_cap, scan.desc.throttle_tolerance,
+                       scan.desc.estimated_duration),
+        &scan.accumulated_wait, &scan.throttling_exhausted);
+    result.gap_blocks = decision.gap_pages;
+    if (decision.wait > 0) {
+      ++stats_.throttle_events;
+      stats_.total_wait += decision.wait;
+      result.wait = decision.wait;
     }
+    if (decision.capped) ++stats_.cap_suppressions;
   }
   return result;
 }

@@ -15,10 +15,15 @@
 //  * scans whose location reaches another scan's anchor merge into that
 //    anchor group (paper §7.1), extending the partial order;
 //  * grouping / leader-trailer classification / throttling / release
-//    priorities then reuse the table-scan machinery verbatim on the
-//    linear offset axis (paper §7.2: "we can reuse all of the grouping,
+//    priorities then call the table-scan rules themselves on the linear
+//    offset axis (paper §7.2: "we can reuse all of the grouping,
 //    leader/trailer classification, throttling and page prioritization
-//    algorithms").
+//    algorithms"): placement scores candidates with SharingScore and
+//    InScanRange (placement_policy.h), grouping is BuildScanGroupsLinear
+//    (group_builder.h), a leader waits by LeaderWait with a one-block
+//    update quantum and pays through ChargeFairnessBudget
+//    (throttle_controller.h), and release priorities come from
+//    buffer::DefaultPagePolicy with a one-block extent.
 //
 // The index structure itself stays a black box: the ISM sees opaque
 // (key, position-within-key) locations and block counts only.
@@ -187,7 +192,9 @@ class IndexScanSharingManager {
 
   void Regroup(uint32_t index_id);
   const ScanGroup* FindGroup(const IndexState& index, ScanId id) const;
-  uint64_t SuccessorGapBlocks(const ScanGroup& group) const;
+  /// Blocks `ahead` is past `behind` on their shared anchor axis (0 if
+  /// it is not ahead).
+  uint64_t OffsetGap(ScanId behind, ScanId ahead) const;
 
   IsmOptions options_;
   ScanId next_id_ = 1;

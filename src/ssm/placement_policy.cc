@@ -5,37 +5,29 @@
 
 namespace scanshare::ssm {
 
-namespace {
-/// True if `page` lies in [first, end) — new-scan ranges never wrap.
-bool InRange(sim::PageId page, sim::PageId first, sim::PageId end) {
-  return page >= first && page < end;
-}
-}  // namespace
-
-double PlacementPolicy::SharingScore(const ScanState& cand, double v_new,
-                                     uint64_t new_pages) const {
-  const double v_cand = std::max(cand.speed_pps, 1e-9);
-  v_new = std::max(v_new, 1e-9);
+double SharingScore(double cand_speed, uint64_t cand_remaining,
+                    double new_speed, uint64_t new_units, uint64_t threshold) {
+  const double v_cand = std::max(cand_speed, 1e-9);
+  const double v_new = std::max(new_speed, 1e-9);
 
   // Time until drift exceeds the group distance threshold. With throttling
-  // enabled the SSM will actively hold the pair together, but a closer
+  // enabled the manager will actively hold the pair together, but a closer
   // speed match still means less throttling (and so less wasted time), so
   // the drift horizon remains the right preference signal.
   const double speed_gap = std::abs(v_new - v_cand);
-  const double threshold = static_cast<double>(options_.EffectiveDistanceThreshold());
-  const double t_drift =
-      speed_gap < 1e-9 ? 1e18 : threshold / speed_gap;  // Seconds.
+  const double t_drift = speed_gap < 1e-9
+                             ? 1e18
+                             : static_cast<double>(threshold) / speed_gap;
 
-  const double t_cand_left = static_cast<double>(cand.remaining_pages()) / v_cand;
-  const double t_new_total = static_cast<double>(new_pages) / v_new;
+  const double t_cand_left = static_cast<double>(cand_remaining) / v_cand;
+  const double t_new_total = static_cast<double>(new_units) / v_new;
 
   const double shared_seconds = std::min({t_drift, t_cand_left, t_new_total});
   return shared_seconds * std::min(v_new, v_cand);
 }
 
-sim::PageId PlacementPolicy::AlignStart(sim::PageId page,
-                                        const ScanDescriptor& desc) const {
-  const uint64_t extent = options_.EffectiveExtent();
+sim::PageId AlignStart(sim::PageId page, const ScanDescriptor& desc,
+                       uint64_t extent) {
   sim::PageId aligned = page - (page % extent);
   if (aligned < desc.range_first) aligned = desc.range_first;
   if (aligned >= desc.range_end) aligned = desc.range_first;
@@ -53,11 +45,16 @@ Placement PlacementPolicy::Choose(const ScanDescriptor& desc,
   placement.start_page = desc.range_first;
   if (!options_.enable_smart_placement) return placement;
 
+  const sim::PageId last = desc.range_end - 1;
+  const uint64_t extent = options_.EffectiveExtent();
+  const uint64_t threshold = options_.EffectiveDistanceThreshold();
   const ScanState* best = nullptr;
   double best_score = 0.0;
   for (const ScanState* cand : active) {
-    if (!InRange(cand->position, desc.range_first, desc.range_end)) continue;
-    const double score = SharingScore(*cand, est_speed_pps, desc.estimated_pages);
+    if (!InScanRange(cand->position, desc.range_first, last)) continue;
+    const double score =
+        SharingScore(cand->speed_pps, cand->remaining_pages(), est_speed_pps,
+                     desc.estimated_pages, threshold);
     // Deterministic tie-break: earlier-started (smaller id) wins.
     if (best == nullptr || score > best_score ||
         (score == best_score && cand->id < best->id)) {
@@ -78,9 +75,9 @@ Placement PlacementPolicy::Choose(const ScanDescriptor& desc,
     const size_t competitors = std::max<size_t>(total_active_scans, 1);
     const bool young =
         best->pages_processed * competitors <= options_.bufferpool_pages &&
-        InRange(best->start_page, desc.range_first, desc.range_end);
+        InScanRange(best->start_page, desc.range_first, last);
     placement.start_page =
-        AlignStart(young ? best->start_page : best->position, desc);
+        AlignStart(young ? best->start_page : best->position, desc, extent);
     placement.joined_scan = best->id;
     placement.expected_shared_pages = best_score;
     return placement;
@@ -89,8 +86,8 @@ Placement PlacementPolicy::Choose(const ScanDescriptor& desc,
   // Paper's special case: nobody active — reuse the last finished scan's
   // leftovers if its final position falls inside our range.
   if (last_finished_pos.has_value() &&
-      InRange(*last_finished_pos, desc.range_first, desc.range_end)) {
-    placement.start_page = AlignStart(*last_finished_pos, desc);
+      InScanRange(*last_finished_pos, desc.range_first, last)) {
+    placement.start_page = AlignStart(*last_finished_pos, desc, extent);
   }
   return placement;
 }

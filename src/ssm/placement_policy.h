@@ -10,6 +10,11 @@
 // scan range the candidate has left. If no scan is active, the new scan is
 // placed at the last *finished* scan's final position to harvest whatever
 // pages it left in the pool (paper's special case).
+//
+// The rules are free functions so every placement runs one copy of them:
+// PlacementPolicy::Choose, AbmRelevancePolicy::Place (range test and
+// extent grid under its own score) and the index-scan manager's placement
+// loop (score and range test on the block and key axes).
 
 #pragma once
 
@@ -22,6 +27,27 @@
 #include "ssm/scan_state.h"
 
 namespace scanshare::ssm {
+
+/// True if `pos` lies in the scan range from `first` to `last`, both
+/// inclusive. A new scan's range never wraps. Table scans pass their page
+/// range as [range_first, range_end - 1]; index scans their key range.
+template <typename Pos>
+constexpr bool InScanRange(Pos pos, Pos first, Pos last) {
+  return pos >= first && pos <= last;
+}
+
+/// Expected units (pages, or blocks for index scans) a new scan shares
+/// with an ongoing candidate if placed at its position: the time the pair
+/// stays within `threshold` units of each other, bounded by the
+/// candidate's remaining work and the new scan's total, times the slower
+/// speed. Speeds are in units per second.
+double SharingScore(double cand_speed, uint64_t cand_remaining,
+                    double new_speed, uint64_t new_units, uint64_t threshold);
+
+/// Aligns a start page down to the `extent` grid (>= 1), clamped into the
+/// scan's range [range_first, range_end).
+sim::PageId AlignStart(sim::PageId page, const ScanDescriptor& desc,
+                       uint64_t extent);
 
 /// Where a new scan should start and whom it joined.
 struct Placement {
@@ -47,17 +73,7 @@ class PlacementPolicy {
                    std::optional<sim::PageId> last_finished_pos,
                    const ScanCircle& circle) const;
 
-  /// Expected pages a new scan (speed `v_new`, total pages `new_pages`)
-  /// shares with ongoing scan `cand` if placed at its position. Exposed for
-  /// tests and for the A4 ablation.
-  double SharingScore(const ScanState& cand, double v_new,
-                      uint64_t new_pages) const;
-
  private:
-  /// Aligns a start page down to the prefetch-extent grid, clamped into
-  /// [range_first, range_end).
-  sim::PageId AlignStart(sim::PageId page, const ScanDescriptor& desc) const;
-
   const SsmOptions& options_;
 };
 

@@ -1,26 +1,6 @@
 #include "ssm/policies/abm_relevance_policy.h"
 
-#include <algorithm>
-
 namespace scanshare::ssm {
-
-namespace {
-/// True if `page` lies in [first, end) — new-scan ranges never wrap.
-bool InRange(sim::PageId page, sim::PageId first, sim::PageId end) {
-  return page >= first && page < end;
-}
-
-/// Aligns `page` down to the extent grid, clamped into the scan's range
-/// (same rule as PlacementPolicy::AlignStart so the two policies place on
-/// the same grid).
-sim::PageId AlignStart(sim::PageId page, const ScanDescriptor& desc,
-                       uint64_t extent) {
-  sim::PageId aligned = page - (page % extent);
-  if (aligned < desc.range_first) aligned = desc.range_first;
-  if (aligned >= desc.range_end) aligned = desc.range_first;
-  return aligned;
-}
-}  // namespace
 
 size_t AbmRelevancePolicy::RelevanceAt(
     sim::PageId pos, const std::vector<const ScanState*>& active,
@@ -51,10 +31,12 @@ Placement AbmRelevancePolicy::Place(
   // (the pages read there feed the most scans at once); ties prefer the
   // most starved candidate (largest remaining work — sharing helps it for
   // the longest), then the smaller id for determinism.
+  const sim::PageId last = desc.range_end - 1;
+  const uint64_t extent = options_.EffectiveExtent();
   const ScanState* best = nullptr;
   size_t best_relevance = 0;
   for (const ScanState* cand : active) {
-    if (!InRange(cand->position, desc.range_first, desc.range_end)) continue;
+    if (!InScanRange(cand->position, desc.range_first, last)) continue;
     const size_t relevance = RelevanceAt(cand->position, active, circle);
     const bool better =
         best == nullptr || relevance > best_relevance ||
@@ -69,8 +51,7 @@ Placement AbmRelevancePolicy::Place(
   }
 
   if (best != nullptr) {
-    placement.start_page =
-        AlignStart(best->position, desc, options_.EffectiveExtent());
+    placement.start_page = AlignStart(best->position, desc, extent);
     placement.joined_scan = best->id;
     placement.expected_shared_pages = static_cast<double>(best_relevance);
     return placement;
@@ -80,9 +61,8 @@ Placement AbmRelevancePolicy::Place(
   // around its final position are the only possibly-warm ones — serving
   // from them is the relevance-maximal start here too).
   if (last_finished_pos.has_value() &&
-      InRange(*last_finished_pos, desc.range_first, desc.range_end)) {
-    placement.start_page =
-        AlignStart(*last_finished_pos, desc, options_.EffectiveExtent());
+      InScanRange(*last_finished_pos, desc.range_first, last)) {
+    placement.start_page = AlignStart(*last_finished_pos, desc, extent);
   }
   return placement;
 }

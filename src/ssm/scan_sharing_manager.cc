@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ssm/policies/group_throttle_policy.h"
+#include "ssm/throttle_controller.h"
 
 namespace scanshare::ssm {
 
@@ -308,48 +309,22 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
 
   if (result.is_leader && group->size() >= 2) {
     const ScanState& trailer = scans_.at(group->trailer);
-    const ThrottleDecision decision =
-        sharing_policy_->Throttle(scan, *group, trailer, *table.circle);
+    // Fairness (paper: 80 % rule) applies to any policy's decision.
+    const ThrottleDecision decision = ChargeFairnessBudget(
+        sharing_policy_->Throttle(scan, *group, trailer, *table.circle),
+        FairnessBudget(options_.fairness_cap, scan.desc.throttle_tolerance,
+                       scan.desc.estimated_duration),
+        &scan.accumulated_wait, &scan.throttling_exhausted);
     result.gap_pages = decision.gap_pages;
-    // A *cap suppression* is an update where the fairness cap removed a
-    // wait the throttle controller decided on — counted exactly once per
-    // such update through the single `suppressed` flag below. A clamped
-    // but still positive wait is a grant, not a suppression. (The capped
-    // decision and the in-line budget checks are mutually exclusive — a
-    // capped decision carries wait == 0 — so no update can count twice.)
-    bool suppressed = decision.capped;
     if (decision.wait > 0) {
-      // Fairness (paper: 80 % rule): total slowdown never exceeds
-      // fairness_cap x estimated scan time, scaled by the scan's
-      // priority-driven throttle tolerance (the paper's dynamic-threshold
-      // extension). Clamp this grant to whatever budget is left; once the
-      // budget is gone the scan is never throttled again.
-      const double cap = options_.fairness_cap * scan.desc.throttle_tolerance *
-                         static_cast<double>(scan.desc.estimated_duration);
-      const double budget_left =
-          cap - static_cast<double>(scan.accumulated_wait);
-      sim::Micros wait = decision.wait;
-      if (budget_left <= 0.0) {
-        wait = 0;
-        scan.throttling_exhausted = true;
-        suppressed = true;
-      } else if (static_cast<double>(wait) >= budget_left) {
-        wait = static_cast<sim::Micros>(budget_left);
-        scan.throttling_exhausted = true;
-        // A sub-microsecond budget residue truncates to a zero grant:
-        // that update suppressed the whole wait and must count.
-        if (wait == 0) suppressed = true;
-      }
-      if (wait > 0) {
-        scan.accumulated_wait += wait;
-        stats_.throttle_events.fetch_add(1, std::memory_order_relaxed);
-        stats_.total_wait.fetch_add(wait, std::memory_order_relaxed);
-        result.wait = wait;
-        SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kThrottleInsert, now, id,
-                              wait, decision.gap_pages, /*dur=*/wait);
-      }
+      stats_.throttle_events.fetch_add(1, std::memory_order_relaxed);
+      stats_.total_wait.fetch_add(decision.wait, std::memory_order_relaxed);
+      result.wait = decision.wait;
+      SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kThrottleInsert, now, id,
+                            decision.wait, decision.gap_pages,
+                            /*dur=*/decision.wait);
     }
-    if (suppressed) {
+    if (decision.capped) {
       stats_.cap_suppressions.fetch_add(1, std::memory_order_relaxed);
       SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kCapSuppress, now, id,
                             decision.gap_pages);
@@ -496,8 +471,9 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   // budget.
   for (ScanId sid : table.active) {
     const ScanState& scan = scans_.at(sid);
-    const double cap = options_.fairness_cap * scan.desc.throttle_tolerance *
-                       static_cast<double>(scan.desc.estimated_duration);
+    const double cap =
+        FairnessBudget(options_.fairness_cap, scan.desc.throttle_tolerance,
+                       scan.desc.estimated_duration);
     if (static_cast<double>(scan.accumulated_wait) > cap) {
       return Status::Internal("audit: scan " + std::to_string(sid) +
                               " accumulated " +

@@ -5,30 +5,17 @@
 
 namespace scanshare::ssm {
 
-ThrottleDecision ThrottleController::Decide(const ScanState& scan,
-                                            const ScanGroup& group,
-                                            const ScanState& trailer_state,
-                                            const ScanCircle& circle) const {
+ThrottleDecision LeaderWait(uint64_t gap, uint64_t threshold, uint64_t quantum,
+                            double trailer_speed, bool exhausted,
+                            sim::Micros max_wait) {
   ThrottleDecision decision;
-  if (!options_.enable_throttling) return decision;
-  if (group.size() < 2) return decision;          // Nobody to wait for.
-  if (scan.id != group.leader) return decision;   // Only leaders slow down.
-  if (scan.id == trailer_state.id) return decision;
+  decision.gap_pages = gap;
+  // Hysteresis of one update quantum: without the slack a leader would be
+  // "throttled" over and over for quantization noise, burning its fairness
+  // budget for nothing.
+  if (gap <= threshold + quantum) return decision;
 
-  decision.gap_pages = circle.ForwardDistance(trailer_state.position, scan.position);
-  const uint64_t threshold = options_.EffectiveDistanceThreshold();
-  // Hysteresis of one update quantum (the effective prefetch extent):
-  // positions are reported at extent granularity, so the measured gap of
-  // two perfectly co-running scans oscillates by up to one extent. Without
-  // the slack a leader would be "throttled" over and over for quantization
-  // noise, burning its fairness budget for nothing. EffectiveExtent (not
-  // the raw field) so a zero-extent config keeps the one-page quantum the
-  // alignment paths already assume.
-  if (decision.gap_pages <= threshold + options_.EffectiveExtent()) {
-    return decision;
-  }
-
-  if (scan.throttling_exhausted) {
+  if (exhausted) {
     decision.capped = true;  // Paper's 80 % rule: never throttle again.
     return decision;
   }
@@ -36,14 +23,50 @@ ThrottleDecision ThrottleController::Decide(const ScanState& scan,
   // Wait long enough for the trailer to close the gap down to the
   // threshold at its measured speed. (The leader contributes no progress
   // while waiting, so the gap shrinks at exactly the trailer's speed.)
-  const double trailer_pps = std::max(trailer_state.speed_pps, 1e-9);
-  const double excess_pages =
-      static_cast<double>(decision.gap_pages - threshold);
-  const double wait_seconds = excess_pages / trailer_pps;
+  const double trailer = std::max(trailer_speed, 1e-9);
+  const double excess = static_cast<double>(gap - threshold);
+  const double wait_seconds = excess / trailer;
   const sim::Micros wait =
       static_cast<sim::Micros>(std::llround(wait_seconds * 1e6));
-  decision.wait = std::min<sim::Micros>(wait, options_.max_wait_per_update);
+  decision.wait = std::min<sim::Micros>(wait, max_wait);
   return decision;
+}
+
+double FairnessBudget(double fairness_cap, double tolerance,
+                      sim::Micros estimated_duration) {
+  return fairness_cap * tolerance * static_cast<double>(estimated_duration);
+}
+
+ThrottleDecision ChargeFairnessBudget(ThrottleDecision decision, double budget,
+                                      sim::Micros* accumulated_wait,
+                                      bool* exhausted) {
+  if (decision.wait == 0) return decision;
+  const double budget_left = budget - static_cast<double>(*accumulated_wait);
+  if (static_cast<double>(decision.wait) >= budget_left) {
+    decision.wait =
+        budget_left > 0.0 ? static_cast<sim::Micros>(budget_left) : 0;
+    *exhausted = true;
+    if (decision.wait == 0) decision.capped = true;
+  }
+  *accumulated_wait += decision.wait;
+  return decision;
+}
+
+ThrottleDecision ThrottleController::Decide(const ScanState& scan,
+                                            const ScanGroup& group,
+                                            const ScanState& trailer_state,
+                                            const ScanCircle& circle) const {
+  if (!options_.enable_throttling) return {};
+  if (group.size() < 2) return {};          // Nobody to wait for.
+  if (scan.id != group.leader) return {};   // Only leaders slow down.
+  if (scan.id == trailer_state.id) return {};
+  // EffectiveExtent (not the raw field) so a zero-extent config keeps the
+  // one-page quantum the alignment paths already assume.
+  const uint64_t gap =
+      circle.ForwardDistance(trailer_state.position, scan.position);
+  return LeaderWait(gap, options_.EffectiveDistanceThreshold(),
+                    options_.EffectiveExtent(), trailer_state.speed_pps,
+                    scan.throttling_exhausted, options_.max_wait_per_update);
 }
 
 }  // namespace scanshare::ssm

@@ -224,6 +224,91 @@ TEST(IsmTest, FairnessCapWithTolerance) {
   EXPECT_TRUE(state->throttling_exhausted);
 }
 
+// ---- cap_suppressions follows the table-scan rule: one count per update
+// on which the fairness cap removed a wanted wait ----
+
+TEST(IsmTest, GapInsideHysteresisIsNoSuppression) {
+  IndexScanSharingManager ism(TestOptions());  // Threshold 2 blocks.
+  auto a = ism.StartIndexScan(Desc(), 0);
+  auto b = ism.StartIndexScan(Desc(), 0);  // Joins A's anchor at offset 0.
+  ASSERT_TRUE(a.ok() && b.ok());
+  // Leader A at offset 3 = threshold + one block of hysteresis: no wait
+  // was wanted, so the cap removed nothing.
+  auto ua =
+      ism.UpdateIndexScan(a->id, IndexScanLocation{0, 3}, 3, sim::Seconds(1));
+  ASSERT_TRUE(ua.ok());
+  EXPECT_TRUE(ua->is_leader);
+  EXPECT_EQ(ua->gap_blocks, 3u);
+  EXPECT_EQ(ua->wait, 0u);
+  EXPECT_FALSE(ism.GetScanState(a->id)->throttling_exhausted);
+  EXPECT_EQ(ism.stats().cap_suppressions, 0u);
+}
+
+TEST(IsmTest, ExhaustedLeaderCountsOneSuppressionPerUpdate) {
+  IsmOptions o = TestOptions();
+  o.fairness_cap = 0.5;
+  IndexScanSharingManager ism(o);
+  IndexScanDescriptor fast = Desc();
+  fast.estimated_duration = sim::Seconds(2);  // Budget = 1 s.
+  auto a = ism.StartIndexScan(fast, 0);
+  auto b = ism.StartIndexScan(Desc(), 0);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(b->id, IndexScanLocation{0, 1}, 1, sim::Seconds(1))
+          .ok());
+  // Raw wait (11 - 2) / 1 = 9 s, clamped to the 1 s budget: a grant that
+  // exhausts A.
+  auto first =
+      ism.UpdateIndexScan(a->id, IndexScanLocation{1, 2}, 12, sim::Seconds(1));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->wait, sim::Seconds(1));
+  EXPECT_TRUE(ism.GetScanState(a->id)->throttling_exhausted);
+  EXPECT_EQ(ism.stats().throttle_events, 1u);
+  EXPECT_EQ(ism.stats().cap_suppressions, 0u);
+
+  // Every later update beyond the hysteresis wanted a wait the cap removed.
+  for (uint64_t step = 1; step <= 2; ++step) {
+    auto later = ism.UpdateIndexScan(
+        a->id, IndexScanLocation{1, static_cast<uint32_t>(2 + step)},
+        12 + step, sim::Seconds(2 + step));
+    ASSERT_TRUE(later.ok());
+    EXPECT_GT(later->gap_blocks, 3u);
+    EXPECT_EQ(later->wait, 0u);
+    EXPECT_EQ(ism.stats().cap_suppressions, step);
+  }
+  EXPECT_EQ(ism.stats().throttle_events, 1u);
+}
+
+TEST(IsmTest, SubMicrosecondBudgetResidueIsASuppression) {
+  IsmOptions o = TestOptions();
+  o.fairness_cap = 0.5;
+  o.max_wait_per_update = 1;  // 1 us per update.
+  IndexScanSharingManager ism(o);
+  IndexScanDescriptor leader = Desc();
+  leader.estimated_duration = 3;  // Budget = 1.5 us.
+  auto a = ism.StartIndexScan(leader, 0);
+  auto b = ism.StartIndexScan(Desc(), 0);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(b->id, IndexScanLocation{0, 1}, 1, sim::Seconds(1))
+          .ok());
+  auto first =
+      ism.UpdateIndexScan(a->id, IndexScanLocation{1, 0}, 10, sim::Seconds(1));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->wait, 1u);  // 1 us granted, 0.5 us left.
+  EXPECT_EQ(ism.stats().cap_suppressions, 0u);
+
+  // The next 1 us grant truncates to zero: the scan is exhausted and the
+  // update counts as one suppression, as in the table-scan manager.
+  auto second = ism.UpdateIndexScan(a->id, IndexScanLocation{1, 1}, 11,
+                                    sim::Seconds(1) + 1);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->wait, 0u);
+  EXPECT_TRUE(ism.GetScanState(a->id)->throttling_exhausted);
+  EXPECT_EQ(ism.stats().cap_suppressions, 1u);
+  EXPECT_EQ(ism.stats().throttle_events, 1u);
+}
+
 TEST(IsmTest, DisabledManagerDoesNothingSmart) {
   IsmOptions o = TestOptions();
   o.enabled = false;

@@ -154,21 +154,25 @@ TEST(PlacementPolicyTest, SmartPlacementDisabled) {
 }
 
 TEST(PlacementPolicyTest, SharingScoreMonotonicInRemaining) {
-  SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
-  ScanState little = ActiveScan(1, 0, 100.0, 50);
-  ScanState lots = ActiveScan(2, 0, 100.0, 800);
-  EXPECT_LT(p.SharingScore(little, 100.0, 1024),
-            p.SharingScore(lots, 100.0, 1024));
+  const uint64_t threshold = DefaultOptions().EffectiveDistanceThreshold();
+  EXPECT_LT(SharingScore(100.0, 50, 100.0, 1024, threshold),
+            SharingScore(100.0, 800, 100.0, 1024, threshold));
 }
 
 TEST(PlacementPolicyTest, SharingScoreFavoursCloserSpeeds) {
-  SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
-  ScanState cand = ActiveScan(1, 0, 100.0, 100000);
+  const uint64_t threshold = DefaultOptions().EffectiveDistanceThreshold();
   // Candidate has huge remaining work: drift horizon dominates the score.
-  EXPECT_GT(p.SharingScore(cand, 110.0, 1 << 20),
-            p.SharingScore(cand, 400.0, 1 << 20));
+  EXPECT_GT(SharingScore(100.0, 100000, 110.0, 1 << 20, threshold),
+            SharingScore(100.0, 100000, 400.0, 1 << 20, threshold));
+}
+
+TEST(PlacementPolicyTest, SharingScoreIsSharedTimeTimesSlowerSpeed) {
+  // Drift horizon 32 / |100 - 80| = 1.6 s beats the candidate's 1000 / 100
+  // = 10 s and the new scan's 1000 / 80 = 12.5 s; the pair shares for
+  // 1.6 s at the slower 80 units/s.
+  EXPECT_DOUBLE_EQ(SharingScore(100.0, 1000, 80.0, 1000, 32), 128.0);
+  // Equal speeds never drift apart: the shorter remaining work bounds it.
+  EXPECT_DOUBLE_EQ(SharingScore(50.0, 200, 50.0, 1000, 32), 200.0);
 }
 
 TEST(PlacementPolicyTest, YoungCandidateJoinedAtItsStart) {

@@ -405,7 +405,33 @@ TEST(PagePolicyTest, DefaultReproducesAdvisorHintTable) {
   // once its successor cleared the working chunk (gap >= extent).
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, false, 0)), PagePriority::kHigh);
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 8)), PagePriority::kHigh);
+  EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 15)), PagePriority::kHigh);
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 16)), PagePriority::kLow);
+  EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 500)), PagePriority::kLow);
+  // A middle member (neither leader nor trailer) has a follower behind it.
+  ReleaseContext middle = GroupCtx(3, false, 0);
+  middle.is_leader = false;
+  EXPECT_EQ(p.ReleasePriority(middle), PagePriority::kHigh);
+  // Disabled hints neutralize the trailer too.
+  ReleaseContext off_trailer = GroupCtx(2, true, 100);
+  off_trailer.hints_enabled = false;
+  EXPECT_EQ(p.ReleasePriority(off_trailer), PagePriority::kNormal);
+}
+
+TEST(PagePolicyTest, DefaultOneBlockExtentTable) {
+  // The index-scan manager's table: positions are reported per block, so
+  // a trailer releases Low as soon as its successor is one block ahead.
+  DefaultPagePolicy p;
+  auto block_ctx = [](size_t group, bool trailer, uint64_t gap) {
+    ReleaseContext ctx = GroupCtx(group, trailer, gap);
+    ctx.extent_pages = 1;
+    return ctx;
+  };
+  EXPECT_EQ(p.ReleasePriority(block_ctx(1, false, 0)), PagePriority::kNormal);
+  EXPECT_EQ(p.ReleasePriority(block_ctx(2, false, 0)), PagePriority::kHigh);
+  EXPECT_EQ(p.ReleasePriority(block_ctx(2, true, 0)), PagePriority::kHigh);
+  EXPECT_EQ(p.ReleasePriority(block_ctx(2, true, 1)), PagePriority::kLow);
+  EXPECT_EQ(p.ReleasePriority(block_ctx(2, true, 7)), PagePriority::kLow);
 }
 
 TEST(PagePolicyTest, AbmDropsBehindSingletons) {

@@ -170,6 +170,117 @@ TEST(ThrottleControllerTest, CustomDistanceThreshold) {
   EXPECT_EQ(d.wait, 0u);
 }
 
+// ---- LeaderWait on the index-scan block axis (one-block quantum) ----
+
+TEST(LeaderWaitTest, OneBlockOfHysteresis) {
+  // Threshold 2 blocks, trailer at 4 blocks/s, waits capped at 10 s.
+  const ThrottleDecision within = LeaderWait(3, 2, /*quantum=*/1, 4.0,
+                                             /*exhausted=*/false,
+                                             sim::Seconds(10));
+  EXPECT_EQ(within.wait, 0u);
+  EXPECT_FALSE(within.capped);
+  EXPECT_EQ(within.gap_pages, 3u);
+
+  // Gap = threshold + 2: the trailer closes 2 excess blocks at 4 blocks/s.
+  const ThrottleDecision beyond =
+      LeaderWait(4, 2, 1, 4.0, false, sim::Seconds(10));
+  EXPECT_EQ(beyond.wait, sim::Millis(500));
+  EXPECT_FALSE(beyond.capped);
+  EXPECT_EQ(beyond.gap_pages, 4u);
+}
+
+TEST(LeaderWaitTest, WaitCappedAtMaxWait) {
+  // 8 excess blocks at 1 block/s = 8 s, capped at the 3 s maximum.
+  EXPECT_EQ(LeaderWait(10, 2, 1, 1.0, false, sim::Seconds(3)).wait,
+            sim::Seconds(3));
+}
+
+TEST(LeaderWaitTest, ExhaustedLeaderIsCapped) {
+  const ThrottleDecision d = LeaderWait(10, 2, 1, 1.0, /*exhausted=*/true,
+                                        sim::Seconds(3));
+  EXPECT_EQ(d.wait, 0u);
+  EXPECT_TRUE(d.capped);
+  // Inside the hysteresis nothing was wanted, so nothing is capped either.
+  EXPECT_FALSE(LeaderWait(3, 2, 1, 1.0, true, sim::Seconds(3)).capped);
+}
+
+// ---- ChargeFairnessBudget: the 80 % rule shared by both managers ----
+
+ThrottleDecision Wants(sim::Micros wait) {
+  ThrottleDecision d;
+  d.wait = wait;
+  return d;
+}
+
+TEST(FairnessBudgetTest, BudgetScalesCapByTolerance) {
+  EXPECT_DOUBLE_EQ(FairnessBudget(0.8, 1.0, sim::Seconds(10)), 8e6);
+  EXPECT_DOUBLE_EQ(FairnessBudget(0.5, 2.0, sim::Seconds(2)), 2e6);
+  EXPECT_DOUBLE_EQ(FairnessBudget(0.8, 0.0, sim::Seconds(10)), 0.0);
+}
+
+TEST(FairnessBudgetTest, PlainGrant) {
+  sim::Micros spent = 100;
+  bool exhausted = false;
+  const ThrottleDecision c =
+      ChargeFairnessBudget(Wants(400), 1000.0, &spent, &exhausted);
+  EXPECT_EQ(c.wait, 400u);
+  EXPECT_FALSE(c.capped);
+  EXPECT_EQ(spent, 500u);
+  EXPECT_FALSE(exhausted);
+}
+
+TEST(FairnessBudgetTest, GrantClampedToBudgetLeft) {
+  sim::Micros spent = 700;
+  bool exhausted = false;
+  const ThrottleDecision c =
+      ChargeFairnessBudget(Wants(400), 1000.0, &spent, &exhausted);
+  EXPECT_EQ(c.wait, 300u);  // Clamped, but still a grant...
+  EXPECT_FALSE(c.capped);   // ...so no suppression.
+  EXPECT_EQ(spent, 1000u);
+  EXPECT_TRUE(exhausted);
+}
+
+TEST(FairnessBudgetTest, UsedUpBudgetSuppresses) {
+  sim::Micros spent = 1000;
+  bool exhausted = false;
+  const ThrottleDecision c =
+      ChargeFairnessBudget(Wants(400), 1000.0, &spent, &exhausted);
+  EXPECT_EQ(c.wait, 0u);
+  EXPECT_TRUE(c.capped);
+  EXPECT_EQ(spent, 1000u);
+  EXPECT_TRUE(exhausted);
+}
+
+TEST(FairnessBudgetTest, SubMicrosecondResidueSuppresses) {
+  sim::Micros spent = 1;
+  bool exhausted = false;
+  // 0.5 us left: the grant truncates to zero, which removed the wait.
+  const ThrottleDecision c =
+      ChargeFairnessBudget(Wants(1), 1.5, &spent, &exhausted);
+  EXPECT_EQ(c.wait, 0u);
+  EXPECT_TRUE(c.capped);
+  EXPECT_EQ(spent, 1u);
+  EXPECT_TRUE(exhausted);
+}
+
+TEST(FairnessBudgetTest, CappedDecisionCountsOnce) {
+  sim::Micros spent = 5000;
+  bool exhausted = true;
+  ThrottleDecision capped;
+  capped.capped = true;
+  const ThrottleDecision c =
+      ChargeFairnessBudget(capped, 1000.0, &spent, &exhausted);
+  EXPECT_EQ(c.wait, 0u);
+  EXPECT_TRUE(c.capped);
+  EXPECT_EQ(spent, 5000u);
+
+  // No wanted wait, no suppression — whatever the budget says.
+  const ThrottleDecision idle =
+      ChargeFairnessBudget(ThrottleDecision{}, 1000.0, &spent, &exhausted);
+  EXPECT_EQ(idle.wait, 0u);
+  EXPECT_FALSE(idle.capped);
+}
+
 TEST(ThrottleControllerTest, EffectiveThresholdDefaultsToTwoExtents) {
   SsmOptions o;
   o.prefetch_extent_pages = 16;
