@@ -87,6 +87,7 @@ bool BitIdentical(const exec::QueryOutput& a, const exec::QueryOutput& b,
 bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
                   std::string* first_diff) {
   if (a.makespan != b.makespan) return Diff(first_diff, "makespan");
+  if (a.steps != b.steps) return Diff(first_diff, "steps");
 
   if (a.disk.requests != b.disk.requests ||
       a.disk.pages_read != b.disk.pages_read ||
@@ -99,7 +100,10 @@ bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
       a.buffer.hits != b.buffer.hits || a.buffer.misses != b.buffer.misses ||
       a.buffer.physical_pages != b.buffer.physical_pages ||
       a.buffer.io_requests != b.buffer.io_requests ||
-      a.buffer.evictions != b.buffer.evictions) {
+      a.buffer.evictions != b.buffer.evictions ||
+      a.buffer.prefetch_hits != b.buffer.prefetch_hits ||
+      a.buffer.partitions != b.buffer.partitions ||
+      a.buffer.partitions_requested != b.buffer.partitions_requested) {
     return Diff(first_diff, "buffer");
   }
   if (a.ssm.scans_started != b.ssm.scans_started ||
@@ -120,6 +124,20 @@ bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
       a.ism.anchor_merges != b.ism.anchor_merges ||
       a.ism.cap_suppressions != b.ism.cap_suppressions) {
     return Diff(first_diff, "ism");
+  }
+  if (a.io.submitted != b.io.submitted ||
+      a.io.prefetch_hits != b.io.prefetch_hits ||
+      a.io.sync_reads != b.io.sync_reads ||
+      a.io.queue_full != b.io.queue_full ||
+      a.io.dropped_stale != b.io.dropped_stale ||
+      a.io.reissue_suppressed != b.io.reissue_suppressed) {
+    return Diff(first_diff, "io");
+  }
+  if (a.real_io.reads != b.real_io.reads ||
+      a.real_io.pages_read != b.real_io.pages_read ||
+      a.real_io.bytes_read != b.real_io.bytes_read ||
+      a.real_io.seeks != b.real_io.seeks) {
+    return Diff(first_diff, "real_io");
   }
   if (!SeriesIdentical("reads_over_time", a.reads_over_time, b.reads_over_time,
                        first_diff) ||

@@ -53,6 +53,25 @@ TEST(CpuBreakdownTest, EmptyRunIsAllZero) {
   EXPECT_DOUBLE_EQ(b.user + b.system + b.iowait + b.idle, 0.0);
 }
 
+TEST(BitIdenticalTest, PushPipelineCounterDivergenceIsSeen) {
+  exec::RunResult a;
+  exec::RunResult b;
+  std::string diff;
+  EXPECT_TRUE(BitIdentical(a, b, &diff)) << diff;
+  b.io.submitted = 1;
+  EXPECT_FALSE(BitIdentical(a, b, &diff));
+  EXPECT_EQ(diff, "io");
+}
+
+TEST(BitIdenticalTest, StepCountDivergenceIsSeen) {
+  exec::RunResult a;
+  exec::RunResult b;
+  b.steps = 1;
+  std::string diff;
+  EXPECT_FALSE(BitIdentical(a, b, &diff));
+  EXPECT_EQ(diff, "steps");
+}
+
 TEST(ThroughputGainsTest, ComputesAllThree) {
   exec::RunResult base;
   base.makespan = 1000;
