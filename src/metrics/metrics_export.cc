@@ -26,6 +26,7 @@ void RegisterRunMetrics(const exec::RunResult* result,
   field("buffer.physical_pages", &r->buffer.physical_pages);
   field("buffer.io_requests", &r->buffer.io_requests);
   field("buffer.evictions", &r->buffer.evictions);
+  field("buffer.prefetch_hits", &r->buffer.prefetch_hits);
   field("buffer.partitions", &r->buffer.partitions);
   field("buffer.partitions_requested", &r->buffer.partitions_requested);
 

@@ -5,15 +5,18 @@
 // SSM's regroup/join/throttle events. Kinds, actors, and emission order
 // are pinned; timestamps deliberately are not. A diff here means an
 // admission decision, a queue drain, or the scan lifecycle itself changed
-// order.
+// order. A second golden pins the names and order of the service metrics,
+// so a rename reaches review as a diff (the run goldens do the same for
+// run metrics).
 //
 // Updating after an intentional behaviour change:
 //
 //   SCANSHARE_REGEN_GOLDEN=1 ./build/tests/admission_golden_test
 //
-// rewrites tests/golden/service_burst.trace in the source tree; re-run
-// without the variable to confirm, and commit the new golden together
-// with the change that explains it.
+// rewrites tests/golden/service_burst.trace and
+// tests/golden/service_metrics.names in the source tree; re-run without
+// the variable to confirm, and commit the new goldens together with the
+// change that explains them.
 
 #include <gtest/gtest.h>
 
@@ -25,12 +28,29 @@
 
 #include "obs/export.h"
 #include "service/scan_service.h"
+#include "service/service_metrics.h"
 
 namespace scanshare {
 namespace {
 
-std::string GoldenPath() {
-  return std::string(SCANSHARE_GOLDEN_DIR) + "/service_burst.trace";
+/// Compares `text` with tests/golden/`name`, or rewrites the golden (and
+/// skips the test) under SCANSHARE_REGEN_GOLDEN.
+void ExpectGolden(const std::string& name, const std::string& text) {
+  const std::string path = std::string(SCANSHARE_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("SCANSHARE_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(obs::WriteTextFile(path, text).ok());
+    GTEST_SKIP() << "regenerated " << path << " (" << text.size()
+                 << " bytes); re-run without SCANSHARE_REGEN_GOLDEN to verify";
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden " << path
+                         << " — run with SCANSHARE_REGEN_GOLDEN=1 to create";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(text, golden.str())
+      << "diverged from " << path
+      << " — if intentional, regen with SCANSHARE_REGEN_GOLDEN=1";
 }
 
 // The scenario constants are part of the golden contract: changing any of
@@ -85,25 +105,22 @@ TEST(AdmissionGoldenTest, BurstScenarioLifecycleStructureIsStable) {
   EXPECT_TRUE(has_line("queue "));
   EXPECT_TRUE(has_line("shed "));
 
-  if (std::getenv("SCANSHARE_REGEN_GOLDEN") != nullptr) {
-    ASSERT_TRUE(obs::WriteTextFile(GoldenPath(), summary).ok());
-    GTEST_SKIP() << "regenerated " << GoldenPath() << " (" << summary.size()
-                 << " bytes); re-run without SCANSHARE_REGEN_GOLDEN to verify";
-  }
-
-  std::ifstream in(GoldenPath());
-  ASSERT_TRUE(in.good()) << "missing golden " << GoldenPath()
-                         << " — run with SCANSHARE_REGEN_GOLDEN=1 to create";
-  std::stringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(summary, golden.str())
-      << "service lifecycle structure diverged from " << GoldenPath()
-      << " — if intentional, regen with SCANSHARE_REGEN_GOLDEN=1";
+  ExpectGolden("service_burst.trace", summary);
 
   // Identical reruns must produce the identical trace.
   auto again = svc.Run(options, *tables);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(obs::StructuralSummary(again->trace->events()), summary);
+}
+
+TEST(AdmissionGoldenTest, ServiceMetricNamesAreStable) {
+  // Names do not depend on values: an empty result registers them all.
+  const service::ServiceResult empty;
+  std::string names;
+  for (const obs::MetricSample& m : service::CollectServiceMetrics(empty)) {
+    names += m.name + '\n';
+  }
+  ExpectGolden("service_metrics.names", names);
 }
 
 }  // namespace
