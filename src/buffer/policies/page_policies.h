@@ -3,7 +3,9 @@
 // The three PagePolicy implementations behind the buffer side of the
 // policy seam (DESIGN.md §13). All are stateless (the PBM one holds only
 // an immutable board pointer), so one instance safely serves concurrent
-// tables and pool partitions.
+// tables and pool partitions. DefaultPagePolicy::ReleasePriority is the
+// one copy of the paper's release rule: the table-scan manager calls it
+// through the seam, the index-scan manager directly.
 
 #pragma once
 
@@ -15,10 +17,10 @@
 namespace scanshare::buffer {
 
 /// The paper's pairing: priority-segmented LRU honouring the
-/// leader/trailer release hints. ReleasePriority reproduces the seed's
-/// PagePriorityAdvisor decision-for-decision (trailer Low only once its
-/// successor cleared the working chunk), so the default path is
-/// bit-identical to the pre-seam engine.
+/// leader/trailer release hints. Leaders and inner members release High;
+/// the trailer releases Low only once its successor cleared the working
+/// chunk (is at least `extent_pages` ahead: one prefetch extent for table
+/// scans, one block for index scans); singletons release Normal.
 class DefaultPagePolicy final : public PagePolicy {
  public:
   const char* name() const override {

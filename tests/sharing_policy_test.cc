@@ -404,6 +404,7 @@ TEST(PagePolicyTest, DefaultReproducesAdvisorHintTable) {
   // Leaders and inner members release High; the trailer releases Low only
   // once its successor cleared the working chunk (gap >= extent).
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, false, 0)), PagePriority::kHigh);
+  EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 0)), PagePriority::kHigh);
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 8)), PagePriority::kHigh);
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 15)), PagePriority::kHigh);
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 16)), PagePriority::kLow);
