@@ -21,6 +21,7 @@
 #include "buffer/page_source.h"
 #include "buffer/replacer.h"
 #include "common/audit.h"
+#include "common/counters.h"
 #include "common/status.h"
 #include "io/pipeline.h"
 #include "obs/trace.h"
@@ -62,6 +63,21 @@ struct BufferPoolStats {
   uint64_t partitions = 1;
   uint64_t partitions_requested = 1;  ///< Count asked for before clamping.
 };
+
+/// BufferPoolStats' counters in registry order (common/counters.h).
+inline constexpr counters::Field<BufferPoolStats> kBufferPoolStatsCounters[] = {
+    {"buffer.logical_reads", &BufferPoolStats::logical_reads},
+    {"buffer.hits", &BufferPoolStats::hits},
+    {"buffer.misses", &BufferPoolStats::misses},
+    {"buffer.physical_pages", &BufferPoolStats::physical_pages},
+    {"buffer.io_requests", &BufferPoolStats::io_requests},
+    {"buffer.evictions", &BufferPoolStats::evictions},
+    {"buffer.prefetch_hits", &BufferPoolStats::prefetch_hits},
+    {"buffer.partitions", &BufferPoolStats::partitions},
+    {"buffer.partitions_requested", &BufferPoolStats::partitions_requested},
+};
+static_assert(counters::Covers(kBufferPoolStatsCounters,
+                               sizeof(BufferPoolStats)));
 
 /// A fixed-size page cache with explicit pin/unpin and release priorities.
 ///

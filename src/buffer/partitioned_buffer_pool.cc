@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/counters.h"
+
 namespace scanshare::buffer {
 
 namespace {
@@ -83,15 +85,9 @@ BufferPoolStats PartitionedBufferPool::stats() const {
   const auto locks = LockAll();
   BufferPoolStats total;
   for (const auto& pool : pools_) {
-    const BufferPoolStats& s = pool->stats();
-    total.logical_reads += s.logical_reads;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.physical_pages += s.physical_pages;
-    total.io_requests += s.io_requests;
-    total.evictions += s.evictions;
-    total.prefetch_hits += s.prefetch_hits;
+    counters::Add(kBufferPoolStatsCounters, pool->stats(), &total);
   }
+  // The partition fields describe the whole pool, not a per-shard sum.
   total.partitions = pools_.size();
   total.partitions_requested = requested_partitions_;
   return total;

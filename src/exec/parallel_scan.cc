@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/lock_order.h"
 #include "common/mutex.h"
 #include "common/thread_pool.h"
@@ -192,16 +193,9 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
   Aggregator merged = prototype;
   ParallelQueryResult result;
   for (const ScanMetrics& m : worker_metrics) {
-    result.metrics.pages_scanned += m.pages_scanned;
-    result.metrics.tuples_scanned += m.tuples_scanned;
-    result.metrics.tuples_matched += m.tuples_matched;
-    result.metrics.buffer_hits += m.buffer_hits;
-    result.metrics.buffer_misses += m.buffer_misses;
-    result.metrics.cpu += m.cpu;
-    result.metrics.io_stall += m.io_stall;
-    result.metrics.throttle_wait += m.throttle_wait;
-    result.metrics.overhead += m.overhead;
+    counters::Add(kScanMetricsCounters, m, &result.metrics);
   }
+  // The query's span is the run's, not a sum of worker spans.
   result.metrics.start_time = 0;
   result.metrics.end_time = close_tick;
   for (const AggPartial& partial : partials) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "exec/aggregate.h"
 #include "exec/predicate.h"
 #include "sim/virtual_clock.h"
@@ -101,5 +102,23 @@ struct ScanMetrics {
   /// Total virtual time attributed to this scan.
   sim::Micros Elapsed() const { return end_time - start_time; }
 };
+
+/// ScanMetrics' counters (common/counters.h). No registry reads them; the
+/// names follow the registry's style, and metrics::BitIdentical reports a
+/// differing query counter as e.g. "query.cpu_us[stream.query]".
+inline constexpr counters::Field<ScanMetrics> kScanMetricsCounters[] = {
+    {"query.start_us", &ScanMetrics::start_time},
+    {"query.end_us", &ScanMetrics::end_time},
+    {"query.pages_scanned", &ScanMetrics::pages_scanned},
+    {"query.tuples_scanned", &ScanMetrics::tuples_scanned},
+    {"query.tuples_matched", &ScanMetrics::tuples_matched},
+    {"query.buffer_hits", &ScanMetrics::buffer_hits},
+    {"query.buffer_misses", &ScanMetrics::buffer_misses},
+    {"query.cpu_us", &ScanMetrics::cpu},
+    {"query.io_stall_us", &ScanMetrics::io_stall},
+    {"query.throttle_wait_us", &ScanMetrics::throttle_wait},
+    {"query.overhead_us", &ScanMetrics::overhead},
+};
+static_assert(counters::Covers(kScanMetricsCounters, sizeof(ScanMetrics)));
 
 }  // namespace scanshare::exec

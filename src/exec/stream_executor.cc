@@ -195,14 +195,13 @@ Status StreamExecutor::Step(size_t id) {
 
   // Attribute this step's physical I/O to the time bucket it finished in.
   const sim::DiskStats& ds = env_->disk().stats();
-  const sim::DiskStats delta = ds.Since(last_);
-  if (delta.pages_read > 0) {
-    result_.reads_over_time.Add(job.ready_at - t0_,
-                                static_cast<double>(delta.pages_read));
+  const uint64_t pages = ds.pages_read - last_.pages_read;
+  const uint64_t seeks = ds.seeks - last_.seeks;
+  if (pages > 0) {
+    result_.reads_over_time.Add(job.ready_at - t0_, static_cast<double>(pages));
   }
-  if (delta.seeks > 0) {
-    result_.seeks_over_time.Add(job.ready_at - t0_,
-                                static_cast<double>(delta.seeks));
+  if (seeks > 0) {
+    result_.seeks_over_time.Add(job.ready_at - t0_, static_cast<double>(seeks));
   }
   last_ = ds;
 

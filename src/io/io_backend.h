@@ -33,6 +33,7 @@
 #include <memory>
 #include <new>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "sim/disk.h"
 
@@ -78,6 +79,17 @@ struct RealIoStats {
   bool direct_io = false;   ///< File is open with O_DIRECT.
   bool io_uring = false;    ///< Completions reaped via io_uring.
 };
+
+/// RealIoStats' counters in registry order (common/counters.h); the flags
+/// after them are not counters.
+inline constexpr counters::Field<RealIoStats> kRealIoStatsCounters[] = {
+    {"real_io.reads", &RealIoStats::reads},
+    {"real_io.pages_read", &RealIoStats::pages_read},
+    {"real_io.bytes_read", &RealIoStats::bytes_read},
+    {"real_io.seeks", &RealIoStats::seeks},
+};
+static_assert(counters::Covers(kRealIoStatsCounters,
+                               offsetof(RealIoStats, direct_io)));
 
 /// Abstract byte source for the push pipeline. Implementations are
 /// thread-compatible the way the pipeline uses them: Charge/StartBytes are

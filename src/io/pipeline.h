@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "io/io_backend.h"
 
@@ -55,6 +56,18 @@ struct IoPipelineStats {
   /// would be pure churn. See Prefetcher's consumed-history notes.
   uint64_t reissue_suppressed = 0;
 };
+
+/// IoPipelineStats' counters in registry order (common/counters.h).
+inline constexpr counters::Field<IoPipelineStats> kIoPipelineStatsCounters[] = {
+    {"io.submitted", &IoPipelineStats::submitted},
+    {"io.prefetch_hits", &IoPipelineStats::prefetch_hits},
+    {"io.sync_reads", &IoPipelineStats::sync_reads},
+    {"io.queue_full", &IoPipelineStats::queue_full},
+    {"io.dropped_stale", &IoPipelineStats::dropped_stale},
+    {"io.reissue_suppressed", &IoPipelineStats::reissue_suppressed},
+};
+static_assert(counters::Covers(kIoPipelineStatsCounters,
+                               sizeof(IoPipelineStats)));
 
 /// One demand read answered by the pipeline. `charged` tells the pool
 /// whether the virtual-disk accounting happened (it charges its own

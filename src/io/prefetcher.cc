@@ -257,21 +257,4 @@ size_t Prefetcher::ready_extents() const {
   return ready_.size();
 }
 
-void RegisterIoMetrics(const IoPipelineStats* io, const RealIoStats* real_io,
-                       obs::MetricsRegistry* registry) {
-  const auto field = [registry](const char* name, const uint64_t* value) {
-    registry->RegisterCounter(name, [value] { return *value; });
-  };
-  field("io.submitted", &io->submitted);
-  field("io.prefetch_hits", &io->prefetch_hits);
-  field("io.sync_reads", &io->sync_reads);
-  field("io.queue_full", &io->queue_full);
-  field("io.dropped_stale", &io->dropped_stale);
-  field("io.reissue_suppressed", &io->reissue_suppressed);
-  field("real_io.reads", &real_io->reads);
-  field("real_io.pages_read", &real_io->pages_read);
-  field("real_io.bytes_read", &real_io->bytes_read);
-  field("real_io.seeks", &real_io->seeks);
-}
-
 }  // namespace scanshare::io

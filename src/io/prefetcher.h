@@ -85,7 +85,6 @@
 #include "common/status.h"
 #include "io/io_backend.h"
 #include "io/pipeline.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "ssm/scan_sharing_manager.h"
 
@@ -196,11 +195,5 @@ class Prefetcher final : public IoPipeline {
   /// Records a demand-consumed extent key (caller holds mu_).
   void RecordConsumed(sim::PageId first) SCANSHARE_REQUIRES(mu_);
 };
-
-/// Registers the pipeline counters as io.<field> and the real-file backend
-/// counters as real_io.<field>. Both structs are captured by pointer and
-/// must outlive `registry`.
-void RegisterIoMetrics(const IoPipelineStats* io, const RealIoStats* real_io,
-                       obs::MetricsRegistry* registry);
 
 }  // namespace scanshare::io

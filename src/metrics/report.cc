@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/counters.h"
+
 namespace scanshare::metrics {
 
 namespace {
@@ -89,55 +91,17 @@ bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
   if (a.makespan != b.makespan) return Diff(first_diff, "makespan");
   if (a.steps != b.steps) return Diff(first_diff, "steps");
 
-  if (a.disk.requests != b.disk.requests ||
-      a.disk.pages_read != b.disk.pages_read ||
-      a.disk.bytes_read != b.disk.bytes_read || a.disk.seeks != b.disk.seeks ||
-      a.disk.busy_micros != b.disk.busy_micros ||
-      a.disk.queue_wait_micros != b.disk.queue_wait_micros) {
-    return Diff(first_diff, "disk");
-  }
-  if (a.buffer.logical_reads != b.buffer.logical_reads ||
-      a.buffer.hits != b.buffer.hits || a.buffer.misses != b.buffer.misses ||
-      a.buffer.physical_pages != b.buffer.physical_pages ||
-      a.buffer.io_requests != b.buffer.io_requests ||
-      a.buffer.evictions != b.buffer.evictions ||
-      a.buffer.prefetch_hits != b.buffer.prefetch_hits ||
-      a.buffer.partitions != b.buffer.partitions ||
-      a.buffer.partitions_requested != b.buffer.partitions_requested) {
-    return Diff(first_diff, "buffer");
-  }
-  if (a.ssm.scans_started != b.ssm.scans_started ||
-      a.ssm.scans_joined != b.ssm.scans_joined ||
-      a.ssm.scans_ended != b.ssm.scans_ended ||
-      a.ssm.updates != b.ssm.updates || a.ssm.regroups != b.ssm.regroups ||
-      a.ssm.throttle_events != b.ssm.throttle_events ||
-      a.ssm.total_wait != b.ssm.total_wait ||
-      a.ssm.cap_suppressions != b.ssm.cap_suppressions) {
-    return Diff(first_diff, "ssm");
-  }
-  if (a.ism.scans_started != b.ism.scans_started ||
-      a.ism.scans_joined != b.ism.scans_joined ||
-      a.ism.scans_ended != b.ism.scans_ended ||
-      a.ism.updates != b.ism.updates ||
-      a.ism.throttle_events != b.ism.throttle_events ||
-      a.ism.total_wait != b.ism.total_wait ||
-      a.ism.anchor_merges != b.ism.anchor_merges ||
-      a.ism.cap_suppressions != b.ism.cap_suppressions) {
-    return Diff(first_diff, "ism");
-  }
-  if (a.io.submitted != b.io.submitted ||
-      a.io.prefetch_hits != b.io.prefetch_hits ||
-      a.io.sync_reads != b.io.sync_reads ||
-      a.io.queue_full != b.io.queue_full ||
-      a.io.dropped_stale != b.io.dropped_stale ||
-      a.io.reissue_suppressed != b.io.reissue_suppressed) {
-    return Diff(first_diff, "io");
-  }
-  if (a.real_io.reads != b.real_io.reads ||
-      a.real_io.pages_read != b.real_io.pages_read ||
-      a.real_io.bytes_read != b.real_io.bytes_read ||
-      a.real_io.seeks != b.real_io.seeks) {
-    return Diff(first_diff, "real_io");
+  // The engine's counter structs, in registry order.
+  for (const char* diff :
+       {counters::FirstDiff(sim::kDiskStatsCounters, a.disk, b.disk),
+        counters::FirstDiff(buffer::kBufferPoolStatsCounters, a.buffer,
+                            b.buffer),
+        counters::FirstDiff(ssm::kSsmStatsCounters, a.ssm, b.ssm),
+        counters::FirstDiff(ssm::kIsmStatsCounters, a.ism, b.ism),
+        counters::FirstDiff(io::kIoPipelineStatsCounters, a.io, b.io),
+        counters::FirstDiff(io::kRealIoStatsCounters, a.real_io,
+                            b.real_io)}) {
+    if (diff != nullptr) return Diff(first_diff, diff);
   }
   if (!SeriesIdentical("reads_over_time", a.reads_over_time, b.reads_over_time,
                        first_diff) ||
@@ -165,18 +129,9 @@ bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
           qa.index != qb.index) {
         return Diff(first_diff, At("query.id", s, q));
       }
-      const exec::ScanMetrics& ma = qa.metrics;
-      const exec::ScanMetrics& mb = qb.metrics;
-      if (ma.start_time != mb.start_time || ma.end_time != mb.end_time ||
-          ma.pages_scanned != mb.pages_scanned ||
-          ma.tuples_scanned != mb.tuples_scanned ||
-          ma.tuples_matched != mb.tuples_matched ||
-          ma.buffer_hits != mb.buffer_hits ||
-          ma.buffer_misses != mb.buffer_misses || ma.cpu != mb.cpu ||
-          ma.io_stall != mb.io_stall ||
-          ma.throttle_wait != mb.throttle_wait ||
-          ma.overhead != mb.overhead) {
-        return Diff(first_diff, At("query.metrics", s, q));
+      if (const char* metric = counters::FirstDiff(
+              exec::kScanMetricsCounters, qa.metrics, qb.metrics)) {
+        return Diff(first_diff, At(metric, s, q));
       }
       if (!OutputIdentical(qa.output, qb.output, At("query", s, q),
                            first_diff)) {

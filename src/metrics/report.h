@@ -33,8 +33,11 @@ CpuBreakdown ComputeCpuBreakdown(const exec::RunResult& run);
 /// matching by bit pattern, not by epsilon. This is the determinism
 /// contract of the parallel harness — a run executed on a worker thread
 /// must be indistinguishable from the same run executed sequentially.
-/// On mismatch, if `first_diff` is non-null it receives a short
-/// human-readable description of the first differing field.
+/// On mismatch, if `first_diff` is non-null it receives the first
+/// differing field: a counter's registry name ("io.submitted"), a query
+/// counter with its stream and query index ("query.cpu_us[0.1]"), or the
+/// path of any other field. Counters are compared through their structs'
+/// field lists (common/counters.h).
 bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
                   std::string* first_diff = nullptr);
 

@@ -10,7 +10,9 @@
 // Readers are callbacks, not stored values: registration is free of
 // copies, a Collect() always sees current counters, and the structs the
 // existing tests assert on stay exactly where they are. Names are
-// dot-scoped by convention ("buffer.hits", "ssm.throttle_events").
+// dot-scoped ("buffer.hits", "ssm.throttle_events"); a stats struct's
+// names come from its one field list (common/counters.h), registered with
+// RegisterCounters.
 
 #pragma once
 
@@ -45,6 +47,18 @@ class MetricsRegistry {
 
   /// Registers a point-in-time gauge (same replacement semantics).
   void RegisterGauge(std::string name, GaugeReader read);
+
+  /// Registers one counter per entry of `fields` (a counters::Field list,
+  /// common/counters.h) under the entry's name, read from `*stats`, in
+  /// list order. `stats` is captured by pointer and must outlive the
+  /// registry.
+  template <typename List, typename S>
+  void RegisterCounters(const List& fields, const S* stats) {
+    for (const auto& f : fields) {
+      RegisterCounter(f.name,
+                      [stats, member = f.member] { return stats->*member; });
+    }
+  }
 
   /// Samples every registered metric, in first-registration order.
   std::vector<MetricSample> Collect() const;

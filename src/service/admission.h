@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 
 namespace scanshare::service {
@@ -68,6 +69,22 @@ struct AdmissionStats {
   uint64_t max_queue_depth = 0;     ///< High-water queue depth.
   uint64_t max_running = 0;         ///< High-water running count.
 };
+
+/// AdmissionStats' counters in registry order (common/counters.h).
+inline constexpr counters::Field<AdmissionStats> kAdmissionStatsCounters[] = {
+    {"service.arrived", &AdmissionStats::arrived},
+    {"service.admitted", &AdmissionStats::admitted},
+    {"service.queued", &AdmissionStats::queued},
+    {"service.shed", &AdmissionStats::shed},
+    {"service.shed_global_cap", &AdmissionStats::shed_global_cap},
+    {"service.shed_table_cap", &AdmissionStats::shed_table_cap},
+    {"service.admitted_from_queue", &AdmissionStats::admitted_from_queue},
+    {"service.released", &AdmissionStats::released},
+    {"service.max_queue_depth", &AdmissionStats::max_queue_depth},
+    {"service.max_running", &AdmissionStats::max_running},
+};
+static_assert(counters::Covers(kAdmissionStatsCounters,
+                               sizeof(AdmissionStats)));
 
 /// One admission decision.
 struct AdmissionDecision {

@@ -12,21 +12,13 @@ void RegisterServiceMetrics(const ServiceResult* result,
                             [value] { return static_cast<double>(*value); });
   };
 
-  field("service.arrived", &result->admission.arrived);
-  field("service.admitted", &result->admission.admitted);
-  field("service.queued", &result->admission.queued);
-  field("service.shed", &result->admission.shed);
-  field("service.shed_global_cap", &result->admission.shed_global_cap);
-  field("service.shed_table_cap", &result->admission.shed_table_cap);
-  field("service.admitted_from_queue", &result->admission.admitted_from_queue);
-  field("service.released", &result->admission.released);
-  field("service.max_queue_depth", &result->admission.max_queue_depth);
-  field("service.max_running", &result->admission.max_running);
+  registry->RegisterCounters(kAdmissionStatsCounters, &result->admission);
   field("service.completed", &result->sojourn.count);
   field("service.steps", &result->steps);
   field("service.makespan_us", &result->makespan);
 
-  io::RegisterIoMetrics(&result->io, &result->real_io, registry);
+  registry->RegisterCounters(io::kIoPipelineStatsCounters, &result->io);
+  registry->RegisterCounters(io::kRealIoStatsCounters, &result->real_io);
 
   micros("service.sojourn_p50_us", &result->sojourn.p50);
   micros("service.sojourn_p99_us", &result->sojourn.p99);

@@ -10,7 +10,7 @@
 //   service.completed, service.steps, service.makespan_us   (counters)
 //   service.sojourn_p50_us / _p99_us / _p999_us / _max_us / _mean_us,
 //   service.queue_wait_p50_us / _p99_us / _p999_us          (gauges)
-//   io.*, real_io.*   (push pipeline and file backend; io::RegisterIoMetrics)
+//   io.*, real_io.*   (push pipeline and file backend)
 //
 // Readers capture the ServiceResult by pointer: it must outlive the
 // registry (both are usually stack locals of the same scope).

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 
+#include "common/counters.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "obs/trace.h"
@@ -62,21 +63,18 @@ struct DiskStats {
   uint64_t seeks = 0;           ///< Requests that required repositioning.
   Micros busy_micros = 0;       ///< Total time the device was transferring/seeking.
   Micros queue_wait_micros = 0; ///< Total time requests waited behind the device.
-
-  /// Pointwise counter difference (this - earlier snapshot). The executor
-  /// uses it to attribute one scheduling step's physical I/O — one extent's
-  /// worth — to a time bucket in a single batched update.
-  DiskStats Since(const DiskStats& earlier) const {
-    DiskStats d;
-    d.requests = requests - earlier.requests;
-    d.pages_read = pages_read - earlier.pages_read;
-    d.bytes_read = bytes_read - earlier.bytes_read;
-    d.seeks = seeks - earlier.seeks;
-    d.busy_micros = busy_micros - earlier.busy_micros;
-    d.queue_wait_micros = queue_wait_micros - earlier.queue_wait_micros;
-    return d;
-  }
 };
+
+/// DiskStats' counters in registry order (common/counters.h).
+inline constexpr counters::Field<DiskStats> kDiskStatsCounters[] = {
+    {"disk.requests", &DiskStats::requests},
+    {"disk.pages_read", &DiskStats::pages_read},
+    {"disk.bytes_read", &DiskStats::bytes_read},
+    {"disk.seeks", &DiskStats::seeks},
+    {"disk.busy_us", &DiskStats::busy_micros},
+    {"disk.queue_wait_us", &DiskStats::queue_wait_micros},
+};
+static_assert(counters::Covers(kDiskStatsCounters, sizeof(DiskStats)));
 
 /// Fault-injection configuration for the simulated device (tests only).
 ///

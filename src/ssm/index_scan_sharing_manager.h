@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "buffer/replacer.h"
+#include "common/counters.h"
 #include "common/status.h"
 #include "sim/virtual_clock.h"
 #include "ssm/group_builder.h"
@@ -149,6 +150,19 @@ struct IsmStats {
   uint64_t anchor_merges = 0;
   uint64_t cap_suppressions = 0;
 };
+
+/// IsmStats' counters in registry order (common/counters.h).
+inline constexpr counters::Field<IsmStats> kIsmStatsCounters[] = {
+    {"ism.scans_started", &IsmStats::scans_started},
+    {"ism.scans_joined", &IsmStats::scans_joined},
+    {"ism.scans_ended", &IsmStats::scans_ended},
+    {"ism.updates", &IsmStats::updates},
+    {"ism.throttle_events", &IsmStats::throttle_events},
+    {"ism.total_wait_us", &IsmStats::total_wait},
+    {"ism.anchor_merges", &IsmStats::anchor_merges},
+    {"ism.cap_suppressions", &IsmStats::cap_suppressions},
+};
+static_assert(counters::Covers(kIsmStatsCounters, sizeof(IsmStats)));
 
 /// Central registry + policies for shared block-index scans.
 class IndexScanSharingManager {

@@ -118,10 +118,8 @@ StatusOr<StartInfo> ScanSharingManager::StartScan(const ScanDescriptor& desc,
       Regroup(&table, now);
     }
 
-    stats_.scans_started.fetch_add(1, std::memory_order_relaxed);
-    if (placement.joined_scan != kInvalidScanId) {
-      stats_.scans_joined.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++table.stats.scans_started;
+    if (placement.joined_scan != kInvalidScanId) ++table.stats.scans_joined;
 
     info.id = id;
     info.start_page = placement.start_page;
@@ -156,7 +154,7 @@ void ScanSharingManager::Regroup(TableState* table, sim::Micros now) {
   if (table->active.empty() || !table->circle.has_value()) return;
   SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kRegroup, now, table->id,
                         table->grouping->groups.size(), table->active.size());
-  stats_.regroups.fetch_add(1, std::memory_order_relaxed);
+  ++table->stats.regroups;
 }
 
 void ScanSharingManager::InsertScanIncremental(TableState* table, ScanId id) {
@@ -261,7 +259,7 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
   scan.position = position;
   scan.pages_processed = pages_processed;
   sharing_policy_->OnLocationUpdate(scan);
-  stats_.updates.fetch_add(1, std::memory_order_relaxed);
+  ++table.stats.updates;
 
   if (++table.updates_since_regroup >=
       options_.EffectiveRegroupInterval(table.active.size())) {
@@ -317,15 +315,15 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
         &scan.accumulated_wait, &scan.throttling_exhausted);
     result.gap_pages = decision.gap_pages;
     if (decision.wait > 0) {
-      stats_.throttle_events.fetch_add(1, std::memory_order_relaxed);
-      stats_.total_wait.fetch_add(decision.wait, std::memory_order_relaxed);
+      ++table.stats.throttle_events;
+      table.stats.total_wait += decision.wait;
       result.wait = decision.wait;
       SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kThrottleInsert, now, id,
                             decision.wait, decision.gap_pages,
                             /*dur=*/decision.wait);
     }
     if (decision.capped) {
-      stats_.cap_suppressions.fetch_add(1, std::memory_order_relaxed);
+      ++table.stats.cap_suppressions;
       SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kCapSuppress, now, id,
                             decision.gap_pages);
     }
@@ -362,8 +360,8 @@ Status ScanSharingManager::EndScan(ScanId id, sim::Micros now) {
       scans_.erase(it);
       Regroup(&table, now);
     }
+    ++table.stats.scans_ended;
   }
-  stats_.scans_ended.fetch_add(1, std::memory_order_relaxed);
   SCANSHARE_AUDIT_OK(CheckInvariantsLocked());
   return Status::OK();
 }
@@ -598,16 +596,15 @@ size_t ScanSharingManager::ActiveScanCount() const {
 }
 
 SsmStats ScanSharingManager::stats() const {
-  SsmStats s;
-  s.scans_started = stats_.scans_started.load(std::memory_order_relaxed);
-  s.scans_joined = stats_.scans_joined.load(std::memory_order_relaxed);
-  s.scans_ended = stats_.scans_ended.load(std::memory_order_relaxed);
-  s.updates = stats_.updates.load(std::memory_order_relaxed);
-  s.regroups = stats_.regroups.load(std::memory_order_relaxed);
-  s.throttle_events = stats_.throttle_events.load(std::memory_order_relaxed);
-  s.total_wait = stats_.total_wait.load(std::memory_order_relaxed);
-  s.cap_suppressions = stats_.cap_suppressions.load(std::memory_order_relaxed);
-  return s;
+  WriterLock reg(registry_mu_);
+  SsmStats total;
+  for (const auto& [table_id, table] : tables_) {
+    // Uncontended (the exclusive registry lock quiesced all scanners);
+    // taken so the guarded counters are read with their capability held.
+    MutexLock tl(table.mu);
+    counters::Add(kSsmStatsCounters, table.stats, &total);
+  }
+  return total;
 }
 
 void ScanSharingManager::SetTracer(obs::Tracer* tracer) {

@@ -25,7 +25,8 @@
 //     immutable Grouping aside and publishes it with one shared_ptr swap
 //     (epoch incremented), so a reader either sees the old complete
 //     grouping or the new complete grouping, never a half-built one.
-//   - counters are atomics; stats() returns a consistent-enough snapshot.
+//   - each table's counters live in its TableState under the table latch;
+//     stats() sums them under the exclusive registry lock, an exact cut.
 // The single-threaded simulator path takes the same locks uncontended and
 // is behaviourally unchanged (verified by the trace goldens).
 //
@@ -34,7 +35,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -45,6 +45,7 @@
 #include "buffer/page_policy.h"
 #include "buffer/replacer.h"
 #include "common/audit.h"
+#include "common/counters.h"
 #include "common/lock_order.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -94,6 +95,19 @@ struct SsmStats {
   /// the two never count the same update.
   uint64_t cap_suppressions = 0;
 };
+
+/// SsmStats' counters in registry order (common/counters.h).
+inline constexpr counters::Field<SsmStats> kSsmStatsCounters[] = {
+    {"ssm.scans_started", &SsmStats::scans_started},
+    {"ssm.scans_joined", &SsmStats::scans_joined},
+    {"ssm.scans_ended", &SsmStats::scans_ended},
+    {"ssm.updates", &SsmStats::updates},
+    {"ssm.regroups", &SsmStats::regroups},
+    {"ssm.throttle_events", &SsmStats::throttle_events},
+    {"ssm.total_wait_us", &SsmStats::total_wait},
+    {"ssm.cap_suppressions", &SsmStats::cap_suppressions},
+};
+static_assert(counters::Covers(kSsmStatsCounters, sizeof(SsmStats)));
 
 /// One group's read frontier as the push I/O pipeline consumes it
 /// (io::Prefetcher::Pump): enough to aim a window of extent reads ahead of
@@ -188,9 +202,9 @@ class ScanSharingManager {
   std::vector<GroupFrontier> GroupFrontiers() const
       SCANSHARE_EXCLUDES(registry_mu_);
   size_t ActiveScanCount() const SCANSHARE_EXCLUDES(registry_mu_);
-  /// Counter snapshot. By value: the counters are atomics and callers keep
-  /// copies across run boundaries anyway.
-  SsmStats stats() const;
+  /// Counters summed over every table. Takes the registry lock
+  /// exclusively, so no update is in flight and the sum is an exact cut.
+  SsmStats stats() const SCANSHARE_EXCLUDES(registry_mu_);
   const SsmOptions& options() const { return options_; }
   /// The policies in force (for reports and the parity tests).
   const SharingPolicy& sharing_policy() const { return *sharing_policy_; }
@@ -229,18 +243,8 @@ class ScanSharingManager {
     std::shared_ptr<const Grouping> grouping SCANSHARE_GUARDED_BY(mu) =
         std::make_shared<const Grouping>();
     uint32_t updates_since_regroup SCANSHARE_GUARDED_BY(mu) = 0;
-  };
-
-  /// Internal counters; mirrors SsmStats field-for-field.
-  struct AtomicStats {
-    std::atomic<uint64_t> scans_started{0};
-    std::atomic<uint64_t> scans_joined{0};
-    std::atomic<uint64_t> scans_ended{0};
-    std::atomic<uint64_t> updates{0};
-    std::atomic<uint64_t> regroups{0};
-    std::atomic<uint64_t> throttle_events{0};
-    std::atomic<uint64_t> total_wait{0};
-    std::atomic<uint64_t> cap_suppressions{0};
+    /// This table's share of the manager's counters.
+    SsmStats stats SCANSHARE_GUARDED_BY(mu);
   };
 
   /// Recomputes groups for one table from current scan positions and
@@ -313,7 +317,6 @@ class ScanSharingManager {
   std::unordered_map<ScanId, ScanState> scans_
       SCANSHARE_GUARDED_BY(registry_mu_);
   std::map<uint32_t, TableState> tables_ SCANSHARE_GUARDED_BY(registry_mu_);
-  AtomicStats stats_;
   /// Borrowed; wired per run by the engine (written under the exclusive
   /// registry lock, read under at least a shared one on every emit path).
   obs::Tracer* tracer_ SCANSHARE_GUARDED_BY(registry_mu_) = nullptr;

@@ -158,10 +158,9 @@ TEST(FileIoBackendTest, VirtualChargeIsBackendIndependent) {
   ASSERT_TRUE(opened.ok());
   const sim::DiskStats file_stats = run_charges(opened.value().get());
 
-  EXPECT_EQ(sim_stats.requests, file_stats.requests);
-  EXPECT_EQ(sim_stats.pages_read, file_stats.pages_read);
-  EXPECT_EQ(sim_stats.seeks, file_stats.seeks);
-  EXPECT_EQ(sim_stats.busy_micros, file_stats.busy_micros);
+  for (const auto& f : sim::kDiskStatsCounters) {
+    EXPECT_EQ(sim_stats.*f.member, file_stats.*f.member) << f.name;
+  }
 }
 
 TEST(FileIoBackendTest, ChargeFaultParityWithSim) {

@@ -60,7 +60,7 @@ TEST(BitIdenticalTest, PushPipelineCounterDivergenceIsSeen) {
   EXPECT_TRUE(BitIdentical(a, b, &diff)) << diff;
   b.io.submitted = 1;
   EXPECT_FALSE(BitIdentical(a, b, &diff));
-  EXPECT_EQ(diff, "io");
+  EXPECT_EQ(diff, "io.submitted");
 }
 
 TEST(BitIdenticalTest, StepCountDivergenceIsSeen) {

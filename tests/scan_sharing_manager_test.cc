@@ -266,6 +266,41 @@ TEST(SsmTest, StatsCountCalls) {
   EXPECT_EQ(ssm.stats().scans_ended, 1u);
 }
 
+TEST(SsmTest, StatsSumAcrossTables) {
+  // The same scan lives on tables 1 and 2, once in one manager and once in
+  // a manager per table: the shared manager's counters are the per-table
+  // sums.
+  const auto drive = [](ScanSharingManager* ssm, uint32_t table) {
+    auto a = ssm->StartScan(Desc(table), 0);
+    auto b = ssm->StartScan(Desc(table), 0);  // Joins A at page 0.
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(b->joined_scan, a->id);
+    // B crawls, A sprints 100 pages ahead and is throttled.
+    ASSERT_TRUE(ssm->UpdateLocation(b->id, 10, 10, sim::Seconds(1)).ok());
+    ASSERT_TRUE(ssm->UpdateLocation(a->id, 110, 110, sim::Seconds(1)).ok());
+    ASSERT_TRUE(ssm->EndScan(a->id, sim::Seconds(2)).ok());
+    ASSERT_TRUE(ssm->EndScan(b->id, sim::Seconds(2)).ok());
+  };
+  ScanSharingManager both(TestOptions());
+  ScanSharingManager one(TestOptions());
+  ScanSharingManager two(TestOptions());
+  drive(&both, 1);
+  drive(&both, 2);
+  drive(&one, 1);
+  drive(&two, 2);
+
+  SsmStats sum = one.stats();
+  counters::Add(kSsmStatsCounters, two.stats(), &sum);
+  const SsmStats total = both.stats();
+  for (const auto& f : kSsmStatsCounters) {
+    EXPECT_EQ(total.*f.member, sum.*f.member) << f.name;
+  }
+  EXPECT_EQ(total.scans_started, 4u);
+  EXPECT_EQ(total.scans_joined, 2u);
+  EXPECT_EQ(total.scans_ended, 4u);
+  EXPECT_EQ(total.throttle_events, 2u);
+}
+
 TEST(SsmTest, RegroupIntervalHonoured) {
   SsmOptions o = TestOptions();
   o.regroup_interval_updates = 4;
