@@ -1,5 +1,7 @@
 #include "service/service_metrics.h"
 
+#include "metrics/metrics_export.h"
+
 namespace scanshare::service {
 
 void RegisterServiceMetrics(const ServiceResult* result,
@@ -17,8 +19,7 @@ void RegisterServiceMetrics(const ServiceResult* result,
   field("service.steps", &result->steps);
   field("service.makespan_us", &result->makespan);
 
-  registry->RegisterCounters(io::kIoPipelineStatsCounters, &result->io);
-  registry->RegisterCounters(io::kRealIoStatsCounters, &result->real_io);
+  metrics::RegisterEngineMetrics(result, registry);
 
   micros("service.sojourn_p50_us", &result->sojourn.p50);
   micros("service.sojourn_p99_us", &result->sojourn.p99);

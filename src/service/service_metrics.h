@@ -8,9 +8,10 @@
 //   service.admitted_from_queue, service.released,
 //   service.max_queue_depth, service.max_running,
 //   service.completed, service.steps, service.makespan_us   (counters)
+//   disk.*, buffer.*, ssm.*, ism.*, io.*, real_io.*   (engine counters,
+//                                                      as in the run registry)
 //   service.sojourn_p50_us / _p99_us / _p999_us / _max_us / _mean_us,
 //   service.queue_wait_p50_us / _p99_us / _p999_us          (gauges)
-//   io.*, real_io.*   (push pipeline and file backend)
 //
 // Readers capture the ServiceResult by pointer: it must outlive the
 // registry (both are usually stack locals of the same scope).
@@ -23,7 +24,8 @@
 namespace scanshare::service {
 
 /// Registers every admission counter and latency quantile of `result` on
-/// `registry` under the "service." namespace.
+/// `registry` under the "service." namespace, and its engine counters
+/// through metrics::RegisterEngineMetrics.
 void RegisterServiceMetrics(const ServiceResult* result,
                             obs::MetricsRegistry* registry);
 

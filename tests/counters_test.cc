@@ -114,12 +114,33 @@ TEST(CountersTest, EveryQueryCounterIsComparedByName) {
   }
 }
 
-TEST(CountersTest, EveryAdmissionCounterIsRegisteredByName) {
-  for (const auto& f : service::kAdmissionStatsCounters) {
+/// For every entry of `fields`: the service registry reads that counter of
+/// the result's `member` struct under the entry's name.
+template <typename List, typename S>
+void ExpectServiceCountersNamed(const List& fields,
+                                S service::ServiceResult::*member) {
+  for (const auto& f : fields) {
     service::ServiceResult r;
-    r.admission.*f.member = 7;
+    (r.*member).*f.member = 7;
     EXPECT_EQ(CounterNamed(service::CollectServiceMetrics(r), f.name), 7u);
   }
+}
+
+TEST(CountersTest, EveryServiceCounterIsRegisteredByName) {
+  ExpectServiceCountersNamed(service::kAdmissionStatsCounters,
+                             &service::ServiceResult::admission);
+  ExpectServiceCountersNamed(sim::kDiskStatsCounters,
+                             &service::ServiceResult::disk);
+  ExpectServiceCountersNamed(buffer::kBufferPoolStatsCounters,
+                             &service::ServiceResult::buffer);
+  ExpectServiceCountersNamed(ssm::kSsmStatsCounters,
+                             &service::ServiceResult::ssm);
+  ExpectServiceCountersNamed(ssm::kIsmStatsCounters,
+                             &service::ServiceResult::ism);
+  ExpectServiceCountersNamed(io::kIoPipelineStatsCounters,
+                             &service::ServiceResult::io);
+  ExpectServiceCountersNamed(io::kRealIoStatsCounters,
+                             &service::ServiceResult::real_io);
 }
 
 TEST(CountersTest, AddSumsEveryListedCounter) {
