@@ -123,8 +123,6 @@ std::string ArmToJson(const Arm& arm) {
       .Put("real_seeks", arm.result.real_io.seeks)
       .Put("real_direct_io",
            std::string(arm.result.real_io.direct_io ? "true" : "false"))
-      .Put("real_io_uring",
-           std::string(arm.result.real_io.io_uring ? "true" : "false"))
       .PutRaw("wall", WallToJson(arm.wall));
   return o.ToString();
 }
@@ -252,9 +250,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: file backend diverges from sim prediction\n");
     return 1;
   }
-  std::printf("backend: direct_io=%s io_uring=%s\n",
-              fr.real_io.direct_io ? "yes" : "no (buffered fallback)",
-              fr.real_io.io_uring ? "yes" : "no (pread worker pool)");
+  std::printf("backend: direct_io=%s\n",
+              fr.real_io.direct_io ? "yes" : "no (buffered fallback)");
 
   PrintWall(sync_arm.wall);
   PrintWall(push_arm.wall);

@@ -105,10 +105,9 @@ StatusOr<std::unique_ptr<EngineInstance>> EngineInstance::Create(
   if (config.io.prefetch_depth > 0 ||
       config.io.backend == IoOptions::Backend::kFile) {
     if (config.io.backend == IoOptions::Backend::kFile) {
-      io::FileBackendOptions file_options;
-      file_options.path = config.io.file_path;
       SCANSHARE_ASSIGN_OR_RETURN(
-          e.io_backend_, io::FileIoBackend::Open(db->disk_manager(), file_options));
+          e.io_backend_,
+          io::FileIoBackend::Open(db->disk_manager(), config.io.file_path));
     } else {
       e.io_backend_ = std::make_unique<io::SimIoBackend>(db->disk_manager());
     }

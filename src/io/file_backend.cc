@@ -4,14 +4,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
-
-#ifdef SCANSHARE_HAVE_LIBURING
-#include <liburing.h>
-#endif
 
 namespace scanshare::io {
 
@@ -28,38 +23,25 @@ std::string ErrnoMessage(const char* what, const std::string& path) {
 
 }  // namespace
 
-bool FileIoBackend::HaveIoUring() {
-#ifdef SCANSHARE_HAVE_LIBURING
-  return true;
-#else
-  return false;
-#endif
-}
-
 StatusOr<std::unique_ptr<FileIoBackend>> FileIoBackend::Open(
-    storage::DiskManager* disk, FileBackendOptions options) {
+    storage::DiskManager* disk, std::string path) {
   if (disk == nullptr) {
     return Status::InvalidArgument("FileIoBackend: null disk manager");
   }
-  bool direct = false;
-  int fd = -1;
-  if (options.direct_io) {
-    fd = ::open(options.path.c_str(), O_RDONLY | O_DIRECT | O_CLOEXEC);
-    direct = fd >= 0;
-  }
+  int fd = ::open(path.c_str(), O_RDONLY | O_DIRECT | O_CLOEXEC);
+  const bool direct = fd >= 0;
   if (fd < 0) {
     // tmpfs (and some other filesystems) refuse O_DIRECT with EINVAL;
     // buffered reads are the documented fallback, recorded in RealIoStats.
-    fd = ::open(options.path.c_str(), O_RDONLY | O_CLOEXEC);
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   }
   if (fd < 0) {
-    return Status::NotFound(ErrnoMessage("FileIoBackend: cannot open",
-                                         options.path));
+    return Status::NotFound(ErrnoMessage("FileIoBackend: cannot open", path));
   }
   struct stat st{};
   if (::fstat(fd, &st) != 0) {
     const Status err =
-        Status::Internal(ErrnoMessage("FileIoBackend: fstat", options.path));
+        Status::Internal(ErrnoMessage("FileIoBackend: fstat", path));
     ::close(fd);
     return err;
   }
@@ -68,32 +50,23 @@ StatusOr<std::unique_ptr<FileIoBackend>> FileIoBackend::Open(
   if (st.st_size < 0 || static_cast<uint64_t>(st.st_size) < needed) {
     ::close(fd);
     return Status::InvalidArgument(
-        "FileIoBackend: '" + options.path + "' smaller than the page store (" +
+        "FileIoBackend: '" + path + "' smaller than the page store (" +
         std::to_string(st.st_size) + " < " + std::to_string(needed) +
         " bytes); run WriteTableFile first");
   }
   return std::unique_ptr<FileIoBackend>(
-      new FileIoBackend(disk, std::move(options), fd, direct));
+      new FileIoBackend(disk, std::move(path), fd, direct));
 }
 
-FileIoBackend::FileIoBackend(storage::DiskManager* disk,
-                             FileBackendOptions options, int fd, bool direct)
-    : disk_(disk), options_(std::move(options)), fd_(fd), direct_(direct) {
-  use_ring_ = HaveIoUring() && options_.io_uring;
+FileIoBackend::FileIoBackend(storage::DiskManager* disk, std::string path,
+                             int fd, bool direct)
+    : disk_(disk), path_(std::move(path)), fd_(fd) {
   {
     MutexLock lock(mu_);
-    real_.direct_io = direct_;
-    real_.io_uring = use_ring_;
+    real_.direct_io = direct;
   }
-#ifdef SCANSHARE_HAVE_LIBURING
-  if (use_ring_) {
-    workers_.emplace_back([this] { RingLoop(); });
-    return;
-  }
-#endif
-  const size_t count = std::max<size_t>(1, options_.workers);
-  workers_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
+  workers_.reserve(kWorkers);
+  for (size_t i = 0; i < kWorkers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -159,8 +132,7 @@ Status FileIoBackend::ReadJob(const Job& job) const {
                 static_cast<off_t>(job.offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Internal(ErrnoMessage("FileIoBackend: pread",
-                                           options_.path));
+      return Status::Internal(ErrnoMessage("FileIoBackend: pread", path_));
     }
     if (n == 0) {
       return Status::OutOfRange("FileIoBackend: unexpected EOF at offset " +
@@ -191,69 +163,6 @@ void FileIoBackend::WorkerLoop() {
     job_done_.notify_all();
   }
 }
-
-#ifdef SCANSHARE_HAVE_LIBURING
-void FileIoBackend::RingLoop() {
-  constexpr unsigned kRingDepth = 32;
-  struct io_uring ring;
-  if (io_uring_queue_init(kRingDepth, &ring, 0) != 0) {
-    // Kernel without io_uring support: fall back to the portable loop on
-    // this same thread (jobs still drain; only the mechanism changes).
-    WorkerLoop();
-    return;
-  }
-  for (;;) {
-    std::vector<Job> batch;
-    {
-      MutexLock lock(mu_);
-      while (!stop_ && queue_.empty()) job_ready_.wait(mu_);
-      if (queue_.empty()) break;
-      while (!queue_.empty() && batch.size() < kRingDepth) {
-        batch.push_back(queue_.front());
-        queue_.pop_front();
-      }
-    }
-    for (const Job& job : batch) {
-      struct io_uring_sqe* sqe = io_uring_get_sqe(&ring);
-      io_uring_prep_read(sqe, fd_, job.dest,
-                         static_cast<unsigned>(job.length),
-                         job.offset);
-      io_uring_sqe_set_data64(sqe, job.token);
-    }
-    io_uring_submit(&ring);
-    for (size_t reaped = 0; reaped < batch.size(); ++reaped) {
-      struct io_uring_cqe* cqe = nullptr;
-      if (io_uring_wait_cqe(&ring, &cqe) != 0) continue;
-      const ReadToken token = io_uring_cqe_get_data64(cqe);
-      Status result = Status::OK();
-      // Short reads are legal for io_uring; finish the tail with the
-      // portable path rather than resubmitting.
-      const Job* job = nullptr;
-      for (const Job& j : batch) {
-        if (j.token == token) { job = &j; break; }
-      }
-      if (cqe->res < 0) {
-        result = Status::Internal("FileIoBackend: io_uring read failed: " +
-                                  std::string(std::strerror(-cqe->res)));
-      } else if (job != nullptr &&
-                 static_cast<size_t>(cqe->res) < job->length) {
-        Job tail = *job;
-        tail.offset += static_cast<uint64_t>(cqe->res);
-        tail.dest += cqe->res;
-        tail.length -= static_cast<size_t>(cqe->res);
-        result = ReadJob(tail);
-      }
-      io_uring_cqe_seen(&ring, cqe);
-      {
-        MutexLock lock(mu_);
-        done_.emplace(token, std::move(result));
-      }
-      job_done_.notify_all();
-    }
-  }
-  io_uring_queue_exit(&ring);
-}
-#endif  // SCANSHARE_HAVE_LIBURING
 
 Status FileIoBackend::WriteTableFile(const storage::DiskManager& disk,
                                      const std::string& path) {

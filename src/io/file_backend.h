@@ -7,13 +7,9 @@
 // where bytes move), so a push-file run reports the same deterministic
 // counters as a push-sim run plus the RealIoStats measured here.
 //
-// Byte movement: StartBytes enqueues a job; a small worker pool drains the
-// queue with positional reads into the caller's aligned buffer; Join
-// blocks on the job's completion. When the build found liburing
-// (SCANSHARE_HAVE_LIBURING, probed by src/io/CMakeLists.txt) a single
-// ring thread batches submissions through io_uring instead; the worker
-// pool is the portable fallback and the only path exercised where the
-// library is absent.
+// Byte movement: StartBytes enqueues a job; a pool of kWorkers threads
+// drains the queue with positional reads into the caller's aligned
+// buffer; Join blocks on the job's completion.
 //
 // The file is opened O_DIRECT when the filesystem supports it (tmpfs does
 // not — Open falls back to buffered reads and records it in RealIoStats),
@@ -46,39 +42,23 @@
 
 namespace scanshare::io {
 
-/// Construction knobs for the real-file backend.
-struct FileBackendOptions {
-  /// Flat table-image file (see FileIoBackend::WriteTableFile).
-  std::string path;
-  /// pread worker threads (ignored by the io_uring path, which uses one
-  /// ring thread). Clamped to at least one.
-  size_t workers = 2;
-  /// Try O_DIRECT first; buffered fallback happens automatically when the
-  /// filesystem refuses (EINVAL). False skips the attempt entirely.
-  bool direct_io = true;
-  /// Use io_uring when compiled in (no effect otherwise).
-  bool io_uring = true;
-};
-
 /// IoBackend over a real file. Thread-safe per the IoBackend contract;
 /// Join blocks the calling thread until the worker finished the pread.
 class FileIoBackend final : public IoBackend {
  public:
-  /// Opens `options.path`, validates it covers every allocated page of
+  /// Opens the flat table image at `path` (O_DIRECT first, buffered when
+  /// the filesystem refuses), validates it covers every allocated page of
   /// `disk`, and spawns the byte-movement threads. The file must have been
   /// produced by WriteTableFile (or be at least num_pages * page_size
   /// bytes). Borrows `disk` for the backend's lifetime.
   [[nodiscard]] static StatusOr<std::unique_ptr<FileIoBackend>> Open(
-      storage::DiskManager* disk, FileBackendOptions options);
+      storage::DiskManager* disk, std::string path);
 
   /// Materializes every allocated page of `disk` into a flat file at
   /// `path` (page id * page_size = byte offset) — the bulk-load step of a
   /// file-backed run. Overwrites an existing file.
   [[nodiscard]] static Status WriteTableFile(const storage::DiskManager& disk,
                                              const std::string& path);
-
-  /// True when the build linked liburing (compile-time probe).
-  static bool HaveIoUring();
 
   /// Joins all workers; outstanding tokens must have been joined already.
   ~FileIoBackend() override;
@@ -112,23 +92,20 @@ class FileIoBackend final : public IoBackend {
     uint8_t* dest = nullptr;
   };
 
-  FileIoBackend(storage::DiskManager* disk, FileBackendOptions options,
-                int fd, bool direct);
+  /// pread worker threads.
+  static constexpr size_t kWorkers = 2;
+
+  FileIoBackend(storage::DiskManager* disk, std::string path, int fd,
+                bool direct);
 
   /// pread-pool worker: drains queue_, publishes into done_.
   void WorkerLoop();
   /// Full positional read of one job (short-read loop).
   [[nodiscard]] Status ReadJob(const Job& job) const;
-#ifdef SCANSHARE_HAVE_LIBURING
-  /// io_uring variant of WorkerLoop: one thread batching submissions.
-  void RingLoop();
-#endif
 
   storage::DiskManager* disk_;
-  FileBackendOptions options_;
+  std::string path_;
   int fd_ = -1;
-  bool direct_ = false;
-  bool use_ring_ = false;
 
   /// Job-queue latch: a leaf under the prefetcher mutex
   /// (common/lock_order.h kIoBackend) — workers take it alone, the

@@ -98,10 +98,7 @@ TEST(FileIoBackendTest, RoundTripAndSeekAccounting) {
   Status write = io::FileIoBackend::WriteTableFile(*db->disk_manager(), path);
   ASSERT_TRUE(write.ok()) << write.ToString();
 
-  io::FileBackendOptions options;
-  options.path = path;
-  options.workers = 2;
-  auto opened = io::FileIoBackend::Open(db->disk_manager(), options);
+  auto opened = io::FileIoBackend::Open(db->disk_manager(), path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   io::FileIoBackend* backend = opened.value().get();
   EXPECT_STREQ(backend->name(), "file");
@@ -127,9 +124,7 @@ TEST(FileIoBackendTest, OpenRejectsShortFile) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "not a table image";
   }
-  io::FileBackendOptions options;
-  options.path = path;
-  auto opened = io::FileIoBackend::Open(db->disk_manager(), options);
+  auto opened = io::FileIoBackend::Open(db->disk_manager(), path);
   EXPECT_FALSE(opened.ok());
 }
 
@@ -152,9 +147,7 @@ TEST(FileIoBackendTest, VirtualChargeIsBackendIndependent) {
   io::SimIoBackend sim_backend(db->disk_manager());
   const sim::DiskStats sim_stats = run_charges(&sim_backend);
 
-  io::FileBackendOptions options;
-  options.path = path;
-  auto opened = io::FileIoBackend::Open(db->disk_manager(), options);
+  auto opened = io::FileIoBackend::Open(db->disk_manager(), path);
   ASSERT_TRUE(opened.ok());
   const sim::DiskStats file_stats = run_charges(opened.value().get());
 
@@ -170,9 +163,7 @@ TEST(FileIoBackendTest, ChargeFaultParityWithSim) {
   auto db = MakeDb();
   const std::string path = TempPath("io_backend_fault.tbl");
   ASSERT_TRUE(io::FileIoBackend::WriteTableFile(*db->disk_manager(), path).ok());
-  io::FileBackendOptions options;
-  options.path = path;
-  auto opened = io::FileIoBackend::Open(db->disk_manager(), options);
+  auto opened = io::FileIoBackend::Open(db->disk_manager(), path);
   ASSERT_TRUE(opened.ok());
 
   sim::DiskFaultOptions faults;
