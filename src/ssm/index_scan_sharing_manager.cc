@@ -49,7 +49,7 @@ StatusOr<IndexStartInfo> IndexScanSharingManager::StartIndexScan(
   // candidate set): among ongoing scans whose current location falls in
   // the new scan's key range, pick the one with the best expected-sharing
   // score; with nobody active, harvest the last finished scan's location.
-  const bool smart = options_.enabled && options_.enable_smart_placement;
+  const bool smart = options_.enable_smart_placement;
   const IndexScanState* best = nullptr;
   double best_score = 0.0;
   if (smart) {
@@ -189,17 +189,15 @@ StatusOr<IndexUpdateResult> IndexScanSharingManager::UpdateIndexScan(
   // *at* the anchor location, so its distance from it is zero. (The
   // paper's text says "(A's offset)+(B's offset)", which we read as a
   // typo: the offset must measure distance from the new anchor.)
-  if (options_.enabled) {
-    for (const auto& [anchor_id, anchor] : anchors_) {
-      if (anchor_id == scan.anchor) continue;
-      if (anchor.index_id != scan.desc.index_id) continue;
-      if (anchor.location == location) {
-        scan.anchor = anchor_id;
-        scan.anchor_offset = 0;
-        result.anchor_merged = true;
-        ++stats_.anchor_merges;
-        break;
-      }
+  for (const auto& [anchor_id, anchor] : anchors_) {
+    if (anchor_id == scan.anchor) continue;
+    if (anchor.index_id != scan.desc.index_id) continue;
+    if (anchor.location == location) {
+      scan.anchor = anchor_id;
+      scan.anchor_offset = 0;
+      result.anchor_merged = true;
+      ++stats_.anchor_merges;
+      break;
     }
   }
 
@@ -220,7 +218,6 @@ StatusOr<IndexUpdateResult> IndexScanSharingManager::UpdateIndexScan(
   }
 
   Regroup(scan.desc.index_id);
-  if (!options_.enabled) return result;
 
   const ScanGroup* group = FindGroup(index, id);
   if (group == nullptr) return result;

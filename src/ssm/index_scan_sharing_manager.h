@@ -93,7 +93,6 @@ struct IndexScanState {
 
 /// ISM policy knobs (block-granular analogues of SsmOptions).
 struct IsmOptions {
-  bool enabled = true;
   bool enable_throttling = true;
   bool enable_priority_hints = true;
   bool enable_smart_placement = true;

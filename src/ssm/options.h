@@ -14,12 +14,6 @@ namespace scanshare::ssm {
 
 /// Tuning knobs for the Scan Sharing Manager.
 struct SsmOptions {
-  /// Master switch. When false the SSM degenerates to "start every scan at
-  /// its range begin, never throttle, never hint" while still doing its
-  /// bookkeeping — used to measure the infrastructure overhead (paper §8:
-  /// single-stream overhead < 1 %).
-  bool enabled = true;
-
   /// Enables leader throttling (paper §"speed control"). Ablation A1.
   bool enable_throttling = true;
 

@@ -80,17 +80,12 @@ StatusOr<StartInfo> ScanSharingManager::StartScan(const ScanDescriptor& desc,
         static_cast<double>(desc.estimated_pages) /
         (static_cast<double>(desc.estimated_duration) / 1e6);
 
-    Placement placement;
-    if (options_.enabled) {
-      std::vector<const ScanState*> active;
-      active.reserve(table.active.size());
-      for (ScanId sid : table.active) active.push_back(&scans_.at(sid));
-      placement = sharing_policy_->Place(desc, est_speed_pps, active,
-                                         scans_.size(), table.last_finished_pos,
-                                         *table.circle);
-    } else {
-      placement.start_page = desc.range_first;
-    }
+    std::vector<const ScanState*> active;
+    active.reserve(table.active.size());
+    for (ScanId sid : table.active) active.push_back(&scans_.at(sid));
+    const Placement placement =
+        sharing_policy_->Place(desc, est_speed_pps, active, scans_.size(),
+                               table.last_finished_pos, *table.circle);
 
     ScanState state;
     state.id = next_id_++;
@@ -267,11 +262,6 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
   }
 
   UpdateResult result;
-  if (!options_.enabled) {
-    SCANSHARE_AUDIT_OK(CheckTableInvariantsLocked(table));
-    return result;
-  }
-
   // Pin this update's grouping generation: a later regroup (ours or a
   // group-mate's on a future update) swaps the table's pointer but never
   // mutates this snapshot.
@@ -512,7 +502,6 @@ StatusOr<buffer::PagePriority> ScanSharingManager::AdvisePriority(ScanId id) con
     return Status::NotFound("AdvisePriority: unknown scan " +
                             std::to_string(id));
   }
-  if (!options_.enabled) return buffer::PagePriority::kNormal;
   const TableState& table = tables_.at(it->second.desc.table_id);
   MutexLock tl(table.mu);
   const std::shared_ptr<const Grouping> snapshot = table.grouping;

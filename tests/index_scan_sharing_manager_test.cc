@@ -309,20 +309,6 @@ TEST(IsmTest, SubMicrosecondBudgetResidueIsASuppression) {
   EXPECT_EQ(ism.stats().throttle_events, 1u);
 }
 
-TEST(IsmTest, DisabledManagerDoesNothingSmart) {
-  IsmOptions o = TestOptions();
-  o.enabled = false;
-  IndexScanSharingManager ism(o);
-  auto a = ism.StartIndexScan(Desc(), 0);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(
-      ism.UpdateIndexScan(a->id, IndexScanLocation{3, 0}, 30, sim::Seconds(1))
-          .ok());
-  auto b = ism.StartIndexScan(Desc(), sim::Seconds(1));
-  ASSERT_TRUE(b.ok());
-  EXPECT_FALSE(b->placed);
-}
-
 TEST(IsmTest, UpdateUnknownScanFails) {
   IndexScanSharingManager ism(TestOptions());
   EXPECT_EQ(ism.UpdateIndexScan(99, IndexScanLocation{0, 0}, 0, 0)

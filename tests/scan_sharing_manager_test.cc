@@ -234,26 +234,6 @@ TEST(SsmTest, ScansOnDifferentTablesNeverGroup) {
   EXPECT_EQ(ssm.GroupsForTable(2).size(), 1u);
 }
 
-TEST(SsmTest, DisabledManagerPlacesAtRangeBeginAndNeverThrottles) {
-  SsmOptions o = TestOptions();
-  o.enabled = false;
-  ScanSharingManager ssm(o);
-  auto a = ssm.StartScan(Desc(), 0);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(ssm.UpdateLocation(a->id, 512, 512, sim::Seconds(2)).ok());
-  auto b = ssm.StartScan(Desc(), sim::Seconds(2));
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b->start_page, 0u);
-  EXPECT_EQ(b->joined_scan, kInvalidScanId);
-
-  ASSERT_TRUE(ssm.UpdateLocation(b->id, 1, 1, sim::Seconds(2) + 1).ok());
-  auto u = ssm.UpdateLocation(a->id, 700, 700, sim::Seconds(3));
-  ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u->wait, 0u);
-  EXPECT_EQ(u->priority, PagePriority::kNormal);
-  EXPECT_EQ(*ssm.AdvisePriority(a->id), PagePriority::kNormal);
-}
-
 TEST(SsmTest, StatsCountCalls) {
   ScanSharingManager ssm(TestOptions());
   auto a = ssm.StartScan(Desc(), 0);
