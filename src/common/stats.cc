@@ -4,22 +4,6 @@
 
 namespace scanshare {
 
-double Histogram::ApproxQuantile(double q) const {
-  const uint64_t total = stat_.count();
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  double cum = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) {
-      if (i < bounds_.size()) return bounds_[i];
-      return stat_.max();
-    }
-  }
-  return stat_.max();
-}
-
 double TimeSeries::total() const {
   double sum = 0.0;
   for (double b : buckets_) sum += b;

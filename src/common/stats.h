@@ -1,93 +1,17 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// Lightweight statistics helpers shared by the metrics module, the disk
-// model, and the benchmark harnesses: streaming mean/variance, fixed-bucket
-// histograms, and time-bucketed counter series (the substrate for the
-// paper's "reads over time" / "seeks over time" figures).
+// Lightweight statistics helpers shared by the metrics module and the
+// benchmark harnesses: time-bucketed counter series (the substrate for the
+// paper's "reads over time" / "seeks over time" figures) and the report
+// formatters.
 
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace scanshare {
-
-/// Streaming mean / min / max / variance accumulator (Welford's algorithm).
-class RunningStat {
- public:
-  /// Folds one observation into the accumulator.
-  void Add(double x) {
-    ++n_;
-    if (n_ == 1) {
-      min_ = max_ = x;
-    } else {
-      min_ = std::min(min_, x);
-      max_ = std::max(max_, x);
-    }
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-  }
-
-  /// Number of observations folded in so far.
-  uint64_t count() const { return n_; }
-  /// Arithmetic mean; 0 when empty.
-  double mean() const { return mean_; }
-  /// Smallest observation; 0 when empty.
-  double min() const { return n_ ? min_ : 0.0; }
-  /// Largest observation; 0 when empty.
-  double max() const { return n_ ? max_ : 0.0; }
-  /// Population variance; 0 with fewer than two observations.
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_) : 0.0;
-  }
-  /// Population standard deviation.
-  double stddev() const { return std::sqrt(variance()); }
-  /// Sum of all observations.
-  double sum() const { return mean_ * static_cast<double>(n_); }
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Histogram over [0, +inf) with caller-supplied bucket upper bounds.
-class Histogram {
- public:
-  /// `upper_bounds` must be strictly increasing; an implicit overflow
-  /// bucket captures values above the last bound.
-  explicit Histogram(std::vector<double> upper_bounds)
-      : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {}
-
-  /// Adds one observation. Values <= bounds_[i] land in the first such
-  /// bucket i; values above every bound land in the overflow bucket.
-  void Add(double x) {
-    stat_.Add(x);
-    auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-    ++counts_[static_cast<size_t>(it - bounds_.begin())];
-  }
-
-  /// Count in bucket `i` (0..num_buckets()-1; the last is the overflow).
-  uint64_t bucket_count(size_t i) const { return counts_[i]; }
-  /// Number of buckets including the overflow bucket.
-  size_t num_buckets() const { return counts_.size(); }
-  /// Aggregate statistics over all observations.
-  const RunningStat& stat() const { return stat_; }
-
-  /// Approximate quantile (q in [0,1]) using bucket upper bounds.
-  double ApproxQuantile(double q) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<uint64_t> counts_;
-  RunningStat stat_;
-};
 
 /// A counter series bucketed by (virtual) time, e.g. "KB read per second".
 ///

@@ -90,16 +90,6 @@ struct RunResult {
   /// Real-file backend counters (pread/seek accounting against the table
   /// image). All-zero for the sim backend and for pull-mode runs.
   io::RealIoStats real_io;
-
-  /// Sums a ScanMetrics field over every query of every stream.
-  template <typename F>
-  uint64_t SumOverQueries(F field) const {
-    uint64_t total = 0;
-    for (const StreamRecord& s : streams) {
-      for (const QueryRecord& q : s.queries) total += field(q.metrics);
-    }
-    return total;
-  }
 };
 
 /// Execution mode: which scan operator (and implicitly which buffer

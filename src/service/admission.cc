@@ -5,14 +5,6 @@
 
 namespace scanshare::service {
 
-const char* ShedReasonName(ShedReason reason) {
-  switch (reason) {
-    case ShedReason::kGlobalCap: return "global_cap";
-    case ShedReason::kTableCap: return "table_cap";
-  }
-  return "unknown";
-}
-
 AdmissionController::AdmissionController(const AdmissionOptions& options)
     : options_(options) {
   // Degenerate caps would deadlock the service loop (nothing could ever

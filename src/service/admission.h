@@ -43,9 +43,6 @@ enum class ShedReason : uint8_t {
   kTableCap = 1,   ///< The job's per-table cap saturated.
 };
 
-/// Stable lower_snake name ("global_cap", "table_cap").
-const char* ShedReasonName(ShedReason reason);
-
 /// Admission-control knobs.
 struct AdmissionOptions {
   /// Concurrently running jobs across all tables (> 0).

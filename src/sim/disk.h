@@ -128,10 +128,6 @@ class Disk {
   /// Returns InvalidArgument if `page_count` is zero.
   [[nodiscard]] StatusOr<IoResult> Read(PageId first_page, uint64_t page_count, Micros now);
 
-  /// Position the head explicitly (used when formatting/loading tables
-  /// without charging read statistics).
-  void SetHeadPosition(PageId page) { head_ = page; }
-
   /// Page the head would read next at zero positioning cost.
   PageId head_position() const { return head_; }
 

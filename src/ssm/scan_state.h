@@ -104,13 +104,6 @@ struct ScanState {
                ? 0
                : desc.estimated_pages - pages_processed;
   }
-
-  /// Estimated time to finish at the current speed.
-  sim::Micros EstimatedRemainingTime() const {
-    if (speed_pps <= 0.0) return 0;
-    return static_cast<sim::Micros>(
-        static_cast<double>(remaining_pages()) / speed_pps * 1e6);
-  }
 };
 
 }  // namespace scanshare::ssm

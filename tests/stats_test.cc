@@ -5,73 +5,6 @@
 namespace scanshare {
 namespace {
 
-TEST(RunningStatTest, Empty) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatTest, SingleValue) {
-  RunningStat s;
-  s.Add(7.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 7.0);
-  EXPECT_DOUBLE_EQ(s.min(), 7.0);
-  EXPECT_DOUBLE_EQ(s.max(), 7.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatTest, KnownSeries) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.variance(), 4.0, 1e-12);  // Classic textbook example.
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-  EXPECT_NEAR(s.sum(), 40.0, 1e-9);
-}
-
-TEST(RunningStatTest, NegativeValues) {
-  RunningStat s;
-  s.Add(-3.0);
-  s.Add(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), -3.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.Add(0.5);    // bucket 0
-  h.Add(1.0);    // bucket 0 (<= bound)
-  h.Add(5.0);    // bucket 1
-  h.Add(50.0);   // bucket 2
-  h.Add(500.0);  // overflow
-  EXPECT_EQ(h.num_buckets(), 4u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-  EXPECT_EQ(h.stat().count(), 5u);
-}
-
-TEST(HistogramTest, ApproxQuantile) {
-  Histogram h({1.0, 2.0, 3.0, 4.0});
-  for (int i = 0; i < 100; ++i) h.Add(0.5);  // All in bucket 0.
-  EXPECT_DOUBLE_EQ(h.ApproxQuantile(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(h.ApproxQuantile(0.99), 1.0);
-}
-
-TEST(HistogramTest, QuantileEmptyIsZero) {
-  Histogram h({1.0});
-  EXPECT_DOUBLE_EQ(h.ApproxQuantile(0.5), 0.0);
-}
-
 TEST(TimeSeriesTest, AccumulatesIntoBuckets) {
   TimeSeries ts(1000);  // 1 ms buckets.
   ts.Add(0, 1.0);
