@@ -108,7 +108,7 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
   // only charged once the read succeeds, so a fetch that fails for lack of
   // frames (or an injected read fault) leaves the statistics and the
   // virtual disk exactly as it found them.
-  const uint64_t extent = std::max<uint64_t>(1, options_.prefetch_extent_pages);
+  const uint64_t extent = prefetch_extent_pages();
   sim::PageId first = page - (page % extent);
   sim::PageId end = first + extent;
   first = std::max(first, clip_first);

@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -206,8 +207,10 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
 
   /// Pool geometry.
   size_t num_frames() const { return options_.num_frames; }
+  /// Effective prefetch extent (>= 1): a configured 0 reads one page at
+  /// a time, the rule SsmOptions::EffectiveExtent states for the SSM.
   uint64_t prefetch_extent_pages() const override {
-    return options_.prefetch_extent_pages;
+    return std::max<uint64_t>(1, options_.prefetch_extent_pages);
   }
   /// Bytes per frame (mirrors the disk page size).
   uint32_t page_size() const override { return disk_->page_size(); }

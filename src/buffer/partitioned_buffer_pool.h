@@ -18,6 +18,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <mutex>  // std::unique_lock (deferred multi-latch hold in LockAll)
@@ -67,8 +68,9 @@ class PartitionedBufferPool final : public PageSource,
   [[nodiscard]] Status UnpinPage(sim::PageId page, PagePriority priority) override;
 
   uint32_t page_size() const override;
+  /// Effective prefetch extent (>= 1), as BufferPool::prefetch_extent_pages.
   uint64_t prefetch_extent_pages() const override {
-    return options_.pool.prefetch_extent_pages;
+    return std::max<uint64_t>(1, options_.pool.prefetch_extent_pages);
   }
 
   /// Effective partition count after clamping.
@@ -85,9 +87,7 @@ class PartitionedBufferPool final : public PageSource,
 
   /// Partition owning `page`.
   size_t PartitionOf(sim::PageId page) const {
-    const uint64_t extent =
-        options_.pool.prefetch_extent_pages > 0 ? options_.pool.prefetch_extent_pages : 1;
-    return static_cast<size_t>((page / extent) % pools_.size());
+    return static_cast<size_t>((page / prefetch_extent_pages()) % pools_.size());
   }
 
   /// Aggregated counters. Takes EVERY partition latch (in index order)
