@@ -8,8 +8,6 @@
 #include <cstring>
 
 #include "common/thread_pool.h"
-#include "metrics/metrics_export.h"
-#include "obs/export.h"
 
 namespace scanshare::bench {
 
@@ -144,22 +142,6 @@ exec::RunConfig MakeRunConfig(const exec::Database& db, const BenchConfig& confi
   return c;
 }
 
-void ExportTraceArtifacts(const BenchConfig& config,
-                          const exec::RunResult& shared) {
-  if (config.trace_path.empty() || shared.trace == nullptr) return;
-  const std::vector<obs::TraceEvent>& events = shared.trace->events();
-  WriteFileOrDie(config.trace_path, obs::ChromeTraceJson(events));
-  WriteFileOrDie(config.trace_path + ".scans.csv",
-                 obs::ScanTimelineCsv(events));
-  WriteFileOrDie(config.trace_path + ".metrics.json",
-                 obs::MetricsJson(metrics::CollectRunMetrics(shared)));
-  std::printf("trace: %zu events (%llu dropped) -> %s (+.scans.csv, "
-              "+.metrics.json)\n",
-              events.size(),
-              static_cast<unsigned long long>(shared.trace->dropped()),
-              config.trace_path.c_str());
-}
-
 size_t EffectiveJobs(const BenchConfig& config) {
   if (config.jobs > 0) return static_cast<size_t>(config.jobs);
   return ThreadPool::HardwareConcurrency();
@@ -210,26 +192,6 @@ std::vector<exec::RunResult> RunJobs(const BenchConfig& config,
     }
   }
   return results;
-}
-
-RunPair RunBoth(exec::Database* db, const BenchConfig& config,
-                const DatabaseFactory& factory,
-                const std::vector<exec::StreamSpec>& streams) {
-  std::vector<RunJob> jobs(2);
-  jobs[0].run = MakeRunConfig(*db, config, exec::ScanMode::kBaseline);
-  jobs[0].streams = streams;
-  jobs[1].run = MakeRunConfig(*db, config, exec::ScanMode::kShared);
-  jobs[1].streams = streams;
-  std::vector<exec::RunResult> results = RunJobs(config, factory, jobs);
-  RunPair pair{std::move(results[0]), std::move(results[1])};
-  ExportTraceArtifacts(config, pair.shared);
-  return pair;
-}
-
-RunPair RunBoth(exec::Database* db, const BenchConfig& config,
-                const std::vector<exec::StreamSpec>& streams) {
-  return RunBoth(db, config, [&config] { return BuildDatabase(config); },
-                 streams);
 }
 
 sim::Micros StaggerMicros(const BenchConfig& config) {

@@ -16,10 +16,10 @@
 //   --stagger-ms=N stagger between staggered streams     (default 10% scan)
 //   --csv=PATH     also dump series CSVs with this prefix
 //   --json=PATH    write machine-readable results as JSON
-//   --trace-out=PATH  capture a lifecycle event trace of the *shared* run
-//                  and write PATH (Chrome trace_event JSON, loadable in
-//                  Perfetto / chrome://tracing), PATH.scans.csv (per-scan
-//                  timeline) and PATH.metrics.json (unified metrics dump)
+//   --trace-out=PATH  capture a lifecycle event trace of every shared-mode
+//                  run (bench_paper writes PATH.<run label> as Chrome
+//                  trace_event JSON, loadable in Perfetto /
+//                  chrome://tracing, plus .scans.csv and .metrics.json)
 //   --warmup=N     wall-clock warmup repetitions          (default 1)
 //   --reps=N       wall-clock measured repetitions        (default 5, min 2)
 //   --jobs=N       worker threads for independent runs    (default: cores)
@@ -101,32 +101,6 @@ struct RunJob {
 std::vector<exec::RunResult> RunJobs(const BenchConfig& config,
                                      const DatabaseFactory& factory,
                                      const std::vector<RunJob>& jobs);
-
-/// Runs the workload under both modes (baseline first) and returns the
-/// pair. Aborts on failure.
-struct RunPair {
-  exec::RunResult base;
-  exec::RunResult shared;
-};
-
-/// Writes the shared run's event trace as `config.trace_path` (Chrome
-/// trace_event JSON), plus `.scans.csv` and `.metrics.json` siblings.
-/// No-op when `config.trace_path` is empty or the run carries no trace.
-/// Aborts on I/O error.
-void ExportTraceArtifacts(const BenchConfig& config,
-                          const exec::RunResult& shared);
-
-/// RunBoth over private databases from `factory` (via RunJobs, so the two
-/// engines run concurrently when jobs > 1). `db` is only used to size the
-/// buffer pool for the run configs.
-RunPair RunBoth(exec::Database* db, const BenchConfig& config,
-                const DatabaseFactory& factory,
-                const std::vector<exec::StreamSpec>& streams);
-
-/// Convenience overload for the standard lineitem database
-/// (factory = BuildDatabase(config)).
-RunPair RunBoth(exec::Database* db, const BenchConfig& config,
-                const std::vector<exec::StreamSpec>& streams);
 
 /// Stagger duration: the explicit flag, or 10 % of a single I/O-bound
 /// full-table scan at this scale.

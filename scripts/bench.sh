@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Rebuilds the Release tree and regenerates the checked-in bench artifacts
 # (BENCH_hotpath.json from bench_p1, BENCH_parallel.json from bench_p2,
-# BENCH_policies.json from bench_a9, BENCH_io.json from bench_a10,
+# BENCH_paper.json from bench_paper, BENCH_io.json from bench_a10,
 # BENCH_service.json from bench_a11), then
-# runs the SSM-overhead bench as a sanity check that the mechanism's
-# bookkeeping stays cheap.
+# runs the SSM-overhead experiment (bench_paper --exp=E8) as a sanity check
+# that the mechanism's bookkeeping stays cheap. BENCH_paper.json feeds
+# EXPERIMENTS.md's measured cells: re-render them with
+# scripts/paper_tables.py after a refresh. The paper_drift ctest compares it
+# with a default-scale run, so commit it only from a run without scale flags.
 #
 # Usage: scripts/bench.sh [--smoke] [extra bench flags...]
 #   e.g. scripts/bench.sh --pages=4096 --reps=7 --jobs=8
@@ -62,16 +65,16 @@ if [[ "$SMOKE" == "1" ]]; then
 fi
 
 cmake --build build -j "$(nproc)" --target bench_p1_hotpath bench_p2_parallel \
-  bench_a9_policy_matrix bench_a10_io bench_a11_service bench_e8_overhead
+  bench_paper bench_a10_io bench_a11_service
 
 run_bench ./build/bench/bench_p1_hotpath --json=BENCH_hotpath.json "$@"
 echo
 run_bench ./build/bench/bench_p2_parallel --json=BENCH_parallel.json "$@"
 echo
-run_bench ./build/bench/bench_a9_policy_matrix --json=BENCH_policies.json "$@"
+run_bench ./build/bench/bench_paper --json=BENCH_paper.json "$@"
 echo
 run_bench ./build/bench/bench_a10_io --json=BENCH_io.json "$@"
 echo
 run_bench ./build/bench/bench_a11_service --json=BENCH_service.json "$@"
 echo
-run_bench ./build/bench/bench_e8_overhead "$@"
+run_bench ./build/bench/bench_paper --exp=E8 "$@"

@@ -51,7 +51,7 @@ contracts, so this linter enforces them lexically:
              the engine hands them. They must not read any clock (not even
              the virtual one), use scanshare::Rng, or touch sim::Env —
              that is what keeps every PolicyKind replayable and the
-             bench_a9 policy A/B matrix seed-exact.
+             A9 policy A/B matrix of bench_paper seed-exact.
 
   trace      Tracing hooks stay compile-out-able: outside src/obs/, events
              are emitted through SCANSHARE_TRACE_EVENT(tracer, ...) — never
