@@ -1,215 +1,158 @@
 #include "ssm/group_builder.h"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <functional>
+#include <utility>
 
 namespace scanshare::ssm {
 
 namespace {
 
-/// Union-find over point indices, used to reject edges that would close the
-/// circle into one degenerate all-scan loop.
-class DisjointSet {
- public:
-  explicit DisjointSet(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
+/// True if every gap in `gaps` can be taken: at most `room` of them, with a
+/// sum within `budget`.
+bool FitsWhole(const std::vector<std::pair<uint64_t, size_t>>& gaps,
+               uint64_t budget, size_t room) {
+  if (gaps.size() > room) return false;
+  uint64_t sum = 0;
+  for (const auto& [gap, e] : gaps) {
+    if (gap > budget - sum) return false;
+    sum += gap;
   }
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  bool Union(size_t a, size_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a == b) return false;
-    parent_[a] = b;
-    return true;
-  }
-
- private:
-  std::vector<size_t> parent_;
-};
+  return true;
+}
 
 }  // namespace
 
-std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
-                                       const ScanCircle& circle,
-                                       uint64_t bufferpool_pages) {
+std::vector<ScanGroup> MergeAdjacentScans(const std::vector<ScanPoint>& points,
+                                          const std::vector<GroupEdge>& edges,
+                                          uint64_t budget) {
   std::vector<ScanGroup> groups;
   const size_t n = points.size();
   if (n == 0) return groups;
 
-  // Sort scans along the circle; ties by id for determinism.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (points[a].position != points[b].position) {
-      return points[a].position < points[b].position;
-    }
-    return points[a].id < points[b].id;
-  });
-
-  if (n == 1) {
-    ScanGroup g;
-    g.members = {points[order[0]].id};
-    g.trailer = g.leader = points[order[0]].id;
-    g.extent_pages = 0;
-    groups.push_back(std::move(g));
-    return groups;
-  }
-
-  // Adjacency edges along the circle: edge i connects sorted neighbours
-  // i -> (i+1) % n with the forward scan-order gap between them.
-  struct Edge {
-    size_t from;  // Index into `order`.
-    uint64_t gap;
-  };
-  std::vector<Edge> edges;
-  edges.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t j = (i + 1) % n;
-    edges.push_back(Edge{
-        i, circle.ForwardDistance(points[order[i]].position,
-                                  points[order[j]].position)});
-  }
-
-  // Fig. 14: consider pairs in ascending distance; merge while the summed
-  // extents stay within the buffer-pool budget. Ties break on the backmost
-  // scan's position, then its id, for determinism.
-  std::vector<size_t> edge_order(edges.size());
-  std::iota(edge_order.begin(), edge_order.end(), 0);
-  std::sort(edge_order.begin(), edge_order.end(), [&](size_t a, size_t b) {
-    if (edges[a].gap != edges[b].gap) return edges[a].gap < edges[b].gap;
-    const ScanPoint& pa = points[order[edges[a].from]];
-    const ScanPoint& pb = points[order[edges[b].from]];
-    if (pa.position != pb.position) return pa.position < pb.position;
-    return pa.id < pb.id;
-  });
-
-  DisjointSet dsu(n);
-  std::vector<bool> included(edges.size(), false);
+  // taken[i]: the edge out of point i joined it to its successor;
+  // out_gap[i] is that edge's gap.
+  std::vector<uint8_t> taken(n, 0);
+  std::vector<uint64_t> out_gap(n, 0);
+  const size_t cap = n - 1;
+  size_t count = 0;
   uint64_t extent_sum = 0;
-  for (size_t e : edge_order) {
-    const uint64_t gap = edges[e].gap;
-    if (extent_sum + gap > bufferpool_pages) break;
-    const size_t from = edges[e].from;
-    const size_t to = (from + 1) % n;
-    if (!dsu.Union(from, to)) continue;  // Would close the full circle.
-    included[e] = true;
-    extent_sum += gap;
+  const auto take = [&](const GroupEdge& edge) {
+    taken[edge.from] = 1;
+    out_gap[edge.from] = edge.gap;
+    extent_sum += edge.gap;
+    ++count;
+  };
+
+  // Zero gaps come first in (gap, list order) and cost nothing, so they
+  // are taken in list order. Positive gaps wider than the budget can never
+  // be taken; the rest are ranked by (gap, list position).
+  std::vector<std::pair<uint64_t, size_t>> positive;
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const GroupEdge& edge = edges[e];
+    if (edge.gap == 0) {
+      if (count == cap) break;
+      take(edge);
+    } else if (edge.gap <= budget) {
+      positive.emplace_back(edge.gap, e);
+    }
+  }
+  if (count < cap && FitsWhole(positive, budget, cap - count)) {
+    // All of them are taken, so their order does not matter.
+    for (const auto& [gap, e] : positive) take(edges[e]);
+  } else if (count < cap) {
+    // Only a prefix is taken: pop it off a min-heap instead of sorting.
+    const std::greater<> later;
+    std::make_heap(positive.begin(), positive.end(), later);
+    for (auto end = positive.end(); end != positive.begin() && count < cap;
+         --end) {
+      std::pop_heap(positive.begin(), end, later);
+      const auto [gap, e] = *(end - 1);
+      if (gap > budget - extent_sum) break;
+      take(edges[e]);
+    }
   }
 
-  // Chains of consecutive included edges become groups. Find arc starts:
-  // sorted positions whose incoming edge (from the predecessor) is absent.
-  std::vector<bool> visited(n, false);
+  // Chains of taken edges become groups: a chain starts at each point
+  // whose incoming edge (from its predecessor) was not taken. At most
+  // n - 1 edges were taken and they form no loop, so the n points fall
+  // into exactly n - count chains.
+  const auto next = [n](size_t i) { return i + 1 == n ? 0 : i + 1; };
+  groups.reserve(n - count);
   for (size_t s = 0; s < n; ++s) {
-    const size_t incoming = (s + n - 1) % n;
-    if (included[incoming]) continue;  // Not an arc start.
+    if (taken[s == 0 ? n - 1 : s - 1] != 0) continue;
     ScanGroup g;
-    uint64_t extent = 0;
-    size_t i = s;
-    while (true) {
-      visited[i] = true;
-      g.members.push_back(points[order[i]].id);
-      if (!included[i]) break;  // Edge out of i is absent: arc ends here.
-      extent += edges[i].gap;
-      i = (i + 1) % n;
+    size_t length = 1;
+    for (size_t i = s; taken[i] != 0; i = next(i)) {
+      g.extent_pages += out_gap[i];
+      ++length;
+    }
+    g.members.reserve(length);
+    for (size_t i = s; g.members.size() < length; i = next(i)) {
+      g.members.push_back(points[i].id);
     }
     g.trailer = g.members.front();
     g.leader = g.members.back();
-    g.extent_pages = extent;
     groups.push_back(std::move(g));
-  }
-
-  // Degenerate safety: if every edge was somehow included (cannot happen
-  // thanks to the union-find guard), fall back to one group per scan.
-  if (groups.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      ScanGroup g;
-      g.members = {points[order[i]].id};
-      g.trailer = g.leader = points[order[i]].id;
-      groups.push_back(std::move(g));
-    }
   }
   return groups;
 }
 
-std::vector<ScanGroup> BuildScanGroupsLinear(
-    const std::vector<LinearScanPoint>& points, uint64_t budget) {
-  std::vector<ScanGroup> groups;
+std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
+                                       const ScanCircle& circle,
+                                       uint64_t bufferpool_pages) {
+  if (!std::is_sorted(points.begin(), points.end(), CircleOrderLess)) {
+    std::vector<ScanPoint> sorted = points;
+    std::sort(sorted.begin(), sorted.end(), CircleOrderLess);
+    return BuildScanGroups(sorted, circle, bufferpool_pages);
+  }
+  // Edge i joins sorted neighbours i -> (i + 1) % n; the last one wraps
+  // around the circle. Listed in index order, which for a sorted list is
+  // the (trailer position, trailer id) tie order.
   const size_t n = points.size();
-  if (n == 0) return groups;
+  std::vector<GroupEdge> edges(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t j = i + 1 == n ? 0 : i + 1;
+    edges[i] = GroupEdge{
+        i, circle.ForwardDistance(points[i].position, points[j].position)};
+  }
+  return MergeAdjacentScans(points, edges, bufferpool_pages);
+}
 
-  // Sort by (axis_group, offset, id): adjacency candidates are neighbours
-  // within an axis group.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (points[a].axis_group != points[b].axis_group) {
-      return points[a].axis_group < points[b].axis_group;
+void GroupIndex::Assign(const std::vector<ScanGroup>& groups) {
+  size_t members = 0;
+  for (const ScanGroup& g : groups) members += g.size();
+  const size_t capacity = std::bit_ceil(std::max<size_t>(2 * members, 2));
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  size_ = 0;
+  const size_t mask = capacity - 1;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (ScanId id : groups[g].members) {
+      size_t i = Home(id);
+      while (slots_[i].id != kInvalidScanId && slots_[i].id != id) {
+        i = (i + 1) & mask;
+      }
+      if (slots_[i].id == kInvalidScanId) ++size_;
+      slots_[i] = Slot{id, g};
     }
-    if (points[a].offset != points[b].offset) {
-      return points[a].offset < points[b].offset;
-    }
-    return points[a].id < points[b].id;
-  });
-
-  struct Edge {
-    size_t from;  // Index into `order`; connects to from+1.
-    uint64_t gap;
-  };
-  std::vector<Edge> edges;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    const LinearScanPoint& a = points[order[i]];
-    const LinearScanPoint& b = points[order[i + 1]];
-    if (a.axis_group != b.axis_group) continue;  // No order across anchors.
-    edges.push_back(Edge{i, b.offset - a.offset});
   }
+}
 
-  std::vector<size_t> edge_order(edges.size());
-  std::iota(edge_order.begin(), edge_order.end(), 0);
-  std::sort(edge_order.begin(), edge_order.end(), [&](size_t a, size_t b) {
-    if (edges[a].gap != edges[b].gap) return edges[a].gap < edges[b].gap;
-    const LinearScanPoint& pa = points[order[edges[a].from]];
-    const LinearScanPoint& pb = points[order[edges[b].from]];
-    if (pa.offset != pb.offset) return pa.offset < pb.offset;
-    return pa.id < pb.id;
-  });
+size_t GroupIndex::Find(ScanId id) const {
+  if (slots_.empty() || id == kInvalidScanId) return kNotFound;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(id);; i = (i + 1) & mask) {
+    if (slots_[i].id == id) return slots_[i].group;
+    if (slots_[i].id == kInvalidScanId) return kNotFound;
+  }
+}
 
-  std::vector<bool> included(edges.size(), false);
-  uint64_t extent_sum = 0;
-  for (size_t e : edge_order) {
-    if (extent_sum + edges[e].gap > budget) break;
-    included[e] = true;
-    extent_sum += edges[e].gap;
-  }
-
-  // Chains of consecutive included edges (linear: no wrap to close).
-  std::vector<bool> edge_into(n, false);  // Sorted position i has an
-  for (size_t e = 0; e < edges.size(); ++e) {  // included incoming edge?
-    if (included[e]) edge_into[edges[e].from + 1] = true;
-  }
-  size_t i = 0;
-  while (i < n) {
-    ScanGroup g;
-    uint64_t extent = 0;
-    g.members.push_back(points[order[i]].id);
-    size_t j = i;
-    while (j + 1 < n && edge_into[j + 1]) {
-      extent += points[order[j + 1]].offset - points[order[j]].offset;
-      g.members.push_back(points[order[j + 1]].id);
-      ++j;
-    }
-    g.trailer = g.members.front();
-    g.leader = g.members.back();
-    g.extent_pages = extent;
-    groups.push_back(std::move(g));
-    i = j + 1;
-  }
-  return groups;
+size_t GroupIndex::Home(ScanId id) const {
+  // Fibonacci hashing: scan ids are dense counters, and the multiply
+  // spreads consecutive ones across the table.
+  return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
 }
 
 }  // namespace scanshare::ssm

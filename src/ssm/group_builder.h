@@ -13,15 +13,24 @@
 //   9   for each group (x, ..., y) in R
 //  10     mark x as trailer and y as leader;
 //
-// For table scans the candidate pairs are the adjacencies of scans sorted by
-// position on the table's scan circle, and d(x,y) is the forward scan-order
-// distance. Merging an adjacency extends a chain; the extent of a chain is
-// the distance from its trailer (backmost scan) to its leader (frontmost).
-// Merging stops before the summed extents would exceed the buffer-pool size
-// — a group wider than the pool cannot share anyway.
+// The candidate pairs are the adjacencies of scans listed in axis order,
+// and d(x,y) is the forward distance between neighbours. Merging an
+// adjacency extends a chain; the extent of a chain is the distance from its
+// trailer (backmost scan) to its leader (frontmost). Merging stops before
+// the summed extents would exceed the buffer-pool size — a group wider
+// than the pool cannot share anyway.
+//
+// One kernel, MergeAdjacentScans, runs the greedy merge for both axes:
+//   - table scans (BuildScanGroups): scans sorted by position on the
+//     table's circle, one edge per neighbour pair plus the wrap edge from
+//     the frontmost scan back to the first;
+//   - index scans (IndexScanSharingManager): scans sorted by (anchor,
+//     offset), edges only between neighbours sharing an anchor (paper
+//     §5.3's partial order), no wrap edge.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -30,11 +39,16 @@
 
 namespace scanshare::ssm {
 
-/// One scan's position on its table's circle, as input to grouping.
+/// One scan's position on its axis, as input to grouping.
 struct ScanPoint {
   ScanId id = kInvalidScanId;
   sim::PageId position = 0;
 };
+
+/// The circle order grouping walks: position, then id.
+inline bool CircleOrderLess(const ScanPoint& a, const ScanPoint& b) {
+  return a.position != b.position ? a.position < b.position : a.id < b.id;
+}
 
 /// A formed scan group: members ordered back-to-front in scan direction.
 struct ScanGroup {
@@ -51,33 +65,67 @@ struct ScanGroup {
   size_t size() const { return members.size(); }
 };
 
+/// A candidate pair for Fig. 14: joins the scan at index `from` of an
+/// axis-ordered list to the next one (index 0 after the last, for a
+/// circle's wrap edge), `gap` units apart.
+struct GroupEdge {
+  size_t from = 0;
+  uint64_t gap = 0;
+};
+
+/// Fig. 14's greedy merge. `points` are the scans in axis order; `edges`
+/// the candidate adjacencies, listed in the caller's tie order: edges are
+/// taken by ascending gap, equal gaps in list order. Taking stops at the
+/// first edge that would push the summed extents over `budget`, or after
+/// points.size() - 1 edges — on a circle the n-th edge would close the
+/// loop, and with fewer edges no loop can form. Chains of taken edges
+/// become groups, emitted in list order of their trailers (a chain that
+/// takes the wrap edge starts at its trailer near the end of the list).
+/// Scans that merged with nobody come out as singleton groups.
+std::vector<ScanGroup> MergeAdjacentScans(const std::vector<ScanPoint>& points,
+                                          const std::vector<GroupEdge>& edges,
+                                          uint64_t budget);
+
 /// Runs the Fig.-14 grouping for the scans of one table.
 ///
-/// `points` are the active scans' positions (any order); `circle` is the
-/// table's page span; `bufferpool_pages` is the merge budget. Singleton
-/// groups are returned for scans that merged with nobody. The result is
-/// deterministic: ties on distance break towards the pair with the smaller
-/// trailer position, then smaller scan id.
+/// `points` are the active scans' positions; `circle` is the table's page
+/// span; `bufferpool_pages` is the merge budget. Input already sorted by
+/// CircleOrderLess (the manager's maintained order) is used as is; other
+/// input is sorted first. Deterministic: ties on distance break towards
+/// the pair with the smaller trailer position, then smaller scan id —
+/// which is index order in the sorted list.
 std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
                                        const ScanCircle& circle,
                                        uint64_t bufferpool_pages);
 
-/// A scan's position on a *linear* axis shared only within its axis group
-/// — the index-scan case, where comparable positions exist only between
-/// scans sharing an anchor (paper §5.3's partial order). `axis_group` is
-/// the anchor id; `offset` the blocks advanced since that anchor.
-struct LinearScanPoint {
-  ScanId id = kInvalidScanId;
-  uint64_t axis_group = 0;
-  uint64_t offset = 0;
-};
+/// Reverse index of a group list: scan id -> index of the group holding
+/// it. A flat open-addressed table (linear probing, capacity a power of
+/// two at least twice the member count), rebuilt by Assign with a single
+/// allocation — no per-member node, no rehash.
+class GroupIndex {
+ public:
+  static constexpr size_t kNotFound = static_cast<size_t>(-1);
 
-/// Fig.-14 grouping over a partial order: candidate pairs are offset-
-/// adjacent scans *within* each axis group; pairs across axis groups do
-/// not exist. The merge budget is global across all groups, exactly as in
-/// the paper ("while sum of extents of groups in R < bufferpool size").
-/// Deterministic; tie-breaks mirror BuildScanGroups.
-std::vector<ScanGroup> BuildScanGroupsLinear(
-    const std::vector<LinearScanPoint>& points, uint64_t budget);
+  /// Indexes every member of `groups`. A scan listed twice maps to the
+  /// later group (the audits detect that as a membership disagreement).
+  void Assign(const std::vector<ScanGroup>& groups);
+
+  /// Index of the group holding `id`, or kNotFound.
+  size_t Find(ScanId id) const;
+
+  /// Distinct scans indexed.
+  size_t size() const { return size_; }
+
+ private:
+  struct Slot {
+    ScanId id = kInvalidScanId;  ///< kInvalidScanId marks an empty slot.
+    size_t group = 0;
+  };
+  size_t Home(ScanId id) const;
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+  unsigned shift_ = 64;  ///< 64 - log2(capacity).
+};
 
 }  // namespace scanshare::ssm

@@ -1,6 +1,7 @@
 #include "ssm/index_scan_sharing_manager.h"
 
 #include <algorithm>
+#include <compare>
 
 #include "buffer/policies/page_policies.h"
 #include "ssm/placement_policy.h"
@@ -125,28 +126,49 @@ StatusOr<IndexStartInfo> IndexScanSharingManager::StartIndexScan(
 void IndexScanSharingManager::Regroup(uint32_t index_id) {
   IndexState& index = indexes_[index_id];
   index.groups.clear();
-  index.group_of.clear();
-  if (index.active.empty()) return;
 
-  std::vector<LinearScanPoint> points;
-  points.reserve(index.active.size());
+  // Axis order is (anchor, offset, id): only neighbours sharing an anchor
+  // are comparable, so those are the only candidate pairs, and there is
+  // no wrap edge.
+  struct AxisPoint {
+    uint64_t anchor;
+    uint64_t offset;
+    ScanId id;
+    auto operator<=>(const AxisPoint&) const = default;
+  };
+  std::vector<AxisPoint> axis;
+  axis.reserve(index.active.size());
   for (ScanId sid : index.active) {
     const IndexScanState& s = scans_.at(sid);
-    points.push_back(LinearScanPoint{sid, s.anchor, s.anchor_offset});
+    axis.push_back(AxisPoint{s.anchor, s.anchor_offset, sid});
   }
-  index.groups = BuildScanGroupsLinear(points, options_.bufferpool_blocks);
-  for (size_t g = 0; g < index.groups.size(); ++g) {
-    for (ScanId member : index.groups[g].members) {
-      index.group_of[member] = g;
+  std::sort(axis.begin(), axis.end());
+  std::vector<ScanPoint> points;
+  points.reserve(axis.size());
+  std::vector<GroupEdge> edges;
+  for (size_t i = 0; i < axis.size(); ++i) {
+    points.push_back(ScanPoint{axis[i].id, axis[i].offset});
+    if (i + 1 < axis.size() && axis[i + 1].anchor == axis[i].anchor) {
+      edges.push_back(GroupEdge{i, axis[i + 1].offset - axis[i].offset});
     }
   }
+  // Equal gaps break ties on the back scan's (offset, id), across anchors.
+  std::sort(edges.begin(), edges.end(),
+            [&](const GroupEdge& a, const GroupEdge& b) {
+              const AxisPoint& pa = axis[a.from];
+              const AxisPoint& pb = axis[b.from];
+              return pa.offset != pb.offset ? pa.offset < pb.offset
+                                            : pa.id < pb.id;
+            });
+  index.groups =
+      MergeAdjacentScans(points, edges, options_.bufferpool_blocks);
+  index.group_of.Assign(index.groups);
 }
 
 const ScanGroup* IndexScanSharingManager::FindGroup(const IndexState& index,
                                                     ScanId id) const {
-  auto it = index.group_of.find(id);
-  if (it == index.group_of.end()) return nullptr;
-  return &index.groups[it->second];
+  const size_t g = index.group_of.Find(id);
+  return g == GroupIndex::kNotFound ? nullptr : &index.groups[g];
 }
 
 uint64_t IndexScanSharingManager::OffsetGap(ScanId behind,

@@ -19,9 +19,9 @@
 //    offset axis (paper §7.2: "we can reuse all of the grouping,
 //    leader/trailer classification, throttling and page prioritization
 //    algorithms"): placement scores candidates with SharingScore and
-//    InScanRange (placement_policy.h), grouping is BuildScanGroupsLinear
-//    (group_builder.h), a leader waits by LeaderWait with a one-block
-//    update quantum and pays through ChargeFairnessBudget
+//    InScanRange (placement_policy.h), grouping is MergeAdjacentScans
+//    over the anchor axes (group_builder.h), a leader waits by LeaderWait
+//    with a one-block update quantum and pays through ChargeFairnessBudget
 //    (throttle_controller.h), and release priorities come from
 //    buffer::DefaultPagePolicy with a one-block extent.
 //
@@ -200,7 +200,7 @@ class IndexScanSharingManager {
     std::vector<ScanId> active;
     std::optional<IndexScanLocation> last_finished;
     std::vector<ScanGroup> groups;  ///< Across all anchor groups.
-    std::unordered_map<ScanId, size_t> group_of;
+    GroupIndex group_of;
   };
 
   void Regroup(uint32_t index_id);

@@ -50,17 +50,18 @@ struct SsmOptions {
   /// Rebuild scan groups every this many location updates (1 = always).
   uint32_t regroup_interval_updates = 1;
 
-  /// Service-scale regroup amortization. The Fig.-14 rebuild is
-  /// O(n log n) per call; at the default interval of 1 every location
-  /// update pays it, so total regroup work grows as O(n^2 log n) with the
-  /// scan count — fine at the paper's 5 streams, pathological at a
-  /// service's thousands. When set:
+  /// Service-scale regroup amortization. A Fig.-14 rebuild re-sorts the k
+  /// scans that moved since the previous one and walks all n active scans
+  /// once: O(n + k log k) per call. At the default interval of 1 every
+  /// location update pays it (k = 1), so total regroup work grows as
+  /// O(n^2) with the scan count — fine at the paper's 5 streams, heavy at
+  /// a service's thousands. When set:
   ///   - StartScan/EndScan maintain the published grouping incrementally
-  ///     (append a singleton group / splice a member out) in O(n) with no
-  ///     sort, instead of a full rebuild;
+  ///     (append a singleton group / splice a member out) in O(n), instead
+  ///     of a full rebuild;
   ///   - UpdateLocation stretches the effective regroup interval to
   ///     max(regroup_interval_updates, active_scans / 8), amortizing the
-  ///     rebuild to O(log n) per update.
+  ///     rebuild (k <= active/8) to O(log n) per update.
   /// Grouping quality between full rebuilds degrades gracefully (a new
   /// scan runs as a singleton for at most active/8 updates before the
   /// next rebuild can merge it). Off by default: the legacy schedule is

@@ -1,7 +1,11 @@
 #include "ssm/scan_sharing_manager.h"
 
 #include <algorithm>
+#include <cassert>
+#include <iterator>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -82,7 +86,7 @@ StatusOr<StartInfo> ScanSharingManager::StartScan(const ScanDescriptor& desc,
 
     std::vector<const ScanState*> active;
     active.reserve(table.active.size());
-    for (ScanId sid : table.active) active.push_back(&scans_.at(sid));
+    for (const ScanPoint& p : table.active) active.push_back(&scans_.at(p.id));
     const Placement placement =
         sharing_policy_->Place(desc, est_speed_pps, active, scans_.size(),
                                table.last_finished_pos, *table.circle);
@@ -99,7 +103,11 @@ StatusOr<StartInfo> ScanSharingManager::StartScan(const ScanDescriptor& desc,
 
     const ScanId id = state.id;
     scans_.emplace(id, std::move(state));
-    table.active.push_back(id);
+    const ScanPoint entry{id, placement.start_page};
+    table.active.insert(std::upper_bound(table.active.begin(),
+                                         table.active.end(), entry,
+                                         CircleOrderLess),
+                        entry);
     sharing_policy_->OnScanStarted(scans_.at(id));
     SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanAdmit, now, id,
                           placement.start_page, desc.table_id);
@@ -128,22 +136,13 @@ void ScanSharingManager::Regroup(TableState* table, sim::Micros now) {
   // Build the next generation aside and publish it with one shared_ptr
   // store: a concurrent FindGroup either sees the previous complete
   // snapshot or this one, never a partially filled grouping.
+  ResortMoved(table);
   auto next = std::make_shared<Grouping>();
   next->epoch = table->grouping->epoch + 1;
   table->updates_since_regroup = 0;
   if (!table->active.empty() && table->circle.has_value()) {
-    std::vector<ScanPoint> points;
-    points.reserve(table->active.size());
-    for (ScanId sid : table->active) {
-      const ScanState& s = scans_.at(sid);
-      points.push_back(ScanPoint{sid, s.position});
-    }
-    next->groups = sharing_policy_->Group(points, *table->circle);
-    for (size_t g = 0; g < next->groups.size(); ++g) {
-      for (ScanId member : next->groups[g].members) {
-        next->group_of[member] = g;
-      }
-    }
+    next->groups = sharing_policy_->Group(table->active, *table->circle);
+    next->group_of.Assign(next->groups);
   }
   table->grouping = std::move(next);
   if (table->active.empty() || !table->circle.has_value()) return;
@@ -152,30 +151,61 @@ void ScanSharingManager::Regroup(TableState* table, sim::Micros now) {
   ++table->stats.regroups;
 }
 
+void ScanSharingManager::ResortMoved(TableState* table) {
+  if (table->moved.empty()) return;
+  std::vector<ScanPoint>& moved = table->moved;
+  std::vector<ScanPoint>& active = table->active;
+  // The stale entries sit in `active` in the order of `moved` sorted, so
+  // one pass drops them.
+  std::sort(moved.begin(), moved.end(), CircleOrderLess);
+  auto stale = moved.begin();
+  size_t kept = 0;
+  for (size_t i = 0; i < active.size(); ++i) {
+    if (stale != moved.end() && active[i].id == stale->id) {
+      ++stale;
+    } else {
+      active[kept++] = active[i];
+    }
+  }
+  active.resize(kept);
+  for (ScanPoint& m : moved) {
+    ScanState& scan = scans_.at(m.id);
+    m.position = scan.position;
+    scan.moved = false;
+  }
+  std::sort(moved.begin(), moved.end(), CircleOrderLess);
+  table->scratch.clear();
+  std::merge(active.begin(), active.end(), moved.begin(), moved.end(),
+             std::back_inserter(table->scratch), CircleOrderLess);
+  active.swap(table->scratch);
+  moved.clear();
+}
+
 void ScanSharingManager::InsertScanIncremental(TableState* table, ScanId id) {
   // Copy-on-write append: the published snapshot is immutable, so the new
   // generation starts as a copy (O(active)) and gains one singleton group.
   // The geometry audit stays satisfiable at updates_since_regroup == 0: a
   // singleton trivially has extent 0 and every other group is untouched.
-  auto next = std::make_shared<Grouping>(*table->grouping);
+  auto next = std::make_shared<Grouping>();
   next->epoch = table->grouping->epoch + 1;
+  next->groups = table->grouping->groups;
   ScanGroup group;
   group.members.push_back(id);
   group.trailer = id;
   group.leader = id;
   group.extent_pages = 0;
-  next->group_of[id] = next->groups.size();
   next->groups.push_back(std::move(group));
+  next->group_of.Assign(next->groups);
   table->grouping = std::move(next);
 }
 
 void ScanSharingManager::RemoveScanIncremental(TableState* table, ScanId id) {
   const Grouping& cur = *table->grouping;
-  const auto member_of = cur.group_of.find(id);
-  if (member_of == cur.group_of.end()) return;
-  auto next = std::make_shared<Grouping>(cur);
+  const size_t gi = cur.group_of.Find(id);
+  if (gi == GroupIndex::kNotFound) return;
+  auto next = std::make_shared<Grouping>();
   next->epoch = cur.epoch + 1;
-  const size_t gi = member_of->second;
+  next->groups = cur.groups;
   ScanGroup& group = next->groups[gi];
   group.members.erase(
       std::remove(group.members.begin(), group.members.end(), id),
@@ -196,20 +226,16 @@ void ScanSharingManager::RemoveScanIncremental(TableState* table, ScanId id) {
                                              scans_.at(group.leader).position)
             : 0;
   }
-  // Group indices shifted iff a group vanished; rebuilding the reverse map
-  // is O(active) either way and keeps the two views trivially consistent.
-  next->group_of.clear();
-  for (size_t g = 0; g < next->groups.size(); ++g) {
-    for (ScanId member : next->groups[g].members) next->group_of[member] = g;
-  }
+  // Group indices shifted iff a group vanished; rebuilding the reverse
+  // index is O(active) either way and keeps the two views consistent.
+  next->group_of.Assign(next->groups);
   table->grouping = std::move(next);
 }
 
 const ScanGroup* ScanSharingManager::FindGroup(const Grouping& snapshot,
                                                ScanId id) {
-  auto it = snapshot.group_of.find(id);
-  if (it == snapshot.group_of.end()) return nullptr;
-  return &snapshot.groups[it->second];
+  const size_t g = snapshot.group_of.Find(id);
+  return g == GroupIndex::kNotFound ? nullptr : &snapshot.groups[g];
 }
 
 StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
@@ -251,15 +277,19 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
     scan.last_update_at = now;
     scan.pages_at_last_update = pages_processed;
   }
+  if (position != scan.position && !scan.moved) {
+    table.moved.push_back(ScanPoint{id, scan.position});
+    scan.moved = true;
+  }
   scan.position = position;
   scan.pages_processed = pages_processed;
   sharing_policy_->OnLocationUpdate(scan);
   ++table.stats.updates;
 
-  if (++table.updates_since_regroup >=
-      options_.EffectiveRegroupInterval(table.active.size())) {
-    Regroup(&table, now);
-  }
+  const bool regrouped =
+      ++table.updates_since_regroup >=
+      options_.EffectiveRegroupInterval(table.active.size());
+  if (regrouped) Regroup(&table, now);
 
   UpdateResult result;
   // Pin this update's grouping generation: a later regroup (ours or a
@@ -318,7 +348,8 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
                             decision.gap_pages);
     }
   }
-  SCANSHARE_AUDIT_OK(CheckTableInvariantsLocked(table));
+  SCANSHARE_AUDIT_OK(regrouped ? CheckTableInvariantsLocked(table)
+                               : CheckUpdateInvariantsLocked(table, scan));
   return result;
 }
 
@@ -338,9 +369,21 @@ Status ScanSharingManager::EndScan(ScanId id, sim::Micros now) {
     table.last_finished_pos = scan.position;
     SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanEnd, now, id,
                           scan.position, scan.accumulated_wait);
-    table.active.erase(
-        std::remove(table.active.begin(), table.active.end(), id),
-        table.active.end());
+    // The scan is filed under its current position unless it moved since
+    // the last regroup; then `moved` holds the position it is filed under.
+    ScanPoint filed{id, scan.position};
+    if (scan.moved) {
+      const auto m =
+          std::find_if(table.moved.begin(), table.moved.end(),
+                       [id](const ScanPoint& p) { return p.id == id; });
+      assert(m != table.moved.end());
+      filed = *m;
+      table.moved.erase(m);
+    }
+    const auto entry = std::lower_bound(
+        table.active.begin(), table.active.end(), filed, CircleOrderLess);
+    assert(entry != table.active.end() && entry->id == id);
+    table.active.erase(entry);
     if (options_.adaptive_regroup) {
       // Splice the member out while its group-mates' positions are still
       // readable, then drop the registration.
@@ -356,12 +399,79 @@ Status ScanSharingManager::EndScan(ScanId id, sim::Micros now) {
   return Status::OK();
 }
 
+Status ScanSharingManager::CheckFairness(const ScanState& scan) const {
+  const double cap =
+      FairnessBudget(options_.fairness_cap, scan.desc.throttle_tolerance,
+                     scan.desc.estimated_duration);
+  if (static_cast<double>(scan.accumulated_wait) > cap) {
+    return Status::Internal("audit: scan " + std::to_string(scan.id) +
+                            " accumulated " +
+                            std::to_string(scan.accumulated_wait) +
+                            "us of throttle wait, above its fairness cap");
+  }
+  return Status::OK();
+}
+
+Status ScanSharingManager::CheckGroupLocked(
+    const TableState& table, size_t g, std::span<const ScanId> members) const {
+  const uint32_t table_id = table.id;
+  const Grouping& grouping = *table.grouping;
+  const ScanGroup& group = grouping.groups[g];
+  if (group.members.empty()) {
+    return Status::Internal("audit: empty group on table " +
+                            std::to_string(table_id));
+  }
+  if (group.trailer != group.members.front() ||
+      group.leader != group.members.back()) {
+    return Status::Internal(
+        "audit: group trailer/leader disagree with member order on table " +
+        std::to_string(table_id));
+  }
+  for (ScanId member : members) {
+    auto it = scans_.find(member);
+    if (it == scans_.end() || it->second.desc.table_id != table_id) {
+      return Status::Internal("audit: group member " + std::to_string(member) +
+                              " is not an active scan of table " +
+                              std::to_string(table_id));
+    }
+    if (grouping.group_of.Find(member) != g) {
+      return Status::Internal(
+          "audit: group_of disagrees with group membership for scan " +
+          std::to_string(member));
+    }
+  }
+  return Status::OK();
+}
+
 Status ScanSharingManager::CheckTableInvariantsLocked(
     const TableState& table) const {
   const uint32_t table_id = table.id;
   const Grouping& grouping = *table.grouping;
+
+  // The moved scans' stale entries, by id.
+  std::unordered_map<ScanId, sim::PageId> filed_at;
+  for (const ScanPoint& m : table.moved) {
+    if (!filed_at.emplace(m.id, m.position).second) {
+      return Status::Internal("audit: scan " + std::to_string(m.id) +
+                              " is listed as moved twice on table " +
+                              std::to_string(table_id));
+    }
+  }
+
+  // The active list is strictly in circle order, names each registered
+  // scan of this table once, and files it under its current position —
+  // or, if it moved since the last regroup, under its stale one.
   std::unordered_set<ScanId> on_list;
-  for (ScanId sid : table.active) {
+  size_t stale_entries = 0;
+  for (size_t i = 0; i < table.active.size(); ++i) {
+    const ScanPoint& entry = table.active[i];
+    const ScanId sid = entry.id;
+    if (i > 0 && !CircleOrderLess(table.active[i - 1], entry)) {
+      return Status::Internal("audit: active list of table " +
+                              std::to_string(table_id) +
+                              " is not in circle order at scan " +
+                              std::to_string(sid));
+    }
     auto it = scans_.find(sid);
     if (it == scans_.end()) {
       return Status::Internal("audit: active list of table " +
@@ -369,60 +479,63 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
                               " names unregistered scan " +
                               std::to_string(sid));
     }
-    if (it->second.desc.table_id != table_id) {
+    const ScanState& scan = it->second;
+    if (scan.desc.table_id != table_id) {
       return Status::Internal("audit: scan " + std::to_string(sid) +
                               " is on the active list of table " +
                               std::to_string(table_id) +
                               " but its descriptor names table " +
-                              std::to_string(it->second.desc.table_id));
+                              std::to_string(scan.desc.table_id));
     }
     if (!on_list.insert(sid).second) {
       return Status::Internal("audit: scan " + std::to_string(sid) +
                               " appears twice on the active list of table " +
                               std::to_string(table_id));
     }
+    const auto stale = filed_at.find(sid);
+    if (scan.moved != (stale != filed_at.end())) {
+      return Status::Internal("audit: moved mark of scan " +
+                              std::to_string(sid) +
+                              " disagrees with the moved list of table " +
+                              std::to_string(table_id));
+    }
+    const sim::PageId expected =
+        scan.moved ? stale->second : scan.position;
+    if (entry.position != expected) {
+      return Status::Internal("audit: active list of table " +
+                              std::to_string(table_id) + " files scan " +
+                              std::to_string(sid) + " at " +
+                              std::to_string(entry.position) + ", not " +
+                              std::to_string(expected));
+    }
+    if (scan.moved) ++stale_entries;
+  }
+  if (stale_entries != filed_at.size()) {
+    return Status::Internal("audit: moved list of table " +
+                            std::to_string(table_id) +
+                            " names scans missing from its active list");
   }
 
   // Groups exactly partition the active scans, and group_of mirrors the
   // membership lists.
-  std::unordered_set<ScanId> grouped;
+  size_t grouped = 0;
   for (size_t g = 0; g < grouping.groups.size(); ++g) {
-    const ScanGroup& group = grouping.groups[g];
-    if (group.members.empty()) {
-      return Status::Internal("audit: empty group on table " +
-                              std::to_string(table_id));
-    }
-    if (group.trailer != group.members.front() ||
-        group.leader != group.members.back()) {
-      return Status::Internal(
-          "audit: group trailer/leader disagree with member order on "
-          "table " +
-          std::to_string(table_id));
-    }
-    for (ScanId member : group.members) {
-      if (on_list.count(member) == 0) {
-        return Status::Internal("audit: group member " +
-                                std::to_string(member) +
-                                " is not an active scan of table " +
-                                std::to_string(table_id));
-      }
-      if (!grouped.insert(member).second) {
-        return Status::Internal("audit: scan " + std::to_string(member) +
-                                " belongs to more than one group");
-      }
-      auto go = grouping.group_of.find(member);
-      if (go == grouping.group_of.end() || go->second != g) {
-        return Status::Internal("audit: group_of disagrees with group "
-                                "membership for scan " +
-                                std::to_string(member));
-      }
-    }
+    SCANSHARE_RETURN_IF_ERROR(
+        CheckGroupLocked(table, g, grouping.groups[g].members));
+    grouped += grouping.groups[g].size();
   }
-  if (grouped.size() != table.active.size() ||
+  if (grouped != table.active.size() ||
       grouping.group_of.size() != table.active.size()) {
     return Status::Internal("audit: groups of table " +
                             std::to_string(table_id) +
                             " do not partition its active scans");
+  }
+  for (const ScanPoint& entry : table.active) {
+    if (grouping.group_of.Find(entry.id) == GroupIndex::kNotFound) {
+      return Status::Internal("audit: scan " + std::to_string(entry.id) +
+                              " of table " + std::to_string(table_id) +
+                              " belongs to no group");
+    }
   }
 
   // Right after a regroup the membership order must match the circle:
@@ -457,19 +570,48 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
 
   // Fairness: no scan of this table ever accumulates more wait than its
   // budget.
-  for (ScanId sid : table.active) {
-    const ScanState& scan = scans_.at(sid);
-    const double cap =
-        FairnessBudget(options_.fairness_cap, scan.desc.throttle_tolerance,
-                       scan.desc.estimated_duration);
-    if (static_cast<double>(scan.accumulated_wait) > cap) {
-      return Status::Internal("audit: scan " + std::to_string(sid) +
-                              " accumulated " +
-                              std::to_string(scan.accumulated_wait) +
-                              "us of throttle wait, above its fairness cap");
-    }
+  for (const ScanPoint& entry : table.active) {
+    SCANSHARE_RETURN_IF_ERROR(CheckFairness(scans_.at(entry.id)));
   }
   return Status::OK();
+}
+
+Status ScanSharingManager::CheckUpdateInvariantsLocked(
+    const TableState& table, const ScanState& scan) const {
+  SCANSHARE_RETURN_IF_ERROR(CheckFairness(scan));
+  // Filed under its old position in the moved list, or else under its
+  // current one in the active list.
+  const bool filed =
+      scan.moved
+          ? std::any_of(table.moved.begin(), table.moved.end(),
+                        [&](const ScanPoint& p) { return p.id == scan.id; })
+          : std::binary_search(table.active.begin(), table.active.end(),
+                               ScanPoint{scan.id, scan.position},
+                               CircleOrderLess);
+  if (!filed) {
+    return Status::Internal("audit: scan " + std::to_string(scan.id) +
+                            " is not filed on the active list of table " +
+                            std::to_string(table.id));
+  }
+  // Without a regroup the snapshot is unchanged, so only what it says
+  // about this scan is re-checked: its group holds it, and the group's
+  // trailer and leader are scans of this table that map back to it.
+  const Grouping& grouping = *table.grouping;
+  const size_t g = grouping.group_of.Find(scan.id);
+  if (g == GroupIndex::kNotFound) {
+    return Status::Internal("audit: scan " + std::to_string(scan.id) +
+                            " of table " + std::to_string(table.id) +
+                            " belongs to no group");
+  }
+  const ScanGroup& group = grouping.groups[g];
+  if (std::find(group.members.begin(), group.members.end(), scan.id) ==
+      group.members.end()) {
+    return Status::Internal(
+        "audit: group_of disagrees with group membership for scan " +
+        std::to_string(scan.id));
+  }
+  const ScanId ends[] = {group.trailer, group.leader};
+  return CheckGroupLocked(table, g, ends);
 }
 
 Status ScanSharingManager::CheckInvariantsLocked() const {

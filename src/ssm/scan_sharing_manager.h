@@ -25,6 +25,11 @@
 //     immutable Grouping aside and publishes it with one shared_ptr swap
 //     (epoch incremented), so a reader either sees the old complete
 //     grouping or the new complete grouping, never a half-built one.
+//   - each table keeps its active scans in circle order (position, id):
+//     StartScan inserts, EndScan erases, UpdateLocation only marks the
+//     scan as moved, and Regroup re-sorts just the moved scans before
+//     handing the list to SharingPolicy::Group — Fig. 14 then needs no
+//     sort of its own.
 //   - each table's counters live in its TableState under the table latch;
 //     stats() sums them under the exclusive registry lock, an exact cut.
 // The single-threaded simulator path takes the same locks uncontended and
@@ -39,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -176,6 +182,9 @@ class ScanSharingManager {
   /// groups):
   ///   - every registered scan sits on exactly one table's active list and
   ///     that table matches its descriptor; no duplicates;
+  ///   - each active list is strictly sorted by (position, id), and every
+  ///     entry carries its scan's position — or, for a scan moved since
+  ///     the last regroup, the position its pending re-sort removes;
   ///   - each table's published grouping exactly partitions its active
   ///     scans, group_of agrees with group membership, and every group's
   ///     trailer/leader are its first/last member;
@@ -185,9 +194,11 @@ class ScanSharingManager {
   ///   - no scan's accumulated throttle wait exceeds its fairness budget
   ///     (fairness_cap x tolerance x estimated duration).
   /// Returns Internal describing the first violation. Always compiled in;
-  /// additionally invoked after every mutation in SCANSHARE_AUDIT builds
-  /// (table-scoped on the UpdateLocation path, which holds only a shared
-  /// registry lock).
+  /// additionally invoked after every mutation in SCANSHARE_AUDIT builds:
+  /// in full after StartScan and EndScan, table-scoped after an
+  /// UpdateLocation that regrouped (it holds only a shared registry lock),
+  /// and scoped to what one update can change otherwise (the moved scan's
+  /// listing and fairness budget, its group's membership and roles).
   [[nodiscard]] Status CheckInvariants() const SCANSHARE_EXCLUDES(registry_mu_);
 
   /// Introspection (tests, reports).
@@ -222,7 +233,7 @@ class ScanSharingManager {
   /// shared_ptr swap under the table latch; never mutated after publish.
   struct Grouping {
     std::vector<ScanGroup> groups;
-    std::unordered_map<ScanId, size_t> group_of;
+    GroupIndex group_of;
     uint64_t epoch = 0;  ///< Monotonic per table; 0 = "never regrouped".
   };
 
@@ -237,7 +248,14 @@ class ScanSharingManager {
         SCANSHARE_ACQUIRED_BEFORE(lock_order::kBoard, lock_order::kTracer);
     uint32_t id SCANSHARE_GUARDED_BY(mu) = 0;  ///< Table id (trace actor).
     std::optional<ScanCircle> circle SCANSHARE_GUARDED_BY(mu);
-    std::vector<ScanId> active SCANSHARE_GUARDED_BY(mu);
+    /// The table's active scans, strictly sorted by CircleOrderLess. A
+    /// scan moved since the last regroup keeps its old entry here (and
+    /// ScanState::moved) until Regroup re-sorts it.
+    std::vector<ScanPoint> active SCANSHARE_GUARDED_BY(mu);
+    /// The stale entries of `active`, one per moved scan, as filed there.
+    std::vector<ScanPoint> moved SCANSHARE_GUARDED_BY(mu);
+    /// Merge buffer for the re-sort, kept to avoid reallocating it.
+    std::vector<ScanPoint> scratch SCANSHARE_GUARDED_BY(mu);
     std::optional<sim::PageId> last_finished_pos SCANSHARE_GUARDED_BY(mu);
     /// Current grouping snapshot; never null.
     std::shared_ptr<const Grouping> grouping SCANSHARE_GUARDED_BY(mu) =
@@ -252,6 +270,12 @@ class ScanSharingManager {
   /// (shared suffices) AND the table latch. `now` only stamps the trace
   /// event.
   void Regroup(TableState* table, sim::Micros now)
+      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table->mu);
+
+  /// Brings the table's active list up to date: drops the moved scans'
+  /// stale entries and merges them back at their current positions, in
+  /// O(active + k log k) for k moved scans. Same locking as Regroup.
+  void ResortMoved(TableState* table)
       SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table->mu);
 
   /// Incremental grouping maintenance (SsmOptions::adaptive_regroup):
@@ -290,6 +314,21 @@ class ScanSharingManager {
   /// suffices) and that table's latch.
   [[nodiscard]] Status CheckTableInvariantsLocked(const TableState& table) const
       SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
+  /// The part of the table audit one location update of `scan` can
+  /// invalidate when it does not regroup: the scan's listing and fairness
+  /// budget, and its group's membership and roles (trailer and leader).
+  /// O(group + moved) id comparisons, a constant number of lookups.
+  [[nodiscard]] Status CheckUpdateInvariantsLocked(const TableState& table,
+                                                   const ScanState& scan) const
+      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
+  /// Group `g` of the table's snapshot is non-empty, its trailer/leader
+  /// are its first/last member, and each of `members` is a registered scan
+  /// of this table that the reverse index maps back to `g`.
+  [[nodiscard]] Status CheckGroupLocked(const TableState& table, size_t g,
+                                        std::span<const ScanId> members) const
+      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
+  /// `scan`'s accumulated throttle wait is within its fairness budget.
+  [[nodiscard]] Status CheckFairness(const ScanState& scan) const;
   /// Full audit body; caller holds the registry lock exclusively. Takes
   /// each table latch in turn (uncontended: the exclusive registry lock
   /// already quiesced all scanners, but the analysis wants the capability

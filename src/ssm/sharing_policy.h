@@ -59,9 +59,10 @@ class SharingPolicy {
                           std::optional<sim::PageId> last_finished_pos,
                           const ScanCircle& circle) const = 0;
 
-  /// Clusters one table's active scans into ordered groups. The result
-  /// must satisfy the manager's grouping audit: groups partition `points`,
-  /// members are listed trailer -> leader in circle order, and
+  /// Clusters one table's active scans into ordered groups. The manager
+  /// passes `points` sorted by CircleOrderLess (its maintained order). The
+  /// result must satisfy the manager's grouping audit: groups partition
+  /// `points`, members are listed trailer -> leader in circle order, and
   /// extent_pages is the trailer->leader forward distance.
   virtual std::vector<ScanGroup> Group(const std::vector<ScanPoint>& points,
                                        const ScanCircle& circle) const = 0;

@@ -330,58 +330,55 @@ TEST(IsmTest, StatsCountLifecycle) {
   EXPECT_EQ(ism.stats().scans_ended, 1u);
 }
 
-// ---- linear group builder unit checks (the partial-order Fig. 14) ----
+// ---- grouping on the anchor axes (the partial-order Fig. 14) ----
 
-TEST(LinearGroupsTest, OnlySameAnchorMerges) {
-  std::vector<LinearScanPoint> points = {
-      {1, /*anchor*/ 10, /*offset*/ 0},
-      {2, 10, 5},
-      {3, 20, 4},  // Different anchor: incomparable with 1 and 2.
+// Two anchors, each holding a pair of scans 3 blocks apart: A (offset 5)
+// behind B (8) on B's anchor, C (0) behind D (3) on D's. Built with
+// placement off, so every scan starts on its own anchor, and with A and C
+// reaching B's and D's anchors to merge into them.
+std::vector<ScanGroup> TwoAnchorPairs(uint64_t budget_blocks) {
+  IsmOptions options = TestOptions();
+  options.enable_smart_placement = false;
+  options.bufferpool_blocks = budget_blocks;
+  IndexScanSharingManager ism(options);
+  auto a = ism.StartIndexScan(Desc(1, 0, 6), 0);
+  auto b = ism.StartIndexScan(Desc(1, 2, 6), 0);
+  auto c = ism.StartIndexScan(Desc(1, 4, 6), 0);
+  auto d = ism.StartIndexScan(Desc(1, 5, 6), 0);
+  EXPECT_TRUE(a.ok() && b.ok() && c.ok() && d.ok());
+  const auto update = [&](ScanId id, IndexScanLocation at, uint64_t blocks) {
+    auto r = ism.UpdateIndexScan(id, at, blocks, sim::Seconds(1));
+    EXPECT_TRUE(r.ok());
+    return r.ok() && r->anchor_merged;
   };
-  auto groups = BuildScanGroupsLinear(points, 100);
+  update(b->id, {2, 8}, 8);
+  EXPECT_TRUE(update(a->id, {2, 0}, 0));  // Reaches B's anchor.
+  update(a->id, {2, 5}, 5);
+  update(d->id, {5, 3}, 3);
+  EXPECT_TRUE(update(c->id, {5, 0}, 0));  // Reaches D's anchor.
+  return ism.GroupsForIndex(1);
+}
+
+TEST(IsmGroupingTest, OnlySameAnchorScansMerge) {
+  const auto groups = TwoAnchorPairs(/*budget_blocks=*/100);
   ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].members, (std::vector<ScanId>{1, 2}));
+  EXPECT_EQ(groups[0].extent_pages, 3u);
+  EXPECT_EQ(groups[1].members, (std::vector<ScanId>{3, 4}));
+  EXPECT_EQ(groups[1].extent_pages, 3u);
 }
 
-TEST(LinearGroupsTest, GlobalBudgetAcrossAnchorGroups) {
-  // Paper Fig. 6 example on the linear axis: d(A,B)=40, d(B,C)=10,
-  // d(C,D)=15 in one anchor group; d(E,F)=20 in another; budget 50 =>
-  // groups (A), (B,C,D), (E,F) with total extent 45.
-  std::vector<LinearScanPoint> points = {
-      {1, 1, 0},   // A
-      {2, 1, 40},  // B
-      {3, 1, 50},  // C
-      {4, 1, 65},  // D
-      {5, 2, 0},   // E
-      {6, 2, 20},  // F
-  };
-  auto groups = BuildScanGroupsLinear(points, 50);
+// Room for one gap of 3: equal gaps break ties on the back scan's offset
+// (C's 0 before A's 5), across anchors — not on anchor order, which would
+// pick A's pair.
+TEST(IsmGroupingTest, EqualGapsTieOnTheBackScansOffset) {
+  const auto groups = TwoAnchorPairs(/*budget_blocks=*/3);
   ASSERT_EQ(groups.size(), 3u);
-  uint64_t total_extent = 0;
-  for (const auto& g : groups) total_extent += g.extent_pages;
-  EXPECT_EQ(total_extent, 45u);
-  for (const auto& g : groups) {
-    if (g.size() == 3) {
-      EXPECT_EQ(g.trailer, 2u);
-      EXPECT_EQ(g.leader, 4u);
-      EXPECT_EQ(g.extent_pages, 25u);
-    }
-    if (g.size() == 2) {
-      EXPECT_EQ(g.trailer, 5u);
-      EXPECT_EQ(g.leader, 6u);
-      EXPECT_EQ(g.extent_pages, 20u);
-    }
-    if (g.size() == 1) {
-      EXPECT_EQ(g.members[0], 1u);
-    }
-  }
-}
-
-TEST(LinearGroupsTest, EmptyAndSingle) {
-  EXPECT_TRUE(BuildScanGroupsLinear({}, 10).empty());
-  auto one = BuildScanGroupsLinear({{7, 1, 3}}, 10);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].leader, 7u);
-  EXPECT_EQ(one[0].trailer, 7u);
+  EXPECT_EQ(groups[0].members, (std::vector<ScanId>{1}));
+  EXPECT_EQ(groups[1].members, (std::vector<ScanId>{2}));
+  EXPECT_EQ(groups[2].members, (std::vector<ScanId>{3, 4}));
+  EXPECT_EQ(groups[2].trailer, 3u);
+  EXPECT_EQ(groups[2].leader, 4u);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 // checks after every operation that
 //
 //   - the SSM's incrementally maintained groups equal a from-scratch
-//     recomputation over the model's positions (and independently: the
-//     groups partition the live scans, members sit in circle order, the
-//     recorded extent is the trailer->leader distance, and the summed
-//     extents respect the buffer-pool merge budget of Fig. 14);
+//     recomputation over the model's positions by the reference builder
+//     (tests/group_oracle.h, not the production kernel), and
+//     independently: the groups partition the live scans, members sit in
+//     circle order, the recorded extent is the trailer->leader distance,
+//     and the summed extents respect the buffer-pool merge budget of
+//     Fig. 14;
 //   - trailers and inner members are never throttled — only a leader of a
 //     group of >= 2 ever receives a wait;
 //   - a wait is only inserted when the leader->trailer gap exceeds the
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "group_oracle.h"
 #include "ssm/group_builder.h"
 #include "ssm/scan_order.h"
 #include "ssm/scan_sharing_manager.h"
@@ -260,8 +263,8 @@ class ModelDriver {
       points.push_back(ScanPoint{id, scan.position});
       table->regroup_positions[id] = scan.position;
     }
-    table->groups = BuildScanGroups(points, ScanCircle(table->first, table->end),
-                                    options_.bufferpool_pages);
+    table->groups = testutil::ReferenceScanGroups(
+        points, ScanCircle(table->first, table->end), options_.bufferpool_pages);
   }
 
   void CheckAgainstSsm() {
@@ -281,7 +284,7 @@ class ModelDriver {
         EXPECT_EQ(actual[g].extent_pages, table.groups[g].extent_pages);
       }
 
-      // Independent structural properties (not via BuildScanGroups).
+      // Independent structural properties (not via any group builder).
       const ScanCircle circle(table.first, table.end);
       std::set<ScanId> seen;
       uint64_t extent_sum = 0;
