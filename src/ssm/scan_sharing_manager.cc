@@ -38,6 +38,12 @@ Status ValidateDescriptor(const ScanDescriptor& desc) {
   return Status::OK();
 }
 
+/// An invariant violation the audit found on table `table_id`.
+Status AuditFailure(uint32_t table_id, const std::string& what) {
+  return Status::Internal("audit: table " + std::to_string(table_id) + ": " +
+                          what);
+}
+
 }  // namespace
 
 ScanSharingManager::ScanSharingManager(SsmOptions options)
@@ -404,8 +410,8 @@ Status ScanSharingManager::CheckFairness(const ScanState& scan) const {
       FairnessBudget(options_.fairness_cap, scan.desc.throttle_tolerance,
                      scan.desc.estimated_duration);
   if (static_cast<double>(scan.accumulated_wait) > cap) {
-    return Status::Internal("audit: scan " + std::to_string(scan.id) +
-                            " accumulated " +
+    return AuditFailure(scan.desc.table_id,
+                        "scan " + std::to_string(scan.id) + " accumulated " +
                             std::to_string(scan.accumulated_wait) +
                             "us of throttle wait, above its fairness cap");
   }
@@ -414,30 +420,24 @@ Status ScanSharingManager::CheckFairness(const ScanState& scan) const {
 
 Status ScanSharingManager::CheckGroupLocked(
     const TableState& table, size_t g, std::span<const ScanId> members) const {
-  const uint32_t table_id = table.id;
   const Grouping& grouping = *table.grouping;
   const ScanGroup& group = grouping.groups[g];
-  if (group.members.empty()) {
-    return Status::Internal("audit: empty group on table " +
-                            std::to_string(table_id));
-  }
+  if (group.members.empty()) return AuditFailure(table.id, "empty group");
   if (group.trailer != group.members.front() ||
       group.leader != group.members.back()) {
-    return Status::Internal(
-        "audit: group trailer/leader disagree with member order on table " +
-        std::to_string(table_id));
+    return AuditFailure(table.id,
+                        "group trailer/leader disagree with member order");
   }
   for (ScanId member : members) {
     auto it = scans_.find(member);
-    if (it == scans_.end() || it->second.desc.table_id != table_id) {
-      return Status::Internal("audit: group member " + std::to_string(member) +
-                              " is not an active scan of table " +
-                              std::to_string(table_id));
+    if (it == scans_.end() || it->second.desc.table_id != table.id) {
+      return AuditFailure(table.id, "group member " + std::to_string(member) +
+                                        " is not an active scan");
     }
     if (grouping.group_of.Find(member) != g) {
-      return Status::Internal(
-          "audit: group_of disagrees with group membership for scan " +
-          std::to_string(member));
+      return AuditFailure(table.id,
+                          "group_of disagrees with group membership for scan " +
+                              std::to_string(member));
     }
   }
   return Status::OK();
@@ -452,9 +452,8 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   std::unordered_map<ScanId, sim::PageId> filed_at;
   for (const ScanPoint& m : table.moved) {
     if (!filed_at.emplace(m.id, m.position).second) {
-      return Status::Internal("audit: scan " + std::to_string(m.id) +
-                              " is listed as moved twice on table " +
-                              std::to_string(table_id));
+      return AuditFailure(table_id, "scan " + std::to_string(m.id) +
+                                        " is listed as moved twice");
     }
   }
 
@@ -465,55 +464,41 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   size_t stale_entries = 0;
   for (size_t i = 0; i < table.active.size(); ++i) {
     const ScanPoint& entry = table.active[i];
-    const ScanId sid = entry.id;
+    const std::string name = "scan " + std::to_string(entry.id);
     if (i > 0 && !CircleOrderLess(table.active[i - 1], entry)) {
-      return Status::Internal("audit: active list of table " +
-                              std::to_string(table_id) +
-                              " is not in circle order at scan " +
-                              std::to_string(sid));
+      return AuditFailure(table_id, "active list is out of circle order at " +
+                                        name);
     }
-    auto it = scans_.find(sid);
+    auto it = scans_.find(entry.id);
     if (it == scans_.end()) {
-      return Status::Internal("audit: active list of table " +
-                              std::to_string(table_id) +
-                              " names unregistered scan " +
-                              std::to_string(sid));
+      return AuditFailure(table_id, "active list names unregistered " + name);
     }
     const ScanState& scan = it->second;
     if (scan.desc.table_id != table_id) {
-      return Status::Internal("audit: scan " + std::to_string(sid) +
-                              " is on the active list of table " +
-                              std::to_string(table_id) +
-                              " but its descriptor names table " +
-                              std::to_string(scan.desc.table_id));
+      return AuditFailure(table_id, name + " is on this active list but its "
+                                           "descriptor names table " +
+                                           std::to_string(scan.desc.table_id));
     }
-    if (!on_list.insert(sid).second) {
-      return Status::Internal("audit: scan " + std::to_string(sid) +
-                              " appears twice on the active list of table " +
-                              std::to_string(table_id));
+    if (!on_list.insert(entry.id).second) {
+      return AuditFailure(table_id, name + " appears twice on the active list");
     }
-    const auto stale = filed_at.find(sid);
+    const auto stale = filed_at.find(entry.id);
     if (scan.moved != (stale != filed_at.end())) {
-      return Status::Internal("audit: moved mark of scan " +
-                              std::to_string(sid) +
-                              " disagrees with the moved list of table " +
-                              std::to_string(table_id));
+      return AuditFailure(table_id,
+                          "moved mark of " + name + " disagrees with the "
+                                                    "moved list");
     }
-    const sim::PageId expected =
-        scan.moved ? stale->second : scan.position;
+    const sim::PageId expected = scan.moved ? stale->second : scan.position;
     if (entry.position != expected) {
-      return Status::Internal("audit: active list of table " +
-                              std::to_string(table_id) + " files scan " +
-                              std::to_string(sid) + " at " +
-                              std::to_string(entry.position) + ", not " +
-                              std::to_string(expected));
+      return AuditFailure(table_id, "active list files " + name + " at " +
+                                        std::to_string(entry.position) +
+                                        ", not " + std::to_string(expected));
     }
     if (scan.moved) ++stale_entries;
   }
   if (stale_entries != filed_at.size()) {
-    return Status::Internal("audit: moved list of table " +
-                            std::to_string(table_id) +
-                            " names scans missing from its active list");
+    return AuditFailure(table_id,
+                        "moved list names scans missing from the active list");
   }
 
   // Groups exactly partition the active scans, and group_of mirrors the
@@ -526,15 +511,12 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   }
   if (grouped != table.active.size() ||
       grouping.group_of.size() != table.active.size()) {
-    return Status::Internal("audit: groups of table " +
-                            std::to_string(table_id) +
-                            " do not partition its active scans");
+    return AuditFailure(table_id, "groups do not partition the active scans");
   }
   for (const ScanPoint& entry : table.active) {
     if (grouping.group_of.Find(entry.id) == GroupIndex::kNotFound) {
-      return Status::Internal("audit: scan " + std::to_string(entry.id) +
-                              " of table " + std::to_string(table_id) +
-                              " belongs to no group");
+      return AuditFailure(table_id, "scan " + std::to_string(entry.id) +
+                                        " belongs to no group");
     }
   }
 
@@ -551,19 +533,18 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
         const uint64_t d = table.circle->ForwardDistance(
             trailer_pos, scans_.at(member).position);
         if (d < prev) {
-          return Status::Internal(
-              "audit: members of a group on table " +
-              std::to_string(table_id) +
-              " are not in circle order from the trailer");
+          return AuditFailure(
+              table_id, "group members are not in circle order from the "
+                        "trailer");
         }
         prev = d;
       }
       if (prev != group.extent_pages) {
-        return Status::Internal(
-            "audit: recorded group extent " +
-            std::to_string(group.extent_pages) +
-            " disagrees with trailer->leader distance " +
-            std::to_string(prev) + " on table " + std::to_string(table_id));
+        return AuditFailure(table_id,
+                            "recorded group extent " +
+                                std::to_string(group.extent_pages) +
+                                " disagrees with trailer->leader distance " +
+                                std::to_string(prev));
       }
     }
   }
@@ -579,37 +560,20 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
 Status ScanSharingManager::CheckUpdateInvariantsLocked(
     const TableState& table, const ScanState& scan) const {
   SCANSHARE_RETURN_IF_ERROR(CheckFairness(scan));
-  // Filed under its old position in the moved list, or else under its
-  // current one in the active list.
-  const bool filed =
-      scan.moved
-          ? std::any_of(table.moved.begin(), table.moved.end(),
-                        [&](const ScanPoint& p) { return p.id == scan.id; })
-          : std::binary_search(table.active.begin(), table.active.end(),
-                               ScanPoint{scan.id, scan.position},
-                               CircleOrderLess);
-  if (!filed) {
-    return Status::Internal("audit: scan " + std::to_string(scan.id) +
-                            " is not filed on the active list of table " +
-                            std::to_string(table.id));
-  }
   // Without a regroup the snapshot is unchanged, so only what it says
   // about this scan is re-checked: its group holds it, and the group's
   // trailer and leader are scans of this table that map back to it.
   const Grouping& grouping = *table.grouping;
   const size_t g = grouping.group_of.Find(scan.id);
-  if (g == GroupIndex::kNotFound) {
-    return Status::Internal("audit: scan " + std::to_string(scan.id) +
-                            " of table " + std::to_string(table.id) +
-                            " belongs to no group");
+  if (g == GroupIndex::kNotFound ||
+      std::find(grouping.groups[g].members.begin(),
+                grouping.groups[g].members.end(),
+                scan.id) == grouping.groups[g].members.end()) {
+    return AuditFailure(table.id, "no group holds scan " +
+                                      std::to_string(scan.id) +
+                                      " where group_of points");
   }
   const ScanGroup& group = grouping.groups[g];
-  if (std::find(group.members.begin(), group.members.end(), scan.id) ==
-      group.members.end()) {
-    return Status::Internal(
-        "audit: group_of disagrees with group membership for scan " +
-        std::to_string(scan.id));
-  }
   const ScanId ends[] = {group.trailer, group.leader};
   return CheckGroupLocked(table, g, ends);
 }
@@ -635,6 +599,18 @@ Status ScanSharingManager::CheckInvariantsLocked() const {
 Status ScanSharingManager::CheckInvariants() const {
   WriterLock reg(registry_mu_);
   return CheckInvariantsLocked();
+}
+
+Status ScanSharingManager::CheckScanInvariants(ScanId id) const {
+  ReaderLock reg(registry_mu_);
+  auto it = scans_.find(id);
+  if (it == scans_.end()) {
+    return Status::NotFound("CheckScanInvariants: unknown scan " +
+                            std::to_string(id));
+  }
+  const TableState& table = tables_.at(it->second.desc.table_id);
+  MutexLock tl(table.mu);
+  return CheckUpdateInvariantsLocked(table, it->second);
 }
 
 StatusOr<buffer::PagePriority> ScanSharingManager::AdvisePriority(ScanId id) const {

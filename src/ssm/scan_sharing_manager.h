@@ -198,8 +198,15 @@ class ScanSharingManager {
   /// in full after StartScan and EndScan, table-scoped after an
   /// UpdateLocation that regrouped (it holds only a shared registry lock),
   /// and scoped to what one update can change otherwise (the moved scan's
-  /// listing and fairness budget, its group's membership and roles).
+  /// fairness budget, its group's membership and roles).
   [[nodiscard]] Status CheckInvariants() const SCANSHARE_EXCLUDES(registry_mu_);
+
+  /// The scoped audit an UpdateLocation that did not regroup runs in
+  /// SCANSHARE_AUDIT builds, for scan `id`: its fairness budget and its
+  /// group's membership and roles. NotFound for unknown ids, Internal on a
+  /// violation. Always compiled in, like CheckInvariants.
+  [[nodiscard]] Status CheckScanInvariants(ScanId id) const
+      SCANSHARE_EXCLUDES(registry_mu_);
 
   /// Introspection (tests, reports).
   [[nodiscard]] StatusOr<ScanState> GetScanState(ScanId id) const
@@ -315,9 +322,10 @@ class ScanSharingManager {
   [[nodiscard]] Status CheckTableInvariantsLocked(const TableState& table) const
       SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
   /// The part of the table audit one location update of `scan` can
-  /// invalidate when it does not regroup: the scan's listing and fairness
-  /// budget, and its group's membership and roles (trailer and leader).
-  /// O(group + moved) id comparisons, a constant number of lookups.
+  /// invalidate when it does not regroup: the scan's fairness budget, and
+  /// its group's membership and roles (trailer and leader). O(group) id
+  /// comparisons and a constant number of lookups; the moved list is
+  /// audited in full at the next regroup, which consumes it.
   [[nodiscard]] Status CheckUpdateInvariantsLocked(const TableState& table,
                                                    const ScanState& scan) const
       SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);

@@ -314,6 +314,8 @@ TEST(GroupKernelTest, AdaptiveRegroupMatchesReferenceAfterEveryRegroup) {
         ASSERT_TRUE(
             ssm.UpdateLocation(it->first, it->second, pages[it->first], now)
                 .ok());
+        const Status scoped = ssm.CheckScanInvariants(it->first);
+        ASSERT_TRUE(scoped.ok()) << "step " << step << ": " << scoped.ToString();
       }
       const Status audit = ssm.CheckInvariants();
       ASSERT_TRUE(audit.ok()) << "step " << step << ": " << audit.ToString();

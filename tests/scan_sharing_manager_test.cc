@@ -106,6 +106,7 @@ TEST(SsmTest, UpdateUnknownScanFails) {
   ScanSharingManager ssm(TestOptions());
   EXPECT_EQ(ssm.UpdateLocation(99, 0, 0, 0).status().code(),
             Status::Code::kNotFound);
+  EXPECT_EQ(ssm.CheckScanInvariants(99).code(), Status::Code::kNotFound);
 }
 
 TEST(SsmTest, UpdatePositionOffTableFails) {

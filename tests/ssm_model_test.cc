@@ -24,7 +24,8 @@
 //     bookkeeping matches the model's running sum, and once a scan's
 //     budget is exhausted it is never throttled again (tolerance 0 scans
 //     are never throttled at all);
-//   - ScanSharingManager::CheckInvariants holds throughout.
+//   - ScanSharingManager::CheckInvariants holds throughout, and the
+//     scoped CheckScanInvariants holds after every update.
 //
 // The driver runs 64 distinct seeds (the acceptance bar is >= 50).
 
@@ -193,6 +194,8 @@ class ModelDriver {
     auto updated = ssm_.UpdateLocation(id, scan.position, scan.pages, now_);
     ASSERT_TRUE(updated.ok()) << updated.status().ToString();
     const UpdateResult& r = *updated;
+    const Status scoped = ssm_.CheckScanInvariants(id);
+    ASSERT_TRUE(scoped.ok()) << scoped.ToString();
 
     // Role must agree with the model's group snapshot.
     const ScanGroup* group = nullptr;
