@@ -55,7 +55,13 @@ void BM_UpdateLocation(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_UpdateLocation)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(512);
+BENCHMARK(BM_UpdateLocation)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(512);
 
 // Scan registration + placement with N ongoing scans.
 void BM_StartEndScan(benchmark::State& state) {

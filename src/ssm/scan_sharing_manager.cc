@@ -166,11 +166,11 @@ void ScanSharingManager::ResortMoved(TableState* table) {
   std::sort(moved.begin(), moved.end(), CircleOrderLess);
   auto stale = moved.begin();
   size_t kept = 0;
-  for (size_t i = 0; i < active.size(); ++i) {
-    if (stale != moved.end() && active[i].id == stale->id) {
+  for (const ScanPoint& entry : active) {
+    if (stale != moved.end() && entry.id == stale->id) {
       ++stale;
     } else {
-      active[kept++] = active[i];
+      active[kept++] = entry;
     }
   }
   active.resize(kept);

@@ -86,9 +86,10 @@ TEST(GroupKernelTest, RandomPointSetsMatchReference) {
     for (sim::PageId& spot : spots) spot = first + rng.Uniform(span);
 
     std::vector<ScanPoint> points;
+    points.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      points.push_back(ScanPoint{static_cast<ScanId>(1 + rng.Uniform(1000) * 64 + i),
-                                 spots[rng.Uniform(distinct)]});
+      const auto id = static_cast<ScanId>(1 + rng.Uniform(1000) * 64 + i);
+      points.push_back(ScanPoint{id, spots[rng.Uniform(distinct)]});
     }
     Shuffle(&points, &rng);
     const uint64_t kBudgets[] = {0, 1, span / 64, span / 8, span / 2, span,
@@ -118,7 +119,8 @@ TEST(GroupKernelTest, ManyScansAtOnePositionDropTheWrapEdge) {
   }
   // Plus a straggler: all zero gaps fit, so only positive gaps can be cut.
   points.push_back(ScanPoint{10, 900});
-  for (uint64_t budget : {uint64_t{0}, uint64_t{399}, uint64_t{400}, kNoLimit}) {
+  for (uint64_t budget :
+       {uint64_t{0}, uint64_t{399}, uint64_t{400}, kNoLimit}) {
     ExpectKernelMatchesReference(points, circle, budget);
   }
 }
@@ -143,8 +145,9 @@ TEST(GroupKernelTest, EqualGapsStraddlingTheBudget) {
   for (int trial = 0; trial < 200; ++trial) {
     const uint64_t step = 1 + rng.Uniform(9);
     const ScanCircle c(0, step * 64 + rng.Uniform(3));
-    std::vector<ScanPoint> lattice;
     const size_t n = 2 + rng.Uniform(40);
+    std::vector<ScanPoint> lattice;
+    lattice.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       lattice.push_back(ScanPoint{static_cast<ScanId>(i + 1),
                                   step * rng.Uniform(64)});
@@ -315,7 +318,8 @@ TEST(GroupKernelTest, AdaptiveRegroupMatchesReferenceAfterEveryRegroup) {
             ssm.UpdateLocation(it->first, it->second, pages[it->first], now)
                 .ok());
         const Status scoped = ssm.CheckScanInvariants(it->first);
-        ASSERT_TRUE(scoped.ok()) << "step " << step << ": " << scoped.ToString();
+        ASSERT_TRUE(scoped.ok())
+            << "step " << step << ": " << scoped.ToString();
       }
       const Status audit = ssm.CheckInvariants();
       ASSERT_TRUE(audit.ok()) << "step " << step << ": " << audit.ToString();
@@ -323,7 +327,10 @@ TEST(GroupKernelTest, AdaptiveRegroupMatchesReferenceAfterEveryRegroup) {
       if (now_regroups == regroups) continue;
       regroups = now_regroups;
       std::vector<ScanPoint> points;
-      for (const auto& [id, pos] : positions) points.push_back(ScanPoint{id, pos});
+      points.reserve(positions.size());
+      for (const auto& [id, pos] : positions) {
+        points.push_back(ScanPoint{id, pos});
+      }
       SCOPED_TRACE("step " + std::to_string(step));
       ExpectSameGroups(ssm.GroupsForTable(desc.table_id),
                        ReferenceScanGroups(points, circle,

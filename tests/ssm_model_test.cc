@@ -267,7 +267,8 @@ class ModelDriver {
       table->regroup_positions[id] = scan.position;
     }
     table->groups = testutil::ReferenceScanGroups(
-        points, ScanCircle(table->first, table->end), options_.bufferpool_pages);
+        points, ScanCircle(table->first, table->end),
+        options_.bufferpool_pages);
   }
 
   void CheckAgainstSsm() {
