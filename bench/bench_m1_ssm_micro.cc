@@ -3,6 +3,8 @@
 // updates (the per-extent call on every scan's hot path), group
 // (re)builds, placement decisions, and priority advice.
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "ssm/scan_sharing_manager.h"
@@ -97,22 +99,27 @@ void BM_AdvisePriority(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvisePriority);
 
-// Group formation from scratch for N scans (the Fig.-14 algorithm).
+// Group formation for N scans (the Fig.-14 algorithm), fed the
+// circle-ordered list the manager maintains. The second argument spaces
+// the scans: 7919 pages apart, most gaps do not fit the budget left; one
+// page apart, every gap fits, as in bench_a11_service's regroup scaling.
 void BM_BuildScanGroups(benchmark::State& state) {
   const int scans = static_cast<int>(state.range(0));
+  const int spacing = static_cast<int>(state.range(1));
   ssm::ScanCircle circle(0, 1 << 20);
   std::vector<ssm::ScanPoint> points;
   for (int i = 0; i < scans; ++i) {
     points.push_back(
         ssm::ScanPoint{static_cast<ssm::ScanId>(i + 1),
-                       static_cast<sim::PageId>((i * 7919) % (1 << 20))});
+                       static_cast<sim::PageId>((i * spacing) % (1 << 20))});
   }
+  std::sort(points.begin(), points.end(), ssm::CircleOrderLess);
   for (auto _ : state) {
     auto groups = ssm::BuildScanGroups(points, circle, 4096);
     benchmark::DoNotOptimize(groups);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BuildScanGroups)->Arg(2)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_BuildScanGroups)->ArgsProduct({{2, 8, 32, 128, 512}, {7919, 1}});
 
 }  // namespace

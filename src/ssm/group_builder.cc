@@ -59,7 +59,10 @@ std::vector<ScanGroup> MergeAdjacentScans(const std::vector<ScanPoint>& points,
     }
   }
   if (count < cap && FitsWhole(positive, budget, cap - count)) {
-    // All of them are taken, so their order does not matter.
+    // All of them are taken, so their order does not matter. Dense scans
+    // hit this (in bench_a11_service's regroup-scaling cells every regroup
+    // with a positive gap does), and popping them all off the heap instead
+    // made paper mode there two to four times slower.
     for (const auto& [gap, e] : positive) take(edges[e]);
   } else if (count < cap) {
     // Only a prefix is taken: pop it off a min-heap instead of sorting.

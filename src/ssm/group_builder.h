@@ -91,9 +91,12 @@ std::vector<ScanGroup> MergeAdjacentScans(const std::vector<ScanPoint>& points,
 /// `points` are the active scans' positions; `circle` is the table's page
 /// span; `bufferpool_pages` is the merge budget. Input already sorted by
 /// CircleOrderLess (the manager's maintained order) is used as is; other
-/// input is sorted first. Deterministic: ties on distance break towards
-/// the pair with the smaller trailer position, then smaller scan id —
-/// which is index order in the sorted list.
+/// input, such as a test's hand-written points, is sorted first. The
+/// manager's regroups pay only the one-pass sortedness check for that,
+/// within noise of the builder's own cost (bench_m1_ssm_micro's
+/// BM_BuildScanGroups, which feeds sorted points). Deterministic: ties on
+/// distance break towards the pair with the smaller trailer position, then
+/// smaller scan id — which is index order in the sorted list.
 std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
                                        const ScanCircle& circle,
                                        uint64_t bufferpool_pages);

@@ -52,7 +52,7 @@ struct SsmOptions {
 
   /// Service-scale regroup amortization. A Fig.-14 rebuild re-sorts the k
   /// scans that moved since the previous one and walks all n active scans
-  /// once: O(n + k log k) per call. At the default interval of 1 every
+  /// once: O(n + k log n) per call. At the default interval of 1 every
   /// location update pays it (k = 1), so total regroup work grows as
   /// O(n^2) with the scan count — fine at the paper's 5 streams, heavy at
   /// a service's thousands. When set:

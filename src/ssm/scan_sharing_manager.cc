@@ -158,12 +158,28 @@ void ScanSharingManager::Regroup(TableState* table, sim::Micros now) {
 }
 
 void ScanSharingManager::ResortMoved(TableState* table) {
-  if (table->moved.empty()) return;
   std::vector<ScanPoint>& moved = table->moved;
+  if (moved.empty()) return;
   std::vector<ScanPoint>& active = table->active;
-  // The stale entries sit in `active` in the order of `moved` sorted, so
-  // one pass drops them.
+  // A scan that moved more than once since the last regroup has one note
+  // per move. Only its first note equals its entry in `active` (a later one
+  // too if it had moved back there), so keep the notes that name an entry,
+  // once each.
+  const auto names_no_entry = [&active](const ScanPoint& m) {
+    const auto it =
+        std::lower_bound(active.begin(), active.end(), m, CircleOrderLess);
+    return it == active.end() || it->id != m.id || it->position != m.position;
+  };
+  moved.erase(std::remove_if(moved.begin(), moved.end(), names_no_entry),
+              moved.end());
   std::sort(moved.begin(), moved.end(), CircleOrderLess);
+  moved.erase(std::unique(moved.begin(), moved.end(),
+                          [](const ScanPoint& a, const ScanPoint& b) {
+                            return a.id == b.id;
+                          }),
+              moved.end());
+  // The stale entries sit in `active` in the order of `moved`, so one pass
+  // drops them.
   auto stale = moved.begin();
   size_t kept = 0;
   for (const ScanPoint& entry : active) {
@@ -174,11 +190,7 @@ void ScanSharingManager::ResortMoved(TableState* table) {
     }
   }
   active.resize(kept);
-  for (ScanPoint& m : moved) {
-    ScanState& scan = scans_.at(m.id);
-    m.position = scan.position;
-    scan.moved = false;
-  }
+  for (ScanPoint& m : moved) m.position = scans_.at(m.id).position;
   std::sort(moved.begin(), moved.end(), CircleOrderLess);
   table->scratch.clear();
   std::merge(active.begin(), active.end(), moved.begin(), moved.end(),
@@ -283,9 +295,10 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
     scan.last_update_at = now;
     scan.pages_at_last_update = pages_processed;
   }
-  if (position != scan.position && !scan.moved) {
+  if (position != scan.position) {
+    // The active list still files the scan under its old position; the
+    // next regroup re-sorts it (ResortMoved).
     table.moved.push_back(ScanPoint{id, scan.position});
-    scan.moved = true;
   }
   scan.position = position;
   scan.pages_processed = pages_processed;
@@ -375,21 +388,14 @@ Status ScanSharingManager::EndScan(ScanId id, sim::Micros now) {
     table.last_finished_pos = scan.position;
     SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanEnd, now, id,
                           scan.position, scan.accumulated_wait);
-    // The scan is filed under its current position unless it moved since
-    // the last regroup; then `moved` holds the position it is filed under.
-    ScanPoint filed{id, scan.position};
-    if (scan.moved) {
-      const auto m =
-          std::find_if(table.moved.begin(), table.moved.end(),
-                       [id](const ScanPoint& p) { return p.id == id; });
-      assert(m != table.moved.end());
-      filed = *m;
-      table.moved.erase(m);
-    }
-    const auto entry = std::lower_bound(
-        table.active.begin(), table.active.end(), filed, CircleOrderLess);
-    assert(entry != table.active.end() && entry->id == id);
+    // The list files the scan wherever the last regroup left it, so the
+    // entry is found by id; the scan's move notes go with it.
+    const auto is_scan = [id](const ScanPoint& p) { return p.id == id; };
+    const auto entry =
+        std::find_if(table.active.begin(), table.active.end(), is_scan);
+    assert(entry != table.active.end());
     table.active.erase(entry);
+    std::erase_if(table.moved, is_scan);
     if (options_.adaptive_regroup) {
       // Splice the member out while its group-mates' positions are still
       // readable, then drop the registration.
@@ -448,14 +454,10 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   const uint32_t table_id = table.id;
   const Grouping& grouping = *table.grouping;
 
-  // The moved scans' stale entries, by id.
+  // Where the list files each scan moved since the last regroup: its
+  // first move note (emplace keeps the first).
   std::unordered_map<ScanId, sim::PageId> filed_at;
-  for (const ScanPoint& m : table.moved) {
-    if (!filed_at.emplace(m.id, m.position).second) {
-      return AuditFailure(table_id, "scan " + std::to_string(m.id) +
-                                        " is listed as moved twice");
-    }
-  }
+  for (const ScanPoint& m : table.moved) filed_at.emplace(m.id, m.position);
 
   // The active list is strictly in circle order, names each registered
   // scan of this table once, and files it under its current position —
@@ -483,18 +485,14 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
       return AuditFailure(table_id, name + " appears twice on the active list");
     }
     const auto stale = filed_at.find(entry.id);
-    if (scan.moved != (stale != filed_at.end())) {
-      return AuditFailure(table_id,
-                          "moved mark of " + name + " disagrees with the "
-                                                    "moved list");
-    }
-    const sim::PageId expected = scan.moved ? stale->second : scan.position;
+    const bool moved = stale != filed_at.end();
+    const sim::PageId expected = moved ? stale->second : scan.position;
     if (entry.position != expected) {
       return AuditFailure(table_id, "active list files " + name + " at " +
                                         std::to_string(entry.position) +
                                         ", not " + std::to_string(expected));
     }
-    if (scan.moved) ++stale_entries;
+    if (moved) ++stale_entries;
   }
   if (stale_entries != filed_at.size()) {
     return AuditFailure(table_id,

@@ -26,10 +26,12 @@
 //     (epoch incremented), so a reader either sees the old complete
 //     grouping or the new complete grouping, never a half-built one.
 //   - each table keeps its active scans in circle order (position, id):
-//     StartScan inserts, EndScan erases, UpdateLocation only marks the
-//     scan as moved, and Regroup re-sorts just the moved scans before
+//     StartScan inserts, EndScan erases, UpdateLocation only notes the
+//     move in O(1), and Regroup re-sorts just the moved scans before
 //     handing the list to SharingPolicy::Group — Fig. 14 then needs no
-//     sort of its own.
+//     sort of its own. (Re-sorting on every update instead shifts the
+//     entries of every scan the update overtakes, which the adaptive
+//     regroup-scaling cells cannot afford; see DESIGN.md §12.2.)
 //   - each table's counters live in its TableState under the table latch;
 //     stats() sums them under the exclusive registry lock, an exact cut.
 // The single-threaded simulator path takes the same locks uncontended and
@@ -256,12 +258,16 @@ class ScanSharingManager {
     uint32_t id SCANSHARE_GUARDED_BY(mu) = 0;  ///< Table id (trace actor).
     std::optional<ScanCircle> circle SCANSHARE_GUARDED_BY(mu);
     /// The table's active scans, strictly sorted by CircleOrderLess. A
-    /// scan moved since the last regroup keeps its old entry here (and
-    /// ScanState::moved) until Regroup re-sorts it.
+    /// scan moved since the last regroup keeps its old entry here until
+    /// Regroup re-sorts it.
     std::vector<ScanPoint> active SCANSHARE_GUARDED_BY(mu);
-    /// The stale entries of `active`, one per moved scan, as filed there.
+    /// One note per location update that moved a scan since the last
+    /// regroup: the scan and the position it moved from. A scan's first
+    /// note is its entry in `active`.
     std::vector<ScanPoint> moved SCANSHARE_GUARDED_BY(mu);
-    /// Merge buffer for the re-sort, kept to avoid reallocating it.
+    /// Merge buffer for the re-sort, kept so a regroup allocates nothing
+    /// for it: per-regroup temporary buffers raised the push_io
+    /// benchmark's peak RSS by 4-10 MiB.
     std::vector<ScanPoint> scratch SCANSHARE_GUARDED_BY(mu);
     std::optional<sim::PageId> last_finished_pos SCANSHARE_GUARDED_BY(mu);
     /// Current grouping snapshot; never null.
@@ -281,7 +287,7 @@ class ScanSharingManager {
 
   /// Brings the table's active list up to date: drops the moved scans'
   /// stale entries and merges them back at their current positions, in
-  /// O(active + k log k) for k moved scans. Same locking as Regroup.
+  /// O(active + k log active) for k move notes. Same locking as Regroup.
   void ResortMoved(TableState* table)
       SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table->mu);
 

@@ -92,12 +92,6 @@ struct ScanState {
   /// bookkeeping only; policies never read it).
   GroupRole last_role = GroupRole::kNone;
 
-  /// True while the manager's circle-ordered list of this table's scans
-  /// still files this scan under an older position: set by a location
-  /// update that moved it, cleared by the next regroup (bookkeeping only;
-  /// policies never read it).
-  bool moved = false;
-
   /// Total throttle wait inserted into this scan so far.
   sim::Micros accumulated_wait = 0;
   /// True once accumulated_wait exceeded the fairness cap; the scan is

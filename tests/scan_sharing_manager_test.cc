@@ -297,6 +297,45 @@ TEST(SsmTest, RegroupIntervalHonoured) {
   EXPECT_EQ(ssm.stats().regroups, after_start + 1);
 }
 
+// Between regroups a scan may move several times, or move away and back.
+// The circle-ordered list still holds one entry per scan, ending such a
+// scan drops that entry, and the regroup re-files the rest at their
+// current positions.
+TEST(SsmTest, ScansMovedSeveralTimesBetweenRegroupsStayListedOnce) {
+  SsmOptions o = TestOptions();
+  o.regroup_interval_updates = 8;
+  ScanSharingManager ssm(o);
+  std::vector<ScanId> ids;
+  for (int i = 0; i < 3; ++i) {
+    auto s = ssm.StartScan(Desc(), 0);
+    ASSERT_TRUE(s.ok());
+    ASSERT_EQ(s->start_page, 0u);
+    ids.push_back(s->id);
+  }
+  const uint64_t regroups = ssm.stats().regroups;
+  // ids[0]: 0 -> 300 -> 100; ids[1]: 0 -> 200 -> 0; ids[2]: 0 -> 50 -> 60.
+  const sim::PageId path[3][2] = {{300, 100}, {200, 0}, {50, 60}};
+  for (size_t step = 0; step < 2; ++step) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const auto now = static_cast<sim::Micros>(1000 * (step + 1));
+      ASSERT_TRUE(
+          ssm.UpdateLocation(ids[i], path[i][step], 16 * (step + 1), now)
+              .ok());
+      ASSERT_TRUE(ssm.CheckInvariants().ok()) << "step " << step << " scan "
+                                              << i;
+    }
+  }
+  EXPECT_EQ(ssm.stats().regroups, regroups);  // Six updates, no regroup.
+
+  ASSERT_TRUE(ssm.EndScan(ids[2], 3000).ok());
+  ASSERT_TRUE(ssm.CheckInvariants().ok());
+  EXPECT_EQ(ssm.stats().regroups, regroups + 1);
+  const auto groups = ssm.GroupsForTable(1);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].members, (std::vector<ScanId>{ids[1], ids[0]}));
+  EXPECT_EQ(groups[0].extent_pages, 100u);
+}
+
 TEST(SsmTest, PartialRangeScanJoinsOverlappingScanOnly) {
   ScanSharingManager ssm(TestOptions());
   auto full = ssm.StartScan(Desc(), 0);
