@@ -10,10 +10,11 @@
 //   2. Stream scheduling: end-to-end engine steps/sec on a multi-stream
 //      throughput run (heap-based event scheduling; the linear scan it
 //      replaced was O(streams) per step).
-//   3. Scan+aggregate inner loop: tuples/sec for Q6-like and Q1-like
-//      processing, the interpreted reference (Predicate::Eval +
-//      Aggregator::Consume per tuple) vs the engine's columnar kernel.
-//      Both must match the same rows.
+//   3. Scan+aggregate inner loop: tuples/sec for Q6-like, Q1-like and
+//      mid-weight (QM) processing, the interpreted reference
+//      (Predicate::Eval + Aggregator::Consume per tuple) vs the engine's
+//      columnar kernel. The two must produce bit-identical aggregates, or
+//      the bench exits 1 before reporting a speedup.
 //
 // Unlike the figure benches (virtual time), these numbers are real elapsed
 // time of this process, so they vary with the machine. Use --json=PATH for
@@ -204,7 +205,9 @@ struct TupleKernel {
     return *data;
   }
 
-  uint64_t RunGeneric() const {
+  // Each run returns its matched-row count; `out`, when given, receives
+  // the aggregate's Finish output.
+  uint64_t RunGeneric(exec::QueryOutput* out = nullptr) const {
     exec::Aggregator agg = prototype;
     const storage::Schema& schema = table->schema;
     uint64_t matched = 0;
@@ -219,14 +222,15 @@ struct TupleKernel {
         }
       }
     }
+    if (out != nullptr) *out = agg.Finish(tuples);
     return matched;
   }
 
   // The columnar kernel ChunkProcessor runs: gather the page's tuple
   // pointers, build the selection bitmap in one branch-free pass, then
-  // fold the survivors batch-at-a-time. The checksum (matched row count)
-  // and the aggregate state it produces match RunGeneric's.
-  uint64_t RunColumnar() const {
+  // fold the survivors batch-at-a-time. Its output must be bit-identical
+  // to RunGeneric's (CheckKernel).
+  uint64_t RunColumnar(exec::QueryOutput* out = nullptr) const {
     exec::Aggregator agg = prototype;
     Status st = agg.PrepareHot(table->schema);
     if (!st.ok()) {
@@ -247,9 +251,28 @@ struct TupleKernel {
       compiled_pred.MatchBatch(batch.data(), count, sel.data());
       matched += agg.ConsumeBatch(batch.data(), sel.data(), count);
     }
+    if (out != nullptr) *out = agg.Finish(tuples);
     return matched;
   }
 };
+
+// The columnar kernel must fold exactly what the interpreted reference
+// folds, to the bit (DESIGN §10.2): a kernel that changes aggregate bits
+// exits 1 instead of reporting a speedup.
+void CheckKernel(const char* name, const TupleKernel& kernel) {
+  exec::QueryOutput reference;
+  exec::QueryOutput columnar;
+  kernel.RunGeneric(&reference);
+  kernel.RunColumnar(&columnar);
+  std::string diff;
+  if (!metrics::BitIdentical(columnar, reference, &diff)) {
+    std::fprintf(stderr,
+                 "FAIL: the %s columnar kernel's aggregates differ from the "
+                 "interpreted reference: %s\n",
+                 name, diff.c_str());
+    std::exit(1);
+  }
+}
 
 }  // namespace
 
@@ -272,6 +295,10 @@ int Main(int argc, char** argv) {
   // 3. Inner loop: interpreted reference vs columnar kernel.
   TupleKernel q6(db.get(), workload::MakeQ6Like("lineitem"));
   TupleKernel q1(db.get(), workload::MakeQ1Like("lineitem"));
+  TupleKernel qm(db.get(), workload::MakeMidWeight("lineitem"));
+  CheckKernel("Q6", q6);
+  CheckKernel("Q1", q1);
+  CheckKernel("QM", qm);
   const double tuple_ops = static_cast<double>(t->num_tuples);
   WallMeasurement q6_generic =
       MeasureWall("tuples_q6_interpreted", tuple_ops, config.warmup,
@@ -279,27 +306,27 @@ int Main(int argc, char** argv) {
   WallMeasurement q1_generic =
       MeasureWall("tuples_q1_interpreted", tuple_ops, config.warmup,
                   config.reps, [&] { return q1.RunGeneric(); });
+  WallMeasurement qm_generic =
+      MeasureWall("tuples_qm_interpreted", tuple_ops, config.warmup,
+                  config.reps, [&] { return qm.RunGeneric(); });
   WallMeasurement q6_columnar =
       MeasureWall("tuples_q6_columnar", tuple_ops, config.warmup, config.reps,
                   [&] { return q6.RunColumnar(); });
   WallMeasurement q1_columnar =
       MeasureWall("tuples_q1_columnar", tuple_ops, config.warmup, config.reps,
                   [&] { return q1.RunColumnar(); });
-  if (q6_generic.checksum != q6_columnar.checksum ||
-      q1_generic.checksum != q1_columnar.checksum) {
-    std::fprintf(stderr,
-                 "FAIL: the columnar kernel matched different rows than the "
-                 "interpreted reference\n");
-    std::exit(1);
-  }
-  const double q6_col_speedup = q6_generic.ops_per_sec() > 0
-                                    ? q6_columnar.ops_per_sec() /
-                                          q6_generic.ops_per_sec()
-                                    : 0.0;
-  const double q1_col_speedup = q1_generic.ops_per_sec() > 0
-                                    ? q1_columnar.ops_per_sec() /
-                                          q1_generic.ops_per_sec()
-                                    : 0.0;
+  WallMeasurement qm_columnar =
+      MeasureWall("tuples_qm_columnar", tuple_ops, config.warmup, config.reps,
+                  [&] { return qm.RunColumnar(); });
+  auto speedup = [](const WallMeasurement& generic,
+                    const WallMeasurement& columnar) {
+    return generic.ops_per_sec() > 0
+               ? columnar.ops_per_sec() / generic.ops_per_sec()
+               : 0.0;
+  };
+  const double q6_col_speedup = speedup(q6_generic, q6_columnar);
+  const double q1_col_speedup = speedup(q1_generic, q1_columnar);
+  const double qm_col_speedup = speedup(qm_generic, qm_columnar);
 
   PrintWall(fetch_array);
   PrintWall(sched.wall);
@@ -309,6 +336,9 @@ int Main(int argc, char** argv) {
   PrintWall(q1_generic);
   PrintWall(q1_columnar);
   std::printf("%-28s %12.2fx\n", "Q1 speedup (columnar)", q1_col_speedup);
+  PrintWall(qm_generic);
+  PrintWall(qm_columnar);
+  std::printf("%-28s %12.2fx\n", "QM speedup (columnar)", qm_col_speedup);
 
   if (!config.json_path.empty()) {
     JsonObject cfg;
@@ -332,7 +362,10 @@ int Main(int argc, char** argv) {
         .Put("q6_speedup_columnar", q6_col_speedup)
         .PutRaw("q1_interpreted", WallToJson(q1_generic))
         .PutRaw("q1_columnar", WallToJson(q1_columnar))
-        .Put("q1_speedup_columnar", q1_col_speedup);
+        .Put("q1_speedup_columnar", q1_col_speedup)
+        .PutRaw("qm_interpreted", WallToJson(qm_generic))
+        .PutRaw("qm_columnar", WallToJson(qm_columnar))
+        .Put("qm_speedup_columnar", qm_col_speedup);
     JsonObject root;
     root.Put("bench", std::string("p1_hotpath"))
         .PutRaw("config", cfg.ToString())

@@ -16,29 +16,41 @@ Aggregator::Aggregator(std::vector<AggSpec> specs,
                        std::vector<std::string> group_by)
     : specs_(std::move(specs)), group_by_names_(std::move(group_by)) {}
 
-Aggregator::Aggregator(const Aggregator& other)
-    : specs_(other.specs_),
-      group_by_names_(other.group_by_names_),
-      group_by_cols_(other.group_by_cols_),
-      group_by_widths_(other.group_by_widths_),
-      groups_(other.groups_),
-      bound_(other.bound_) {}
+namespace {
 
-Aggregator& Aggregator::operator=(const Aggregator& other) {
-  if (this != &other) {
-    specs_ = other.specs_;
-    group_by_names_ = other.group_by_names_;
-    group_by_cols_ = other.group_by_cols_;
-    group_by_widths_ = other.group_by_widths_;
-    groups_ = other.groups_;
-    bound_ = other.bound_;
-    hot_aggs_.clear();
-    group_by_offsets_.clear();
-    group_cache_.clear();
-    ungrouped_ = nullptr;
-  }
-  return *this;
+// First capacity of the group-id table; it doubles whenever it would pass
+// half full.
+constexpr size_t kIdTableCapacity = 16;
+
+// Home bucket of packed key `key` in a table of mask + 1 entries.
+size_t IdBucket(uint64_t key, size_t mask) {
+  uint64_t h = key * 0x9E3779B97F4A7C15ULL;
+  h ^= h >> 32;
+  return static_cast<size_t>(h) & mask;
 }
+
+// Folds v[0, m) into aggregate `op`'s accumulators in order, value s into
+// at(s), the way Consume folds one value: std::min(acc, v) keeps acc on a
+// tie or a NaN v. kCount has no accumulator; Finish reads the rows.
+template <typename At>
+void FoldLane(AggOp op, const double* v, size_t m, At at) {
+  switch (op) {
+    case AggOp::kCount:
+      break;
+    case AggOp::kSum:
+    case AggOp::kAvg:
+      for (size_t s = 0; s < m; ++s) at(s) += v[s];
+      break;
+    case AggOp::kMin:
+      for (size_t s = 0; s < m; ++s) at(s) = std::min(at(s), v[s]);
+      break;
+    case AggOp::kMax:
+      for (size_t s = 0; s < m; ++s) at(s) = std::max(at(s), v[s]);
+      break;
+  }
+}
+
+}  // namespace
 
 Status Aggregator::Bind(const storage::Schema& schema) {
   for (AggSpec& spec : specs_) {
@@ -46,67 +58,70 @@ Status Aggregator::Bind(const storage::Schema& schema) {
       SCANSHARE_RETURN_IF_ERROR(spec.expr.Bind(schema));
     }
   }
-  group_by_cols_.clear();
+  group_by_offsets_.clear();
   group_by_widths_.clear();
+  key_width_ = 0;
   for (const std::string& name : group_by_names_) {
     SCANSHARE_ASSIGN_OR_RETURN(size_t idx, schema.ColumnIndex(name));
     if (schema.column(idx).type != storage::TypeId::kChar) {
       return Status::InvalidArgument("Aggregator: group-by column '" + name +
                                      "' must be char");
     }
-    group_by_cols_.push_back(idx);
+    group_by_offsets_.push_back(schema.offset(idx));
     group_by_widths_.push_back(schema.column(idx).width);
+    key_width_ += schema.column(idx).width;
   }
   bound_ = true;
   return Status::OK();
 }
 
-std::string Aggregator::MakeKey(const storage::Schema& schema,
-                                const uint8_t* tuple) const {
-  std::string key;
-  for (size_t i = 0; i < group_by_cols_.size(); ++i) {
-    const char* field = schema.ReadChar(tuple, group_by_cols_[i]);
+void Aggregator::AppendKey(const uint8_t* tuple, std::string* key) const {
+  for (size_t i = 0; i < group_by_offsets_.size(); ++i) {
+    if (i > 0) key->push_back('|');
+    const char* field =
+        reinterpret_cast<const char*>(tuple + group_by_offsets_[i]);
     // Stop at the zero padding so keys are clean strings.
     size_t len = 0;
     while (len < group_by_widths_[i] && field[len] != '\0') ++len;
-    key.append(field, len);
-    if (i + 1 < group_by_cols_.size()) key.push_back('|');
+    key->append(field, len);
   }
-  return key;
 }
 
-void Aggregator::InitGroup(GroupState& g) const {
-  g.acc.assign(specs_.size(), 0.0);
-  g.cnt.assign(specs_.size(), 0);
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].op == AggOp::kMin) {
-      g.acc[i] = std::numeric_limits<double>::infinity();
-    } else if (specs_[i].op == AggOp::kMax) {
-      g.acc[i] = -std::numeric_limits<double>::infinity();
-    }
+uint32_t Aggregator::GroupSlot(const std::string& key) {
+  const auto it = slots_.lower_bound(key);
+  if (it != slots_.end() && it->first == key) return it->second;
+  const auto slot = static_cast<uint32_t>(rows_.size());
+  slots_.emplace_hint(it, key, slot);
+  rows_.push_back(0);
+  for (const AggSpec& spec : specs_) {
+    acc_.push_back(spec.op == AggOp::kMin
+                       ? std::numeric_limits<double>::infinity()
+                   : spec.op == AggOp::kMax
+                       ? -std::numeric_limits<double>::infinity()
+                       : 0.0);
   }
+  return slot;
 }
 
 void Aggregator::Consume(const storage::Schema& schema, const uint8_t* tuple) {
-  GroupState& g = groups_[MakeKey(schema, tuple)];
-  if (g.acc.empty()) InitGroup(g);
-  ++g.rows;
+  key_scratch_.clear();
+  AppendKey(tuple, &key_scratch_);
+  const uint32_t slot = GroupSlot(key_scratch_);
+  ++rows_[slot];
+  double* acc = acc_.data() + size_t{slot} * specs_.size();
   for (size_t i = 0; i < specs_.size(); ++i) {
     switch (specs_[i].op) {
       case AggOp::kCount:
-        ++g.cnt[i];
-        break;
+        break;  // Finish reads the group's rows.
       case AggOp::kSum:
-      case AggOp::kAvg: {
-        g.acc[i] += specs_[i].expr.Eval(schema, tuple);
-        ++g.cnt[i];
+      case AggOp::kAvg:
+        acc[i] += specs_[i].expr.Eval(schema, tuple);
         break;
-      }
       case AggOp::kMin:
-        g.acc[i] = std::min(g.acc[i], specs_[i].expr.Eval(schema, tuple));
+        acc[i] = std::min(acc[i], specs_[i].expr.Eval(schema, tuple));
         break;
       case AggOp::kMax:
-        g.acc[i] = std::max(g.acc[i], specs_[i].expr.Eval(schema, tuple));
+        acc[i] = std::max(acc[i], specs_[i].expr.Eval(schema, tuple));
         break;
     }
   }
@@ -116,226 +131,189 @@ Status Aggregator::PrepareHot(const storage::Schema& schema) {
   if (!bound_) {
     return Status::FailedPrecondition("Aggregator::PrepareHot: not bound");
   }
-  hot_aggs_.clear();
-  hot_aggs_.reserve(specs_.size());
-  for (const AggSpec& spec : specs_) {
-    HotAgg agg;
-    agg.op = spec.op;
-    if (spec.op != AggOp::kCount) {
-      SCANSHARE_ASSIGN_OR_RETURN(agg.expr, spec.expr.Compile(schema));
+  LaneProgram inputs;
+  input_lane_.assign(specs_.size(), 0);
+  for (size_t i = 0; i < specs_.size(); ++i) {
+    if (specs_[i].op != AggOp::kCount) {
+      SCANSHARE_ASSIGN_OR_RETURN(input_lane_[i],
+                                 inputs.Add(specs_[i].expr, schema));
     }
-    hot_aggs_.push_back(std::move(agg));
   }
-  group_by_offsets_.clear();
-  for (size_t idx : group_by_cols_) {
-    group_by_offsets_.push_back(schema.offset(idx));
-  }
-  group_cache_.clear();
-  ungrouped_ = nullptr;
+  inputs_ = std::move(inputs);
+  ResetIds();
   return Status::OK();
 }
 
-Aggregator::GroupState& Aggregator::HotGroup(const uint8_t* tuple) {
-  if (group_by_offsets_.empty()) {
-    if (ungrouped_ == nullptr) {
-      GroupState& g = groups_[std::string()];
-      if (g.acc.empty()) InitGroup(g);
-      ungrouped_ = &g;
+void Aggregator::ResetIds() {
+  id_table_.assign(std::max(id_table_.size(), kIdTableCapacity), IdEntry{});
+  id_table_used_ = 0;
+}
+
+uint32_t Aggregator::PackedSlot(uint64_t key, const uint8_t* tuple) {
+  const size_t mask = id_table_.size() - 1;
+  for (size_t h = IdBucket(key, mask); id_table_[h].slot != kNoSlot;
+       h = (h + 1) & mask) {
+    if (id_table_[h].key == key) return id_table_[h].slot;
+  }
+  // A raw encoding not seen yet: resolve its canonical group. Encodings
+  // that differ only after a field's first NUL share that group's slot.
+  key_scratch_.clear();
+  AppendKey(tuple, &key_scratch_);
+  const IdEntry entry{key, GroupSlot(key_scratch_)};
+  if (2 * (id_table_used_ + 1) > id_table_.size()) {
+    std::vector<IdEntry> old(2 * id_table_.size());
+    old.swap(id_table_);
+    for (const IdEntry& e : old) {
+      if (e.slot != kNoSlot) PlaceId(e);
     }
-    return *ungrouped_;
   }
-  // Key the cache on the raw fixed-width bytes: no trimming, no separator
-  // insertion, just memcpy. Distinct raw encodings of the same canonical
-  // key simply alias the same GroupState, so results are unaffected.
-  raw_scratch_.clear();
-  for (size_t i = 0; i < group_by_offsets_.size(); ++i) {
-    raw_scratch_.append(
-        reinterpret_cast<const char*>(tuple + group_by_offsets_[i]),
-        group_by_widths_[i]);
+  PlaceId(entry);
+  ++id_table_used_;
+  return entry.slot;
+}
+
+void Aggregator::PlaceId(const IdEntry& entry) {
+  const size_t mask = id_table_.size() - 1;
+  size_t h = IdBucket(entry.key, mask);
+  while (id_table_[h].slot != kNoSlot) h = (h + 1) & mask;
+  id_table_[h] = entry;
+}
+
+void Aggregator::ResolveGroups(size_t m) {
+  batch_slots_.resize(m);
+  uint32_t* slots = batch_slots_.data();
+  const uint8_t* const* tuples = batch_selected_.data();
+  if (key_width_ > sizeof(uint64_t)) {
+    // Too wide to pack: look each tuple's canonical key up in the map.
+    for (size_t s = 0; s < m; ++s) {
+      key_scratch_.clear();
+      AppendKey(tuples[s], &key_scratch_);
+      slots[s] = GroupSlot(key_scratch_);
+    }
+    return;
   }
-  for (const GroupCacheEntry& e : group_cache_) {
-    if (e.raw == raw_scratch_) return *e.state;
+  // Pack each tuple's group-by bytes into one word, one byte pass at a
+  // time, then look the words up in the id table.
+  batch_keys_.assign(m, 0);
+  uint64_t* keys = batch_keys_.data();
+  unsigned shift = 0;
+  for (size_t c = 0; c < group_by_offsets_.size(); ++c) {
+    for (uint32_t b = 0; b < group_by_widths_[c]; ++b, shift += 8) {
+      const uint32_t at = group_by_offsets_[c] + b;
+      for (size_t s = 0; s < m; ++s) {
+        keys[s] |= uint64_t{tuples[s][at]} << shift;
+      }
+    }
   }
-  // Cache miss: build the canonical trimmed key (identical to MakeKey) and
-  // resolve it in the sorted map so Finish order matches the generic path.
-  std::string key;
-  size_t pos = 0;
-  for (size_t i = 0; i < group_by_offsets_.size(); ++i) {
-    const char* field = raw_scratch_.data() + pos;
-    size_t len = 0;
-    while (len < group_by_widths_[i] && field[len] != '\0') ++len;
-    key.append(field, len);
-    if (i + 1 < group_by_offsets_.size()) key.push_back('|');
-    pos += group_by_widths_[i];
-  }
-  GroupState& g = groups_[key];
-  if (g.acc.empty()) InitGroup(g);
-  group_cache_.push_back(GroupCacheEntry{raw_scratch_, &g});
-  return g;
+  for (size_t s = 0; s < m; ++s) slots[s] = PackedSlot(keys[s], tuples[s]);
 }
 
 size_t Aggregator::ConsumeBatch(const uint8_t* const* tuples,
                                 const uint8_t* sel, size_t n) {
-  if (n == 0) return 0;
-  // Phase 1: compact the selection. Folding over the compacted array
-  // visits exactly the selected slots in slot order — the same sequence
-  // a Consume loop feeds each accumulator — while letting the
-  // expression passes below run dense (no wasted lanes under a selective
+  // Phase 1: compact the selection, branch-free. Folding over the
+  // compacted array visits exactly the selected slots in slot order — the
+  // same sequence a Consume loop feeds each accumulator — while letting
+  // the passes below run dense (no wasted lanes under a selective
   // predicate, no per-lane branch in the folds).
-  batch_selected_.clear();
-  batch_selected_.reserve(n);
+  batch_selected_.resize(n);
+  size_t m = 0;
   for (size_t s = 0; s < n; ++s) {
-    if (sel[s]) batch_selected_.push_back(tuples[s]);
+    batch_selected_[m] = tuples[s];
+    m += sel[s] != 0 ? 1 : 0;
   }
-  const size_t m = batch_selected_.size();
   if (m == 0) return 0;
-  // Phase 2: evaluate every aggregate's input expression over the
-  // selected tuples. These are the dense arithmetic passes the compiler
-  // vectorizes.
-  const size_t num_aggs = hot_aggs_.size();
-  size_t stack_depth = 0;
-  for (const HotAgg& agg : hot_aggs_) {
-    stack_depth = std::max(stack_depth, agg.expr.max_stack_depth());
-  }
-  batch_values_.resize(num_aggs * m);
-  batch_stack_.resize(stack_depth * m);
-  for (size_t i = 0; i < num_aggs; ++i) {
-    if (hot_aggs_[i].op != AggOp::kCount && hot_aggs_[i].expr.size() > 0) {
-      hot_aggs_[i].expr.EvalBatch(batch_selected_.data(), m,
-                                  batch_values_.data() + i * m,
-                                  batch_stack_.data());
-    }
-  }
-  // Phase 3: fold in slot order. Each accumulator receives exactly the
-  // value sequence a Consume loop would have fed it, so the
-  // floating-point result is bit-identical.
+  // Phase 2: evaluate every aggregate input over the selected tuples in
+  // one program: each column is gathered once, each shared subtree
+  // computed once.
+  batch_lanes_.resize(inputs_.num_lanes() * m);
+  inputs_.EvalBatch(batch_selected_.data(), m, batch_lanes_.data());
+  const size_t num_aggs = specs_.size();
+  auto lane = [&](size_t i) {
+    return batch_lanes_.data() + size_t{input_lane_[i]} * m;
+  };
+  // Phase 3: fold one aggregate at a time, in slot order. Each
+  // accumulator receives exactly the value sequence a Consume loop would
+  // have fed it, so the floating-point result is bit-identical.
   if (group_by_offsets_.empty()) {
-    GroupState& g = HotGroup(nullptr);
-    g.rows += m;
+    // Every key is "": the one group is slot 0 once it exists.
+    const uint32_t slot = rows_.empty() ? GroupSlot(std::string()) : 0;
+    rows_[slot] += m;
+    double* acc = acc_.data() + size_t{slot} * num_aggs;
     for (size_t i = 0; i < num_aggs; ++i) {
-      const double* values = batch_values_.data() + i * m;
-      switch (hot_aggs_[i].op) {
-        case AggOp::kCount:
-          g.cnt[i] += m;
-          break;
-        case AggOp::kSum:
-        case AggOp::kAvg: {
-          double acc = g.acc[i];
-          for (size_t s = 0; s < m; ++s) acc += values[s];
-          g.acc[i] = acc;
-          g.cnt[i] += m;
-          break;
-        }
-        case AggOp::kMin: {
-          double acc = g.acc[i];
-          for (size_t s = 0; s < m; ++s) acc = std::min(acc, values[s]);
-          g.acc[i] = acc;
-          break;
-        }
-        case AggOp::kMax: {
-          double acc = g.acc[i];
-          for (size_t s = 0; s < m; ++s) acc = std::max(acc, values[s]);
-          g.acc[i] = acc;
-          break;
-        }
-      }
+      double a = acc[i];  // Folded in a register.
+      FoldLane(specs_[i].op, lane(i), m, [&a](size_t) -> double& { return a; });
+      acc[i] = a;
     }
     return m;
   }
-  // Grouped: the fold must resolve the group per tuple, so it stays
-  // tuple-at-a-time — but it still benefits from the batched expression
-  // evaluation above.
-  for (size_t s = 0; s < m; ++s) {
-    GroupState& g = HotGroup(batch_selected_[s]);
-    ++g.rows;
-    for (size_t i = 0; i < num_aggs; ++i) {
-      switch (hot_aggs_[i].op) {
-        case AggOp::kCount:
-          ++g.cnt[i];
-          break;
-        case AggOp::kSum:
-        case AggOp::kAvg:
-          g.acc[i] += batch_values_[i * m + s];
-          ++g.cnt[i];
-          break;
-        case AggOp::kMin:
-          g.acc[i] = std::min(g.acc[i], batch_values_[i * m + s]);
-          break;
-        case AggOp::kMax:
-          g.acc[i] = std::max(g.acc[i], batch_values_[i * m + s]);
-          break;
-      }
-    }
+  // Grouped: one dense slot per selected tuple, the same fold for every
+  // key width.
+  ResolveGroups(m);
+  const uint32_t* slots = batch_slots_.data();
+  for (size_t s = 0; s < m; ++s) ++rows_[slots[s]];
+  for (size_t i = 0; i < num_aggs; ++i) {
+    // Slot g's accumulator for aggregate i is acc[g * num_aggs].
+    double* acc = acc_.data() + i;
+    FoldLane(specs_[i].op, lane(i), m, [&](size_t s) -> double& {
+      return acc[slots[s] * num_aggs];
+    });
   }
   return m;
 }
 
 AggPartial Aggregator::DrainPartial() {
   AggPartial partial;
-  for (auto& [key, g] : groups_) {
+  const size_t num_aggs = specs_.size();
+  for (const auto& [key, slot] : slots_) {
     AggPartialGroup pg;
-    pg.acc = std::move(g.acc);
-    pg.cnt = std::move(g.cnt);
-    pg.rows = g.rows;
-    partial.groups.emplace(key, std::move(pg));
+    const double* acc = acc_.data() + size_t{slot} * num_aggs;
+    pg.acc.assign(acc, acc + num_aggs);
+    pg.rows = rows_[slot];
+    partial.groups.emplace_hint(partial.groups.end(), key, std::move(pg));
   }
-  groups_.clear();
-  // The hot-path cache holds pointers into the nodes just cleared.
-  group_cache_.clear();
-  ungrouped_ = nullptr;
+  slots_.clear();
+  acc_.clear();
+  rows_.clear();
+  // The id table names slots that no longer exist.
+  ResetIds();
   return partial;
 }
 
 void Aggregator::AbsorbPartial(const AggPartial& partial) {
   for (const auto& [key, pg] : partial.groups) {
-    GroupState& g = groups_[key];
-    if (g.acc.empty()) InitGroup(g);
-    g.rows += pg.rows;
+    const uint32_t slot = GroupSlot(key);
+    rows_[slot] += pg.rows;
+    double* acc = acc_.data() + size_t{slot} * specs_.size();
     for (size_t i = 0; i < specs_.size(); ++i) {
-      switch (specs_[i].op) {
-        case AggOp::kCount:
-          g.cnt[i] += pg.cnt[i];
-          break;
-        case AggOp::kSum:
-        case AggOp::kAvg:
-          g.acc[i] += pg.acc[i];
-          g.cnt[i] += pg.cnt[i];
-          break;
-        case AggOp::kMin:
-          g.acc[i] = std::min(g.acc[i], pg.acc[i]);
-          break;
-        case AggOp::kMax:
-          g.acc[i] = std::max(g.acc[i], pg.acc[i]);
-          break;
-      }
+      FoldLane(specs_[i].op, &pg.acc[i], 1,
+               [&](size_t) -> double& { return acc[i]; });
     }
   }
-  // Group nodes may have been created or re-inited; drop stale pointers.
-  group_cache_.clear();
-  ungrouped_ = nullptr;
 }
 
 QueryOutput Aggregator::Finish(uint64_t rows_scanned) const {
   QueryOutput out;
   out.rows_scanned = rows_scanned;
-  for (const auto& [key, g] : groups_) {
+  for (const auto& [key, slot] : slots_) {
+    const double* acc = acc_.data() + size_t{slot} * specs_.size();
+    const uint64_t rows = rows_[slot];
     GroupResult result;
     result.key = key;
-    result.rows = g.rows;
-    out.rows_matched += g.rows;
+    result.rows = rows;
+    out.rows_matched += rows;
     for (size_t i = 0; i < specs_.size(); ++i) {
       switch (specs_[i].op) {
         case AggOp::kCount:
-          result.values.push_back(static_cast<double>(g.cnt[i]));
+          result.values.push_back(static_cast<double>(rows));
           break;
         case AggOp::kSum:
         case AggOp::kMin:
         case AggOp::kMax:
-          result.values.push_back(g.acc[i]);
+          result.values.push_back(acc[i]);
           break;
         case AggOp::kAvg:
           result.values.push_back(
-              g.cnt[i] > 0 ? g.acc[i] / static_cast<double>(g.cnt[i]) : 0.0);
+              rows > 0 ? acc[i] / static_cast<double>(rows) : 0.0);
           break;
       }
     }

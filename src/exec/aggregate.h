@@ -1,10 +1,19 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // Grouped aggregation over a scan, shaped after TPC-H Q1/Q6: SUM/AVG/
-// COUNT/MIN/MAX of scalar expressions, optionally grouped by one or two
-// char columns (Q1 groups by l_returnflag, l_linestatus). Scans fold whole
-// pages through ConsumeBatch; Consume, which interprets the expression
-// trees one tuple at a time, is the reference it must match bit for bit.
+// COUNT/MIN/MAX of scalar expressions, optionally grouped by char columns
+// (Q1 groups by l_returnflag, l_linestatus). Scans fold whole pages
+// through ConsumeBatch; Consume, which interprets the expression trees one
+// tuple at a time, is the reference it must match bit for bit.
+//
+// Groups live in one flat store: the sorted canonical-key map names each
+// group's slot, and slot g's accumulators are acc_[g * num_aggs() + i].
+// ConsumeBatch evaluates every aggregate input at once through one shared
+// LaneProgram, gives each selected tuple its group's slot (through a small
+// table on the packed group-by bytes when they fit in 8 bytes, through the
+// canonical map otherwise), and then folds one aggregate at a time. Every
+// accumulator still receives its values in slot order, so the result is
+// bit-identical to Consume's.
 
 #pragma once
 
@@ -38,11 +47,10 @@ struct GroupResult {
 };
 
 /// One group's raw accumulator state, extracted from a worker's aggregator
-/// before finalization (AVG still split into sum and count).
+/// before finalization (AVG still split into its sum and `rows`).
 struct AggPartialGroup {
-  std::vector<double> acc;    ///< Sum / min / max accumulator per spec.
-  std::vector<uint64_t> cnt;  ///< Row count per spec (for avg/count).
-  uint64_t rows = 0;
+  std::vector<double> acc;  ///< Sum / min / max accumulator per spec.
+  uint64_t rows = 0;        ///< Rows folded; COUNT and AVG's divisor.
 };
 
 /// A drained partial aggregation: per-key accumulators in key-sorted order.
@@ -68,14 +76,6 @@ class Aggregator {
   /// `group_by` lists zero or more char columns forming the group key.
   Aggregator(std::vector<AggSpec> specs, std::vector<std::string> group_by);
 
-  // Copies reset the compiled hot state (it holds pointers into this
-  // instance's group map); call PrepareHot again on the copy. Moves keep
-  // it: map nodes have stable addresses across a container move.
-  Aggregator(const Aggregator& other);
-  Aggregator& operator=(const Aggregator& other);
-  Aggregator(Aggregator&&) = default;
-  Aggregator& operator=(Aggregator&&) = default;
-
   /// Resolves expressions and group-by columns against `schema`.
   Status Bind(const storage::Schema& schema);
 
@@ -83,37 +83,41 @@ class Aggregator {
   /// trees: the reference implementation ConsumeBatch is checked against.
   void Consume(const storage::Schema& schema, const uint8_t* tuple);
 
-  /// Lowers the aggregate expressions to CompiledExpr programs and hoists
-  /// the group-by byte offsets so ConsumeBatch can fold tuples without any
-  /// schema lookups or per-tuple key-string construction. Requires a
-  /// successful Bind against the same schema. The folded state is shared
-  /// with Consume, so the two entry points may be mixed freely and Finish
-  /// output is identical either way.
+  /// Compiles every aggregate input into one LaneProgram (a column or
+  /// subtree that several inputs share is evaluated once) and empties the
+  /// group-id table, so ConsumeBatch can fold tuples without schema
+  /// lookups or per-tuple key strings. Requires a successful Bind against
+  /// the same schema. The folded state is shared with Consume, so the two
+  /// entry points may be mixed freely and Finish output is identical
+  /// either way. Copies keep the compiled state; PrepareHot again is
+  /// harmless.
   Status PrepareHot(const storage::Schema& schema);
 
   /// Folds a whole page batch: every tuple s in [0, n) with sel[s] != 0 is
-  /// folded exactly as Consume would fold it, in slot order. The aggregate
-  /// input expressions are evaluated over the selected tuples first (dense
-  /// vectorizable passes); the fold then feeds each accumulator the same
-  /// values in the same order as a tuple-at-a-time Consume loop, so Finish
-  /// output is bit-identical — including floating-point rounding.
-  /// Returns the number of tuples folded. Requires a successful PrepareHot.
+  /// folded exactly as Consume would fold it, in slot order. The selected
+  /// tuples' inputs are evaluated first (dense vectorizable passes); each
+  /// then gets its group's slot, and one pass per aggregate feeds each
+  /// accumulator the same values in the same order as a tuple-at-a-time
+  /// Consume loop, so Finish output is bit-identical — including
+  /// floating-point rounding. Returns the number of tuples folded.
+  /// Requires a successful PrepareHot.
   size_t ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
                       size_t n);
 
-  /// Moves the accumulated raw state out and resets the group map (compiled
-  /// expressions and hoisted offsets are kept, so the aggregator can keep
-  /// consuming without a new PrepareHot). Morsel workers drain after every
-  /// morsel; the partials are then merged in canonical morsel order by
-  /// AbsorbPartial, which is what makes parallel aggregation bit-identical
-  /// to sequential regardless of worker scheduling.
+  /// Moves the accumulated raw state out and empties the group store and
+  /// the group-id table (the compiled program is kept, so the aggregator
+  /// can keep consuming without a new PrepareHot). Morsel workers drain
+  /// after every morsel; the partials are then merged in canonical morsel
+  /// order by AbsorbPartial, which is what makes parallel aggregation
+  /// bit-identical to sequential regardless of worker scheduling.
   AggPartial DrainPartial();
 
   /// Folds a drained partial into this aggregator: per group (key-sorted),
-  /// sums add, counts add, min/max fold. Absorbing partials in a fixed
+  /// sums add, rows add, min/max fold. Absorbing partials in a fixed
   /// order yields a fixed floating-point reduction tree — the determinism
   /// contract of the parallel scan. Mixing AbsorbPartial with Consume*
-  /// calls is allowed (both target the same canonical group map).
+  /// calls is allowed: it only adds slots, and a slot keeps its number
+  /// until DrainPartial, so the group-id table stays valid.
   void AbsorbPartial(const AggPartial& partial);
 
   /// Produces the final output. `rows_scanned` is supplied by the scan.
@@ -123,51 +127,57 @@ class Aggregator {
   size_t num_aggs() const { return specs_.size(); }
 
  private:
-  struct GroupState {
-    std::vector<double> acc;    // Sum / min / max accumulator per spec.
-    std::vector<uint64_t> cnt;  // Row count per spec (for avg/count).
-    uint64_t rows = 0;
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
+  /// One entry of the group-id table: a packed group-by key and its slot.
+  struct IdEntry {
+    uint64_t key = 0;
+    uint32_t slot = kNoSlot;
   };
 
-  /// One compiled aggregate: the op plus a flattened expression program
-  /// (empty for kCount).
-  struct HotAgg {
-    AggOp op = AggOp::kSum;
-    CompiledExpr expr;
-  };
-
-  /// Cache from the raw fixed-width group-by bytes of a tuple to the
-  /// canonical group in `groups_` (map nodes have stable addresses).
-  /// Group cardinality is tiny (Q1 has a handful), so a linear scan wins.
-  struct GroupCacheEntry {
-    std::string raw;
-    GroupState* state = nullptr;
-  };
-
-  std::string MakeKey(const storage::Schema& schema, const uint8_t* tuple) const;
-  void InitGroup(GroupState& g) const;
-  GroupState& HotGroup(const uint8_t* tuple);
+  /// Appends the canonical key of the group-by fields of `tuple`: each
+  /// field up to its first NUL, joined by '|'.
+  void AppendKey(const uint8_t* tuple, std::string* key) const;
+  /// The slot of canonical key `key`, creating an empty group if needed.
+  uint32_t GroupSlot(const std::string& key);
+  /// Fills batch_slots_[0, m) with the slot of each selected tuple's group.
+  void ResolveGroups(size_t m);
+  /// The slot for packed key `key` of `tuple`, through the id table.
+  uint32_t PackedSlot(uint64_t key, const uint8_t* tuple);
+  /// Stores `entry` in its first free bucket of the id table.
+  void PlaceId(const IdEntry& entry);
+  /// Empties the id table at its initial capacity.
+  void ResetIds();
 
   std::vector<AggSpec> specs_;
   std::vector<std::string> group_by_names_;
-  std::vector<size_t> group_by_cols_;
+  std::vector<uint32_t> group_by_offsets_;
   std::vector<uint32_t> group_by_widths_;
-  std::map<std::string, GroupState> groups_;
+  uint32_t key_width_ = 0;  // Sum of group_by_widths_.
   bool bound_ = false;
 
-  // Compiled kernel state (PrepareHot):
-  std::vector<HotAgg> hot_aggs_;
-  std::vector<uint32_t> group_by_offsets_;
-  std::vector<GroupCacheEntry> group_cache_;
-  GroupState* ungrouped_ = nullptr;
-  std::string raw_scratch_;
+  // The group store: canonical key -> slot (sorted, the order Finish and
+  // DrainPartial report), and per slot its accumulators and rows.
+  std::map<std::string, uint32_t> slots_;
+  std::vector<double> acc_;
+  std::vector<uint64_t> rows_;
 
-  // ConsumeBatch scratch, reused across pages to avoid reallocation:
-  // one n-wide lane of evaluated inputs per aggregate, plus the batch
-  // expression-evaluation stack.
-  std::vector<double> batch_values_;
-  std::vector<double> batch_stack_;
+  // Compiled kernel state (PrepareHot): the shared input program and each
+  // aggregate's lane in it (unused for kCount), and the group-id table, an
+  // open-addressed map from packed group-by bytes to slot, used when
+  // key_width_ <= 8.
+  LaneProgram inputs_;
+  std::vector<uint32_t> input_lane_;
+  std::vector<IdEntry> id_table_;
+  size_t id_table_used_ = 0;
+
+  // ConsumeBatch scratch, reused across pages to avoid reallocation: the
+  // selected tuples, their input lanes, packed keys and group slots.
   std::vector<const uint8_t*> batch_selected_;
+  std::vector<double> batch_lanes_;
+  std::vector<uint64_t> batch_keys_;
+  std::vector<uint32_t> batch_slots_;
+  std::string key_scratch_;
 };
 
 }  // namespace scanshare::exec

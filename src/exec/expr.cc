@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 namespace scanshare::exec {
 
@@ -89,140 +90,95 @@ Status Expr::Bind(const storage::Schema& schema) {
   return Status::Internal("Expr::Bind: unknown kind");
 }
 
-StatusOr<CompiledExpr> Expr::Compile(const storage::Schema& schema) const {
-  if (!bound_) {
-    return Status::FailedPrecondition("Expr::Compile: expression not bound");
-  }
-  CompiledExpr compiled;
-  size_t depth = 0;
-  size_t max_depth = 0;
-  // Emit postfix: children left-to-right, then the operator — the same
-  // order the recursive Eval reduces in, so results are bit-identical.
-  SCANSHARE_RETURN_IF_ERROR(
-      EmitPostfix(schema, &compiled, &depth, &max_depth));
-  compiled.max_depth_ = max_depth;
-  return compiled;
+namespace {
+
+// One binary instruction over the batch: dst[s] = op(x[s], y[s]).
+template <typename Op>
+void ApplyBinary(Op op, const double* x, const double* y, size_t n,
+                 double* dst) {
+  for (size_t s = 0; s < n; ++s) dst[s] = op(x[s], y[s]);
 }
 
-void CompiledExpr::EvalBatch(const uint8_t* const* tuples, size_t n,
-                             double* out, double* stack) const {
-  if (n == 0 || code_.empty()) return;
-  if (code_.size() == 1) {
-    // Bare column/constant: write straight into the output array.
-    const Inst inst = code_.front();
+}  // namespace
+
+bool LaneProgram::Inst::operator==(const Inst& other) const {
+  return op == other.op && offset == other.offset &&
+         std::memcmp(&value, &other.value, sizeof(value)) == 0 &&
+         lhs == other.lhs && rhs == other.rhs;
+}
+
+StatusOr<uint32_t> LaneProgram::Add(const Expr& expr,
+                                    const storage::Schema& schema) {
+  if (!expr.bound_) {
+    return Status::FailedPrecondition("LaneProgram::Add: expression not bound");
+  }
+  Inst inst;
+  switch (expr.kind_) {
+    case Expr::Kind::kColumn:
+      inst.op = expr.column_type_ == storage::TypeId::kInt64
+                    ? OpCode::kColumnI64
+                    : OpCode::kColumnF64;
+      inst.offset = schema.offset(expr.column_index_);
+      return Intern(inst);
+    case Expr::Kind::kConst:
+      inst.value = expr.value_;
+      return Intern(inst);
+    case Expr::Kind::kAdd:
+    case Expr::Kind::kSub:
+    case Expr::Kind::kMul:
+      // Left operand first: lanes number in the recursion's order.
+      SCANSHARE_ASSIGN_OR_RETURN(inst.lhs, Add(*expr.lhs_, schema));
+      SCANSHARE_ASSIGN_OR_RETURN(inst.rhs, Add(*expr.rhs_, schema));
+      inst.op = expr.kind_ == Expr::Kind::kAdd   ? OpCode::kAdd
+                : expr.kind_ == Expr::Kind::kSub ? OpCode::kSub
+                                                 : OpCode::kMul;
+      return Intern(inst);
+  }
+  return Status::Internal("LaneProgram::Add: unknown kind");
+}
+
+uint32_t LaneProgram::Intern(const Inst& inst) {
+  // Programs are a handful of instructions; a linear search is enough.
+  const auto it = std::find(code_.begin(), code_.end(), inst);
+  if (it != code_.end()) return static_cast<uint32_t>(it - code_.begin());
+  code_.push_back(inst);
+  return static_cast<uint32_t>(code_.size() - 1);
+}
+
+void LaneProgram::EvalBatch(const uint8_t* const* tuples, size_t n,
+                            double* lanes) const {
+  for (size_t l = 0; l < code_.size(); ++l) {
+    const Inst& inst = code_[l];
+    double* dst = lanes + l * n;
+    const double* x = lanes + size_t{inst.lhs} * n;
+    const double* y = lanes + size_t{inst.rhs} * n;
     switch (inst.op) {
       case OpCode::kColumnI64:
         for (size_t s = 0; s < n; ++s) {
           int64_t v;
           std::memcpy(&v, tuples[s] + inst.offset, sizeof(v));
-          out[s] = static_cast<double>(v);
-        }
-        return;
-      case OpCode::kColumnF64:
-        for (size_t s = 0; s < n; ++s) {
-          std::memcpy(&out[s], tuples[s] + inst.offset, sizeof(double));
-        }
-        return;
-      default:
-        for (size_t s = 0; s < n; ++s) out[s] = inst.value;
-        return;
-    }
-  }
-  // Stack machine over n-wide lanes: each stack slot is a contiguous array
-  // of n doubles. Leaves gather (strided loads the compiler can't help
-  // with); the binary ops are dense elementwise loops that auto-vectorize.
-  size_t sp = 0;
-  for (const Inst& inst : code_) {
-    switch (inst.op) {
-      case OpCode::kColumnI64: {
-        double* dst = stack + sp * n;
-        for (size_t s = 0; s < n; ++s) {
-          int64_t v;
-          std::memcpy(&v, tuples[s] + inst.offset, sizeof(v));
           dst[s] = static_cast<double>(v);
         }
-        ++sp;
         break;
-      }
-      case OpCode::kColumnF64: {
-        double* dst = stack + sp * n;
+      case OpCode::kColumnF64:
         for (size_t s = 0; s < n; ++s) {
           std::memcpy(&dst[s], tuples[s] + inst.offset, sizeof(double));
         }
-        ++sp;
         break;
-      }
-      case OpCode::kConst: {
-        double* dst = stack + sp * n;
-        for (size_t s = 0; s < n; ++s) dst[s] = inst.value;
-        ++sp;
+      case OpCode::kConst:
+        std::fill(dst, dst + n, inst.value);
         break;
-      }
-      case OpCode::kAdd: {
-        double* lhs = stack + (sp - 2) * n;
-        const double* rhs = stack + (sp - 1) * n;
-        for (size_t s = 0; s < n; ++s) lhs[s] = lhs[s] + rhs[s];
-        --sp;
+      case OpCode::kAdd:
+        ApplyBinary(std::plus<double>(), x, y, n, dst);
         break;
-      }
-      case OpCode::kSub: {
-        double* lhs = stack + (sp - 2) * n;
-        const double* rhs = stack + (sp - 1) * n;
-        for (size_t s = 0; s < n; ++s) lhs[s] = lhs[s] - rhs[s];
-        --sp;
+      case OpCode::kSub:
+        ApplyBinary(std::minus<double>(), x, y, n, dst);
         break;
-      }
-      case OpCode::kMul: {
-        double* lhs = stack + (sp - 2) * n;
-        const double* rhs = stack + (sp - 1) * n;
-        for (size_t s = 0; s < n; ++s) lhs[s] = lhs[s] * rhs[s];
-        --sp;
+      case OpCode::kMul:
+        ApplyBinary(std::multiplies<double>(), x, y, n, dst);
         break;
-      }
     }
   }
-  std::memcpy(out, stack, n * sizeof(double));
-}
-
-Status Expr::EmitPostfix(const storage::Schema& schema, CompiledExpr* out,
-                         size_t* depth, size_t* max_depth) const {
-  switch (kind_) {
-    case Kind::kColumn: {
-      if (!bound_) {
-        return Status::FailedPrecondition("Expr::Compile: column not bound");
-      }
-      CompiledExpr::Inst inst;
-      inst.op = column_type_ == storage::TypeId::kInt64
-                    ? CompiledExpr::OpCode::kColumnI64
-                    : CompiledExpr::OpCode::kColumnF64;
-      inst.offset = schema.offset(column_index_);
-      out->code_.push_back(inst);
-      *max_depth = std::max(*max_depth, ++*depth);
-      return Status::OK();
-    }
-    case Kind::kConst: {
-      CompiledExpr::Inst inst;
-      inst.op = CompiledExpr::OpCode::kConst;
-      inst.value = value_;
-      out->code_.push_back(inst);
-      *max_depth = std::max(*max_depth, ++*depth);
-      return Status::OK();
-    }
-    case Kind::kAdd:
-    case Kind::kSub:
-    case Kind::kMul: {
-      SCANSHARE_RETURN_IF_ERROR(lhs_->EmitPostfix(schema, out, depth, max_depth));
-      SCANSHARE_RETURN_IF_ERROR(rhs_->EmitPostfix(schema, out, depth, max_depth));
-      CompiledExpr::Inst inst;
-      inst.op = kind_ == Kind::kAdd   ? CompiledExpr::OpCode::kAdd
-                : kind_ == Kind::kSub ? CompiledExpr::OpCode::kSub
-                                      : CompiledExpr::OpCode::kMul;
-      out->code_.push_back(inst);
-      --*depth;
-      return Status::OK();
-    }
-  }
-  return Status::Internal("Expr::Compile: unknown kind");
 }
 
 double Expr::Eval(const storage::Schema& schema, const uint8_t* tuple) const {

@@ -2,9 +2,10 @@
 //
 // Scalar expressions over tuples, used by aggregate specifications
 // (e.g. TPC-H Q6's sum(l_extendedprice * l_discount)). Expressions are
-// bound to a schema once and compiled to a postfix program that the scan
-// kernel evaluates a page batch at a time; Expr::Eval, the recursive tree
-// walk, is the reference that program must match bit for bit.
+// bound to a schema once; an aggregator then compiles all of its inputs
+// into one LaneProgram that the scan kernel evaluates a page batch at a
+// time. Expr::Eval, the recursive tree walk, is the reference every lane
+// must match bit for bit.
 
 #pragma once
 
@@ -20,44 +21,56 @@ namespace scanshare::exec {
 
 class Expr;
 
-/// A flattened, schema-resolved expression: a postfix program over hoisted
-/// byte offsets — no tree walk, no schema lookups, no string touches.
-/// Produced by Expr::Compile; evaluation order (and therefore
-/// floating-point rounding) is identical to the tree walker's
-/// left-to-right recursion.
-class CompiledExpr {
+/// Several bound expressions compiled into one value-numbered program over
+/// n-wide lanes, one lane per distinct node: each column is gathered once
+/// per batch, each constant filled once, and each subtree computed once.
+/// Built by Add, one expression at a time (an aggregator adds all of its
+/// inputs).
+///
+/// Every lane is bit-identical to Expr::Eval's recursion on its subtree:
+/// an instruction applies the same IEEE operation to the same operand
+/// values, whichever expressions share its operand lanes.
+class LaneProgram {
  public:
-  CompiledExpr() = default;
+  /// Compiles `expr` into the program and returns the lane that will hold
+  /// its value. A node already in the program (the same column, the same
+  /// constant bit for bit, or the same operator over the same lanes)
+  /// reuses its lane. Requires a successful Bind against `schema`; fails
+  /// with FailedPrecondition otherwise.
+  StatusOr<uint32_t> Add(const Expr& expr, const storage::Schema& schema);
 
-  /// Evaluates the program for a whole batch of tuples at once:
-  /// out[i] = Expr::Eval(tuples[i]) for i in [0, n). `stack` must hold at
-  /// least max_stack_depth() * n doubles. The per-lane instruction order
-  /// matches the recursion exactly, so every lane's result is
-  /// bit-identical to it — the loop nesting (instruction outermost, lanes
-  /// innermost) lets the arithmetic passes run over contiguous arrays the
-  /// compiler can vectorize.
-  void EvalBatch(const uint8_t* const* tuples, size_t n, double* out,
-                 double* stack) const;
+  /// Evaluates every lane for a batch of tuples: lanes[l * n + i] is lane
+  /// l's value for tuples[i], for i in [0, n). `lanes` must hold
+  /// num_lanes() * n doubles. Instructions run in order, each a dense pass
+  /// over the batch: gathers for columns, elementwise loops the compiler
+  /// vectorizes for arithmetic.
+  void EvalBatch(const uint8_t* const* tuples, size_t n, double* lanes) const;
 
-  /// Number of instructions (0 for a default-constructed program).
-  size_t size() const { return code_.size(); }
-
-  /// Evaluation stack slots EvalBatch needs per lane (0 when empty).
-  size_t max_stack_depth() const { return max_depth_; }
+  /// Number of lanes, which is also the number of instructions.
+  size_t num_lanes() const { return code_.size(); }
 
  private:
-  friend class Expr;
-
-  enum class OpCode : uint8_t { kColumnI64, kColumnF64, kConst, kAdd, kSub, kMul };
-
-  struct Inst {
-    OpCode op;
-    uint32_t offset = 0;  // Column byte offset within the tuple.
-    double value = 0.0;   // kConst payload.
+  enum class OpCode : uint8_t {
+    kColumnI64, kColumnF64, kConst, kAdd, kSub, kMul
   };
 
+  /// The instruction that fills one lane; operands are earlier lanes.
+  struct Inst {
+    OpCode op = OpCode::kConst;
+    uint32_t offset = 0;  // Column byte offset within the tuple.
+    double value = 0.0;   // kConst payload.
+    uint32_t lhs = 0;     // Binary ops' operand lanes.
+    uint32_t rhs = 0;
+
+    /// The same computation. Constants compare by bit pattern: 0.0 and
+    /// -0.0 must not share a lane.
+    bool operator==(const Inst& other) const;
+  };
+
+  /// Returns the lane of `inst`, appending it if no lane computes it yet.
+  uint32_t Intern(const Inst& inst);
+
   std::vector<Inst> code_;
-  size_t max_depth_ = 0;
 };
 
 /// A scalar expression tree: column references, numeric constants, and
@@ -88,25 +101,17 @@ class Expr {
   Status Bind(const storage::Schema& schema);
 
   /// Evaluates against one encoded tuple by walking the tree: the
-  /// reference CompiledExpr::EvalBatch is checked against. Requires a
+  /// reference LaneProgram::EvalBatch is checked against. Requires a
   /// successful Bind.
   double Eval(const storage::Schema& schema, const uint8_t* tuple) const;
-
-  /// Flattens the bound tree into a postfix program with hoisted column
-  /// offsets for the scan kernel, of any depth. Requires a successful Bind
-  /// against the same schema; fails with FailedPrecondition otherwise.
-  StatusOr<CompiledExpr> Compile(const storage::Schema& schema) const;
 
   /// Node kind (for tests).
   Kind kind() const { return kind_; }
 
  private:
-  Expr(Kind kind) : kind_(kind) {}
+  friend class LaneProgram;
 
-  /// Appends this subtree's postfix instructions to `out`, tracking the
-  /// evaluation stack depth EvalBatch sizes its lanes by.
-  Status EmitPostfix(const storage::Schema& schema, CompiledExpr* out,
-                     size_t* depth, size_t* max_depth) const;
+  Expr(Kind kind) : kind_(kind) {}
 
   Kind kind_;
   // kColumn:

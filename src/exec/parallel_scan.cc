@@ -60,8 +60,8 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
   const bool use_ssm = ssm != nullptr;
 
   // Bind the query once; workers share the bound predicate (const reads)
-  // and copy the bound aggregator (copies reset compiled state, so each
-  // worker compiles its own kernel before its first morsel).
+  // and copy the bound aggregator, each compiling its own kernel before
+  // its first morsel.
   QuerySpec spec = query;
   const storage::Schema& schema = table->schema;
   SCANSHARE_RETURN_IF_ERROR(spec.predicate.Bind(schema));

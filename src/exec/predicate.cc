@@ -114,8 +114,14 @@ void CompiledPredicate::MatchBatch(const uint8_t* const* tuples, size_t n,
         MatchColumn<double>(tuples, n, atom.offset, atom.op, atom.f64, sel);
         break;
       case storage::TypeId::kChar:
-        // Char compares walk variable-length bytes; no dense form. Still
-        // branch-free over the selection array.
+        if (atom.width == 1) {
+          // One byte against one byte (an empty constant is the zero
+          // byte): memcmp's unsigned order, as a dense numeric pass.
+          MatchColumn<uint8_t>(tuples, n, atom.offset, atom.op, atom.byte, sel);
+          break;
+        }
+        // Wider char compares walk variable-length bytes; no dense form.
+        // Still branch-free over the selection array.
         for (size_t s = 0; s < n; ++s) {
           sel[s] = static_cast<uint8_t>(sel[s] &
                                         static_cast<uint8_t>(atom.Match(tuples[s])));
@@ -147,6 +153,7 @@ StatusOr<CompiledPredicate> Predicate::Compile(
         break;
       case storage::TypeId::kChar:
         out.chars = atom.constant.AsChar();
+        out.byte = out.chars.empty() ? 0 : static_cast<uint8_t>(out.chars[0]);
         break;
     }
     compiled.atoms_.push_back(std::move(out));

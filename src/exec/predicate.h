@@ -41,9 +41,11 @@ class CompiledPredicate {
 
   /// Evaluates the conjunction for a whole batch of tuples at once:
   /// sel[i] = Predicate::Eval(tuples[i]) ? 1 : 0 for i in [0, n).
-  /// Branch-free per numeric atom — each conjunct is one dense
-  /// compare-and-mask pass over the selection array that the compiler
-  /// vectorizes (order cannot change the result of a pure AND).
+  /// Branch-free per numeric or one-byte char atom — each conjunct is one
+  /// dense compare-and-mask pass over the selection array that the
+  /// compiler vectorizes (order cannot change the result of a pure AND).
+  /// A one-byte char atom compares the field byte with the constant's
+  /// byte (zero for "") as unsigned, memcmp's order.
   void MatchBatch(const uint8_t* const* tuples, size_t n, uint8_t* sel) const;
 
   /// True if this predicate accepts every row.
@@ -62,8 +64,10 @@ class CompiledPredicate {
     int64_t i64 = 0;                      // kInt64 constant.
     double f64 = 0.0;                     // kDouble constant.
     std::string chars;                    // kChar constant.
+    uint8_t byte = 0;                     // Width-1 kChar constant byte.
 
-    /// One tuple against this atom (MatchBatch's pass for char atoms).
+    /// One tuple against this atom (MatchBatch's pass for char atoms
+    /// wider than one byte).
     bool Match(const uint8_t* tuple) const;
   };
 

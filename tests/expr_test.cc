@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 namespace scanshare::exec {
 namespace {
 
@@ -94,6 +97,83 @@ TEST(ExprTest, AssignmentReplacesTree) {
   auto t = Encode(s, 0, 0.0, "x");
   EXPECT_DOUBLE_EQ(a.Eval(s, t.data()), 5.0);
   EXPECT_EQ(a.kind(), Expr::Kind::kAdd);
+}
+
+/// Every lane `lanes` names must equal Expr::Eval of its expression, bit
+/// for bit, on every row.
+void ExpectLanesAreEval(const Schema& s, const std::vector<Expr>& exprs,
+                        const std::vector<std::vector<uint8_t>>& rows,
+                        LaneProgram* program) {
+  std::vector<uint32_t> lanes;
+  for (const Expr& e : exprs) {
+    auto lane = program->Add(e, s);
+    ASSERT_TRUE(lane.ok()) << lane.status().ToString();
+    lanes.push_back(*lane);
+  }
+  std::vector<const uint8_t*> tuples;
+  for (const auto& row : rows) tuples.push_back(row.data());
+  const size_t n = tuples.size();
+  std::vector<double> out(program->num_lanes() * n);
+  program->EvalBatch(tuples.data(), n, out.data());
+  for (size_t k = 0; k < exprs.size(); ++k) {
+    for (size_t r = 0; r < n; ++r) {
+      const double want = exprs[k].Eval(s, tuples[r]);
+      const double got = out[lanes[k] * n + r];
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << "expr " << k << " row " << r << ": " << got << " vs " << want;
+    }
+  }
+}
+
+// Q1's shape: repeated columns, the constant 1 and the shared
+// price * (1 - disc) subtree are each evaluated once.
+TEST(ExprTest, LaneProgramSharesColumnsAndSubtrees) {
+  Schema s = TestSchema();
+  const Expr qty = Expr::Column("i");
+  const Expr price = Expr::Column("d");
+  const Expr disc_price =
+      Expr::Mul(price, Expr::Sub(Expr::Const(1.0), price));
+  std::vector<Expr> exprs = {
+      qty, price, disc_price,
+      Expr::Mul(disc_price, Expr::Add(Expr::Const(1.0), qty)), qty, price};
+  for (Expr& e : exprs) ASSERT_TRUE(e.Bind(s).ok());
+  std::vector<std::vector<uint8_t>> rows;
+  for (int k = 0; k < 9; ++k) {
+    rows.push_back(Encode(s, k - 4, 0.3 * k - 1.1, "x"));
+  }
+  LaneProgram program;
+  ExpectLanesAreEval(s, exprs, rows, &program);
+  // i, d, 1, 1 - d, d * (1 - d), 1 + i and the product: seven lanes.
+  EXPECT_EQ(program.num_lanes(), 7u);
+}
+
+// Constants share a lane only when their bits match: d + 0.0 and d + -0.0
+// differ at d = -0.0. A constant-only subtree is evaluated like any other.
+TEST(ExprTest, LaneProgramKeepsConstantsApartByBits) {
+  Schema s = TestSchema();
+  std::vector<Expr> exprs = {
+      Expr::Add(Expr::Mul(Expr::Const(2.0), Expr::Const(3.0)),
+                Expr::Column("d")),
+      Expr::Const(2.5),
+      Expr::Add(Expr::Column("d"), Expr::Const(0.0)),
+      Expr::Add(Expr::Column("d"), Expr::Const(-0.0)),
+      Expr::Sub(Expr::Column("i"), Expr::Column("d"))};
+  for (Expr& e : exprs) ASSERT_TRUE(e.Bind(s).ok());
+  std::vector<std::vector<uint8_t>> rows = {
+      Encode(s, 1, -0.0, "x"), Encode(s, -7, 0.0, "x"),
+      Encode(s, 3, 1e300, "x"), Encode(s, 0, -2.5, "x")};
+  LaneProgram program;
+  ExpectLanesAreEval(s, exprs, rows, &program);
+  // 2, 3, 2 * 3, d, 2 * 3 + d, 2.5, 0.0, d + 0.0, -0.0, d + -0.0, i, i - d.
+  EXPECT_EQ(program.num_lanes(), 12u);
+}
+
+TEST(ExprTest, LaneProgramRejectsUnboundExpr) {
+  Schema s = TestSchema();
+  LaneProgram program;
+  EXPECT_EQ(program.Add(Expr::Column("d"), s).status().code(),
+            Status::Code::kFailedPrecondition);
+  EXPECT_EQ(program.num_lanes(), 0u);
 }
 
 }  // namespace
