@@ -212,7 +212,7 @@ struct TupleKernel {
     const storage::Schema& schema = table->schema;
     uint64_t matched = 0;
     for (sim::PageId p = table->first_page; p < table->end_page(); ++p) {
-      storage::Page view(const_cast<uint8_t*>(PageBytes(p)), dm->page_size());
+      const storage::PageView view(PageBytes(p), dm->page_size());
       const uint16_t count = view.tuple_count();
       for (uint16_t slot = 0; slot < count; ++slot) {
         const uint8_t* tuple = view.TupleDataUnchecked(slot);
@@ -241,7 +241,7 @@ struct TupleKernel {
     std::vector<uint8_t> sel;
     uint64_t matched = 0;
     for (sim::PageId p = table->first_page; p < table->end_page(); ++p) {
-      storage::Page view(const_cast<uint8_t*>(PageBytes(p)), dm->page_size());
+      const storage::PageView view(PageBytes(p), dm->page_size());
       const uint16_t count = view.tuple_count();
       batch.resize(count);
       for (uint16_t slot = 0; slot < count; ++slot) {

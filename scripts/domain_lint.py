@@ -84,6 +84,12 @@ contracts, so this linter enforces them lexically:
              be a read the simulator never charged and the fault injector
              never saw.
 
+  constcast  No const_cast in src/. Buffer-pool frames alias the disk
+             manager's immutable page images, so a write through a
+             const-stripped pointer would change the table for every later
+             run in the process. Readers hold storage::PageView; only the
+             bulk loader holds a writable storage::Page.
+
 Suppression: append `// NOLINT(scanshare-<rule>)` to the offending line,
 or add `<rule> <path> -- <justification>` to tools/lint/allowlist.txt.
 
@@ -639,6 +645,32 @@ def check_rawio(relpath, raw, code):
 
 
 # --------------------------------------------------------------------------
+# Rule: constcast — page bytes stay read-only
+#
+# A pull-path frame points at DiskManager's page image itself (DESIGN.md
+# §10.3). Every read path hands out `const uint8_t*`; a const_cast anywhere
+# in the library is the one way to turn that back into a write into the
+# shared store, so the library has none.
+
+CONSTCAST_RE = re.compile(r"\bconst_cast\s*<")
+
+
+def check_constcast(relpath, raw, code):
+    findings = []
+    raw_lines = raw.splitlines()
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if CONSTCAST_RE.search(line):
+            if has_nolint(raw_lines[lineno - 1], "constcast"):
+                continue
+            findings.append(Finding(
+                "constcast", relpath, lineno,
+                "const_cast in library code; frames alias the page store's "
+                "immutable images, so read pages through storage::PageView "
+                "and keep writable pointers to the bulk loader"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Rule registry and scoping
 
 RULES = {
@@ -652,6 +684,7 @@ RULES = {
     "trace": check_trace,
     "locks": check_locks,
     "rawio": check_rawio,
+    "constcast": check_constcast,
 }
 
 
@@ -678,6 +711,7 @@ def rules_for(relpath):
         rules.append("locks")
     if relpath not in RAWIO_ALLOWED:
         rules.append("rawio")
+    rules.append("constcast")
     if relpath.startswith(POLICY_DIRS):
         rules.append("policy")
     if not relpath.startswith("src/obs/"):

@@ -12,18 +12,16 @@ BufferPool::BufferPool(storage::DiskManager* disk_manager,
     : disk_(disk_manager),
       policy_(std::move(policy)),
       options_(options) {
-  // One contiguous cache-line-aligned arena for every frame payload —
-  // sized once here; no other allocation ever touches page data.
-  const size_t page_size = disk_->page_size();
-  const size_t slab_bytes =
-      std::max<size_t>(size_t{1}, options_.num_frames * page_size);
+  // One contiguous cache-line-aligned arena with a slot per frame, sized
+  // once here and left unwritten: only push installs copy into it, so a
+  // pull-only pool never faults its pages in.
+  const size_t slab_bytes = std::max<size_t>(
+      size_t{1}, options_.num_frames * size_t{disk_->page_size()});
   slab_.reset(static_cast<uint8_t*>(
       ::operator new[](slab_bytes, std::align_val_t{kSlabAlignment})));
-  std::memset(slab_.get(), 0, slab_bytes);
   frames_.resize(options_.num_frames);
   free_list_.reserve(options_.num_frames);
   for (size_t i = 0; i < options_.num_frames; ++i) {
-    frames_[i].data = slab_.get() + i * page_size;
     free_list_.push_back(static_cast<FrameId>(options_.num_frames - 1 - i));
   }
   const uint64_t pages = disk_->num_pages();
@@ -64,15 +62,22 @@ StatusOr<FrameId> BufferPool::GetVictimFrame(sim::Micros now) {
 
 Status BufferPool::InstallInto(FrameId frame, sim::PageId page,
                                uint32_t initial_pins) {
-  SCANSHARE_ASSIGN_OR_RETURN(const uint8_t* src, disk_->PageData(page));
-  InstallFromBuffer(frame, page, src, initial_pins);
+  SCANSHARE_ASSIGN_OR_RETURN(const uint8_t* image, disk_->PageData(page));
+  Register(frame, page, image, initial_pins);
   return Status::OK();
 }
 
 void BufferPool::InstallFromBuffer(FrameId frame, sim::PageId page,
                                    const uint8_t* src, uint32_t initial_pins) {
+  uint8_t* slot = SlabSlot(frame);
+  std::memcpy(slot, src, disk_->page_size());
+  Register(frame, page, slot, initial_pins);
+}
+
+void BufferPool::Register(FrameId frame, sim::PageId page, const uint8_t* data,
+                          uint32_t initial_pins) {
   Frame& f = frames_[frame];
-  std::memcpy(f.data, src, disk_->page_size());
+  f.data = data;
   f.page = page;
   f.pin_count = initial_pins;
   MapInsert(page, frame);
@@ -310,6 +315,14 @@ Status BufferPool::CheckInvariants() const {
     if (!IsResident(f.page)) {
       return Status::Internal("audit: cached page " + std::to_string(f.page) +
                               " has its residency bit clear");
+    }
+    // --- Payload: the page's store image (pull install) or this frame's
+    // slab slot (push install) — never a freed pipeline buffer. ---
+    if (f.data != SlabSlot(i) && !disk_->IsPageImage(f.page, f.data)) {
+      return Status::Internal("audit: frame " + std::to_string(i) +
+                              " (page " + std::to_string(f.page) +
+                              ") points neither at the page's image nor at "
+                              "its slab slot");
     }
     // --- Occupied frame ↔ replacer, pin-count sanity. ---
     if (!policy_->IsTracked(i)) {

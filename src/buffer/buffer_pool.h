@@ -10,6 +10,12 @@
 // (kInvalidFrame when absent) plus a residency bitmap, so the hit path is
 // a bounds check and one indexed load. CheckInvariants cross-audits the
 // array, the frames, the bitmap and the replacer.
+//
+// A frame's payload lives where its bytes do. A pull-path install points
+// the frame at DiskManager's immutable page image (the charged read is the
+// modelled cost; a host copy would model nothing). A push-path install
+// copies out of the pipeline's extent buffer, which dies with the fetch,
+// into the frame's own slab slot.
 
 #pragma once
 
@@ -228,9 +234,9 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   struct Frame {
     sim::PageId page = sim::kInvalidPageId;
     uint32_t pin_count = 0;
-    /// Payload: points into the pool's slab arena, frame i at byte offset
-    /// i * page_size. Owned by slab_, valid for the pool's lifetime.
-    uint8_t* data = nullptr;
+    /// Read-only payload: the page's DiskManager image (pull install) or
+    /// SlabSlot (push install), as CheckInvariants audits. Stale while free.
+    const uint8_t* data = nullptr;
   };
 
   /// Frees the slab arena with matching alignment.
@@ -240,9 +246,14 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
     }
   };
 
-  /// Cache-line alignment for the arena (and thus every frame payload,
-  /// page sizes being powers of two well above 64).
+  /// Cache-line alignment for the arena (and thus every slab slot, page
+  /// sizes being powers of two well above 64).
   static constexpr size_t kSlabAlignment = 64;
+
+  /// Frame `frame`'s slot in the slab: where a push install copies to.
+  uint8_t* SlabSlot(FrameId frame) const {
+    return slab_.get() + static_cast<size_t>(frame) * disk_->page_size();
+  }
 
   /// Residency bitmap probe: one bit per disk page. The prefetch path
   /// tests this instead of probing the translation array per extent page.
@@ -290,20 +301,24 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// stamps the eviction trace event.
   [[nodiscard]] StatusOr<FrameId> GetVictimFrame(sim::Micros now);
 
-  /// Installs `page` into `frame` with pin_count = initial_pins. Unpinned
-  /// (prefetched) pages enter the replacer at High priority: they are
-  /// about to be consumed by the fetching scan, making them the most
-  /// valuable pages in the pool until released with a scan-chosen hint.
-  /// On failure (media fault on the page image) the frame is untouched
-  /// and may be returned to the free list.
+  /// Pull-path install: points `frame` at `page`'s image in the
+  /// DiskManager store (no copy) and registers it with pin_count =
+  /// initial_pins. On failure (media fault on the page image) the frame is
+  /// untouched and may be returned to the free list.
   [[nodiscard]] Status InstallInto(FrameId frame, sim::PageId page, uint32_t initial_pins);
 
-  /// Install core shared by the pull path (bytes from DiskManager's page
-  /// images) and the push path (bytes from a pipeline extent buffer):
-  /// copies `src` (one page) into `frame` and registers the mapping.
+  /// Push-path install: copies `src` (one page of a pipeline extent buffer,
+  /// freed when the fetch ends) into `frame`'s slab slot and registers it.
   /// Cannot fail — the bytes already exist.
   void InstallFromBuffer(FrameId frame, sim::PageId page, const uint8_t* src,
                          uint32_t initial_pins);
+
+  /// Install core of both paths: `frame` now holds `page` at `data`.
+  /// Unpinned (prefetched) pages enter the replacer at High priority: they
+  /// are about to be consumed by the fetching scan, making them the most
+  /// valuable pages in the pool until released with a scan-chosen hint.
+  void Register(FrameId frame, sim::PageId page, const uint8_t* data,
+                uint32_t initial_pins);
 
   /// Returns acquired[from..] to the free list — the shared tail of every
   /// FetchSlow exit path, so no path can leak acquired-but-unused frames.
@@ -312,10 +327,10 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   storage::DiskManager* disk_;
   std::unique_ptr<ReplacementPolicy> policy_;
   BufferPoolOptions options_;
-  /// One contiguous aligned arena holding every frame payload, sized at
-  /// construction (num_frames * page_size). Replaces per-frame vector
-  /// allocations: extent installs write into adjacent memory, and
-  /// FetchSlow never touches the allocator.
+  /// One contiguous aligned arena with a page-sized slot per frame
+  /// (num_frames * page_size), allocated at construction and never
+  /// zero-filled: only push installs write it, so a pull-only pool never
+  /// faults its pages in.
   std::unique_ptr<uint8_t[], SlabDeleter> slab_;
   std::vector<Frame> frames_;
   std::vector<FrameId> free_list_;

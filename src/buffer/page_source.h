@@ -26,7 +26,10 @@ namespace scanshare::buffer {
 
 /// Outcome of FetchPage: a pinned frame plus I/O timing if a read happened.
 struct FetchResult {
-  const uint8_t* data = nullptr;  ///< Frame contents, valid while pinned.
+  /// The page's bytes, read-only and valid while pinned: the page store's
+  /// own image after a pull install, the frame's slab copy after a push
+  /// install (DESIGN.md §10.3).
+  const uint8_t* data = nullptr;
   bool hit = false;               ///< True if no physical I/O was needed.
   sim::IoResult io{};             ///< Valid iff !hit: when the read completed.
 };

@@ -55,7 +55,7 @@ StatusOr<sim::Micros> ChunkProcessor::ProcessRange(sim::PageId first,
     buffer::PageGuard guard(pool_, p, fetched.data);
     guard.set_release_priority(priority);
 
-    storage::Page view(const_cast<uint8_t*>(fetched.data), pool_->page_size());
+    const storage::PageView view(fetched.data, pool_->page_size());
     if (!view.IsValid()) {
       return Status::Corruption("scan: page " + std::to_string(p) +
                                 " failed validation");

@@ -5,6 +5,12 @@
 // the buffer pool are charged against the sim::Disk cost model; the bulk
 // load path writes page images directly and charges nothing (experiments
 // reset disk statistics after loading anyway).
+//
+// Page images are stable and immutable once loaded: an image never moves
+// (growing the store keeps every existing image at its address), and only
+// the bulk loader and test setup write one, before any pool reads it. The
+// buffer pool's pull path relies on both, pointing frames at the images
+// instead of copying them (DESIGN.md §10.3).
 
 #pragma once
 
@@ -42,27 +48,38 @@ class DiskManager {
   /// Page size in bytes.
   uint32_t page_size() const { return page_size_; }
 
-  /// Direct (uncharged) access to a page image, for bulk loading and for
-  /// the buffer pool to copy bytes after a charged read. Returns OutOfRange
-  /// for unallocated pages.
+  /// Writable (uncharged) access to a page image, for the bulk loader and
+  /// test setup only: an image must not change once a pool may have read
+  /// it. Returns OutOfRange for unallocated pages.
   [[nodiscard]] StatusOr<uint8_t*> MutablePageData(sim::PageId page);
+
+  /// The page's image, for the read paths after a charged read (stable
+  /// and immutable, see above). Returns OutOfRange for unallocated pages,
+  /// and Corruption inside an armed media-fault range (below).
   [[nodiscard]] StatusOr<const uint8_t*> PageData(sim::PageId page) const;
+
+  /// True iff `data` is `page`'s image. Bypasses the media-fault shim, so
+  /// an auditor can ask without moving page_data_faults_injected().
+  bool IsPageImage(sim::PageId page, const uint8_t* data) const {
+    return page < num_pages_ && store_[page].data() == data;
+  }
 
   /// Issues a charged read of `count` contiguous pages starting at `first`
   /// at virtual time `now`. Updates disk statistics and queueing state;
-  /// the caller copies bytes via PageData(). Returns OutOfRange if the
+  /// the caller reaches the bytes via PageData(). Returns OutOfRange if the
   /// range is not fully allocated. Fault injection armed on the underlying
   /// sim::Disk (see sim::DiskFaultOptions) surfaces here as Corruption.
   [[nodiscard]] StatusOr<sim::IoResult> ChargedRead(sim::PageId first, uint64_t count,
                                       sim::Micros now) SCANSHARE_EXCLUDES(io_mu_);
 
-  /// Media-fault shim for the post-read copy path (tests only): PageData()
-  /// returns Corruption for pages in [first, end), while ChargedRead over
-  /// the same range still succeeds. This is the only way to make the
-  /// buffer pool's InstallInto fail *mid-extent* — after the disk request
-  /// was charged but before every page of the extent is installed — so the
-  /// pool's partial-install error paths are reachable from tests.
-  /// MutablePageData (the bulk-load path) is unaffected.
+  /// Media-fault shim for the post-read install path (tests only):
+  /// PageData() returns Corruption for pages in [first, end), while
+  /// ChargedRead over the same range still succeeds. This is the only way
+  /// to make the buffer pool's InstallInto fail *mid-extent* — after the
+  /// disk request was charged but before every page of the extent is
+  /// installed — so the pool's partial-install error paths are reachable
+  /// from tests. MutablePageData (the bulk-load path) and IsPageImage are
+  /// unaffected.
   void SetPageDataFaultRange(sim::PageId first, sim::PageId end) {
     fault_first_ = first;
     fault_end_ = end;
@@ -86,7 +103,8 @@ class DiskManager {
   sim::Env* env_;
   uint32_t page_size_;
   uint64_t num_pages_ = 0;
-  // One flat byte vector per page keeps allocation simple and stable.
+  // One flat byte vector per page: growing the outer vector moves the
+  // inner vectors, never their buffers, so every image keeps its address.
   std::vector<std::vector<uint8_t>> store_;
   // PageData media-fault range (tests only); kInvalidPageId = disarmed.
   // Armed in single-threaded test setup, read concurrently — not guarded

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "buffer/page_guard.h"
+#include "io/prefetcher.h"
+#include "io/sim_backend.h"
 
 namespace scanshare::buffer {
 namespace {
@@ -457,13 +462,20 @@ TEST_F(BufferPoolTest, MidExtentInstallFailureLeaksNoFrames) {
   // The read physically happened, so its charge stays.
   EXPECT_EQ(pool->stats().misses, 1u);
   EXPECT_EQ(pool->stats().io_requests, 1u);
-  // The fetch failed: nothing may be left pinned.
+  // The fetch failed: nothing may be left pinned. The demanded page 0 and
+  // sibling 1, installed before the fault at page 2, stay cached as the
+  // store's images, like any pull install.
   for (sim::PageId p = 0; p < 4; ++p) {
-    if (pool->Contains(p)) {
-      auto pins = pool->PinCount(p);
-      ASSERT_TRUE(pins.ok());
-      EXPECT_EQ(*pins, 0u) << "page " << p;
-    }
+    EXPECT_EQ(pool->Contains(p), p < 2) << "page " << p;
+    if (!pool->Contains(p)) continue;
+    auto pins = pool->PinCount(p);
+    ASSERT_TRUE(pins.ok());
+    EXPECT_EQ(*pins, 0u) << "page " << p;
+    auto hit = pool->FetchPage(p, 10);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit->hit);
+    EXPECT_EQ(hit->data, *dm_.PageData(p)) << "page " << p;
+    ASSERT_TRUE(pool->UnpinPage(p, PagePriority::kNormal).ok());
   }
   EXPECT_TRUE(pool->CheckInvariants().ok());
 
@@ -490,6 +502,76 @@ TEST_F(BufferPoolTest, DemandedPageInstallFailureLeaksNoFrames) {
   for (sim::PageId p = 8; p < 16; ++p) {
     ASSERT_TRUE(pool->FetchPage(p, 1000 + p).ok()) << "page " << p;
   }
+  EXPECT_TRUE(pool->CheckInvariants().ok());
+}
+
+// A pull miss installs by reference: the demanded page and its prefetched
+// sibling are the page store's own images, and are again after eviction
+// and re-fetch.
+TEST_F(BufferPoolTest, PullInstallsAliasThePageStore) {
+  auto pool = MakePool(8, /*extent=*/4);
+  for (sim::Micros round = 0; round < 2; ++round) {
+    auto miss = pool->FetchPage(1, 100 * round);
+    ASSERT_TRUE(miss.ok());
+    EXPECT_FALSE(miss->hit);
+    EXPECT_EQ(miss->data, *dm_.PageData(1));
+    auto sibling = pool->FetchPage(2, 100 * round + 1);
+    ASSERT_TRUE(sibling.ok());
+    EXPECT_TRUE(sibling->hit);
+    EXPECT_EQ(sibling->data, *dm_.PageData(2));
+    ASSERT_TRUE(pool->UnpinPage(1, PagePriority::kNormal).ok());
+    ASSERT_TRUE(pool->UnpinPage(2, PagePriority::kNormal).ok());
+    // Two more extents through the 8 frames evict [0, 4).
+    for (sim::PageId p : {sim::PageId{8}, sim::PageId{16}}) {
+      ASSERT_TRUE(pool->FetchPage(p, 100 * round + 2).ok());
+      ASSERT_TRUE(pool->UnpinPage(p, PagePriority::kNormal).ok());
+    }
+    EXPECT_FALSE(pool->Contains(1));
+    EXPECT_FALSE(pool->Contains(2));
+    EXPECT_TRUE(pool->CheckInvariants().ok());
+  }
+}
+
+// With a pipeline attached the bytes arrive in an extent buffer that is
+// freed when the fetch ends, so the pool copies them into its slab: a
+// fetch returns the frame's own copy, equal to the store's image and
+// still readable after the buffer is gone (ASan flags a dangling alias).
+// Detached again, the same frames go back to aliasing the store.
+TEST_F(BufferPoolTest, PushInstallsCopyIntoTheSlab) {
+  io::SimIoBackend backend(&dm_);
+  io::Prefetcher pipeline(&backend, /*ssm=*/nullptr, /*residency=*/nullptr,
+                          /*extent_pages=*/4, io::PrefetchOptions{});
+  auto pool = MakePool(8, /*extent=*/4);
+  pool->SetIoPipeline(&pipeline);
+
+  auto miss = pool->FetchPage(1, 0);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(miss->hit);
+  auto sibling = pool->FetchPage(2, 1);
+  ASSERT_TRUE(sibling.ok());
+  EXPECT_TRUE(sibling->hit);
+  // Another extent's buffer comes and goes before the bytes are read.
+  ASSERT_TRUE(pool->FetchPage(8, 2).ok());
+  ASSERT_TRUE(pool->UnpinPage(8, PagePriority::kNormal).ok());
+  // The audit rejects a frame left pointing into a pipeline buffer.
+  const Status audit = pool->CheckInvariants();
+  ASSERT_TRUE(audit.ok()) << audit.ToString();
+
+  const std::pair<sim::PageId, const uint8_t*> fetched[] = {
+      {1, miss->data}, {2, sibling->data}};
+  for (const auto& [page, data] : fetched) {
+    const uint8_t* image = *dm_.PageData(page);
+    EXPECT_NE(data, image) << "page " << page;
+    EXPECT_EQ(std::memcmp(data, image, dm_.page_size()), 0) << "page " << page;
+    ASSERT_TRUE(pool->UnpinPage(page, PagePriority::kNormal).ok());
+  }
+
+  pool->SetIoPipeline(nullptr);
+  ASSERT_TRUE(pool->FlushAll().ok());
+  auto pulled = pool->FetchPage(1, 3);
+  ASSERT_TRUE(pulled.ok());
+  EXPECT_EQ(pulled->data, *dm_.PageData(1));
+  ASSERT_TRUE(pool->UnpinPage(1, PagePriority::kNormal).ok());
   EXPECT_TRUE(pool->CheckInvariants().ok());
 }
 

@@ -73,7 +73,7 @@ TEST_F(CatalogTest, LoadedPagesAreValidAndCarryPhysicalIds) {
   for (sim::PageId p = info->first_page; p < info->end_page(); ++p) {
     auto data = dm_.PageData(p);
     ASSERT_TRUE(data.ok());
-    Page page(const_cast<uint8_t*>(*data), dm_.page_size());
+    PageView page(*data, dm_.page_size());
     ASSERT_TRUE(page.IsValid()) << "page " << p;
     EXPECT_EQ(page.page_id(), p);
     tuples += page.tuple_count();
@@ -89,7 +89,7 @@ TEST_F(CatalogTest, TupleContentRoundTripsThroughLoad) {
   for (sim::PageId p = info->first_page; p < info->end_page(); ++p) {
     auto data = dm_.PageData(p);
     ASSERT_TRUE(data.ok());
-    Page page(const_cast<uint8_t*>(*data), dm_.page_size());
+    PageView page(*data, dm_.page_size());
     for (uint16_t s = 0; s < page.tuple_count(); ++s) {
       const uint8_t* t = page.TupleDataUnchecked(s);
       ASSERT_EQ(schema.ReadInt64(t, 0), expected);

@@ -55,6 +55,36 @@ TEST(DiskManagerTest, WritesPersist) {
   EXPECT_EQ((*r)[64], 0x00);
 }
 
+// Buffer-pool frames alias page images, so an image must never move:
+// growing the store (several reallocations of its page table) keeps every
+// existing page at its address.
+TEST(DiskManagerTest, PageDataStableAcrossGrowth) {
+  sim::Env env;
+  DiskManager dm(&env, 4096);
+  ASSERT_TRUE(dm.AllocateContiguous(4).ok());
+  std::vector<const uint8_t*> before;
+  for (sim::PageId p = 0; p < 4; ++p) before.push_back(*dm.PageData(p));
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(dm.AllocateContiguous(64).ok());
+  for (sim::PageId p = 0; p < 4; ++p) {
+    EXPECT_EQ(*dm.PageData(p), before[p]) << "page " << p;
+    EXPECT_TRUE(dm.IsPageImage(p, before[p])) << "page " << p;
+  }
+}
+
+// IsPageImage is the auditor's question: it names exactly one page's
+// image and never goes through the media-fault shim.
+TEST(DiskManagerTest, IsPageImageBypassesFaultShim) {
+  sim::Env env;
+  DiskManager dm(&env, 4096);
+  ASSERT_TRUE(dm.AllocateContiguous(4).ok());
+  const uint8_t* image = *dm.PageData(2);
+  dm.SetPageDataFaultRange(0, 4);
+  EXPECT_TRUE(dm.IsPageImage(2, image));
+  EXPECT_FALSE(dm.IsPageImage(1, image));
+  EXPECT_FALSE(dm.IsPageImage(9, image));
+  EXPECT_EQ(dm.page_data_faults_injected(), 0u);
+}
+
 TEST(DiskManagerTest, UnallocatedAccessRejected) {
   sim::Env env;
   DiskManager dm(&env);

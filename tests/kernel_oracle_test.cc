@@ -500,8 +500,7 @@ QueryOutput OracleOutput(Database* db, QuerySpec query, uint64_t extent) {
   for (sim::PageId p = first; p < end; ++p) {
     auto data = db->disk_manager()->PageData(p);
     EXPECT_TRUE(data.ok());
-    const storage::Page view(const_cast<uint8_t*>(*data),
-                             db->disk_manager()->page_size());
+    const storage::PageView view(*data, db->disk_manager()->page_size());
     for (uint16_t slot = 0; slot < view.tuple_count(); ++slot) {
       const uint8_t* tuple = view.TupleDataUnchecked(slot);
       ++scanned;

@@ -79,7 +79,7 @@ TEST_F(MdcGenTest, EveryBlockHoldsExactlyOneCell) {
     for (uint32_t i = 0; i < o.block_pages; ++i) {
       auto data = dm_.PageData(info->first_page + b * o.block_pages + i);
       ASSERT_TRUE(data.ok());
-      storage::Page page(const_cast<uint8_t*>(*data), dm_.page_size());
+      storage::PageView page(*data, dm_.page_size());
       ASSERT_TRUE(page.IsValid());
       for (uint16_t s = 0; s < page.tuple_count(); ++s) {
         const uint8_t* t = page.TupleDataUnchecked(s);
@@ -109,7 +109,7 @@ TEST_F(MdcGenTest, IndexCoversExactlyTheRowsOfEachKey) {
         auto data =
             dm_.PageData(info->first_page + static_cast<uint64_t>(bid) * o.block_pages + i);
         ASSERT_TRUE(data.ok());
-        storage::Page page(const_cast<uint8_t*>(*data), dm_.page_size());
+        storage::PageView page(*data, dm_.page_size());
         for (uint16_t s = 0; s < page.tuple_count(); ++s) {
           const int64_t row_key =
               schema.ReadInt64(page.TupleDataUnchecked(s), key_col);

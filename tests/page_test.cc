@@ -24,6 +24,29 @@ TEST_F(PageTest, InitFormatsEmptyPage) {
   EXPECT_GT(page_.free_space(), 32000u);
 }
 
+// Readers hold the read-only PageView; a Page is one, so what the loader
+// writes through a Page reads back identically through a view.
+TEST_F(PageTest, ReadOnlyViewSeesPageContents) {
+  ASSERT_TRUE(page_.Init(9).ok());
+  const uint8_t data[] = {4, 5, 6};
+  ASSERT_TRUE(page_.InsertTuple(data, sizeof(data)).ok());
+
+  const uint8_t* bytes = buf_.data();
+  const PageView view(bytes, kDefaultPageSize);
+  EXPECT_TRUE(view.IsValid());
+  EXPECT_EQ(view.page_id(), 9u);
+  EXPECT_EQ(view.tuple_count(), 1u);
+  EXPECT_EQ(view.free_space(), page_.free_space());
+  auto got = view.GetTuple(0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(std::memcmp(*got, data, sizeof(data)), 0);
+  EXPECT_EQ(view.TupleDataUnchecked(0), *got);
+  EXPECT_EQ(view.GetTuple(1).status().code(), Status::Code::kOutOfRange);
+
+  const PageView& as_view = page_;
+  EXPECT_EQ(as_view.data(), view.data());
+}
+
 TEST_F(PageTest, UnformattedBufferIsInvalid) {
   EXPECT_FALSE(page_.IsValid());
 }

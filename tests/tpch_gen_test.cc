@@ -73,7 +73,7 @@ TEST_F(TpchGenTest, ColumnValuesWithinDomains) {
   for (sim::PageId p = info->first_page; p < info->end_page(); ++p) {
     auto data = dm_.PageData(p);
     ASSERT_TRUE(data.ok());
-    storage::Page page(const_cast<uint8_t*>(*data), dm_.page_size());
+    storage::PageView page(*data, dm_.page_size());
     ASSERT_TRUE(page.IsValid());
     for (uint16_t slot = 0; slot < page.tuple_count(); ++slot) {
       const uint8_t* t = page.TupleDataUnchecked(slot);
@@ -106,7 +106,7 @@ TEST_F(TpchGenTest, ShipDatesRoughlyUniformOverSevenYears) {
   uint64_t per_year[7] = {0};
   for (sim::PageId p = info->first_page; p < info->end_page(); ++p) {
     auto data = dm_.PageData(p);
-    storage::Page page(const_cast<uint8_t*>(*data), dm_.page_size());
+    storage::PageView page(*data, dm_.page_size());
     for (uint16_t slot = 0; slot < page.tuple_count(); ++slot) {
       const int64_t d = s.ReadInt64(page.TupleDataUnchecked(slot), ship);
       ++per_year[d / 365];
