@@ -1,12 +1,16 @@
-// M2 — micro-benchmarks of the buffer pool: hit path, miss+eviction path,
-// and the two replacement policies. The hit path is the one every tuple
-// of every scan crosses, so it must stay trivially cheap. The miss path
-// runs at 4 KiB and at the engine's 32 KiB pages: an install cost that
-// grows with the page (a payload copy) only shows at the real size.
+// M2 — micro-benchmarks of the buffer pool: hit path, miss+eviction path
+// (pulled, and pushed through a demand-only pipeline over the sim
+// backend), and the two replacement policies. The hit path is the one
+// every tuple of every scan crosses, so it must stay trivially cheap. The
+// miss paths run at 4 KiB and at the engine's 32 KiB pages: an install
+// cost that grows with the page (a payload copy) only shows at the real
+// size.
 
 #include <benchmark/benchmark.h>
 
 #include "buffer/buffer_pool.h"
+#include "io/prefetcher.h"
+#include "io/sim_backend.h"
 
 namespace {
 
@@ -76,6 +80,32 @@ void BM_FetchMissEvict(benchmark::State& state) {
 BENCHMARK(BM_FetchMissEvict)
     ->ArgNames({"prio", "page"})
     ->ArgsProduct({{0, 1}, {4096, 32768}});
+
+// The same miss stream through the push path: a demand-only Prefetcher
+// (no SSM, so every Acquire is a sync read) over SimIoBackend, one 16-page
+// extent per iteration.
+void BM_PushFetchMissEvict(benchmark::State& state) {
+  const auto page_size = static_cast<uint32_t>(state.range(0));
+  World w(64, /*priority_policy=*/false, page_size);
+  io::SimIoBackend backend(&w.dm);
+  io::Prefetcher pipeline(&backend, /*ssm=*/nullptr, /*residency=*/nullptr,
+                          /*extent_pages=*/16, io::PrefetchOptions{});
+  w.pool->SetIoPipeline(&pipeline);
+  const uint64_t pages = w.dm.num_pages();
+  sim::Micros now = 0;
+  sim::PageId p = 0;
+  for (auto _ : state) {
+    auto r = w.pool->FetchPage(p, now);
+    benchmark::DoNotOptimize(r);
+    (void)w.pool->UnpinPage(p, PagePriority::kNormal);
+    p = (p + 16) % pages;  // New extent every time: always a miss.
+    now += 10;
+  }
+  w.pool->SetIoPipeline(nullptr);
+  state.SetItemsProcessed(state.iterations());  // One extent install each.
+}
+// page: bytes per page.
+BENCHMARK(BM_PushFetchMissEvict)->ArgName("page")->Arg(4096)->Arg(32768);
 
 void BM_UnpinWithPriority(benchmark::State& state) {
   World w(1024, true);

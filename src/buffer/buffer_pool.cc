@@ -13,8 +13,8 @@ BufferPool::BufferPool(storage::DiskManager* disk_manager,
       policy_(std::move(policy)),
       options_(options) {
   // One contiguous cache-line-aligned arena with a slot per frame, sized
-  // once here and left unwritten: only push installs copy into it, so a
-  // pull-only pool never faults its pages in.
+  // once here and left unwritten: only moved bytes (push-file) are copied
+  // into it, so a pull or push-sim pool never faults its pages in.
   const size_t slab_bytes = std::max<size_t>(
       size_t{1}, options_.num_frames * size_t{disk_->page_size()});
   slab_.reset(static_cast<uint8_t*>(
@@ -61,21 +61,15 @@ StatusOr<FrameId> BufferPool::GetVictimFrame(sim::Micros now) {
 }
 
 Status BufferPool::InstallInto(FrameId frame, sim::PageId page,
-                               uint32_t initial_pins) {
-  SCANSHARE_ASSIGN_OR_RETURN(const uint8_t* image, disk_->PageData(page));
-  Register(frame, page, image, initial_pins);
-  return Status::OK();
-}
-
-void BufferPool::InstallFromBuffer(FrameId frame, sim::PageId page,
-                                   const uint8_t* src, uint32_t initial_pins) {
-  uint8_t* slot = SlabSlot(frame);
-  std::memcpy(slot, src, disk_->page_size());
-  Register(frame, page, slot, initial_pins);
-}
-
-void BufferPool::Register(FrameId frame, sim::PageId page, const uint8_t* data,
-                          uint32_t initial_pins) {
+                               const uint8_t* src, uint32_t initial_pins) {
+  const uint8_t* data = nullptr;
+  if (src == nullptr) {
+    SCANSHARE_ASSIGN_OR_RETURN(data, disk_->PageData(page));
+  } else {
+    uint8_t* slot = SlabSlot(frame);
+    std::memcpy(slot, src, disk_->page_size());
+    data = slot;
+  }
   Frame& f = frames_[frame];
   f.data = data;
   f.page = page;
@@ -89,6 +83,7 @@ void BufferPool::Register(FrameId frame, sim::PageId page, const uint8_t* data,
     policy_->SetPriority(frame, PagePriority::kHigh);
     policy_->Unpin(frame);
   }
+  return Status::OK();
 }
 
 StatusOr<FetchResult> BufferPool::FetchPage(sim::PageId page, sim::Micros now) {
@@ -152,70 +147,32 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
     return Status::ResourceExhausted("FetchPage: every frame is pinned");
   }
 
+  // The extent's read: from the pipeline when one is attached — a
+  // ready-queue pop when the pump issued it ahead of the scan, the
+  // identical charged read inline otherwise — else charged here. Same
+  // counters and error contract either way, except that a pipeline surfaces
+  // a mid-extent media fault in `bytes` and installs NO pages, where the
+  // pull path installs a prefix (statuses are identical — DESIGN.md §15).
+  io::ExtentRead ext;
   if (pipeline_ != nullptr) {
-    // Push path: the extent comes from the pipeline — a ready-queue pop
-    // when the pump issued it ahead of the scan, the identical charged
-    // read inline otherwise. Same counters, same error contract as the
-    // pull path below, except that a mid-extent media fault installs NO
-    // pages (the pull path installs a prefix; statuses are identical —
-    // DESIGN.md §15).
-    io::ExtentRead ext = pipeline_->Acquire(first, end - first, now);
-    if (!ext.charged) {
-      // Nothing was charged: frames go back, no counter moves.
-      ReturnFrames(acquired, 0);
-      SCANSHARE_AUDIT_OK(CheckInvariants());
-      return ext.bytes;
+    ext = pipeline_->Acquire(first, end - first, now);
+  } else {
+    StatusOr<sim::IoResult> io = disk_->ChargedRead(first, end - first, now);
+    ext.charged = io.ok();
+    if (io.ok()) {
+      ext.io = *io;
+    } else {
+      ext.bytes = io.status();
     }
-    ++stats_.logical_reads;
-    ++stats_.misses;
-    ++stats_.io_requests;
-    stats_.physical_pages += end - first;
-    if (ext.from_queue) ++stats_.prefetch_hits;
-    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kPoolMiss, now, /*actor=*/0,
-                          page, end - first);
-    if (!ext.bytes.ok()) {
-      ReturnFrames(acquired, 0);
-      SCANSHARE_AUDIT_OK(CheckInvariants());
-      return ext.bytes;
-    }
-    // A prefetched read may have completed in the (virtual) past; the
-    // demanding scan stalls only for the remainder, never negatively
-    // (ChunkProcessor subtracts the issue time from complete_micros).
-    sim::IoResult charged = ext.io;
-    charged.complete_micros = std::max(charged.complete_micros, now);
-    charged.start_micros = std::min(charged.start_micros, charged.complete_micros);
-
-    const uint32_t page_bytes = disk_->page_size();
-    installing_ = true;
-    size_t next = 0;
-    InstallFromBuffer(acquired[next], page,
-                      ext.data.get() + (page - first) * page_bytes, 1);
-    ++next;
-    for (sim::PageId p = first; p < end && next < acquired.size(); ++p) {
-      if (p == page || IsResident(p)) continue;
-      InstallFromBuffer(acquired[next], p,
-                        ext.data.get() + (p - first) * page_bytes, 0);
-      ++next;
-    }
-    installing_ = false;
-    ReturnFrames(acquired, next);
-
-    result.data = frames_[acquired[0]].data;
-    result.hit = false;
-    result.io = charged;
-    SCANSHARE_AUDIT_OK(CheckInvariants());
-    return result;
   }
-
-  auto io = disk_->ChargedRead(first, end - first, now);
-  if (!io.ok()) {
+  if (!ext.charged) {
     // The device refused the read (e.g. injected fault) before charging
     // anything. Victims evicted during acquisition stay evicted — that is
     // cache-content loss, which the error-path contract permits — but
     // their frames go back to the free list, and no counter moved.
     ReturnFrames(acquired, 0);
     SCANSHARE_AUDIT_OK(CheckInvariants());
-    return io.status();
+    return ext.bytes;
   }
 
   // The physical read happened: charge it.
@@ -223,17 +180,31 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
   ++stats_.misses;
   ++stats_.io_requests;
   stats_.physical_pages += end - first;
+  if (ext.from_queue) ++stats_.prefetch_hits;
   SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kPoolMiss, now, /*actor=*/0,
                         page, end - first);
+  if (!ext.bytes.ok()) {
+    ReturnFrames(acquired, 0);
+    SCANSHARE_AUDIT_OK(CheckInvariants());
+    return ext.bytes;
+  }
 
+  // One install loop for every source. A null buffer means each page is
+  // the store's image (pull, and push-sim's in-place extents); otherwise
+  // the backend moved the bytes into a buffer that dies with `ext`.
+  const uint8_t* buffer = ext.data.get();
+  const uint32_t page_bytes = disk_->page_size();
+  const auto src = [&](sim::PageId p) -> const uint8_t* {
+    return buffer == nullptr ? nullptr : buffer + (p - first) * page_bytes;
+  };
   installing_ = true;
   size_t next = 0;
-  Status st = InstallInto(acquired[next], page, 1);
+  Status st = InstallInto(acquired[next], page, src(page), 1);
   if (st.ok()) {
     ++next;
     for (sim::PageId p = first; p < end && next < acquired.size(); ++p) {
       if (p == page || IsResident(p)) continue;
-      st = InstallInto(acquired[next], p, 0);
+      st = InstallInto(acquired[next], p, src(p), 0);
       if (!st.ok()) break;
       ++next;
     }
@@ -256,9 +227,16 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
   // sibling eviction) go back to the free list.
   ReturnFrames(acquired, next);
 
+  // A prefetched read may have completed in the (virtual) past; the
+  // demanding scan stalls only for the remainder, never negatively
+  // (ChunkProcessor subtracts the issue time from complete_micros). A read
+  // charged at `now` already starts and completes no earlier.
   result.data = frames_[acquired[0]].data;
   result.hit = false;
-  result.io = *io;
+  result.io = ext.io;
+  result.io.complete_micros = std::max(result.io.complete_micros, now);
+  result.io.start_micros =
+      std::min(result.io.start_micros, result.io.complete_micros);
   SCANSHARE_AUDIT_OK(CheckInvariants());
   return result;
 }
@@ -316,8 +294,8 @@ Status BufferPool::CheckInvariants() const {
       return Status::Internal("audit: cached page " + std::to_string(f.page) +
                               " has its residency bit clear");
     }
-    // --- Payload: the page's store image (pull install) or this frame's
-    // slab slot (push install) — never a freed pipeline buffer. ---
+    // --- Payload: the page's store image or, for moved bytes, this
+    // frame's slab slot — never a freed pipeline buffer. ---
     if (f.data != SlabSlot(i) && !disk_->IsPageImage(f.page, f.data)) {
       return Status::Internal("audit: frame " + std::to_string(i) +
                               " (page " + std::to_string(f.page) +

@@ -11,11 +11,13 @@
 // a bounds check and one indexed load. CheckInvariants cross-audits the
 // array, the frames, the bitmap and the replacer.
 //
-// A frame's payload lives where its bytes do. A pull-path install points
-// the frame at DiskManager's immutable page image (the charged read is the
-// modelled cost; a host copy would model nothing). A push-path install
-// copies out of the pipeline's extent buffer, which dies with the fetch,
-// into the frame's own slab slot.
+// A frame's payload lives where its bytes do. A pull-path install, and a
+// push-path install of an extent the backend served in place (the sim
+// backend), points the frame at DiskManager's immutable page image (the
+// charged read is the modelled cost; a host copy would model nothing).
+// Only bytes a backend moved (the file backend) are copied, out of the
+// pipeline's extent buffer, which dies with the fetch, into the frame's
+// own slab slot.
 
 #pragma once
 
@@ -234,8 +236,9 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   struct Frame {
     sim::PageId page = sim::kInvalidPageId;
     uint32_t pin_count = 0;
-    /// Read-only payload: the page's DiskManager image (pull install) or
-    /// SlabSlot (push install), as CheckInvariants audits. Stale while free.
+    /// Read-only payload: the page's DiskManager image, or SlabSlot when a
+    /// backend moved the bytes (push-file), as CheckInvariants audits.
+    /// Stale while free.
     const uint8_t* data = nullptr;
   };
 
@@ -250,7 +253,7 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// sizes being powers of two well above 64).
   static constexpr size_t kSlabAlignment = 64;
 
-  /// Frame `frame`'s slot in the slab: where a push install copies to.
+  /// Frame `frame`'s slot in the slab: where moved bytes are copied to.
   uint8_t* SlabSlot(FrameId frame) const {
     return slab_.get() + static_cast<size_t>(frame) * disk_->page_size();
   }
@@ -301,24 +304,17 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// stamps the eviction trace event.
   [[nodiscard]] StatusOr<FrameId> GetVictimFrame(sim::Micros now);
 
-  /// Pull-path install: points `frame` at `page`'s image in the
-  /// DiskManager store (no copy) and registers it with pin_count =
-  /// initial_pins. On failure (media fault on the page image) the frame is
-  /// untouched and may be returned to the free list.
-  [[nodiscard]] Status InstallInto(FrameId frame, sim::PageId page, uint32_t initial_pins);
-
-  /// Push-path install: copies `src` (one page of a pipeline extent buffer,
-  /// freed when the fetch ends) into `frame`'s slab slot and registers it.
-  /// Cannot fail — the bytes already exist.
-  void InstallFromBuffer(FrameId frame, sim::PageId page, const uint8_t* src,
-                         uint32_t initial_pins);
-
-  /// Install core of both paths: `frame` now holds `page` at `data`.
+  /// Installs `page` into `frame` and registers it with pin_count =
+  /// initial_pins. With `src` null the frame points at `page`'s image in
+  /// the DiskManager store (no copy); on a media fault on that image the
+  /// frame is untouched and may be returned to the free list. Otherwise
+  /// `src` is one page of a pipeline extent buffer, freed when the fetch
+  /// ends, and is copied into `frame`'s slab slot (cannot fail).
   /// Unpinned (prefetched) pages enter the replacer at High priority: they
   /// are about to be consumed by the fetching scan, making them the most
   /// valuable pages in the pool until released with a scan-chosen hint.
-  void Register(FrameId frame, sim::PageId page, const uint8_t* data,
-                uint32_t initial_pins);
+  [[nodiscard]] Status InstallInto(FrameId frame, sim::PageId page,
+                                   const uint8_t* src, uint32_t initial_pins);
 
   /// Returns acquired[from..] to the free list — the shared tail of every
   /// FetchSlow exit path, so no path can leak acquired-but-unused frames.
@@ -329,8 +325,8 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   BufferPoolOptions options_;
   /// One contiguous aligned arena with a page-sized slot per frame
   /// (num_frames * page_size), allocated at construction and never
-  /// zero-filled: only push installs write it, so a pull-only pool never
-  /// faults its pages in.
+  /// zero-filled: only installs of moved bytes (push-file) write it, so a
+  /// pull or push-sim pool never faults its pages in.
   std::unique_ptr<uint8_t[], SlabDeleter> slab_;
   std::vector<Frame> frames_;
   std::vector<FrameId> free_list_;

@@ -27,8 +27,8 @@ namespace scanshare::buffer {
 /// Outcome of FetchPage: a pinned frame plus I/O timing if a read happened.
 struct FetchResult {
   /// The page's bytes, read-only and valid while pinned: the page store's
-  /// own image after a pull install, the frame's slab copy after a push
-  /// install (DESIGN.md §10.3).
+  /// own image, or the frame's slab copy when a backend moved the bytes
+  /// (push-file; DESIGN.md §10.3).
   const uint8_t* data = nullptr;
   bool hit = false;               ///< True if no physical I/O was needed.
   sim::IoResult io{};             ///< Valid iff !hit: when the read completed.

@@ -3,8 +3,9 @@
 // IoBackend — the seam between the push I/O pipeline and wherever extent
 // bytes physically come from (DESIGN.md §15). Two implementations:
 //
-//   SimIoBackend   copies page images out of the in-memory DiskManager
-//                  store (default; every test and golden runs on it), and
+//   SimIoBackend   serves extents in place: the pages are the in-memory
+//                  DiskManager store's own images, so nothing is copied
+//                  (default; every test and golden runs on it), and
 //   FileIoBackend  preads a real preallocated table file on a worker pool
 //                  (O_DIRECT when the filesystem allows it).
 //
@@ -20,10 +21,12 @@
 //   Charge(first, count, now)  deterministic cost-model accounting, fault
 //                              injection included; nothing charged on error.
 //   StartBytes(..., dest, &t)  begin moving the extent's bytes into `dest`
-//                              (sim: synchronous memcpy; file: enqueue a
-//                              pread job). Media faults may surface here.
-//   Join(t)                    block until `dest` is fully populated.
-//                              kNoToken joins trivially.
+//                              (file: enqueue a pread job), or answer
+//                              kInPlace when the pages are the store's
+//                              images and `dest` was not written (sim).
+//                              Media faults may surface here.
+//   Join(t)                    block until the bytes are readable.
+//                              kNoToken and kInPlace join trivially.
 
 #pragma once
 
@@ -60,10 +63,13 @@ inline AlignedBuffer AllocateIoBuffer(size_t bytes) {
       ::operator new[](bytes, std::align_val_t{kIoBufferAlignment})));
 }
 
-/// Join handle for an in-flight byte movement. kNoToken means the bytes
-/// were already in place when StartBytes returned (the sim backend).
+/// Join handle for an in-flight byte movement. kNoToken means there is
+/// nothing to wait for; kInPlace means the bytes were never moved: page i
+/// of the extent is DiskManager::PageData(first + i), the store's stable
+/// image, and `dest` was not written (the sim backend).
 using ReadToken = uint64_t;
 inline constexpr ReadToken kNoToken = 0;
+inline constexpr ReadToken kInPlace = UINT64_MAX;
 
 /// Real-device counters kept by FileIoBackend (all zero for the sim
 /// backend). `seeks` counts preads whose file offset was not the byte
@@ -112,16 +118,18 @@ class IoBackend {
                                                        sim::Micros now) = 0;
 
   /// Begins moving the extent's bytes into `dest` (count * page_size
-  /// bytes, kIoBufferAlignment-aligned). Returns the join handle through
-  /// `token`; kNoToken when the copy completed synchronously. An error
-  /// here (per-page media fault) surfaces after the charge — the caller
-  /// keeps the I/O accounting but installs nothing.
+  /// bytes, kIoBufferAlignment-aligned) and returns the join handle
+  /// through `token` — or sets kInPlace when the extent's pages are the
+  /// page store's images, leaving `dest` unwritten for the caller's next
+  /// read. An error here (per-page media fault) surfaces after the charge
+  /// — the caller keeps the I/O accounting but installs nothing.
   [[nodiscard]] virtual Status StartBytes(sim::PageId first, uint64_t count,
                                           uint8_t* dest, ReadToken* token) = 0;
 
   /// Blocks until the bytes behind `token` are fully in their destination
   /// buffer and returns the read's status. Each token joins exactly once;
-  /// kNoToken is a no-op success.
+  /// kNoToken, and kInPlace from a backend that answers it, are no-op
+  /// successes.
   [[nodiscard]] virtual Status Join(ReadToken token) = 0;
 
   /// Real-device counters (zeroes for backends that move no real bytes).

@@ -71,16 +71,19 @@ static_assert(counters::Covers(kIoPipelineStatsCounters,
 
 /// One demand read answered by the pipeline. `charged` tells the pool
 /// whether the virtual-disk accounting happened (it charges its own
-/// counters only then — the legacy error contract); `bytes` is OK iff
-/// `data` holds the extent's bytes.
+/// counters only then — the legacy error contract); `bytes` is OK iff the
+/// extent's pages are readable. They are in `data` when the backend moved
+/// them (page i at data + i * page_size), and when it served them in place
+/// (kInPlace) `data` is null and page i is DiskManager::PageData(first +
+/// i), the store's image.
 struct ExtentRead {
   sim::PageId first = 0;
   uint64_t count = 0;
   sim::IoResult io;             ///< Valid iff charged.
   bool charged = false;         ///< Virtual accounting happened.
   bool from_queue = false;      ///< Served by a prefetched entry.
-  Status bytes = Status::OK();  ///< OK iff data is fully populated.
-  AlignedBuffer data;
+  Status bytes = Status::OK();  ///< OK iff the pages are readable.
+  AlignedBuffer data;           ///< Null when served in place.
 };
 
 /// What BufferPool::FetchSlow calls instead of DiskManager::ChargedRead

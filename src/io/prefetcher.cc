@@ -176,11 +176,7 @@ void Prefetcher::Pump(sim::Micros now) {
       } else {
         entry.charged = true;
         entry.io = charge.value();
-        entry.data = AllocateIoBuffer(e.count * backend_->page_size());
-        ReadToken token = kNoToken;
-        entry.bytes =
-            backend_->StartBytes(e.first, e.count, entry.data.get(), &token);
-        entry.token = token;
+        entry.bytes = StartRead(e.first, e.count, &entry.data, &entry.token);
         // Emitted now with the completion's (possibly future) timestamp —
         // same pattern as throttle releases.
         SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoComplete,
@@ -239,12 +235,22 @@ ExtentRead Prefetcher::Acquire(sim::PageId first, uint64_t count,
   }
   out.charged = true;
   out.io = charge.value();
-  out.data = AllocateIoBuffer(count * backend_->page_size());
   ReadToken token = kNoToken;
-  Status bytes = backend_->StartBytes(first, count, out.data.get(), &token);
+  Status bytes = StartRead(first, count, &out.data, &token);
   if (bytes.ok()) bytes = backend_->Join(token);
   out.bytes = bytes;
   return out;
+}
+
+Status Prefetcher::StartRead(sim::PageId first, uint64_t count,
+                             AlignedBuffer* data, ReadToken* token) {
+  if (spare_ == nullptr || spare_pages_ < count) {
+    spare_pages_ = std::max(count, extent_pages_);
+    spare_ = AllocateIoBuffer(spare_pages_ * backend_->page_size());
+  }
+  Status bytes = backend_->StartBytes(first, count, spare_.get(), token);
+  if (bytes.ok() && *token != kInPlace) *data = std::move(spare_);
+  return bytes;
 }
 
 IoPipelineStats Prefetcher::stats() const {

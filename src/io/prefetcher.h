@@ -16,7 +16,13 @@
 //                secured frames: pops the matching ready extent (prefetch
 //                hit) or performs the same charged read inline (sync
 //                fallback) — either way the caller gets one ExtentRead
-//                with the bytes and the virtual-time charge.
+//                naming the bytes and carrying the virtual-time charge.
+//
+// Buffers: every read hands the backend one kept spare extent buffer. A
+// backend that serves the extent in place (kInPlace, the sim backend)
+// leaves it unwritten for the next read, so a push-sim run allocates one
+// buffer in all; one that moves bytes (the file backend) fills it, the
+// read keeps it, and the next read allocates a new spare.
 //
 // Determinism: with the sim backend every charge is issued at a pump or
 // demand point fully determined by the executor's event order, and the
@@ -146,7 +152,7 @@ class Prefetcher final : public IoPipeline {
     bool charged = false;
     Status bytes = Status::OK();  ///< Issue-time error, surfaced at Acquire.
     ReadToken token = kNoToken;   ///< Outstanding byte movement, if any.
-    AlignedBuffer data;
+    AlignedBuffer data;           ///< Null when served in place.
     uint32_t table_id = 0;        ///< Trace actor.
   };
 
@@ -194,6 +200,18 @@ class Prefetcher final : public IoPipeline {
 
   /// Records a demand-consumed extent key (caller holds mu_).
   void RecordConsumed(sim::PageId first) SCANSHARE_REQUIRES(mu_);
+
+  /// Starts a charged read's bytes into the spare buffer; the spare moves
+  /// into `*data` unless the backend answered kInPlace or failed.
+  [[nodiscard]] Status StartRead(sim::PageId first, uint64_t count,
+                                 AlignedBuffer* data, ReadToken* token)
+      SCANSHARE_REQUIRES(mu_);
+
+  /// The extent buffer the next StartRead hands the backend, and its
+  /// capacity in pages (null until the first read, and after a read that
+  /// kept it).
+  AlignedBuffer spare_ SCANSHARE_GUARDED_BY(mu_);
+  uint64_t spare_pages_ SCANSHARE_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace scanshare::io

@@ -1,11 +1,12 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // SimIoBackend — the deterministic IoBackend over the in-memory
-// DiskManager page store. Byte movement is a synchronous memcpy from the
-// page images the legacy FetchSlow path reads via PageData(), so the push
-// pipeline on this backend sees exactly the data, the virtual-time
-// charges, and the injected faults (sim::DiskFaultOptions before the
-// charge, SetPageDataFaultRange after it) that the pull path sees.
+// DiskManager page store. It moves no bytes: StartBytes checks each page
+// through PageData() and answers kInPlace, so the pool's frames alias the
+// same immutable images the pull path installs. The push pipeline on this
+// backend therefore sees exactly the data, the virtual-time charges, and
+// the injected faults (sim::DiskFaultOptions before the charge,
+// SetPageDataFaultRange after it) that the pull path sees.
 
 #pragma once
 
@@ -31,11 +32,13 @@ class SimIoBackend final : public IoBackend {
     return disk_->ChargedRead(first, count, now);
   }
 
+  /// Answers kInPlace and never writes `dest`; fails on the first page in
+  /// a media-fault range.
   [[nodiscard]] Status StartBytes(sim::PageId first, uint64_t count,
                                   uint8_t* dest, ReadToken* token) override;
 
   [[nodiscard]] Status Join(ReadToken token) override {
-    (void)token;  // Always kNoToken: StartBytes copies synchronously.
+    (void)token;  // Always kInPlace: there is nothing in flight.
     return Status::OK();
   }
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <utility>
 
 #include "buffer/page_guard.h"
+#include "io/file_backend.h"
 #include "io/prefetcher.h"
 #include "io/sim_backend.h"
 
@@ -505,20 +508,19 @@ TEST_F(BufferPoolTest, DemandedPageInstallFailureLeaksNoFrames) {
   EXPECT_TRUE(pool->CheckInvariants().ok());
 }
 
-// A pull miss installs by reference: the demanded page and its prefetched
-// sibling are the page store's own images, and are again after eviction
-// and re-fetch.
-TEST_F(BufferPoolTest, PullInstallsAliasThePageStore) {
-  auto pool = MakePool(8, /*extent=*/4);
+// Installs by reference: the demanded page and its prefetched sibling are
+// the page store's own images, and are again after eviction and re-fetch.
+void ExpectInstallsAliasThePageStore(BufferPool* pool,
+                                     const storage::DiskManager& dm) {
   for (sim::Micros round = 0; round < 2; ++round) {
     auto miss = pool->FetchPage(1, 100 * round);
     ASSERT_TRUE(miss.ok());
     EXPECT_FALSE(miss->hit);
-    EXPECT_EQ(miss->data, *dm_.PageData(1));
+    EXPECT_EQ(miss->data, *dm.PageData(1));
     auto sibling = pool->FetchPage(2, 100 * round + 1);
     ASSERT_TRUE(sibling.ok());
     EXPECT_TRUE(sibling->hit);
-    EXPECT_EQ(sibling->data, *dm_.PageData(2));
+    EXPECT_EQ(sibling->data, *dm.PageData(2));
     ASSERT_TRUE(pool->UnpinPage(1, PagePriority::kNormal).ok());
     ASSERT_TRUE(pool->UnpinPage(2, PagePriority::kNormal).ok());
     // Two more extents through the 8 frames evict [0, 4).
@@ -532,15 +534,46 @@ TEST_F(BufferPoolTest, PullInstallsAliasThePageStore) {
   }
 }
 
-// With a pipeline attached the bytes arrive in an extent buffer that is
-// freed when the fetch ends, so the pool copies them into its slab: a
-// fetch returns the frame's own copy, equal to the store's image and
-// still readable after the buffer is gone (ASan flags a dangling alias).
-// Detached again, the same frames go back to aliasing the store.
-TEST_F(BufferPoolTest, PushInstallsCopyIntoTheSlab) {
+TEST_F(BufferPoolTest, PullInstallsAliasThePageStore) {
+  auto pool = MakePool(8, /*extent=*/4);
+  ExpectInstallsAliasThePageStore(pool.get(), dm_);
+}
+
+// The sim backend serves every pipeline extent in place, so push-sim
+// installs alias the store exactly as pull installs do.
+TEST_F(BufferPoolTest, PushSimInstallsAliasThePageStore) {
   io::SimIoBackend backend(&dm_);
   io::Prefetcher pipeline(&backend, /*ssm=*/nullptr, /*residency=*/nullptr,
                           /*extent_pages=*/4, io::PrefetchOptions{});
+  auto pool = MakePool(8, /*extent=*/4);
+  pool->SetIoPipeline(&pipeline);
+  ExpectInstallsAliasThePageStore(pool.get(), dm_);
+  // Every miss went through the pipeline.
+  EXPECT_EQ(pipeline.stats().sync_reads, pool->stats().misses);
+  EXPECT_EQ(pool->stats().misses, 6u);
+}
+
+/// A FileIoBackend over a fresh flat image of `dm`'s pages at `path`.
+std::unique_ptr<io::FileIoBackend> OpenTableFile(storage::DiskManager* dm,
+                                                 const std::string& path) {
+  EXPECT_TRUE(io::FileIoBackend::WriteTableFile(*dm, path).ok());
+  auto opened = io::FileIoBackend::Open(dm, path);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return opened.ok() ? std::move(opened).value() : nullptr;
+}
+
+// The file backend's bytes exist only in the pipeline's extent buffer,
+// which is freed when the fetch ends, so a push-file install copies them
+// into the slab: a fetch returns the frame's own copy, equal to the
+// store's image and still readable after the buffer is gone (ASan flags a
+// dangling alias). Detached again, the same frames alias the store.
+TEST_F(BufferPoolTest, PushFileInstallsCopyIntoTheSlab) {
+  auto backend =
+      OpenTableFile(&dm_, testing::TempDir() + "/buffer_pool_push_file.tbl");
+  ASSERT_NE(backend, nullptr);
+  io::Prefetcher pipeline(backend.get(), /*ssm=*/nullptr,
+                          /*residency=*/nullptr, /*extent_pages=*/4,
+                          io::PrefetchOptions{});
   auto pool = MakePool(8, /*extent=*/4);
   pool->SetIoPipeline(&pipeline);
 
@@ -565,6 +598,7 @@ TEST_F(BufferPoolTest, PushInstallsCopyIntoTheSlab) {
     EXPECT_EQ(std::memcmp(data, image, dm_.page_size()), 0) << "page " << page;
     ASSERT_TRUE(pool->UnpinPage(page, PagePriority::kNormal).ok());
   }
+  EXPECT_EQ(backend->real_stats().reads, 2u);
 
   pool->SetIoPipeline(nullptr);
   ASSERT_TRUE(pool->FlushAll().ok());
@@ -572,6 +606,48 @@ TEST_F(BufferPoolTest, PushInstallsCopyIntoTheSlab) {
   ASSERT_TRUE(pulled.ok());
   EXPECT_EQ(pulled->data, *dm_.PageData(1));
   ASSERT_TRUE(pool->UnpinPage(1, PagePriority::kNormal).ok());
+  EXPECT_TRUE(pool->CheckInvariants().ok());
+}
+
+// A table file cut short after Open: the push-file fetch whose extent
+// needs the missing bytes fails with the backend's typed EOF status. The
+// read was issued, so its charge stays, but no page is installed, no frame
+// leaks and the audit stays clean.
+TEST_F(BufferPoolTest, TruncatedTableFileFailsFetchAndInstallsNothing) {
+  const std::string path = testing::TempDir() + "/buffer_pool_truncated.tbl";
+  auto backend = OpenTableFile(&dm_, path);
+  ASSERT_NE(backend, nullptr);
+  io::Prefetcher pipeline(backend.get(), /*ssm=*/nullptr,
+                          /*residency=*/nullptr, /*extent_pages=*/4,
+                          io::PrefetchOptions{});
+  auto pool = MakePool(8, /*extent=*/4);
+  pool->SetIoPipeline(&pipeline);
+
+  // Pages [0, 6) survive; extent [4, 8) needs the lost pages 6 and 7.
+  std::filesystem::resize_file(path, 6 * uint64_t{dm_.page_size()});
+  const sim::DiskStats disk_before = env_.disk().stats();
+  auto failed = pool->FetchPage(5, 0);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), Status::Code::kOutOfRange);
+  EXPECT_NE(failed.status().ToString().find("unexpected EOF"),
+            std::string::npos)
+      << failed.status().ToString();
+  EXPECT_EQ(pool->stats().misses, 1u);
+  EXPECT_EQ(pool->stats().io_requests, 1u);
+  EXPECT_EQ(pool->stats().physical_pages, 4u);
+  EXPECT_EQ(env_.disk().stats().requests, disk_before.requests + 1);
+  for (sim::PageId p = 4; p < 8; ++p) {
+    EXPECT_FALSE(pool->Contains(p)) << "page " << p;
+  }
+  const Status audit = pool->CheckInvariants();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+
+  // No frame leaked: with the file whole again, all 8 frames can be pinned
+  // at once.
+  ASSERT_TRUE(io::FileIoBackend::WriteTableFile(dm_, path).ok());
+  for (sim::PageId p = 8; p < 16; ++p) {
+    ASSERT_TRUE(pool->FetchPage(p, 1000 + p).ok()) << "page " << p;
+  }
   EXPECT_TRUE(pool->CheckInvariants().ok());
 }
 

@@ -1,10 +1,10 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// IoBackend contract tests: the sim backend's bytes match the page store,
-// the file backend round-trips a real table image with sane seek
-// accounting, and both backends surface the same faults at the same
-// protocol step (Charge vs StartBytes) — the parity FetchSlow's push
-// branch depends on.
+// IoBackend contract tests: the sim backend serves extents in place (the
+// store's images, `dest` never written), the file backend round-trips a
+// real table image into `dest` with sane seek accounting, and both
+// backends surface the same faults at the same protocol step (Charge vs
+// StartBytes) — the parity FetchSlow's push branch depends on.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "io/file_backend.h"
 #include "io/sim_backend.h"
@@ -28,25 +29,49 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
+/// Fill byte of a destination buffer before StartBytes, so a test can tell
+/// whether the backend wrote it.
+constexpr uint8_t kUnwritten = 0xA5;
+
 /// Reads [first, first+count) through the full three-step protocol and
-/// compares every page against the DiskManager's page store.
+/// compares every page a consumer reads — the store's image when the
+/// backend answers kInPlace (`in_place`, and then `dest` must be left
+/// unwritten), else `dest` — against a copy of the page store taken before
+/// the read.
 void ExpectBackendBytesMatchStore(io::IoBackend* backend,
                                   storage::DiskManager* dm, sim::PageId first,
-                                  uint64_t count) {
+                                  uint64_t count, bool in_place) {
+  const uint32_t page_size = backend->page_size();
+  const size_t bytes = count * page_size;
+  std::vector<uint8_t> store(bytes);
+  for (uint64_t i = 0; i < count; ++i) {
+    auto image = dm->PageData(first + i);
+    ASSERT_TRUE(image.ok());
+    std::memcpy(store.data() + i * page_size, image.value(), page_size);
+  }
   auto charge = backend->Charge(first, count, /*now=*/0);
   ASSERT_TRUE(charge.ok()) << charge.status().ToString();
-  io::AlignedBuffer buf = io::AllocateIoBuffer(count * backend->page_size());
+  io::AlignedBuffer buf = io::AllocateIoBuffer(bytes);
+  std::memset(buf.get(), kUnwritten, bytes);
   io::ReadToken token = io::kNoToken;
   Status start = backend->StartBytes(first, count, buf.get(), &token);
   ASSERT_TRUE(start.ok()) << start.ToString();
+  EXPECT_EQ(token == io::kInPlace, in_place);
   Status join = backend->Join(token);
   ASSERT_TRUE(join.ok()) << join.ToString();
+  if (in_place) {
+    const std::vector<uint8_t> unwritten(bytes, kUnwritten);
+    EXPECT_EQ(std::memcmp(buf.get(), unwritten.data(), bytes), 0)
+        << "an in-place answer wrote dest";
+  }
   for (uint64_t i = 0; i < count; ++i) {
-    auto expected = dm->PageData(first + i);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(std::memcmp(buf.get() + i * backend->page_size(),
-                          expected.value(), backend->page_size()),
-              0)
+    const uint8_t* page = buf.get() + i * page_size;
+    if (in_place) {
+      auto image = dm->PageData(first + i);
+      ASSERT_TRUE(image.ok());
+      page = image.value();
+    }
+    EXPECT_EQ(std::memcmp(page, store.data() + i * page_size, page_size), 0)
         << "page " << first + i << " differs from the page store";
   }
 }
@@ -55,8 +80,10 @@ TEST(SimIoBackendTest, BytesMatchPageStore) {
   auto db = MakeDb();
   io::SimIoBackend backend(db->disk_manager());
   EXPECT_STREQ(backend.name(), "sim");
-  ExpectBackendBytesMatchStore(&backend, db->disk_manager(), 0, 4);
-  ExpectBackendBytesMatchStore(&backend, db->disk_manager(), 17, 3);
+  ExpectBackendBytesMatchStore(&backend, db->disk_manager(), 0, 4,
+                               /*in_place=*/true);
+  ExpectBackendBytesMatchStore(&backend, db->disk_manager(), 17, 3,
+                               /*in_place=*/true);
   // No real device behind it.
   EXPECT_EQ(backend.real_stats().reads, 0u);
   EXPECT_EQ(backend.real_stats().bytes_read, 0u);
@@ -82,13 +109,16 @@ TEST(SimIoBackendTest, MediaFaultSurfacesAtStartBytesAfterCharge) {
   auto db = MakeDb();
   io::SimIoBackend backend(db->disk_manager());
   db->disk_manager()->SetPageDataFaultRange(2, 3);
+  const uint64_t requests = db->env()->disk().stats().requests;
   auto charge = backend.Charge(0, 4, 0);
   ASSERT_TRUE(charge.ok());  // The charge itself succeeds...
   io::AlignedBuffer buf = io::AllocateIoBuffer(4 * backend.page_size());
   io::ReadToken token = io::kNoToken;
   Status start = backend.StartBytes(0, 4, buf.get(), &token);
-  EXPECT_FALSE(start.ok());  // ...the byte copy hits the media fault.
+  EXPECT_FALSE(start.ok());  // ...the page check hits the media fault.
   EXPECT_EQ(start.code(), Status::Code::kCorruption);
+  EXPECT_EQ(db->disk_manager()->page_data_faults_injected(), 1u);
+  EXPECT_EQ(db->env()->disk().stats().requests, requests + 1);  // Kept.
   db->disk_manager()->ClearPageDataFaults();
 }
 
@@ -106,9 +136,12 @@ TEST(FileIoBackendTest, RoundTripAndSeekAccounting) {
   // Two sequential extents then a jump: bytes must match the page store,
   // and the submission-ordered seek rule must count the first read (cold
   // head) and the jump but not the successor read.
-  ExpectBackendBytesMatchStore(backend, db->disk_manager(), 0, 4);
-  ExpectBackendBytesMatchStore(backend, db->disk_manager(), 4, 4);
-  ExpectBackendBytesMatchStore(backend, db->disk_manager(), 32, 4);
+  ExpectBackendBytesMatchStore(backend, db->disk_manager(), 0, 4,
+                               /*in_place=*/false);
+  ExpectBackendBytesMatchStore(backend, db->disk_manager(), 4, 4,
+                               /*in_place=*/false);
+  ExpectBackendBytesMatchStore(backend, db->disk_manager(), 32, 4,
+                               /*in_place=*/false);
 
   const io::RealIoStats real = backend->real_stats();
   EXPECT_EQ(real.reads, 3u);

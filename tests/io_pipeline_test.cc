@@ -82,6 +82,13 @@ TEST_F(PrefetcherTest, PumpIssuesLeaderWindowAndAcquireHits) {
   auto started = ssm_.StartScan(FullScan(), 0);
   ASSERT_TRUE(started.ok());
   io::Prefetcher pf = MakePrefetcher(/*depth=*/3);
+  const uint32_t page_size = backend_.page_size();
+  std::vector<uint8_t> store(kExtent * page_size);
+  for (uint64_t i = 0; i < kExtent; ++i) {
+    auto image = db_->disk_manager()->PageData(i);
+    ASSERT_TRUE(image.ok());
+    std::memcpy(store.data() + i * page_size, image.value(), page_size);
+  }
 
   pf.Pump(0);
   EXPECT_EQ(pf.ready_extents(), 3u);  // Extents 0, 16, 32 ahead of page 0.
@@ -94,13 +101,19 @@ TEST_F(PrefetcherTest, PumpIssuesLeaderWindowAndAcquireHits) {
   EXPECT_EQ(pf.stats().prefetch_hits, 1u);
   EXPECT_EQ(pf.ready_extents(), 2u);
 
-  // The popped bytes are the real page images.
-  for (uint64_t i = 0; i < kExtent; ++i) {
-    auto expected = db_->disk_manager()->PageData(i);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(std::memcmp(read.data.get() + i * backend_.page_size(),
-                          expected.value(), backend_.page_size()),
-              0);
+  // The popped extent names the store's images: served in place, it owns
+  // no buffer, and the pages a consumer reads for [first, first + count)
+  // are the page store's bytes.
+  EXPECT_EQ(read.first, 0u);
+  EXPECT_EQ(read.count, kExtent);
+  EXPECT_EQ(read.data, nullptr);
+  for (uint64_t i = 0; i < read.count; ++i) {
+    auto image = db_->disk_manager()->PageData(read.first + i);
+    ASSERT_TRUE(image.ok());
+    EXPECT_EQ(std::memcmp(image.value(), store.data() + i * page_size,
+                          page_size),
+              0)
+        << "page " << read.first + i;
   }
   ASSERT_TRUE(ssm_.EndScan(started->id, 0).ok());
 }
