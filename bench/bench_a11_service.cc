@@ -1,26 +1,16 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// A11 — the scan service at scale (DESIGN.md §16, EXPERIMENTS.md A11).
-// Two sections:
-//
-//   1. Arrival scenarios: the service driver (admission control in front
-//      of the shared engine) under four arrival processes — fixed-rate,
-//      Poisson bursts, a diurnal wave, and a closed loop — over Zipf-
-//      popular tables. Reported per scenario: admission counters
-//      (admitted / queued / shed with reasons) and the sojourn + queue-
-//      wait tails (p50/p99/p999), the service-level numbers the paper's
-//      5-stream makespan experiments cannot see.
-//
-//   2. Regroup scaling microbench: wall cost of the SSM's group
-//      maintenance at n registered scans, n in {100, 1k, 10k}, before
-//      (legacy: full Fig.-14 rebuild on every location update and every
-//      start/end) and after (adaptive_regroup: incremental start/end
-//      plus a rebuild every ~n/8 updates). This is the before/after
-//      artifact for the superlinear-total-work fix: legacy per-update
-//      cost grows with n while adaptive stays amortized-flat.
+// The scan service's regroup-scaling ladder (DESIGN.md §16.3,
+// EXPERIMENTS.md A11): the wall cost of the SSM's group maintenance at n
+// registered scans, n in {100, 1k, 10k}, in two modes. Legacy rebuilds
+// the Fig.-14 groups on every location update and every start/end;
+// adaptive_regroup maintains membership at start/end and rebuilds every
+// ~n/8 updates. Per-update cost grows with n in legacy mode and stays
+// amortized-flat in adaptive mode; registration is the other way round
+// (DESIGN.md §16.3). A11's virtual-time scenarios run in bench_paper.
 //
 // Use --json=PATH for the artifact (BENCH_service.json); --smoke shrinks
-// job counts and the scan-count ladder for CI.
+// the scan-count ladder and the update budget for CI.
 
 #include <chrono>
 #include <cstdio>
@@ -30,125 +20,10 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "service/scan_service.h"
 #include "ssm/scan_sharing_manager.h"
 
 namespace scanshare::bench {
 namespace {
-
-service::WorkloadSpec ServiceWorkload(const BenchConfig& config) {
-  service::WorkloadSpec w;
-  w.num_tables = 8;
-  w.mdc_every = 4;
-  // --pages is the total data volume, split across the service's tables.
-  w.pages_per_table = std::max<uint64_t>(32, config.pages / w.num_tables);
-  w.zipf_theta = 0.99;
-  w.seed = config.seed;
-  return w;
-}
-
-struct Scenario {
-  std::string name;
-  service::ServiceOptions options;
-};
-
-std::vector<Scenario> MakeScenarios(const BenchConfig& config) {
-  const size_t jobs = config.smoke ? 150 : 2'000;
-  service::ServiceOptions base;
-  base.workload = ServiceWorkload(config);
-  base.arrival.num_jobs = jobs;
-  base.arrival.rate_per_sec = 300.0;
-  base.admission.global_cap = 48;
-  base.admission.per_table_cap = 12;
-  base.admission.queue_bound = 64;
-  base.run.buffer.num_frames =
-      std::max<size_t>(128, static_cast<size_t>(
-                                config.bp_fraction *
-                                static_cast<double>(config.pages)));
-  base.run.buffer.prefetch_extent_pages = config.extent_pages;
-  base.run.ssm.adaptive_regroup = true;  // The service-scale configuration.
-
-  std::vector<Scenario> scenarios;
-  {
-    Scenario s{"fixed_rate", base};
-    s.options.arrival.kind = service::ArrivalKind::kFixedRate;
-    s.options.arrival.seed = config.seed + 1;
-    scenarios.push_back(s);
-  }
-  {
-    Scenario s{"poisson_burst", base};
-    s.options.arrival.kind = service::ArrivalKind::kPoissonBurst;
-    s.options.arrival.seed = config.seed + 2;
-    s.options.arrival.burst_factor = 8.0;
-    scenarios.push_back(s);
-  }
-  {
-    Scenario s{"diurnal", base};
-    s.options.arrival.kind = service::ArrivalKind::kDiurnal;
-    s.options.arrival.seed = config.seed + 3;
-    s.options.arrival.diurnal_amplitude = 0.8;
-    scenarios.push_back(s);
-  }
-  {
-    Scenario s{"closed_loop", base};
-    s.options.arrival.kind = service::ArrivalKind::kClosedLoop;
-    s.options.arrival.seed = config.seed + 4;
-    s.options.arrival.clients = 64;
-    s.options.arrival.think_time = 50'000;
-    scenarios.push_back(s);
-  }
-  return scenarios;
-}
-
-void PrintScenario(const std::string& name,
-                   const service::ServiceResult& r) {
-  const service::AdmissionStats& a = r.admission;
-  std::printf("%-13s arrived %6llu | admit %6llu + queue %5llu + shed %5llu "
-              "(global %llu, table %llu) | max run %3llu depth %3llu\n",
-              name.c_str(), static_cast<unsigned long long>(a.arrived),
-              static_cast<unsigned long long>(a.admitted),
-              static_cast<unsigned long long>(a.queued),
-              static_cast<unsigned long long>(a.shed),
-              static_cast<unsigned long long>(a.shed_global_cap),
-              static_cast<unsigned long long>(a.shed_table_cap),
-              static_cast<unsigned long long>(a.max_running),
-              static_cast<unsigned long long>(a.max_queue_depth));
-  std::printf("%-13s sojourn p50 %9.3f ms  p99 %9.3f ms  p999 %9.3f ms | "
-              "queue wait p99 %9.3f ms | makespan %8.3f s\n",
-              "", static_cast<double>(r.sojourn.p50) / 1e3,
-              static_cast<double>(r.sojourn.p99) / 1e3,
-              static_cast<double>(r.sojourn.p999) / 1e3,
-              static_cast<double>(r.queue_wait.p99) / 1e3,
-              static_cast<double>(r.makespan) / 1e6);
-}
-
-std::string ScenarioToJson(const service::ServiceResult& r) {
-  const service::AdmissionStats& a = r.admission;
-  JsonObject o;
-  o.Put("arrived", a.arrived)
-      .Put("admitted", a.admitted)
-      .Put("queued", a.queued)
-      .Put("shed", a.shed)
-      .Put("shed_global_cap", a.shed_global_cap)
-      .Put("shed_table_cap", a.shed_table_cap)
-      .Put("max_running", a.max_running)
-      .Put("max_queue_depth", a.max_queue_depth)
-      .Put("completed", r.sojourn.count)
-      .Put("sojourn_p50_us", r.sojourn.p50)
-      .Put("sojourn_p99_us", r.sojourn.p99)
-      .Put("sojourn_p999_us", r.sojourn.p999)
-      .Put("sojourn_max_us", r.sojourn.max)
-      .Put("sojourn_mean_us", r.sojourn.mean)
-      .Put("queue_wait_p50_us", r.queue_wait.p50)
-      .Put("queue_wait_p99_us", r.queue_wait.p99)
-      .Put("queue_wait_p999_us", r.queue_wait.p999)
-      .Put("makespan_us", static_cast<uint64_t>(r.makespan))
-      .Put("steps", r.steps)
-      .Put("ssm_scans_joined", r.ssm.scans_joined)
-      .Put("ssm_regroups", r.ssm.regroups)
-      .Put("ssm_throttle_events", r.ssm.throttle_events);
-  return o.ToString();
-}
 
 // One cell of the regroup scaling table: time registration of n scans and
 // a fixed budget of location updates at full density, in one mode.
@@ -246,36 +121,7 @@ std::string RegroupCellToJson(const RegroupCell& c) {
 int Main(int argc, char** argv) {
   BenchConfig config = ParseFlags(argc, argv);
 
-  auto db = std::make_unique<exec::Database>();
-  const service::WorkloadSpec workload = ServiceWorkload(config);
-  auto tables = service::BuildServiceTables(db->catalog(), workload);
-  if (!tables.ok()) {
-    std::fprintf(stderr, "failed to build service tables: %s\n",
-                 tables.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("A11: scan service — %zu tables x %llu pages, zipf %.2f\n\n",
-              workload.num_tables,
-              static_cast<unsigned long long>(workload.pages_per_table),
-              workload.zipf_theta);
-
-  // ---- Section 1: arrival scenarios through admission control.
-  service::ScanService svc(db.get());
-  const std::vector<Scenario> scenarios = MakeScenarios(config);
-  std::vector<std::pair<std::string, service::ServiceResult>> results;
-  for (const Scenario& scenario : scenarios) {
-    auto r = svc.Run(scenario.options, *tables);
-    if (!r.ok()) {
-      std::fprintf(stderr, "%s failed: %s\n", scenario.name.c_str(),
-                   r.status().ToString().c_str());
-      return 1;
-    }
-    PrintScenario(scenario.name, *r);
-    results.emplace_back(scenario.name, *std::move(r));
-  }
-
-  // ---- Section 2: regroup scaling, before vs after.
-  std::printf("\nregroup scaling (one table, round-robin updates):\n");
+  std::printf("A11: regroup scaling (one table, round-robin updates):\n");
   std::vector<size_t> ladder =
       config.smoke ? std::vector<size_t>{50, 200}
                    : std::vector<size_t>{100, 1'000, 10'000};
@@ -291,33 +137,11 @@ int Main(int argc, char** argv) {
   }
 
   if (!config.json_path.empty()) {
-    JsonObject cfg;
-    cfg.Put("num_tables", static_cast<uint64_t>(workload.num_tables))
-        .Put("pages_per_table", workload.pages_per_table)
-        .Put("zipf_theta", workload.zipf_theta)
-        .Put("seed", config.seed)
-        .Put("num_jobs",
-             static_cast<uint64_t>(scenarios.front().options.arrival.num_jobs))
-        .Put("global_cap",
-             static_cast<uint64_t>(
-                 scenarios.front().options.admission.global_cap))
-        .Put("per_table_cap",
-             static_cast<uint64_t>(
-                 scenarios.front().options.admission.per_table_cap))
-        .Put("queue_bound",
-             static_cast<uint64_t>(
-                 scenarios.front().options.admission.queue_bound));
-    JsonObject scenario_json;
-    for (const auto& [name, result] : results) {
-      scenario_json.PutRaw(name, ScenarioToJson(result));
-    }
     std::vector<std::string> cell_json;
     cell_json.reserve(cells.size());
     for (const RegroupCell& c : cells) cell_json.push_back(RegroupCellToJson(c));
     JsonObject root;
     root.Put("bench", std::string("a11_service"))
-        .PutRaw("config", cfg.ToString())
-        .PutRaw("scenarios", scenario_json.ToString())
         .PutRaw("regroup_scaling", JsonArray(cell_json));
     WriteFileOrDie(config.json_path, root.ToString());
     std::printf("wrote %s\n", config.json_path.c_str());

@@ -147,50 +147,49 @@ size_t EffectiveJobs(const BenchConfig& config) {
   return ThreadPool::HardwareConcurrency();
 }
 
-std::vector<exec::RunResult> RunJobs(const BenchConfig& config,
-                                     const DatabaseFactory& factory,
-                                     const std::vector<RunJob>& jobs) {
-  std::vector<exec::RunResult> results(jobs.size());
-  const size_t workers = std::min(EffectiveJobs(config), jobs.size());
+void RunEach(const BenchConfig& config, const DatabaseFactory& factory,
+             size_t n,
+             const std::function<Status(exec::Database*, size_t)>& run) {
+  std::vector<Status> statuses(n, Status::OK());
+  const size_t workers = std::min(EffectiveJobs(config), n);
   if (workers <= 1) {
     // Sequential driver: one database, runs executed in job order.
     std::unique_ptr<exec::Database> db = factory();
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      auto r = db->Run(jobs[i].run, jobs[i].streams);
-      if (!r.ok()) {
-        std::fprintf(stderr, "run %zu failed: %s\n", i,
-                     r.status().ToString().c_str());
-        std::exit(1);
-      }
-      results[i] = *std::move(r);
+    for (size_t i = 0; i < n; ++i) {
+      statuses[i] = run(db.get(), i);
+      if (!statuses[i].ok()) break;
     }
-    return results;
-  }
-  // Parallel driver: every job gets a private database (the factory is
-  // deterministic, so all copies are identical) and writes into its own
-  // pre-sized slot. No state is shared between jobs.
-  std::vector<Status> statuses(jobs.size(), Status::OK());
-  {
+  } else {
+    // Parallel driver: every job gets a private database (the factory is
+    // deterministic, so all copies are identical). No state is shared
+    // between jobs.
     ThreadPool pool(workers);
-    pool.ParallelFor(jobs.size(), [&](size_t i) {
+    pool.ParallelFor(n, [&](size_t i) {
       std::unique_ptr<exec::Database> db = factory();
-      auto r = db->Run(jobs[i].run, jobs[i].streams);
-      if (r.ok()) {
-        results[i] = *std::move(r);
-      } else {
-        statuses[i] = r.status();
-      }
+      statuses[i] = run(db.get(), i);
     });
   }
   // Report the first failure in job order — deterministic regardless of
   // which worker hit it first.
-  for (size_t i = 0; i < statuses.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     if (!statuses[i].ok()) {
       std::fprintf(stderr, "run %zu failed: %s\n", i,
                    statuses[i].ToString().c_str());
       std::exit(1);
     }
   }
+}
+
+std::vector<exec::RunResult> RunJobs(const BenchConfig& config,
+                                     const DatabaseFactory& factory,
+                                     const std::vector<RunJob>& jobs) {
+  std::vector<exec::RunResult> results(jobs.size());
+  RunEach(config, factory, jobs.size(),
+          [&](exec::Database* db, size_t i) -> Status {
+            SCANSHARE_ASSIGN_OR_RETURN(
+                results[i], db->Run(jobs[i].run, jobs[i].streams));
+            return Status::OK();
+          });
   return results;
 }
 

@@ -89,15 +89,21 @@ struct RunJob {
   std::vector<exec::StreamSpec> streams;
 };
 
-/// Executes every job and returns the results in job order. With
+/// Calls `run(db, i)` for every job index i in [0, n). With
 /// EffectiveJobs(config) == 1 (or a single job) this builds ONE database
-/// from `factory` and runs the jobs sequentially in order — today's
-/// behavior. Otherwise a ThreadPool executes the jobs concurrently, each
-/// on its own private database from `factory`, and each result is written
-/// into its pre-sized slot; since Database::Run resets all mutable state
-/// per run and the factory is deterministic, the merged output is
-/// bit-identical to the sequential driver (parallel_determinism_test).
-/// Aborts on the first failed run (lowest job index).
+/// from `factory` and runs the jobs sequentially in order. Otherwise a
+/// ThreadPool executes the jobs concurrently, each on its own private
+/// database from `factory`; `run` must write job i's result into a
+/// pre-sized slot i. Since every run (Database::Run, ScanService::Run)
+/// resets all mutable state and the factory is deterministic, the merged
+/// output is bit-identical to the sequential driver
+/// (parallel_determinism_test). Aborts on the first failed run (lowest
+/// job index).
+void RunEach(const BenchConfig& config, const DatabaseFactory& factory,
+             size_t n,
+             const std::function<Status(exec::Database*, size_t)>& run);
+
+/// RunEach over Database::Run: the results in job order.
 std::vector<exec::RunResult> RunJobs(const BenchConfig& config,
                                      const DatabaseFactory& factory,
                                      const std::vector<RunJob>& jobs);

@@ -1,39 +1,50 @@
-// bench_paper — the paper's evaluation (EXPERIMENTS.md E1–E8, A1–A9, V1,
+// bench_paper — the paper's evaluation (EXPERIMENTS.md E1–E8, A1–A11, V1,
 // X1, X2) from one table of experiments.
 //
 // Each row of kExperiments names its database, the labelled runs it reads
 // and a print step. A run label is unique across the table, so rows that
 // read the same run share it: E4–E7, A2, A6 and A9 print from E1's
 // base/shared pair, which executes once. The selected rows' runs go
-// through RunJobs as one batch per database.
+// through RunEach as one batch per database: engine runs through
+// Database::Run, A11's scan-service runs through ScanService::Run.
 //
 //   bench_paper [--exp=E1,A9] [flags of bench_common.h]
 //
 // --exp=ID[,ID...] picks experiments (default: every row).
-// --json=PATH writes BENCH_paper.json: for each run its CollectRunMetrics
-//   samples, per-stream elapsed times, per-template mean times and CPU
-//   split; for each experiment its rows (printed name, run label). The CPU
-//   split feeds EXPERIMENTS.md's E2/E3 cells. Every value is virtual
+// --json=PATH writes BENCH_paper.json: for each engine run its
+//   CollectRunMetrics samples, per-stream elapsed times, per-template mean
+//   times and CPU split; for each service run its CollectServiceMetrics
+//   samples; for each experiment its rows (printed name, run label). The
+//   CPU split feeds EXPERIMENTS.md's E2/E3 cells. Every value is virtual
 //   time or a count, so the file is byte-identical on every host, build
-//   type and --jobs value (scripts/paper_drift.py pins it).
+//   type and --jobs value (scripts/paper_drift.py pins it). A10's push-file
+//   arm reads a table image written beside PATH and removed at exit.
 // --trace-out=PATH writes PATH.<run label> (+ .scans.csv, .metrics.json)
 //   for each traced run: every shared-mode run is traced.
 // --csv=PREFIX writes E4's and E5's series as
 //   PREFIX_{reads,seeks}_over_time.csv.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench_common.h"
+#include "io/file_backend.h"
 #include "metrics/metrics_export.h"
 #include "obs/export.h"
+#include "service/scan_service.h"
+#include "service/service_metrics.h"
 #include "workload/mdc_gen.h"
 
 namespace scanshare::bench {
@@ -45,7 +56,7 @@ using exec::StreamSpec;
 
 // ------------------------------------------------------------- databases
 
-enum class DbKind { kLineitem, kTwoTable, kMdc };
+enum class DbKind { kLineitem, kTwoTable, kMdc, kPushIo, kService };
 
 /// The follow-up paper's MDC layout: 4 regions, quarterly time keys, one
 /// block per prefetch extent.
@@ -63,9 +74,32 @@ workload::MdcOptions MdcLayout(const BenchConfig& config) {
   std::exit(1);
 }
 
-/// Deterministic per kind, so RunJobs may build one private copy per job.
-std::unique_ptr<exec::Database> BuildDb(DbKind kind,
-                                        const BenchConfig& config) {
+/// A11's tables: --pages is the total data volume, split across the
+/// service's 8 Zipf-popular tables, every 4th of them MDC.
+service::WorkloadSpec ServiceWorkload(const BenchConfig& config) {
+  service::WorkloadSpec w;
+  w.num_tables = 8;
+  w.mdc_every = 4;
+  w.pages_per_table = std::max<uint64_t>(32, config.pages / w.num_tables);
+  w.zipf_theta = 0.99;
+  w.seed = config.seed;
+  return w;
+}
+
+/// Deterministic per kind, so RunEach may build one private copy per job.
+/// For kService, `tables` (when given) receives the service's tables; they
+/// are the same for every copy.
+std::unique_ptr<exec::Database> BuildDb(
+    DbKind kind, const BenchConfig& config,
+    std::vector<service::ServiceTable>* tables = nullptr) {
+  if (kind == DbKind::kService) {
+    auto db = std::make_unique<exec::Database>();
+    auto built = service::BuildServiceTables(db->catalog(),
+                                             ServiceWorkload(config));
+    if (!built.ok()) LoadFailed("the service tables", built.status());
+    if (tables != nullptr) *tables = *std::move(built);
+    return db;
+  }
   if (kind == DbKind::kMdc) {
     auto db = std::make_unique<exec::Database>();
     auto info = workload::GenerateMdcLineitem(
@@ -82,32 +116,67 @@ std::unique_ptr<exec::Database> BuildDb(DbKind kind,
         workload::LineitemRowsForPages(config.pages / 4), config.seed + 1);
     if (!orders.ok()) LoadFailed("orders", orders.status());
   }
+  if (kind == DbKind::kPushIo) {
+    // A10's second table, lineitem's size under another seed: its Q6
+    // group and lineitem's Q1 scan pull the disk arm between two tables.
+    auto orders = workload::GenerateLineitem(
+        db->catalog(), "orders_like",
+        workload::LineitemRowsForPages(config.pages), config.seed + 1);
+    if (!orders.ok()) LoadFailed("orders_like", orders.status());
+  }
   return db;
+}
+
+/// A file removed when the process exits, through std::exit too.
+struct TableImage {
+  TableImage() = default;
+  TableImage(const TableImage&) = delete;
+  TableImage& operator=(const TableImage&) = delete;
+  ~TableImage() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+/// A10's push-file arm reads a flat image of its database. The factory's
+/// copies are identical, so one image serves every job. It is written
+/// beside the --json output under a per-process name.
+std::string WriteTableImage(exec::Database& db, const BenchConfig& config) {
+  static TableImage image;
+  image.path = (std::filesystem::path(config.json_path).parent_path() /
+                ("bench_paper." + std::to_string(::getpid()) + ".img"))
+                   .string();
+  const Status written =
+      io::FileIoBackend::WriteTableFile(*db.disk_manager(), image.path);
+  if (!written.ok()) LoadFailed("the table image", written);
+  return image.path;
 }
 
 // ------------------------------------------------------------ experiments
 
 /// One run an experiment reads: the name its table prints, the run's label
-/// (rows with equal labels are the same run) and its job.
+/// (rows with equal labels are the same run) and its job. A11's rows set
+/// `service` instead of `job`: a ScanService run over the service tables.
 struct Row {
   std::string name;
   std::string label;
   RunJob job;
+  std::optional<service::ServiceOptions> service = std::nullopt;
 };
 
-/// What a row builder sees: the experiment's database (for pool sizing)
-/// and the flags.
+/// What a row builder sees: the experiment's database (for pool sizing and
+/// A10's table image) and the flags.
 struct Ctx {
-  const exec::Database& db;
+  exec::Database& db;
   const BenchConfig& config;
 };
 
 /// A finished row, as a print step and a run table see it. `base` is the
-/// reference of the gain columns (none by default).
+/// reference of the gain columns (none by default). Service rows have
+/// `service` instead of `run`.
 struct Ran {
   std::string name;
   const RunResult* run;
   const RunResult* base = nullptr;
+  const service::ServiceResult* service = nullptr;
 };
 
 struct Experiment {
@@ -236,6 +305,12 @@ const Column kReadGain{"read gain", [](const Ran& r) {
                              static_cast<double>(r.run->disk.pages_read)));
                        }};
 
+/// A column of one count, read from a row by `get`.
+template <typename Get>
+Column CountColumn(std::string header, Get get) {
+  return {std::move(header), [get](const Ran& r) { return Count(get(r)); }};
+}
+
 Column StreamElapsed(std::string header, size_t stream) {
   return {std::move(header), [stream](const Ran& r) {
             return FormatMicros(r.run->streams[stream].Elapsed());
@@ -305,6 +380,73 @@ std::vector<exec::QuerySpec> MdcMix(const BenchConfig& config) {
   heavy.per_tuple_extra_ns = 1200.0;
   mix.push_back(heavy);
   return mix;
+}
+
+/// A10's mix across two tables: a batch Q1 stream over lineitem plus two
+/// Q6 streams over orders_like, which form one sharing group. On one table
+/// push is parity at best: a group's leader already absorbs the I/O its
+/// trailers overlap, and the demand engine already overlaps a scan's
+/// transfer with its CPU. With two groups on two tables, demand reads move
+/// the arm between tables nearly every extent; the pipeline's burst
+/// refills queue runs of sequential extents instead (DESIGN.md §15.2).
+std::vector<StreamSpec> PushIoStreams(const BenchConfig& config) {
+  const sim::Micros stagger = StaggerMicros(config);
+  std::vector<StreamSpec> streams(3);
+  streams[0].queries.assign(config.queries_per_stream,
+                            workload::MakeQ1Like("lineitem"));
+  streams[1].queries.assign(config.queries_per_stream,
+                            workload::MakeQ6Like("orders_like", /*year=*/5));
+  streams[1].start_delay = stagger / 2;
+  streams[2].queries.assign(config.queries_per_stream,
+                            workload::MakeQ6Like("orders_like", /*year=*/3));
+  streams[2].start_delay = stagger;
+  return streams;
+}
+
+/// A11's four arrival processes through one admission configuration, far
+/// above capacity at a nominal 300 jobs/s.
+std::vector<Row> ServiceRows(const Ctx& c) {
+  const BenchConfig& config = c.config;
+  service::ServiceOptions base;
+  base.workload = ServiceWorkload(config);
+  base.arrival.num_jobs = config.smoke ? 150 : 2'000;
+  base.arrival.rate_per_sec = 300.0;
+  base.admission.global_cap = 48;
+  base.admission.per_table_cap = 12;
+  base.admission.queue_bound = 64;
+  base.run.buffer.num_frames =
+      std::max<size_t>(128, static_cast<size_t>(
+                                config.bp_fraction *
+                                static_cast<double>(config.pages)));
+  base.run.buffer.prefetch_extent_pages = config.extent_pages;
+  base.run.ssm.adaptive_regroup = true;  // The service-scale configuration.
+
+  std::vector<Row> rows;
+  const auto scenario = [&](const std::string& name, service::ArrivalKind kind,
+                            uint64_t seed) -> service::ArrivalSpec& {
+    rows.push_back({name, "A11." + name, {}, base});
+    service::ArrivalSpec& arrival = rows.back().service->arrival;
+    arrival.kind = kind;
+    arrival.seed = config.seed + seed;
+    return arrival;
+  };
+  scenario("fixed_rate", service::ArrivalKind::kFixedRate, 1);
+  scenario("poisson_burst", service::ArrivalKind::kPoissonBurst, 2)
+      .burst_factor = 8.0;
+  scenario("diurnal", service::ArrivalKind::kDiurnal, 3).diurnal_amplitude =
+      0.8;
+  service::ArrivalSpec& closed =
+      scenario("closed_loop", service::ArrivalKind::kClosedLoop, 4);
+  closed.clients = 64;
+  closed.think_time = 50'000;
+  return rows;
+}
+
+/// A column of one service latency quantile or time.
+Column ServiceTime(std::string header,
+                   uint64_t (*get)(const service::ServiceResult&)) {
+  return {std::move(header),
+          [get](const Ran& r) { return FormatMicros(get(*r.service)); }};
 }
 
 const std::vector<double> kCaps = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
@@ -710,6 +852,102 @@ const std::vector<Experiment>& Experiments() {
          metrics::PrintPerQuery(metrics::PerQueryAverages(*ran[0].run),
                                 metrics::PerQueryAverages(*ran[1].run));
        }},
+      {"A10", "A10: push I/O pipeline — sync-sim vs push-sim vs push-file",
+       DbKind::kPushIo,
+       [](const Ctx& c) {
+         // The arms differ only in io. Window depth 8: at the refill
+         // low-water mark (depth / 4) each refill issues a run of ~5
+         // sequential extents, deep enough to amortize the cross-table
+         // seek and shallow enough that a regroup drops little work.
+         RunJob sync = Job(c, ScanMode::kShared, PushIoStreams(c.config));
+         RunJob push = sync;
+         push.run.io.prefetch_depth = 8;
+         RunJob file = push;
+         file.run.io.backend = exec::IoOptions::Backend::kFile;
+         file.run.io.file_path = WriteTableImage(c.db, c.config);
+         return std::vector<Row>{{"sync-sim", "A10.sync-sim", sync},
+                                 {"push-sim", "A10.push-sim", push},
+                                 {"push-file", "A10.push-file", file}};
+       },
+       [](const Ctx& c, const std::vector<Ran>& ran) {
+         std::printf(
+             "streams: Q1 x %zu on lineitem | 2 x Q6 x %zu on orders_like, "
+             "stagger %s\n\n",
+             c.config.queries_per_stream, c.config.queries_per_stream,
+             FormatMicros(StaggerMicros(c.config)).c_str());
+         PrintRunTable(
+             "arm",
+             {kEndToEnd, kPagesRead, kSeeks,
+              CountColumn("requests",
+                          [](const Ran& r) { return r.run->disk.requests; }),
+              CountColumn("prefetch hits",
+                          [](const Ran& r) { return r.run->io.prefetch_hits; }),
+              CountColumn("sync reads",
+                          [](const Ran& r) { return r.run->io.sync_reads; }),
+              CountColumn("real preads",
+                          [](const Ran& r) { return r.run->real_io.reads; }),
+              CountColumn("real pages",
+                          [](const Ran& r) { return r.run->real_io.pages_read; }),
+              CountColumn("real seeks",
+                          [](const Ran& r) { return r.run->real_io.seeks; })},
+             ran);
+         std::printf(
+             "\nvirtual makespan speedup (push-sim vs sync-sim): %.2fx\n"
+             "(push-file equals push-sim in every virtual column; its real "
+             "preads and pages\n equal its charges, its real seeks are "
+             "within 10 %%: DESIGN.md §15.3)\n",
+             static_cast<double>(ran[0].run->makespan) /
+                 static_cast<double>(ran[1].run->makespan));
+       }},
+      {"A11", "A11: scan service — four arrival processes, one admission "
+              "configuration",
+       DbKind::kService, ServiceRows,
+       [](const Ctx& c, const std::vector<Ran>& ran) {
+         const service::ServiceOptions o = *ServiceRows(c).front().service;
+         std::printf(
+             "tables: %zu x %llu pages, zipf %.2f | %zu jobs at %.0f/s | "
+             "caps: global %zu, per table %zu, queue %zu | pool: %zu frames"
+             "\n\n",
+             o.workload.num_tables,
+             static_cast<unsigned long long>(o.workload.pages_per_table),
+             o.workload.zipf_theta, o.arrival.num_jobs, o.arrival.rate_per_sec,
+             o.admission.global_cap, o.admission.per_table_cap,
+             o.admission.queue_bound, o.run.buffer.num_frames);
+         const auto admission = [](std::string header,
+                                   uint64_t service::AdmissionStats::*field) {
+           return CountColumn(std::move(header), [field](const Ran& r) {
+             return r.service->admission.*field;
+           });
+         };
+         using service::AdmissionStats;
+         PrintRunTable("scenario",
+                       {admission("arrived", &AdmissionStats::arrived),
+                        admission("admitted", &AdmissionStats::admitted),
+                        admission("queued", &AdmissionStats::queued),
+                        admission("shed", &AdmissionStats::shed),
+                        admission("shed (global)",
+                                  &AdmissionStats::shed_global_cap),
+                        admission("shed (table)",
+                                  &AdmissionStats::shed_table_cap),
+                        admission("max running", &AdmissionStats::max_running),
+                        admission("max queue", &AdmissionStats::max_queue_depth)},
+                       ran);
+         std::printf("\n");
+         using service::ServiceResult;
+         PrintRunTable(
+             "scenario",
+             {ServiceTime("sojourn p50",
+                          [](const ServiceResult& r) { return r.sojourn.p50; }),
+              ServiceTime("p99",
+                          [](const ServiceResult& r) { return r.sojourn.p99; }),
+              ServiceTime("p999",
+                          [](const ServiceResult& r) { return r.sojourn.p999; }),
+              ServiceTime("queue wait p99",
+                          [](const ServiceResult& r) { return r.queue_wait.p99; }),
+              ServiceTime("makespan",
+                          [](const ServiceResult& r) { return r.makespan; })},
+             ran);
+       }},
   };
   return kExperiments;
 }
@@ -755,6 +993,9 @@ void ExportTrace(const std::string& path, const RunResult& run) {
               path.c_str());
 }
 
+/// A row's result: an engine run, or a service run for A11's rows.
+using Outcome = std::variant<RunResult, service::ServiceResult>;
+
 std::string RunJson(const RunResult& run) {
   std::vector<std::string> streams;
   for (sim::Micros elapsed : metrics::PerStreamElapsed(run)) {
@@ -778,6 +1019,17 @@ std::string RunJson(const RunResult& run) {
   return out.ToString();
 }
 
+std::string OutcomeJson(const Outcome& outcome) {
+  if (const RunResult* run = std::get_if<RunResult>(&outcome)) {
+    return RunJson(*run);
+  }
+  JsonObject out;
+  out.PutRaw("metrics",
+             obs::MetricsJson(service::CollectServiceMetrics(
+                 std::get<service::ServiceResult>(outcome))));
+  return out.ToString();
+}
+
 int Main(int argc, char** argv) {
   // --exp= is this binary's own flag; the rest is the common set.
   std::string ids;
@@ -795,37 +1047,59 @@ int Main(int argc, char** argv) {
 
   // One batch per database: each label runs once, in first-read order.
   std::map<DbKind, std::unique_ptr<exec::Database>> dbs;
+  std::vector<service::ServiceTable> service_tables;
   std::map<const Experiment*, std::vector<Row>> rows;
   std::vector<std::string> order;
   std::set<std::string> queued;
-  std::map<std::string, RunResult> results;
-  for (DbKind kind : {DbKind::kLineitem, DbKind::kTwoTable, DbKind::kMdc}) {
-    const size_t first = order.size();
-    std::vector<RunJob> jobs;
+  std::map<std::string, Outcome> results;
+  for (DbKind kind : {DbKind::kLineitem, DbKind::kTwoTable, DbKind::kMdc,
+                      DbKind::kPushIo, DbKind::kService}) {
+    std::vector<const Row*> batch;
     for (const Experiment* e : selected) {
       if (e->db != kind) continue;
-      if (dbs.count(kind) == 0) dbs[kind] = BuildDb(kind, config);
+      if (dbs.count(kind) == 0) {
+        dbs[kind] = BuildDb(kind, config, &service_tables);
+      }
       rows[e] = e->rows(Ctx{*dbs[kind], config});
       for (const Row& row : rows[e]) {
         if (!queued.insert(row.label).second) continue;
         order.push_back(row.label);
-        jobs.push_back(row.job);
+        batch.push_back(&row);
       }
     }
-    if (jobs.empty()) continue;
-    std::vector<RunResult> out = RunJobs(
-        config, [kind, &config] { return BuildDb(kind, config); }, jobs);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      results[order[first + i]] = std::move(out[i]);
+    if (batch.empty()) continue;
+    std::vector<Outcome> out(batch.size());
+    RunEach(config, [kind, &config] { return BuildDb(kind, config); },
+            batch.size(), [&](exec::Database* db, size_t i) -> Status {
+              const Row& row = *batch[i];
+              if (row.service.has_value()) {
+                SCANSHARE_ASSIGN_OR_RETURN(
+                    out[i],
+                    service::ScanService(db).Run(*row.service, service_tables));
+              } else {
+                SCANSHARE_ASSIGN_OR_RETURN(
+                    out[i], db->Run(row.job.run, row.job.streams));
+              }
+              return Status::OK();
+            });
+    for (size_t i = 0; i < batch.size(); ++i) {
+      results[batch[i]->label] = std::move(out[i]);
     }
   }
 
   for (const Experiment* e : selected) {
     const Ctx ctx{*dbs[e->db], config};
-    PrintHeader(e->title, ctx.db, config);
+    if (e->db == DbKind::kService) {
+      // A11 sizes its own pool; its print step states it.
+      std::printf("=== %s ===\n", e->title);
+    } else {
+      PrintHeader(e->title, ctx.db, config);
+    }
     std::vector<Ran> ran;
     for (const Row& row : rows[e]) {
-      ran.push_back({row.name, &results[row.label]});
+      const Outcome& outcome = results[row.label];
+      ran.push_back({row.name, std::get_if<RunResult>(&outcome), nullptr,
+                     std::get_if<service::ServiceResult>(&outcome)});
     }
     e->print(ctx, ran);
     std::printf("\n");
@@ -833,8 +1107,9 @@ int Main(int argc, char** argv) {
 
   if (!config.trace_path.empty()) {
     for (const std::string& label : order) {
-      if (results[label].trace != nullptr) {
-        ExportTrace(config.trace_path + "." + label, results[label]);
+      const RunResult* run = std::get_if<RunResult>(&results[label]);
+      if (run != nullptr && run->trace != nullptr) {
+        ExportTrace(config.trace_path + "." + label, *run);
       }
     }
   }
@@ -861,7 +1136,7 @@ int Main(int argc, char** argv) {
     }
     JsonObject runs;
     for (const std::string& label : order) {
-      runs.PutRaw(label, RunJson(results[label]));
+      runs.PutRaw(label, OutcomeJson(results[label]));
     }
     JsonObject root;
     root.Put("bench", std::string("paper"))

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Rebuilds the Release tree and regenerates the checked-in bench artifacts
 # (BENCH_hotpath.json from bench_p1, BENCH_parallel.json from bench_p2,
-# BENCH_paper.json from bench_paper, BENCH_io.json from bench_a10,
-# BENCH_service.json from bench_a11), then
+# BENCH_paper.json from bench_paper — every virtual-time experiment, A10's
+# push pipeline and A11's scan service included — and BENCH_service.json,
+# A11's wall-clock regroup-scaling ladder, from bench_a11_service), then
 # runs the SSM-overhead experiment (bench_paper --exp=E8) as a sanity check
 # that the mechanism's bookkeeping stays cheap. BENCH_paper.json feeds
 # EXPERIMENTS.md's measured cells: re-render them with
@@ -65,15 +66,13 @@ if [[ "$SMOKE" == "1" ]]; then
 fi
 
 cmake --build build -j "$(nproc)" --target bench_p1_hotpath bench_p2_parallel \
-  bench_paper bench_a10_io bench_a11_service
+  bench_paper bench_a11_service
 
 run_bench ./build/bench/bench_p1_hotpath --json=BENCH_hotpath.json "$@"
 echo
 run_bench ./build/bench/bench_p2_parallel --json=BENCH_parallel.json "$@"
 echo
 run_bench ./build/bench/bench_paper --json=BENCH_paper.json "$@"
-echo
-run_bench ./build/bench/bench_a10_io --json=BENCH_io.json "$@"
 echo
 run_bench ./build/bench/bench_a11_service --json=BENCH_service.json "$@"
 echo

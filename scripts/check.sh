@@ -7,7 +7,7 @@
 # buffer pool's and the Scan Sharing Manager's cross-structure invariants
 # after every mutation and after every executor step (see DESIGN.md
 # "Error-path semantics and the correctness audit"). The preset leaves out
-# the `paper` label (paper_drift): its 53 full-scale runs take over ten
+# the `paper` label (paper_drift): its 60 full-scale runs take over ten
 # minutes under the audits, and its byte-identity is checked by the
 # release and asan presets.
 #
@@ -34,8 +34,9 @@
 #   scripts/check.sh --format-check           # clang-format only
 #   scripts/check.sh --domain-lint            # domain linter only
 #   scripts/check.sh --thread-safety          # clang TSA gate + lock order
-#   scripts/check.sh --service                # scan-service gate (ASan smoke
-#                                             # bench + the service test layer)
+#   scripts/check.sh --service                # scan-service gate (the A10/A11
+#                                             # smoke checker + the service
+#                                             # test layer, under ASan)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -140,12 +141,15 @@ run_service() {
   echo "== scan service gate (DESIGN.md §16) =="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" --target \
-    bench_a11_service service_scale_test arrival_determinism_test \
-    admission_golden_test
-  ./build-asan/bench/bench_a11_service --smoke --json=service_smoke.json
+    bench_paper bench_a11_service service_scale_test \
+    arrival_determinism_test admission_golden_test
+  python3 scripts/paper_drift.py --smoke \
+    --bench build-asan/bench/bench_paper \
+    --ladder build-asan/bench/bench_a11_service \
+    --out build-asan/paper_smoke.json
   ctest --test-dir build-asan -j "$(nproc)" --output-on-failure -R \
     '^(service_scale_test|arrival_determinism_test|admission_golden_test)$'
-  echo "service: smoke bench + test layer passed under ASan"
+  echo "service: A10/A11 smoke checker + test layer passed under ASan"
 }
 
 case "${1:-}" in

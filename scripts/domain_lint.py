@@ -53,13 +53,12 @@ contracts, so this linter enforces them lexically:
              that is what keeps every PolicyKind replayable and the
              A9 policy A/B matrix of bench_paper seed-exact.
 
-  trace      Tracing hooks stay compile-out-able: outside src/obs/, events
-             are emitted through SCANSHARE_TRACE_EVENT(tracer, ...) — never
-             by calling Tracer::Emit directly. The macro null-checks the
-             tracer (so disabled runs pay one untaken branch and never
-             evaluate the arguments) and compiles to nothing under
-             SCANSHARE_TRACE_OFF; a direct Emit() call silently breaks
-             both guarantees.
+  trace      Tracing hooks stay one untaken branch when tracing is off:
+             outside src/obs/, events are emitted through
+             SCANSHARE_TRACE_EVENT(tracer, ...) — never by calling
+             Tracer::Emit directly. The macro null-checks the tracer, so
+             disabled runs pay one untaken branch and never evaluate the
+             arguments; a direct Emit() call skips that check.
 
   locks      Capability discipline (the static companion to the Clang
              Thread Safety build): everywhere in src/ except
@@ -537,7 +536,7 @@ def check_trace(relpath, raw, code):
                 "trace", relpath, lineno,
                 "direct Tracer::Emit call; emit through "
                 "SCANSHARE_TRACE_EVENT so disabled tracing stays a null "
-                "test and SCANSHARE_TRACE_OFF compiles the hook out"))
+                "test that evaluates no arguments"))
     return findings
 
 

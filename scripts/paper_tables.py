@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Renders EXPERIMENTS.md's measured cells from BENCH_paper.json.
 
-Every measured number of the E1-E8, A1-A9, V1, X1 and X2 tables sits
+Every measured number of the E1-E8, A1-A11, V1, X1 and X2 tables sits
 between marker comments in EXPERIMENTS.md:
 
     <!-- paper:E1 -->end-to-end +39.7 % ...<!-- /paper -->
@@ -257,6 +257,51 @@ def x2(p):
         pair_cell(p, "X2"), span(template_gains(p, "X2.base", "X2.shared").values()))
 
 
+def a10_speedup(p):
+    return "%.2f×" % (p.makespan("A10.sync-sim") / p.makespan("A10.push-sim"))
+
+
+def a10_pipeline(p):
+    push = "A10.push-sim"
+    return ("%s prefetch hits against %s sync reads; %s extents dropped stale, "
+            "%s re-issues suppressed") % tuple(
+                count(p.metric(push, "io." + k)) for k in
+                ("prefetch_hits", "sync_reads", "dropped_stale", "reissue_suppressed"))
+
+
+def a10_real(p):
+    file = "A10.push-file"
+    return "preads %s (charged %s), pages %s (charged %s), seeks %s (charged %s)" % tuple(
+        count(p.metric(file, k)) for k in
+        ("real_io.reads", "disk.requests", "real_io.pages_read", "disk.pages_read",
+         "real_io.seeks", "disk.seeks"))
+
+
+A11_SCENARIOS = ("fixed_rate", "poisson_burst", "diurnal", "closed_loop")
+
+
+def service(p, scenario, name):
+    return p.metric("A11." + scenario, "service." + name)
+
+
+def a11(p, scenario):
+    def get(name):
+        return service(p, scenario, name)
+    return ("%s arrived: %s admitted + %s queued + %s shed (%s at the global cap, "
+            "%s at a table cap); sojourn p50/p99/p999 %s; queue wait p99 %s; "
+            "makespan %s") % (
+        count(get("arrived")), count(get("admitted")), count(get("queued")),
+        count(get("shed")), count(get("shed_global_cap")),
+        count(get("shed_table_cap")),
+        slash(secs(get("sojourn_" + q + "_us")) for q in ("p50", "p99", "p999")),
+        secs(get("queue_wait_p99_us")), secs(get("makespan_us")))
+
+
+def a11_open_shed(p):
+    return slash(pct(service(p, s, "shed") / service(p, s, "arrived"))
+                 for s in A11_SCENARIOS[:3])
+
+
 CELLS = {
     "E1": lambda p: pair_cell(p, "E1"),
     "E2": lambda p: cpu_cell(p, "E2"),
@@ -288,7 +333,13 @@ CELLS = {
     "V1": v1,
     "X1": x1,
     "X2": x2,
+    "A10": lambda p: matrix(p, "A10"),
+    "A10.speedup": a10_speedup,
+    "A10.pipeline": a10_pipeline,
+    "A10.real": a10_real,
+    "A11.open_shed": a11_open_shed,
 }
+CELLS.update({"A11." + s: (lambda p, s=s: a11(p, s)) for s in A11_SCENARIOS})
 
 
 def render(doc, paper):

@@ -117,13 +117,6 @@ bool PartitionedBufferPool::IsPageCached(sim::PageId page) const {
   return pools_[p]->Contains(page);
 }
 
-void PartitionedBufferPool::SetIoPipeline(io::IoPipeline* pipeline) {
-  for (size_t i = 0; i < pools_.size(); ++i) {
-    MutexLock lock(*latches_[i]);
-    pools_[i]->SetIoPipeline(pipeline);
-  }
-}
-
 void PartitionedBufferPool::SetTracer(obs::Tracer* tracer) {
   for (size_t i = 0; i < pools_.size(); ++i) {
     MutexLock lock(*latches_[i]);

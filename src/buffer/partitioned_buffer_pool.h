@@ -114,12 +114,6 @@ class PartitionedBufferPool final : public PageSource,
   /// io::ResidencyProbe: routes to the owning partition under its latch.
   bool IsPageCached(sim::PageId page) const override;
 
-  /// Attaches the push I/O pipeline to every partition (or detaches with
-  /// nullptr). Note the pipeline's *pump* is only driven by the sequential
-  /// shared-mode executor; the morsel-parallel driver leaves it idle, so
-  /// parallel runs see sync fallthrough reads only (DESIGN.md §15).
-  void SetIoPipeline(io::IoPipeline* pipeline);
-
   /// Attaches a borrowed tracer to every partition. With concurrent
   /// workers the tracer must be in concurrent mode (TraceOptions::
   /// concurrent) — partition latches do not serialize cross-partition

@@ -64,7 +64,7 @@
 // transfers, a fraction of the seeks. This is the pipeline's makespan
 // win (the demand engine already overlaps a scan's transfer with its
 // chunk CPU, so there is nothing to gain there; see DESIGN.md §15.2 and
-// bench_a10_io).
+// bench_paper --exp=A10).
 //
 // Locking (common/lock_order.h): mu_ is rank kIoQueue — acquired after a
 // pool partition latch (FetchSlow calls Acquire while holding one) and

@@ -7,11 +7,11 @@
 // in every RunResult counter, and two traced runs of the same config emit
 // byte-identical event logs (the golden-trace test pins this).
 //
-// Emission goes through the SCANSHARE_TRACE_* hook macros below: when no
-// tracer is attached (the default) a hook is a single pointer test, which
-// keeps the buffer-pool hit path within the <2 % overhead budget; defining
-// SCANSHARE_TRACE_OFF compiles the hooks out entirely. Components never
-// own their tracer — the engine wires one borrowed pointer per run.
+// Emission goes through the SCANSHARE_TRACE_EVENT hook macro below: when
+// no tracer is attached (the default) a hook is a single pointer test,
+// which keeps the buffer-pool hit path within the <2 % overhead budget.
+// Components never own their tracer — the engine wires one borrowed
+// pointer per run.
 //
 // Event vocabulary: the full scan lifecycle (admit -> group join ->
 // leader/trailer transition -> throttle wait inserted/released ->
@@ -218,20 +218,10 @@ class Tracer {
 }  // namespace scanshare::obs
 
 // ---------------------------------------------------------------------------
-// Hook macros. All emission outside src/obs/ goes through these (enforced by
-// the scanshare-trace domain-lint rule): the null test is what keeps
-// disabled tracing within the overhead budget, and a direct Emit call would
-// silently lose the SCANSHARE_TRACE_OFF compile-out.
+// Hook macro. All emission outside src/obs/ goes through it (enforced by the
+// scanshare-trace domain-lint rule): the null test is what keeps disabled
+// tracing within the overhead budget, and a direct Emit call skips it.
 
-#ifdef SCANSHARE_TRACE_OFF
-// Compiled out: the sizeof keeps every operand "used" (so parameters that
-// exist only to stamp events do not trip -Werror=unused-parameter) while
-// evaluating none of them.
-#define SCANSHARE_TRACE_EVENT(tracer, ...)                        \
-  do {                                                            \
-    static_cast<void>(sizeof((tracer), __VA_ARGS__, 0));          \
-  } while (false)
-#else
 /// Emits an event iff `tracer` is attached. Arguments after `tracer` are
 /// forwarded to obs::Tracer::Emit and are NOT evaluated when it is null —
 /// hooks may therefore compute payloads inline without a disabled-path cost.
@@ -242,4 +232,3 @@ class Tracer {
       scanshare_trace_tr->Emit(__VA_ARGS__);                 \
     }                                                        \
   } while (false)
-#endif

@@ -1,5 +1,4 @@
-// Fixture: a direct Emit call bypasses the null check and the
-// SCANSHARE_TRACE_OFF compile-out.
+// Fixture: a direct Emit call bypasses the hook macro's null check.
 #include "obs/trace.h"
 
 namespace scanshare {
