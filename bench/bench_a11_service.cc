@@ -6,7 +6,8 @@
 // the Fig.-14 groups on every location update and every start/end;
 // adaptive_regroup maintains membership at start/end and rebuilds every
 // ~n/8 updates. Per-update cost grows with n in legacy mode and stays
-// amortized-flat in adaptive mode; registration is the other way round
+// amortized-flat in adaptive mode; so does registration, where a legacy
+// start rebuilds the groups and an adaptive one appends a singleton
 // (DESIGN.md §16.3). A11's virtual-time scenarios run in bench_paper.
 //
 // Use --json=PATH for the artifact (BENCH_service.json); --smoke shrinks

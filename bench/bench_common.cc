@@ -147,25 +147,30 @@ size_t EffectiveJobs(const BenchConfig& config) {
   return ThreadPool::HardwareConcurrency();
 }
 
-void RunEach(const BenchConfig& config, const DatabaseFactory& factory,
-             size_t n,
+void RunEach(const BenchConfig& config,
+             const std::vector<DatabaseFactory>& factories,
+             const std::vector<size_t>& factory_of,
              const std::function<Status(exec::Database*, size_t)>& run) {
+  const size_t n = factory_of.size();
   std::vector<Status> statuses(n, Status::OK());
   const size_t workers = std::min(EffectiveJobs(config), n);
   if (workers <= 1) {
-    // Sequential driver: one database, runs executed in job order.
-    std::unique_ptr<exec::Database> db = factory();
+    // Sequential driver: one database per factory, runs executed in job
+    // order.
+    std::vector<std::unique_ptr<exec::Database>> dbs(factories.size());
     for (size_t i = 0; i < n; ++i) {
+      std::unique_ptr<exec::Database>& db = dbs[factory_of[i]];
+      if (db == nullptr) db = factories[factory_of[i]]();
       statuses[i] = run(db.get(), i);
       if (!statuses[i].ok()) break;
     }
   } else {
-    // Parallel driver: every job gets a private database (the factory is
-    // deterministic, so all copies are identical). No state is shared
+    // Parallel driver: every job gets a private database (each factory is
+    // deterministic, so all its copies are identical). No state is shared
     // between jobs.
     ThreadPool pool(workers);
     pool.ParallelFor(n, [&](size_t i) {
-      std::unique_ptr<exec::Database> db = factory();
+      std::unique_ptr<exec::Database> db = factories[factory_of[i]]();
       statuses[i] = run(db.get(), i);
     });
   }
@@ -184,7 +189,7 @@ std::vector<exec::RunResult> RunJobs(const BenchConfig& config,
                                      const DatabaseFactory& factory,
                                      const std::vector<RunJob>& jobs) {
   std::vector<exec::RunResult> results(jobs.size());
-  RunEach(config, factory, jobs.size(),
+  RunEach(config, {factory}, std::vector<size_t>(jobs.size(), 0),
           [&](exec::Database* db, size_t i) -> Status {
             SCANSHARE_ASSIGN_OR_RETURN(
                 results[i], db->Run(jobs[i].run, jobs[i].streams));

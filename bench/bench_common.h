@@ -89,18 +89,20 @@ struct RunJob {
   std::vector<exec::StreamSpec> streams;
 };
 
-/// Calls `run(db, i)` for every job index i in [0, n). With
-/// EffectiveJobs(config) == 1 (or a single job) this builds ONE database
-/// from `factory` and runs the jobs sequentially in order. Otherwise a
-/// ThreadPool executes the jobs concurrently, each on its own private
-/// database from `factory`; `run` must write job i's result into a
-/// pre-sized slot i. Since every run (Database::Run, ScanService::Run)
-/// resets all mutable state and the factory is deterministic, the merged
+/// Calls `run(db, i)` for every job index i in [0, factory_of.size()), on
+/// a database from factories[factory_of[i]]. With EffectiveJobs(config)
+/// == 1 (or a single job) this builds ONE database per factory, when a job
+/// first needs it, and runs the jobs sequentially in order. Otherwise a
+/// ThreadPool executes the jobs concurrently, in index order of start,
+/// each on its own private database; `run` must write job i's result into
+/// a pre-sized slot i. Since every run (Database::Run, ScanService::Run)
+/// resets all mutable state and each factory is deterministic, the merged
 /// output is bit-identical to the sequential driver
 /// (parallel_determinism_test). Aborts on the first failed run (lowest
 /// job index).
-void RunEach(const BenchConfig& config, const DatabaseFactory& factory,
-             size_t n,
+void RunEach(const BenchConfig& config,
+             const std::vector<DatabaseFactory>& factories,
+             const std::vector<size_t>& factory_of,
              const std::function<Status(exec::Database*, size_t)>& run);
 
 /// RunEach over Database::Run: the results in job order.

@@ -5,8 +5,9 @@
 // and a print step. A run label is unique across the table, so rows that
 // read the same run share it: E4–E7, A2, A6 and A9 print from E1's
 // base/shared pair, which executes once. The selected rows' runs go
-// through RunEach as one batch per database: engine runs through
-// Database::Run, A11's scan-service runs through ScanService::Run.
+// through one RunEach pool, each on a database of its row's kind: engine
+// runs through Database::Run, A11's scan-service runs through
+// ScanService::Run.
 //
 //   bench_paper [--exp=E1,A9] [flags of bench_common.h]
 //
@@ -32,10 +33,12 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -1045,16 +1048,18 @@ int Main(int argc, char** argv) {
       ParseFlags(static_cast<int>(common.size()), common.data());
   const std::vector<const Experiment*> selected = Select(ids);
 
-  // One batch per database: each label runs once, in first-read order.
+  // Each label runs once. Labels keep first-read order, database kind by
+  // kind, for the output.
+  constexpr DbKind kKinds[] = {DbKind::kLineitem, DbKind::kTwoTable,
+                               DbKind::kMdc, DbKind::kPushIo,
+                               DbKind::kService};
   std::map<DbKind, std::unique_ptr<exec::Database>> dbs;
   std::vector<service::ServiceTable> service_tables;
   std::map<const Experiment*, std::vector<Row>> rows;
   std::vector<std::string> order;
   std::set<std::string> queued;
-  std::map<std::string, Outcome> results;
-  for (DbKind kind : {DbKind::kLineitem, DbKind::kTwoTable, DbKind::kMdc,
-                      DbKind::kPushIo, DbKind::kService}) {
-    std::vector<const Row*> batch;
+  std::vector<std::pair<DbKind, const Row*>> jobs;
+  for (DbKind kind : kKinds) {
     for (const Experiment* e : selected) {
       if (e->db != kind) continue;
       if (dbs.count(kind) == 0) {
@@ -1064,27 +1069,44 @@ int Main(int argc, char** argv) {
       for (const Row& row : rows[e]) {
         if (!queued.insert(row.label).second) continue;
         order.push_back(row.label);
-        batch.push_back(&row);
+        jobs.emplace_back(kind, &row);
       }
     }
-    if (batch.empty()) continue;
-    std::vector<Outcome> out(batch.size());
-    RunEach(config, [kind, &config] { return BuildDb(kind, config); },
-            batch.size(), [&](exec::Database* db, size_t i) -> Status {
-              const Row& row = *batch[i];
-              if (row.service.has_value()) {
-                SCANSHARE_ASSIGN_OR_RETURN(
-                    out[i],
-                    service::ScanService(db).Run(*row.service, service_tables));
-              } else {
-                SCANSHARE_ASSIGN_OR_RETURN(
-                    out[i], db->Run(row.job.run, row.job.streams));
-              }
-              return Status::OK();
-            });
-    for (size_t i = 0; i < batch.size(); ++i) {
-      results[batch[i]->label] = std::move(out[i]);
-    }
+  }
+
+  // Every run goes into one pool. A11's and A10's runs start first: they
+  // are the longest, and started last they would run while the other
+  // workers sit idle.
+  std::stable_sort(jobs.begin(), jobs.end(), [](const auto& a, const auto& b) {
+    return a.first > b.first;
+  });
+  std::vector<DatabaseFactory> factories(std::size(kKinds));
+  for (DbKind kind : kKinds) {
+    factories[static_cast<size_t>(kind)] = [kind, &config] {
+      return BuildDb(kind, config);
+    };
+  }
+  std::vector<size_t> factory_of;
+  for (const auto& job : jobs) {
+    factory_of.push_back(static_cast<size_t>(job.first));
+  }
+  std::vector<Outcome> out(jobs.size());
+  RunEach(config, factories, factory_of,
+          [&](exec::Database* db, size_t i) -> Status {
+            const Row& row = *jobs[i].second;
+            if (row.service.has_value()) {
+              SCANSHARE_ASSIGN_OR_RETURN(
+                  out[i],
+                  service::ScanService(db).Run(*row.service, service_tables));
+            } else {
+              SCANSHARE_ASSIGN_OR_RETURN(
+                  out[i], db->Run(row.job.run, row.job.streams));
+            }
+            return Status::OK();
+          });
+  std::map<std::string, Outcome> results;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    results[jobs[i].second->label] = std::move(out[i]);
   }
 
   for (const Experiment* e : selected) {

@@ -64,12 +64,11 @@ contracts, so this linter enforces them lexically:
              Thread Safety build): everywhere in src/ except
              common/mutex.h itself, (a) raw std::mutex/std::shared_mutex
              declarations are banned — use the annotated scanshare::Mutex
-             / SharedMutex wrappers so the analysis sees a capability;
-             (b) manual .lock()/.unlock()/.try_lock() calls are banned —
-             hold locks through the RAII guards (MutexLock, WriterLock,
-             ReaderLock) so no path can leak a capability; (c) every
-             Mutex/SharedMutex variable declaration must carry a
-             SCANSHARE_ACQUIRED_BEFORE/AFTER ordering annotation (same
+             wrapper so the analysis sees a capability; (b) manual
+             .lock()/.unlock()/.try_lock() calls are banned — hold locks
+             through the RAII guard (MutexLock) so no path can leak a
+             capability; (c) every Mutex variable declaration must carry
+             a SCANSHARE_ACQUIRED_BEFORE/AFTER ordering annotation (same
              line or the continuation line) naming its place in the
              common/lock_order.h hierarchy, which scripts/lock_order.py
              checks for cycles.
@@ -553,23 +552,23 @@ def check_trace(relpath, raw, code):
 LOCKS_ALLOWED = ("src/common/mutex.h",)
 LOCKS_PATTERNS = [
     (re.compile(r"std::(recursive_|shared_|timed_|recursive_timed_)?mutex\b"),
-     "raw std mutex type; declare a scanshare::Mutex/SharedMutex "
-     "(common/mutex.h) so the thread-safety analysis sees a capability"),
+     "raw std mutex type; declare a scanshare::Mutex (common/mutex.h) so "
+     "the thread-safety analysis sees a capability"),
     (re.compile(r"std::lock_guard\b"),
      "std::lock_guard is invisible to the capability analysis; use "
      "scanshare::MutexLock"),
     (re.compile(r"(->|\.)\s*(unlock_shared|lock_shared|try_lock_shared|"
                 r"try_lock|unlock|lock)\s*\("),
      "manual lock()/unlock() call; hold the capability through a RAII "
-     "guard (MutexLock/WriterLock/ReaderLock) so no path can leak it"),
+     "guard (MutexLock) so no path can leak it"),
 ]
 
-# A Mutex/SharedMutex *variable* declaration (member or local). `&` after
+# A Mutex *variable* declaration (member or local). `&` after
 # the type excludes references/parameters; `(` on the line before the type
 # would be a function declaration using the type, which the \s+\w+ tail
 # already rejects for parameter lists ending in `&` or `*`.
 LOCKS_DECL_RE = re.compile(
-    r"^\s*(mutable\s+)?(scanshare::)?(Mutex|SharedMutex)\s+\w+\s*"
+    r"^\s*(mutable\s+)?(scanshare::)?Mutex\s+\w+\s*"
     r"(SCANSHARE_\w+|;|$|=)")
 LOCKS_ORDER_RE = re.compile(r"SCANSHARE_ACQUIRED_(BEFORE|AFTER)\b")
 
@@ -592,7 +591,7 @@ def check_locks(relpath, raw, code):
             if not (LOCKS_ORDER_RE.search(line) or LOCKS_ORDER_RE.search(nxt)):
                 findings.append(Finding(
                     "locks", relpath, lineno,
-                    "Mutex/SharedMutex declaration without a "
+                    "Mutex declaration without a "
                     "SCANSHARE_ACQUIRED_BEFORE/AFTER ordering annotation; "
                     "every engine lock must name its place in the "
                     "common/lock_order.h hierarchy (checked acyclic by "

@@ -12,10 +12,9 @@
 // not depend on ssm/: the board is the one object both sides of the
 // policy seam share.
 //
-// Concurrency: writers run under SSM locks (concurrently for distinct
-// tables), readers under buffer-pool partition latches — so the board
-// carries its own mutex, taken last on both paths (leaf lock; no ordering
-// cycles). All math is a pure function of published state: identical runs
+// Concurrency: writers run under the SSM lock, readers under buffer-pool
+// partition latches — so the board carries its own mutex, taken last on
+// both paths (leaf lock; no ordering cycles). All math is a pure function of published state: identical runs
 // publish identical trajectories and therefore evict identically.
 //
 // This file is on the domain lint's concurrent-engine allowlist
@@ -65,9 +64,9 @@ class ScanPositionBoard {
       SCANSHARE_EXCLUDES(mu_);
 
  private:
-  /// Leaf lock: writers arrive under an SSM table latch, readers under a
+  /// Leaf lock: writers arrive under the SSM lock, readers under a
   /// buffer-pool partition latch; nothing is acquired while it is held.
-  mutable Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kSsmTable,
+  mutable Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kSsm,
                                              lock_order::kPoolPartition);
   std::unordered_map<uint64_t, Trajectory> scans_ SCANSHARE_GUARDED_BY(mu_);
 };

@@ -17,8 +17,7 @@
 // The hierarchy (a lock may only be acquired while holding locks of
 // strictly earlier ranks):
 //
-//   kSsmRegistry     ScanSharingManager::registry_mu_ (shared_mutex)
-//     -> kSsmTable   per-table latch (ScanSharingManager::TableState::mu)
+//   kSsm             ScanSharingManager::mu_ (the manager's one lock)
 //   kPoolPartition   per-partition buffer-pool latch
 //     -> kIoQueue    io::Prefetcher's ready-queue mutex (FetchSlow pops a
 //                    ready extent under its partition latch)
@@ -26,9 +25,9 @@
 //                    latch, or under the prefetcher mutex at issue time)
 //       -> kIoBackend io::FileIoBackend's job-queue mutex (the prefetcher
 //                    joins an async read while holding its own mutex)
-//   {kSsmTable, kPoolPartition, kIoQueue, kIo}
+//   {kSsm, kPoolPartition, kIoQueue, kIo}
 //     -> kBoard      ScanPositionBoard::mu_ (leaf: SSM hooks publish under
-//                    the table latch; replacers read under a partition latch)
+//                    the SSM lock; replacers read under a partition latch)
 //     -> kTracer     Tracer's concurrent-mode mutex (leaf: every subsystem
 //                    emits under whatever lock it already holds)
 //   kDriver          driver-side leaves with no engine nesting: the thread
@@ -50,11 +49,9 @@ class SCANSHARE_CAPABILITY("lock_order") Rank {
   Rank& operator=(const Rank&) = delete;
 };
 
-/// SSM registry lock level (root of the SSM chain).
-inline constinit Rank kSsmRegistry;
-
-/// SSM per-table latch level: only taken under the registry lock.
-inline constinit Rank kSsmTable SCANSHARE_ACQUIRED_AFTER(kSsmRegistry);
+/// Scan Sharing Manager lock level: its one mutex, held by every public
+/// call.
+inline constinit Rank kSsm;
 
 /// Buffer-pool partition latch level (root of the pool chain; FetchPage /
 /// UnpinPage hold exactly one, aggregate readers take all in index order).
@@ -75,17 +72,16 @@ inline constinit Rank kIo SCANSHARE_ACQUIRED_AFTER(kPoolPartition, kIoQueue);
 /// holding kIoQueue, never the other way round.
 inline constinit Rank kIoBackend SCANSHARE_ACQUIRED_AFTER(kIoQueue);
 
-/// Scan-position board level: a leaf — written from SSM hooks (table latch
+/// Scan-position board level: a leaf — written from SSM hooks (SSM lock
 /// held), read from predictive replacers (partition latch held).
-inline constinit Rank kBoard
-    SCANSHARE_ACQUIRED_AFTER(kSsmTable, kPoolPartition);
+inline constinit Rank kBoard SCANSHARE_ACQUIRED_AFTER(kSsm, kPoolPartition);
 
 /// Concurrent-tracer level: the terminal leaf — every subsystem emits
 /// while holding its own lock, so the tracer mutex orders after all of
 /// them and may never be held while acquiring anything else.
 inline constinit Rank kTracer
-    SCANSHARE_ACQUIRED_AFTER(kSsmTable, kPoolPartition, kIoQueue, kIo,
-                             kIoBackend, kBoard);
+    SCANSHARE_ACQUIRED_AFTER(kSsm, kPoolPartition, kIoQueue, kIo, kIoBackend,
+                             kBoard);
 
 /// Driver-side leaf level: thread-pool queue mutex and the morsel driver's
 /// error latch. Never nested with engine locks in either direction.

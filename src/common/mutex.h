@@ -1,13 +1,13 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// Capability-annotated mutex wrappers (DESIGN.md §14). libstdc++'s
+// Capability-annotated mutex wrapper (DESIGN.md §14). libstdc++'s
 // std::mutex carries no thread-safety attributes, so Clang Thread Safety
-// Analysis cannot see through it; these zero-overhead wrappers are the
-// annotated replacements every concurrent subsystem uses. The domain
-// lint's `locks` rule bans raw std::mutex declarations and manual
-// lock()/unlock() calls in src/ — locks are declared as Mutex/SharedMutex
-// (with an SCANSHARE_ACQUIRED_BEFORE/AFTER hierarchy edge, see
-// common/lock_order.h) and held through the RAII guards below.
+// Analysis cannot see through it; this zero-overhead wrapper is the
+// annotated replacement every concurrent subsystem uses. The domain
+// lint's `locks` rule bans raw std mutex declarations and manual
+// lock()/unlock() calls in src/ — locks are declared as Mutex (with an
+// SCANSHARE_ACQUIRED_BEFORE/AFTER hierarchy edge, see
+// common/lock_order.h) and held through the RAII guard below.
 //
 // This file is the one place in src/ allowed to name std::mutex and to
 // define lock()/unlock(); it is on the domain lint's concurrent-engine
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -40,27 +39,6 @@ class SCANSHARE_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Annotated std::shared_mutex (the SSM registry lock).
-class SCANSHARE_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() SCANSHARE_ACQUIRE() { mu_.lock(); }
-  void unlock() SCANSHARE_RELEASE() { mu_.unlock(); }
-  bool try_lock() SCANSHARE_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void lock_shared() SCANSHARE_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() SCANSHARE_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool try_lock_shared() SCANSHARE_TRY_ACQUIRE(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive hold of a Mutex for one scope.
 class SCANSHARE_SCOPED_CAPABILITY MutexLock {
  public:
@@ -72,36 +50,6 @@ class SCANSHARE_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII exclusive hold of a SharedMutex (writer side).
-class SCANSHARE_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) SCANSHARE_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterLock() SCANSHARE_RELEASE() { mu_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared hold of a SharedMutex (reader side).
-class SCANSHARE_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) SCANSHARE_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() SCANSHARE_RELEASE() { mu_.unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 }  // namespace scanshare

@@ -2,8 +2,8 @@
 //
 // Clang Thread Safety Analysis macros (DESIGN.md §14). The locking
 // contracts of the concurrent engine — which lock guards which field,
-// which *Locked helper requires which capability, and the
-// registry -> table -> {board, tracer} acquisition order — are encoded
+// which *Locked helper requires which capability, and acquisition orders
+// such as SSM -> {board, tracer} — are encoded
 // with these annotations and machine-checked at compile time by clang's
 // -Wthread-safety / -Wthread-safety-beta analysis (the SCANSHARE_THREAD_SAFETY
 // CMake option; scripts/check.sh --thread-safety; the thread-safety CI job).
@@ -33,12 +33,11 @@
 #define SCANSHARE_CAPABILITY(x) SCANSHARE_THREAD_ANNOTATION__(capability(x))
 
 /// Class attribute: RAII object that acquires on construction and releases
-/// on destruction (MutexLock and friends).
+/// on destruction (MutexLock).
 #define SCANSHARE_SCOPED_CAPABILITY \
   SCANSHARE_THREAD_ANNOTATION__(scoped_lockable)
 
-/// Field attribute: reads require the capability held (shared suffices),
-/// writes require it held exclusively.
+/// Field attribute: reads and writes require the capability held.
 #define SCANSHARE_GUARDED_BY(x) SCANSHARE_THREAD_ANNOTATION__(guarded_by(x))
 
 /// Field attribute for pointers: the *pointee* is guarded.
@@ -49,26 +48,14 @@
 #define SCANSHARE_REQUIRES(...) \
   SCANSHARE_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
 
-/// Function attribute: caller must hold the capability at least shared.
-#define SCANSHARE_REQUIRES_SHARED(...) \
-  SCANSHARE_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
-
 /// Function attribute: acquires the capability (exclusive) and does not
 /// release it before returning.
 #define SCANSHARE_ACQUIRE(...) \
   SCANSHARE_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
 
-/// Function attribute: acquires the capability shared.
-#define SCANSHARE_ACQUIRE_SHARED(...) \
-  SCANSHARE_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
-
 /// Function attribute: releases a held capability (exclusive or generic).
 #define SCANSHARE_RELEASE(...) \
   SCANSHARE_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-
-/// Function attribute: releases a capability held shared.
-#define SCANSHARE_RELEASE_SHARED(...) \
-  SCANSHARE_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
 
 /// Function attribute: acquires the capability iff the return value equals
 /// the first macro argument.

@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -26,7 +27,8 @@
 
 namespace scanshare::exec {
 
-/// Min-heap keyed on (time, index), lowest index first among ties.
+/// Min-heap keyed on (time, index), lowest index first among ties, on the
+/// standard heap algorithms.
 class EventHeap {
  public:
   struct Event {
@@ -40,16 +42,15 @@ class EventHeap {
   /// Inserts an event. O(log n).
   void Push(sim::Micros time, size_t index) {
     events_.push_back(Event{time, index});
-    SiftUp(events_.size() - 1);
+    std::push_heap(events_.begin(), events_.end(), Later);
   }
 
   /// Removes and returns the minimum event. O(log n). Undefined on an
   /// empty heap (the executor's loop guards on empty()).
   Event Pop() {
-    const Event top = events_.front();
-    events_.front() = events_.back();
+    std::pop_heap(events_.begin(), events_.end(), Later);
+    const Event top = events_.back();
     events_.pop_back();
-    if (!events_.empty()) SiftDown(0);
     return top;
   }
 
@@ -60,32 +61,12 @@ class EventHeap {
   size_t size() const { return events_.size(); }
 
  private:
-  static bool Less(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.index < b.index;
-  }
-
-  void SiftUp(size_t i) {
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (!Less(events_[i], events_[parent])) break;
-      std::swap(events_[i], events_[parent]);
-      i = parent;
-    }
-  }
-
-  void SiftDown(size_t i) {
-    const size_t n = events_.size();
-    for (;;) {
-      const size_t left = 2 * i + 1;
-      const size_t right = left + 1;
-      size_t smallest = i;
-      if (left < n && Less(events_[left], events_[smallest])) smallest = left;
-      if (right < n && Less(events_[right], events_[smallest])) smallest = right;
-      if (smallest == i) return;
-      std::swap(events_[i], events_[smallest]);
-      i = smallest;
-    }
+  /// The heap algorithms keep the greatest element on top, so ordering by
+  /// "later" puts the earliest (time, index) there. Keys are unique within
+  /// a heap, so the pop order is the key order whatever the layout.
+  static bool Later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.index > b.index;
   }
 
   std::vector<Event> events_;

@@ -143,6 +143,29 @@ void GroupIndex::Assign(const std::vector<ScanGroup>& groups) {
   }
 }
 
+void GroupIndex::Add(ScanId id, size_t group) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    // Double the table (two slots to start) and re-home every entry.
+    std::vector<Slot> old(std::max<size_t>(2 * slots_.size(), 2));
+    old.swap(slots_);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kInvalidScanId) continue;
+      size_t i = Home(slot.id);
+      while (slots_[i].id != kInvalidScanId) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(id);
+  while (slots_[i].id != kInvalidScanId && slots_[i].id != id) {
+    i = (i + 1) & mask;
+  }
+  if (slots_[i].id == kInvalidScanId) ++size_;
+  slots_[i] = Slot{id, group};
+}
+
 size_t GroupIndex::Find(ScanId id) const {
   if (slots_.empty() || id == kInvalidScanId) return kNotFound;
   const size_t mask = slots_.size() - 1;

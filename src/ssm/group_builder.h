@@ -103,8 +103,9 @@ std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
 
 /// Reverse index of a group list: scan id -> index of the group holding
 /// it. A flat open-addressed table (linear probing, capacity a power of
-/// two at least twice the member count), rebuilt by Assign with a single
-/// allocation — no per-member node, no rehash.
+/// two at least twice the member count). Assign refills it in place,
+/// allocating only to grow — no per-member node, no rehash; Add doubles
+/// it when half full.
 class GroupIndex {
  public:
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
@@ -112,6 +113,10 @@ class GroupIndex {
   /// Indexes every member of `groups`. A scan listed twice maps to the
   /// later group (the audits detect that as a membership disagreement).
   void Assign(const std::vector<ScanGroup>& groups);
+
+  /// Maps `id` to `group`, in amortized O(1). An id already indexed maps
+  /// to `group` from now on, which is Assign's later-group rule.
+  void Add(ScanId id, size_t group);
 
   /// Index of the group holding `id`, or kNotFound.
   size_t Find(ScanId id) const;

@@ -56,9 +56,9 @@ struct SsmOptions {
   /// location update pays it (k = 1), so total regroup work grows as
   /// O(n^2) with the scan count — fine at the paper's 5 streams, heavy at
   /// a service's thousands. When set:
-  ///   - StartScan/EndScan maintain the published grouping incrementally
-  ///     (append a singleton group / splice a member out) in O(n), instead
-  ///     of a full rebuild;
+  ///   - StartScan/EndScan maintain the grouping in place instead of
+  ///     rebuilding it: a start appends a singleton group in amortized
+  ///     O(1), an end splices its scan out in O(n);
   ///   - UpdateLocation stretches the effective regroup interval to
   ///     max(regroup_interval_updates, active_scans / 8), amortizing the
   ///     rebuild (k <= active/8) to O(log n) per update.

@@ -66,95 +66,80 @@ ScanSharingManager::ScanSharingManager(
 StatusOr<StartInfo> ScanSharingManager::StartScan(const ScanDescriptor& desc,
                                                   sim::Micros now) {
   SCANSHARE_RETURN_IF_ERROR(ValidateDescriptor(desc));
-  WriterLock reg(registry_mu_);
+  MutexLock lock(mu_);
 
   TableState& table = tables_[desc.table_id];
-  StartInfo info;
-  {
-    // The exclusive registry lock already quiesces every scanner; the
-    // table latch is taken anyway (uncontended single acquire) so the
-    // guarded table fields are only ever touched with their capability
-    // held — and released before the full audit below re-takes it.
-    MutexLock tl(table.mu);
-    table.id = desc.table_id;
-    if (!table.circle.has_value()) {
-      table.circle.emplace(desc.table_first, desc.table_end);
-    } else if (table.circle->first() != desc.table_first ||
-               table.circle->end() != desc.table_end) {
-      return Status::InvalidArgument(
-          "StartScan: table span disagrees with earlier scans of table " +
-          std::to_string(desc.table_id));
-    }
-
-    const double est_speed_pps =
-        static_cast<double>(desc.estimated_pages) /
-        (static_cast<double>(desc.estimated_duration) / 1e6);
-
-    std::vector<const ScanState*> active;
-    active.reserve(table.active.size());
-    for (const ScanPoint& p : table.active) active.push_back(&scans_.at(p.id));
-    const Placement placement =
-        sharing_policy_->Place(desc, est_speed_pps, active, scans_.size(),
-                               table.last_finished_pos, *table.circle);
-
-    ScanState state;
-    state.id = next_id_++;
-    state.desc = desc;
-    state.start_page = placement.start_page;
-    state.joined_scan = placement.joined_scan;
-    state.position = placement.start_page;
-    state.speed_pps = est_speed_pps > 0 ? est_speed_pps : 1.0;
-    state.started_at = now;
-    state.last_update_at = now;
-
-    const ScanId id = state.id;
-    scans_.emplace(id, std::move(state));
-    const ScanPoint entry{id, placement.start_page};
-    table.active.insert(std::upper_bound(table.active.begin(),
-                                         table.active.end(), entry,
-                                         CircleOrderLess),
-                        entry);
-    sharing_policy_->OnScanStarted(scans_.at(id));
-    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanAdmit, now, id,
-                          placement.start_page, desc.table_id);
-    if (placement.joined_scan != kInvalidScanId) {
-      SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanJoin, now, id,
-                            placement.joined_scan);
-    }
-    if (options_.adaptive_regroup) {
-      InsertScanIncremental(&table, id);
-    } else {
-      Regroup(&table, now);
-    }
-
-    ++table.stats.scans_started;
-    if (placement.joined_scan != kInvalidScanId) ++table.stats.scans_joined;
-
-    info.id = id;
-    info.start_page = placement.start_page;
-    info.joined_scan = placement.joined_scan;
+  table.id = desc.table_id;
+  if (!table.circle.has_value()) {
+    table.circle.emplace(desc.table_first, desc.table_end);
+  } else if (table.circle->first() != desc.table_first ||
+             table.circle->end() != desc.table_end) {
+    return Status::InvalidArgument(
+        "StartScan: table span disagrees with earlier scans of table " +
+        std::to_string(desc.table_id));
   }
+
+  const double est_speed_pps =
+      static_cast<double>(desc.estimated_pages) /
+      (static_cast<double>(desc.estimated_duration) / 1e6);
+
+  std::vector<const ScanState*> active;
+  active.reserve(table.active.size());
+  for (const ScanPoint& p : table.active) active.push_back(&scans_.at(p.id));
+  const Placement placement =
+      sharing_policy_->Place(desc, est_speed_pps, active, scans_.size(),
+                             table.last_finished_pos, *table.circle);
+
+  ScanState state;
+  state.id = next_id_++;
+  state.desc = desc;
+  state.start_page = placement.start_page;
+  state.joined_scan = placement.joined_scan;
+  state.position = placement.start_page;
+  state.speed_pps = est_speed_pps > 0 ? est_speed_pps : 1.0;
+  state.started_at = now;
+  state.last_update_at = now;
+
+  const ScanId id = state.id;
+  scans_.emplace(id, std::move(state));
+  const ScanPoint entry{id, placement.start_page};
+  table.active.insert(std::upper_bound(table.active.begin(),
+                                       table.active.end(), entry,
+                                       CircleOrderLess),
+                      entry);
+  sharing_policy_->OnScanStarted(scans_.at(id));
+  SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanAdmit, now, id,
+                        placement.start_page, desc.table_id);
+  if (placement.joined_scan != kInvalidScanId) {
+    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanJoin, now, id,
+                          placement.joined_scan);
+  }
+  if (options_.adaptive_regroup) {
+    InsertScanIncremental(&table, id);
+  } else {
+    Regroup(&table, now);
+  }
+
+  ++stats_.scans_started;
+  if (placement.joined_scan != kInvalidScanId) ++stats_.scans_joined;
   SCANSHARE_AUDIT_OK(CheckInvariantsLocked());
-  return info;
+  return StartInfo{id, placement.start_page, placement.joined_scan};
 }
 
 void ScanSharingManager::Regroup(TableState* table, sim::Micros now) {
-  // Build the next generation aside and publish it with one shared_ptr
-  // store: a concurrent FindGroup either sees the previous complete
-  // snapshot or this one, never a partially filled grouping.
   ResortMoved(table);
-  auto next = std::make_shared<Grouping>();
-  next->epoch = table->grouping->epoch + 1;
   table->updates_since_regroup = 0;
-  if (!table->active.empty() && table->circle.has_value()) {
-    next->groups = sharing_policy_->Group(table->active, *table->circle);
-    next->group_of.Assign(next->groups);
+  const bool grouped = !table->active.empty() && table->circle.has_value();
+  if (grouped) {
+    table->groups = sharing_policy_->Group(table->active, *table->circle);
+  } else {
+    table->groups.clear();
   }
-  table->grouping = std::move(next);
-  if (table->active.empty() || !table->circle.has_value()) return;
+  table->group_of.Assign(table->groups);
+  if (!grouped) return;
   SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kRegroup, now, table->id,
-                        table->grouping->groups.size(), table->active.size());
-  ++table->stats.regroups;
+                        table->groups.size(), table->active.size());
+  ++stats_.regroups;
 }
 
 void ScanSharingManager::ResortMoved(TableState* table) {
@@ -200,41 +185,30 @@ void ScanSharingManager::ResortMoved(TableState* table) {
 }
 
 void ScanSharingManager::InsertScanIncremental(TableState* table, ScanId id) {
-  // Copy-on-write append: the published snapshot is immutable, so the new
-  // generation starts as a copy (O(active)) and gains one singleton group.
   // The geometry audit stays satisfiable at updates_since_regroup == 0: a
   // singleton trivially has extent 0 and every other group is untouched.
-  auto next = std::make_shared<Grouping>();
-  next->epoch = table->grouping->epoch + 1;
-  next->groups = table->grouping->groups;
   ScanGroup group;
   group.members.push_back(id);
   group.trailer = id;
   group.leader = id;
-  group.extent_pages = 0;
-  next->groups.push_back(std::move(group));
-  next->group_of.Assign(next->groups);
-  table->grouping = std::move(next);
+  table->groups.push_back(std::move(group));
+  table->group_of.Add(id, table->groups.size() - 1);
 }
 
 void ScanSharingManager::RemoveScanIncremental(TableState* table, ScanId id) {
-  const Grouping& cur = *table->grouping;
-  const size_t gi = cur.group_of.Find(id);
+  const size_t gi = table->group_of.Find(id);
   if (gi == GroupIndex::kNotFound) return;
-  auto next = std::make_shared<Grouping>();
-  next->epoch = cur.epoch + 1;
-  next->groups = cur.groups;
-  ScanGroup& group = next->groups[gi];
+  ScanGroup& group = table->groups[gi];
   group.members.erase(
       std::remove(group.members.begin(), group.members.end(), id),
       group.members.end());
   if (group.members.empty()) {
-    next->groups.erase(next->groups.begin() +
-                       static_cast<std::ptrdiff_t>(gi));
+    table->groups.erase(table->groups.begin() +
+                        static_cast<std::ptrdiff_t>(gi));
   } else {
     // Member order was circle order from the old trailer; removing any
     // member preserves it relative to the surviving front member, so
-    // promoting front/back and refreshing the extent keeps the snapshot
+    // promoting front/back and refreshing the extent keeps the grouping
     // geometry-audit-clean.
     group.trailer = group.members.front();
     group.leader = group.members.back();
@@ -244,23 +218,22 @@ void ScanSharingManager::RemoveScanIncremental(TableState* table, ScanId id) {
                                              scans_.at(group.leader).position)
             : 0;
   }
-  // Group indices shifted iff a group vanished; rebuilding the reverse
-  // index is O(active) either way and keeps the two views consistent.
-  next->group_of.Assign(next->groups);
-  table->grouping = std::move(next);
+  // Group indices shifted iff a group vanished; refilling the reverse
+  // index is O(active) either way and drops the ended scan.
+  table->group_of.Assign(table->groups);
 }
 
-const ScanGroup* ScanSharingManager::FindGroup(const Grouping& snapshot,
+const ScanGroup* ScanSharingManager::FindGroup(const TableState& table,
                                                ScanId id) {
-  const size_t g = snapshot.group_of.Find(id);
-  return g == GroupIndex::kNotFound ? nullptr : &snapshot.groups[g];
+  const size_t g = table.group_of.Find(id);
+  return g == GroupIndex::kNotFound ? nullptr : &table.groups[g];
 }
 
 StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
                                                           sim::PageId position,
                                                           uint64_t pages_processed,
                                                           sim::Micros now) {
-  ReaderLock reg(registry_mu_);
+  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("UpdateLocation: unknown scan " +
@@ -268,7 +241,6 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
   }
   ScanState& scan = it->second;
   TableState& table = tables_.at(scan.desc.table_id);
-  MutexLock tl(table.mu);
   if (!table.circle->Contains(position)) {
     return Status::InvalidArgument("UpdateLocation: position off table");
   }
@@ -303,7 +275,7 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
   scan.position = position;
   scan.pages_processed = pages_processed;
   sharing_policy_->OnLocationUpdate(scan);
-  ++table.stats.updates;
+  ++stats_.updates;
 
   const bool regrouped =
       ++table.updates_since_regroup >=
@@ -311,11 +283,7 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
   if (regrouped) Regroup(&table, now);
 
   UpdateResult result;
-  // Pin this update's grouping generation: a later regroup (ours or a
-  // group-mate's on a future update) swaps the table's pointer but never
-  // mutates this snapshot.
-  const std::shared_ptr<const Grouping> snapshot = table.grouping;
-  const ScanGroup* group = FindGroup(*snapshot, id);
+  const ScanGroup* group = FindGroup(table, id);
   if (group == nullptr) {
     SCANSHARE_AUDIT_OK(CheckTableInvariantsLocked(table));
     return result;
@@ -354,15 +322,15 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
         &scan.accumulated_wait, &scan.throttling_exhausted);
     result.gap_pages = decision.gap_pages;
     if (decision.wait > 0) {
-      ++table.stats.throttle_events;
-      table.stats.total_wait += decision.wait;
+      ++stats_.throttle_events;
+      stats_.total_wait += decision.wait;
       result.wait = decision.wait;
       SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kThrottleInsert, now, id,
                             decision.wait, decision.gap_pages,
                             /*dur=*/decision.wait);
     }
     if (decision.capped) {
-      ++table.stats.cap_suppressions;
+      ++stats_.cap_suppressions;
       SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kCapSuppress, now, id,
                             decision.gap_pages);
     }
@@ -373,40 +341,35 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
 }
 
 Status ScanSharingManager::EndScan(ScanId id, sim::Micros now) {
-  WriterLock reg(registry_mu_);
+  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("EndScan: unknown scan " + std::to_string(id));
   }
   ScanState& scan = it->second;
   TableState& table = tables_.at(scan.desc.table_id);
-  {
-    // Table latch held for the mutation (see StartScan), released before
-    // the full audit so CheckInvariantsLocked can re-take every latch.
-    MutexLock tl(table.mu);
-    sharing_policy_->OnScanEnded(id, scan.position);
-    table.last_finished_pos = scan.position;
-    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanEnd, now, id,
-                          scan.position, scan.accumulated_wait);
-    // The list files the scan wherever the last regroup left it, so the
-    // entry is found by id; the scan's move notes go with it.
-    const auto is_scan = [id](const ScanPoint& p) { return p.id == id; };
-    const auto entry =
-        std::find_if(table.active.begin(), table.active.end(), is_scan);
-    assert(entry != table.active.end());
-    table.active.erase(entry);
-    std::erase_if(table.moved, is_scan);
-    if (options_.adaptive_regroup) {
-      // Splice the member out while its group-mates' positions are still
-      // readable, then drop the registration.
-      RemoveScanIncremental(&table, id);
-      scans_.erase(it);
-    } else {
-      scans_.erase(it);
-      Regroup(&table, now);
-    }
-    ++table.stats.scans_ended;
+  sharing_policy_->OnScanEnded(id, scan.position);
+  table.last_finished_pos = scan.position;
+  SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kScanEnd, now, id,
+                        scan.position, scan.accumulated_wait);
+  // The list files the scan wherever the last regroup left it, so the
+  // entry is found by id; the scan's move notes go with it.
+  const auto is_scan = [id](const ScanPoint& p) { return p.id == id; };
+  const auto entry =
+      std::find_if(table.active.begin(), table.active.end(), is_scan);
+  assert(entry != table.active.end());
+  table.active.erase(entry);
+  std::erase_if(table.moved, is_scan);
+  if (options_.adaptive_regroup) {
+    // Splice the member out while its group-mates' positions are still
+    // readable, then drop the registration.
+    RemoveScanIncremental(&table, id);
+    scans_.erase(it);
+  } else {
+    scans_.erase(it);
+    Regroup(&table, now);
   }
+  ++stats_.scans_ended;
   SCANSHARE_AUDIT_OK(CheckInvariantsLocked());
   return Status::OK();
 }
@@ -426,8 +389,7 @@ Status ScanSharingManager::CheckFairness(const ScanState& scan) const {
 
 Status ScanSharingManager::CheckGroupLocked(
     const TableState& table, size_t g, std::span<const ScanId> members) const {
-  const Grouping& grouping = *table.grouping;
-  const ScanGroup& group = grouping.groups[g];
+  const ScanGroup& group = table.groups[g];
   if (group.members.empty()) return AuditFailure(table.id, "empty group");
   if (group.trailer != group.members.front() ||
       group.leader != group.members.back()) {
@@ -440,7 +402,7 @@ Status ScanSharingManager::CheckGroupLocked(
       return AuditFailure(table.id, "group member " + std::to_string(member) +
                                         " is not an active scan");
     }
-    if (grouping.group_of.Find(member) != g) {
+    if (table.group_of.Find(member) != g) {
       return AuditFailure(table.id,
                           "group_of disagrees with group membership for scan " +
                               std::to_string(member));
@@ -452,7 +414,6 @@ Status ScanSharingManager::CheckGroupLocked(
 Status ScanSharingManager::CheckTableInvariantsLocked(
     const TableState& table) const {
   const uint32_t table_id = table.id;
-  const Grouping& grouping = *table.grouping;
 
   // Where the list files each scan moved since the last regroup: its
   // first move note (emplace keeps the first).
@@ -502,17 +463,17 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   // Groups exactly partition the active scans, and group_of mirrors the
   // membership lists.
   size_t grouped = 0;
-  for (size_t g = 0; g < grouping.groups.size(); ++g) {
+  for (size_t g = 0; g < table.groups.size(); ++g) {
     SCANSHARE_RETURN_IF_ERROR(
-        CheckGroupLocked(table, g, grouping.groups[g].members));
-    grouped += grouping.groups[g].size();
+        CheckGroupLocked(table, g, table.groups[g].members));
+    grouped += table.groups[g].size();
   }
   if (grouped != table.active.size() ||
-      grouping.group_of.size() != table.active.size()) {
+      table.group_of.size() != table.active.size()) {
     return AuditFailure(table_id, "groups do not partition the active scans");
   }
   for (const ScanPoint& entry : table.active) {
-    if (grouping.group_of.Find(entry.id) == GroupIndex::kNotFound) {
+    if (table.group_of.Find(entry.id) == GroupIndex::kNotFound) {
       return AuditFailure(table_id, "scan " + std::to_string(entry.id) +
                                         " belongs to no group");
     }
@@ -524,7 +485,7 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   // (Between regroups positions move, so geometry is only checked when
   // updates_since_regroup == 0.)
   if (table.updates_since_regroup == 0 && table.circle.has_value()) {
-    for (const ScanGroup& group : grouping.groups) {
+    for (const ScanGroup& group : table.groups) {
       const sim::PageId trailer_pos = scans_.at(group.trailer).position;
       uint64_t prev = 0;
       for (ScanId member : group.members) {
@@ -558,20 +519,18 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
 Status ScanSharingManager::CheckUpdateInvariantsLocked(
     const TableState& table, const ScanState& scan) const {
   SCANSHARE_RETURN_IF_ERROR(CheckFairness(scan));
-  // Without a regroup the snapshot is unchanged, so only what it says
+  // Without a regroup the grouping is unchanged, so only what it says
   // about this scan is re-checked: its group holds it, and the group's
   // trailer and leader are scans of this table that map back to it.
-  const Grouping& grouping = *table.grouping;
-  const size_t g = grouping.group_of.Find(scan.id);
+  const size_t g = table.group_of.Find(scan.id);
   if (g == GroupIndex::kNotFound ||
-      std::find(grouping.groups[g].members.begin(),
-                grouping.groups[g].members.end(),
-                scan.id) == grouping.groups[g].members.end()) {
+      std::find(table.groups[g].members.begin(), table.groups[g].members.end(),
+                scan.id) == table.groups[g].members.end()) {
     return AuditFailure(table.id, "no group holds scan " +
                                       std::to_string(scan.id) +
                                       " where group_of points");
   }
-  const ScanGroup& group = grouping.groups[g];
+  const ScanGroup& group = table.groups[g];
   const ScanId ends[] = {group.trailer, group.leader};
   return CheckGroupLocked(table, g, ends);
 }
@@ -579,10 +538,6 @@ Status ScanSharingManager::CheckUpdateInvariantsLocked(
 Status ScanSharingManager::CheckInvariantsLocked() const {
   size_t active_total = 0;
   for (const auto& [table_id, table] : tables_) {
-    // Uncontended (the exclusive registry lock quiesced all scanners) but
-    // taken so the guarded per-table fields are read with their
-    // capability held. Callers must therefore NOT hold any table latch.
-    MutexLock tl(table.mu);
     SCANSHARE_RETURN_IF_ERROR(CheckTableInvariantsLocked(table));
     active_total += table.active.size();
   }
@@ -595,33 +550,30 @@ Status ScanSharingManager::CheckInvariantsLocked() const {
 }
 
 Status ScanSharingManager::CheckInvariants() const {
-  WriterLock reg(registry_mu_);
+  MutexLock lock(mu_);
   return CheckInvariantsLocked();
 }
 
 Status ScanSharingManager::CheckScanInvariants(ScanId id) const {
-  ReaderLock reg(registry_mu_);
+  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("CheckScanInvariants: unknown scan " +
                             std::to_string(id));
   }
-  const TableState& table = tables_.at(it->second.desc.table_id);
-  MutexLock tl(table.mu);
-  return CheckUpdateInvariantsLocked(table, it->second);
+  return CheckUpdateInvariantsLocked(tables_.at(it->second.desc.table_id),
+                                     it->second);
 }
 
 StatusOr<buffer::PagePriority> ScanSharingManager::AdvisePriority(ScanId id) const {
-  ReaderLock reg(registry_mu_);
+  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("AdvisePriority: unknown scan " +
                             std::to_string(id));
   }
   const TableState& table = tables_.at(it->second.desc.table_id);
-  MutexLock tl(table.mu);
-  const std::shared_ptr<const Grouping> snapshot = table.grouping;
-  const ScanGroup* group = FindGroup(*snapshot, id);
+  const ScanGroup* group = FindGroup(table, id);
   if (group == nullptr) return buffer::PagePriority::kNormal;
   return page_policy_->ReleasePriority(MakeReleaseContext(id, table, *group));
 }
@@ -647,73 +599,53 @@ uint64_t ScanSharingManager::SuccessorGap(const TableState& table,
 }
 
 StatusOr<ScanState> ScanSharingManager::GetScanState(ScanId id) const {
-  ReaderLock reg(registry_mu_);
+  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("GetScanState: unknown scan " + std::to_string(id));
   }
-  const TableState& table = tables_.at(it->second.desc.table_id);
-  MutexLock tl(table.mu);
   return it->second;
 }
 
 std::vector<ScanGroup> ScanSharingManager::GroupsForTable(uint32_t table_id) const {
-  ReaderLock reg(registry_mu_);
+  MutexLock lock(mu_);
   auto it = tables_.find(table_id);
   if (it == tables_.end()) return {};
-  MutexLock tl(it->second.mu);
-  return it->second.grouping->groups;
+  return it->second.groups;
 }
 
 std::vector<GroupFrontier> ScanSharingManager::GroupFrontiers() const {
   std::vector<GroupFrontier> frontiers;
-  ReaderLock reg(registry_mu_);
+  MutexLock lock(mu_);
   // tables_ is an ordered map, so frontiers come out ascending by table id
-  // and, within a table, in snapshot group order — the deterministic issue
-  // order the push pipeline relies on.
+  // and, within a table, in group order — the deterministic issue order
+  // the push pipeline relies on.
   for (const auto& [table_id, table] : tables_) {
-    MutexLock tl(table.mu);
-    const std::shared_ptr<const Grouping> snapshot = table.grouping;
-    for (size_t g = 0; g < snapshot->groups.size(); ++g) {
-      const ScanGroup& group = snapshot->groups[g];
+    for (const ScanGroup& group : table.groups) {
       if (group.leader == kInvalidScanId) continue;
       auto leader_it = scans_.find(group.leader);
       if (leader_it == scans_.end()) continue;
       const ScanState& leader = leader_it->second;
-      GroupFrontier f;
-      f.table_id = table_id;
-      f.table_first = leader.desc.table_first;
-      f.table_end = leader.desc.table_end;
-      f.group_index = g;
-      f.members = group.size();
-      f.leader = group.leader;
-      f.leader_position = leader.position;
-      f.epoch = snapshot->epoch;
-      frontiers.push_back(f);
+      frontiers.push_back(GroupFrontier{table_id, leader.desc.table_first,
+                                        leader.desc.table_end, group.leader,
+                                        leader.position});
     }
   }
   return frontiers;
 }
 
 size_t ScanSharingManager::ActiveScanCount() const {
-  ReaderLock reg(registry_mu_);
+  MutexLock lock(mu_);
   return scans_.size();
 }
 
 SsmStats ScanSharingManager::stats() const {
-  WriterLock reg(registry_mu_);
-  SsmStats total;
-  for (const auto& [table_id, table] : tables_) {
-    // Uncontended (the exclusive registry lock quiesced all scanners);
-    // taken so the guarded counters are read with their capability held.
-    MutexLock tl(table.mu);
-    counters::Add(kSsmStatsCounters, table.stats, &total);
-  }
-  return total;
+  MutexLock lock(mu_);
+  return stats_;
 }
 
 void ScanSharingManager::SetTracer(obs::Tracer* tracer) {
-  WriterLock reg(registry_mu_);
+  MutexLock lock(mu_);
   tracer_ = tracer;
 }
 

@@ -12,19 +12,17 @@
 // pool when releasing pages. The SSM never touches the buffer pool, the
 // heap, or the disk.
 //
-// Concurrency (morsel-parallel executor; see DESIGN.md §12): a two-level
-// locking scheme plus an epoch/snapshot grouping.
-//   - registry_mu_ (shared_mutex) guards the scan/table registries:
-//     StartScan/EndScan/SetTracer/CheckInvariants take it exclusive,
-//     everything else shared — so the maps' structure is frozen while any
-//     update or advice call is in flight.
-//   - each TableState carries its own latch; location updates, throttle
-//     accounting, and regroup for one table serialize on it while distinct
-//     tables proceed concurrently.
-//   - Regroup never mutates a grouping in place: it builds a fresh
-//     immutable Grouping aside and publishes it with one shared_ptr swap
-//     (epoch incremented), so a reader either sees the old complete
-//     grouping or the new complete grouping, never a half-built one.
+// Concurrency (see DESIGN.md §12.2): one mutex, mu_, is held for the whole
+// of every public call, so no two calls ever overlap — the paper's one
+// coordinator per buffer pool. The only concurrent caller outside tests,
+// the morsel-parallel executor, reports one scan on one table from many
+// workers, which a finer protocol could not speed up.
+//   - each table's grouping (its groups and the group_of reverse index)
+//     is updated in place: Regroup assigns the policy's groups and refills
+//     group_of in its kept storage; under adaptive_regroup a start appends
+//     a singleton group and an end splices the scan out of its group. The
+//     group order is the push pipeline's issue order (GroupFrontiers), so
+//     an append goes at the end and an erase keeps the rest in order.
 //   - each table keeps its active scans in circle order (position, id):
 //     StartScan inserts, EndScan erases, UpdateLocation only notes the
 //     move in O(1), and Regroup re-sorts just the moved scans before
@@ -32,10 +30,10 @@
 //     sort of its own. (Re-sorting on every update instead shifts the
 //     entries of every scan the update overtakes, which the adaptive
 //     regroup-scaling cells cannot afford; see DESIGN.md §12.2.)
-//   - each table's counters live in its TableState under the table latch;
-//     stats() sums them under the exclusive registry lock, an exact cut.
-// The single-threaded simulator path takes the same locks uncontended and
-// is behaviourally unchanged (verified by the trace goldens).
+//   - policy hooks run under mu_; the position board and the tracer they
+//     or the manager reach keep their own leaf mutexes
+//     (common/lock_order.h).
+// The single-threaded simulator path takes the same lock uncontended.
 //
 // This file is on the domain lint's concurrent-engine allowlist
 // (scanshare-threads).
@@ -120,23 +118,20 @@ static_assert(counters::Covers(kSsmStatsCounters, sizeof(SsmStats)));
 /// One group's read frontier as the push I/O pipeline consumes it
 /// (io::Prefetcher::Pump): enough to aim a window of extent reads ahead of
 /// the group's leader without holding any SSM lock while issuing them.
-/// Snapshot semantics — taken under the registry lock (shared) and the
-/// table latch, stale the moment it is returned; the pipeline tolerates
-/// staleness (a wasted read at worst, never a wrong install).
+/// Taken under the SSM lock and stale the moment it is returned; the
+/// pipeline tolerates staleness (a wasted read at worst, never a wrong
+/// install).
 struct GroupFrontier {
   uint32_t table_id = 0;
   sim::PageId table_first = 0;     ///< Table span (clip bounds for reads).
   sim::PageId table_end = 0;
-  size_t group_index = 0;          ///< Index within the table's snapshot.
-  size_t members = 1;              ///< Group size (singletons included).
   ScanId leader = kInvalidScanId;  ///< Front-most scan of the group.
   sim::PageId leader_position = 0; ///< Leader's next page to process.
-  uint64_t epoch = 0;              ///< Grouping epoch the frontier came from.
 };
 
 /// Central registry + policies. One instance per buffer pool (paper: "there
-/// is one manager per bufferpool"). Safe under concurrent scanners; see the
-/// file comment for the locking protocol.
+/// is one manager per bufferpool"). Safe under concurrent scanners: every
+/// public call holds one mutex throughout (see the file comment).
 class ScanSharingManager {
  public:
   /// Default policy pair: the paper's grouping + throttling
@@ -156,75 +151,70 @@ class ScanSharingManager {
   /// Registers a scan and decides where it starts. Validates the
   /// descriptor (ranges, estimates); returns InvalidArgument on misuse.
   [[nodiscard]] StatusOr<StartInfo> StartScan(const ScanDescriptor& desc, sim::Micros now)
-      SCANSHARE_EXCLUDES(registry_mu_);
+      SCANSHARE_EXCLUDES(mu_);
 
   /// Reports that the scan is now at `position` having processed
   /// `pages_processed` pages in total. Returns the throttle wait to insert
   /// and the release priority to use until the next update. NotFound for
   /// unknown ids; InvalidArgument if `position` is outside the scan's
-  /// table. Concurrent updates of scans on the same table serialize on the
-  /// table latch; distinct tables proceed in parallel.
+  /// table. Concurrent updates serialize on the manager's lock.
   [[nodiscard]] StatusOr<UpdateResult> UpdateLocation(ScanId id, sim::PageId position,
                                         uint64_t pages_processed,
                                         sim::Micros now)
-      SCANSHARE_EXCLUDES(registry_mu_);
+      SCANSHARE_EXCLUDES(mu_);
 
   /// Deregisters the scan, remembering its final position for the
   /// "no ongoing scans" placement case.
   [[nodiscard]] Status EndScan(ScanId id, sim::Micros now)
-      SCANSHARE_EXCLUDES(registry_mu_);
+      SCANSHARE_EXCLUDES(mu_);
 
   /// Release priority for `id` based on its current group role, without
   /// the cost of a full location update.
   [[nodiscard]] StatusOr<buffer::PagePriority> AdvisePriority(ScanId id) const
-      SCANSHARE_EXCLUDES(registry_mu_);
+      SCANSHARE_EXCLUDES(mu_);
 
-  /// Full cross-structure consistency audit. Takes the registry lock
-  /// exclusively (quiescing all scanners) and verifies, in O(scans +
+  /// Full cross-structure consistency audit. Verifies, in O(scans +
   /// groups):
   ///   - every registered scan sits on exactly one table's active list and
   ///     that table matches its descriptor; no duplicates;
   ///   - each active list is strictly sorted by (position, id), and every
   ///     entry carries its scan's position — or, for a scan moved since
   ///     the last regroup, the position its pending re-sort removes;
-  ///   - each table's published grouping exactly partitions its active
-  ///     scans, group_of agrees with group membership, and every group's
+  ///   - each table's grouping exactly partitions its active scans,
+  ///     group_of agrees with group membership, and every group's
   ///     trailer/leader are its first/last member;
   ///   - immediately after a regroup (updates_since_regroup == 0) members
   ///     are ordered along the circle from the trailer and the recorded
-  ///     group extent equals the trailer→leader forward distance;
+  ///     group extent equals the trailer->leader forward distance;
   ///   - no scan's accumulated throttle wait exceeds its fairness budget
   ///     (fairness_cap x tolerance x estimated duration).
   /// Returns Internal describing the first violation. Always compiled in;
   /// additionally invoked after every mutation in SCANSHARE_AUDIT builds:
   /// in full after StartScan and EndScan, table-scoped after an
-  /// UpdateLocation that regrouped (it holds only a shared registry lock),
-  /// and scoped to what one update can change otherwise (the moved scan's
-  /// fairness budget, its group's membership and roles).
-  [[nodiscard]] Status CheckInvariants() const SCANSHARE_EXCLUDES(registry_mu_);
+  /// UpdateLocation that regrouped, and scoped to what one update can
+  /// change otherwise (the moved scan's fairness budget, its group's
+  /// membership and roles).
+  [[nodiscard]] Status CheckInvariants() const SCANSHARE_EXCLUDES(mu_);
 
   /// The scoped audit an UpdateLocation that did not regroup runs in
   /// SCANSHARE_AUDIT builds, for scan `id`: its fairness budget and its
   /// group's membership and roles. NotFound for unknown ids, Internal on a
   /// violation. Always compiled in, like CheckInvariants.
   [[nodiscard]] Status CheckScanInvariants(ScanId id) const
-      SCANSHARE_EXCLUDES(registry_mu_);
+      SCANSHARE_EXCLUDES(mu_);
 
   /// Introspection (tests, reports).
   [[nodiscard]] StatusOr<ScanState> GetScanState(ScanId id) const
-      SCANSHARE_EXCLUDES(registry_mu_);
+      SCANSHARE_EXCLUDES(mu_);
   std::vector<ScanGroup> GroupsForTable(uint32_t table_id) const
-      SCANSHARE_EXCLUDES(registry_mu_);
+      SCANSHARE_EXCLUDES(mu_);
   /// Read frontiers of every group on every table, in deterministic order
-  /// (tables ascending by id, groups in snapshot order; singletons
-  /// included). The push I/O pipeline polls this to aim prefetch windows;
-  /// see GroupFrontier for the snapshot semantics.
-  std::vector<GroupFrontier> GroupFrontiers() const
-      SCANSHARE_EXCLUDES(registry_mu_);
-  size_t ActiveScanCount() const SCANSHARE_EXCLUDES(registry_mu_);
-  /// Counters summed over every table. Takes the registry lock
-  /// exclusively, so no update is in flight and the sum is an exact cut.
-  SsmStats stats() const SCANSHARE_EXCLUDES(registry_mu_);
+  /// (tables ascending by id, groups in the table's group order; singletons
+  /// included). The push I/O pipeline polls this to aim prefetch windows.
+  std::vector<GroupFrontier> GroupFrontiers() const SCANSHARE_EXCLUDES(mu_);
+  size_t ActiveScanCount() const SCANSHARE_EXCLUDES(mu_);
+  /// Counters over every table.
+  SsmStats stats() const SCANSHARE_EXCLUDES(mu_);
   const SsmOptions& options() const { return options_; }
   /// The policies in force (for reports and the parity tests).
   const SharingPolicy& sharing_policy() const { return *sharing_policy_; }
@@ -235,98 +225,73 @@ class ScanSharingManager {
   /// transitions, throttle insertions, fairness-cap suppressions, regroup
   /// decisions, and scan end. With concurrent scanners the tracer must be
   /// in concurrent mode (TraceOptions::concurrent).
-  void SetTracer(obs::Tracer* tracer) SCANSHARE_EXCLUDES(registry_mu_);
+  void SetTracer(obs::Tracer* tracer) SCANSHARE_EXCLUDES(mu_);
 
  private:
-  /// One immutable generation of a table's grouping. Published via
-  /// shared_ptr swap under the table latch; never mutated after publish.
-  struct Grouping {
-    std::vector<ScanGroup> groups;
-    GroupIndex group_of;
-    uint64_t epoch = 0;  ///< Monotonic per table; 0 = "never regrouped".
-  };
-
+  /// One table's scans and grouping. Its fields are guarded by mu_, which
+  /// a nested struct's annotations cannot name; every function that
+  /// reaches a TableState requires mu_.
   struct TableState {
-    /// Table latch: serializes location updates, throttle accounting and
-    /// regroup for this table. Locked after registry_mu_ (shared), never
-    /// the other way round — and before the position board / tracer
-    /// leaves (common/lock_order.h). std::map nodes are address-stable,
-    /// so the non-movable member is fine. Declared first so the GUARDED_BY
-    /// annotations below read top-down.
-    mutable Mutex mu SCANSHARE_ACQUIRED_AFTER(lock_order::kSsmRegistry)
-        SCANSHARE_ACQUIRED_BEFORE(lock_order::kBoard, lock_order::kTracer);
-    uint32_t id SCANSHARE_GUARDED_BY(mu) = 0;  ///< Table id (trace actor).
-    std::optional<ScanCircle> circle SCANSHARE_GUARDED_BY(mu);
+    uint32_t id = 0;  ///< Table id (trace actor).
+    std::optional<ScanCircle> circle;
     /// The table's active scans, strictly sorted by CircleOrderLess. A
     /// scan moved since the last regroup keeps its old entry here until
     /// Regroup re-sorts it.
-    std::vector<ScanPoint> active SCANSHARE_GUARDED_BY(mu);
+    std::vector<ScanPoint> active;
     /// One note per location update that moved a scan since the last
     /// regroup: the scan and the position it moved from. A scan's first
     /// note is its entry in `active`.
-    std::vector<ScanPoint> moved SCANSHARE_GUARDED_BY(mu);
+    std::vector<ScanPoint> moved;
     /// Merge buffer for the re-sort, kept so a regroup allocates nothing
     /// for it: per-regroup temporary buffers raised the push_io
     /// benchmark's peak RSS by 4-10 MiB.
-    std::vector<ScanPoint> scratch SCANSHARE_GUARDED_BY(mu);
-    std::optional<sim::PageId> last_finished_pos SCANSHARE_GUARDED_BY(mu);
-    /// Current grouping snapshot; never null.
-    std::shared_ptr<const Grouping> grouping SCANSHARE_GUARDED_BY(mu) =
-        std::make_shared<const Grouping>();
-    uint32_t updates_since_regroup SCANSHARE_GUARDED_BY(mu) = 0;
-    /// This table's share of the manager's counters.
-    SsmStats stats SCANSHARE_GUARDED_BY(mu);
+    std::vector<ScanPoint> scratch;
+    std::optional<sim::PageId> last_finished_pos;
+    /// The grouping, updated in place, and its reverse index.
+    std::vector<ScanGroup> groups;
+    GroupIndex group_of;
+    uint32_t updates_since_regroup = 0;
   };
 
-  /// Recomputes groups for one table from current scan positions and
-  /// publishes them as a fresh snapshot. Caller holds the registry lock
-  /// (shared suffices) AND the table latch. `now` only stamps the trace
-  /// event.
-  void Regroup(TableState* table, sim::Micros now)
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table->mu);
+  /// Recomputes groups for one table from current scan positions. `now`
+  /// only stamps the trace event.
+  void Regroup(TableState* table, sim::Micros now) SCANSHARE_REQUIRES(mu_);
 
   /// Brings the table's active list up to date: drops the moved scans'
   /// stale entries and merges them back at their current positions, in
-  /// O(active + k log active) for k move notes. Same locking as Regroup.
-  void ResortMoved(TableState* table)
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table->mu);
+  /// O(active + k log active) for k move notes.
+  void ResortMoved(TableState* table) SCANSHARE_REQUIRES(mu_);
 
   /// Incremental grouping maintenance (SsmOptions::adaptive_regroup):
-  /// publishes a fresh snapshot with the new scan appended as a singleton
-  /// group / the ended scan spliced out of its group, in O(active) with no
-  /// sort. Neither counts as a regroup (no kRegroup event, no stats bump,
-  /// updates_since_regroup untouched) — they keep the partition invariant
-  /// exact while the *quality* of grouping waits for the next full
-  /// rebuild. Caller holds the registry lock (shared suffices) AND the
-  /// table latch; RemoveScanIncremental must run before the scan leaves
-  /// scans_ (it reads surviving members' positions).
+  /// appends the new scan as a singleton group in amortized O(1), or
+  /// splices the ended scan out of its group in O(active). Neither counts
+  /// as a regroup (no kRegroup event, no stats bump, updates_since_regroup
+  /// untouched) — they keep the partition invariant exact while the
+  /// *quality* of grouping waits for the next full rebuild.
+  /// RemoveScanIncremental must run before the scan leaves scans_ (it
+  /// reads surviving members' positions).
   void InsertScanIncremental(TableState* table, ScanId id)
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table->mu);
+      SCANSHARE_REQUIRES(mu_);
   void RemoveScanIncremental(TableState* table, ScanId id)
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table->mu);
+      SCANSHARE_REQUIRES(mu_);
 
-  /// Group containing `id` in the table's current snapshot, or nullptr.
-  /// The returned pointer lives as long as `snapshot`.
-  static const ScanGroup* FindGroup(const Grouping& snapshot, ScanId id);
+  /// Group containing `id` in the table's grouping, or nullptr.
+  static const ScanGroup* FindGroup(const TableState& table, ScanId id);
 
   /// Forward distance from the group's trailer to the member right ahead
   /// of it (0 for singletons) — input to the release-priority decision.
-  /// Caller holds the registry lock (shared) and the table latch
-  /// (positions are read).
   uint64_t SuccessorGap(const TableState& table, const ScanGroup& group) const
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
+      SCANSHARE_REQUIRES(mu_);
 
   /// Condenses `id`'s role in `group` into the policy-neutral context the
-  /// page policy advises on. Caller holds the registry lock (shared) and
-  /// the table latch.
+  /// page policy advises on.
   buffer::ReleaseContext MakeReleaseContext(ScanId id, const TableState& table,
                                             const ScanGroup& group) const
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
+      SCANSHARE_REQUIRES(mu_);
 
-  /// Audit body for one table; caller holds the registry lock (shared
-  /// suffices) and that table's latch.
+  /// Audit body for one table.
   [[nodiscard]] Status CheckTableInvariantsLocked(const TableState& table) const
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
+      SCANSHARE_REQUIRES(mu_);
   /// The part of the table audit one location update of `scan` can
   /// invalidate when it does not regroup: the scan's fairness budget, and
   /// its group's membership and roles (trailer and leader). O(group) id
@@ -334,21 +299,17 @@ class ScanSharingManager {
   /// audited in full at the next regroup, which consumes it.
   [[nodiscard]] Status CheckUpdateInvariantsLocked(const TableState& table,
                                                    const ScanState& scan) const
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
-  /// Group `g` of the table's snapshot is non-empty, its trailer/leader
+      SCANSHARE_REQUIRES(mu_);
+  /// Group `g` of the table's grouping is non-empty, its trailer/leader
   /// are its first/last member, and each of `members` is a registered scan
   /// of this table that the reverse index maps back to `g`.
   [[nodiscard]] Status CheckGroupLocked(const TableState& table, size_t g,
                                         std::span<const ScanId> members) const
-      SCANSHARE_REQUIRES_SHARED(registry_mu_) SCANSHARE_REQUIRES(table.mu);
+      SCANSHARE_REQUIRES(mu_);
   /// `scan`'s accumulated throttle wait is within its fairness budget.
   [[nodiscard]] Status CheckFairness(const ScanState& scan) const;
-  /// Full audit body; caller holds the registry lock exclusively. Takes
-  /// each table latch in turn (uncontended: the exclusive registry lock
-  /// already quiesced all scanners, but the analysis wants the capability
-  /// held where the guarded fields are read).
-  [[nodiscard]] Status CheckInvariantsLocked() const
-      SCANSHARE_REQUIRES(registry_mu_);
+  /// Full audit body.
+  [[nodiscard]] Status CheckInvariantsLocked() const SCANSHARE_REQUIRES(mu_);
 
   SsmOptions options_;
   /// The two sides of the policy seam; never null after construction.
@@ -357,22 +318,17 @@ class ScanSharingManager {
   std::shared_ptr<SharingPolicy> sharing_policy_;
   std::shared_ptr<const buffer::PagePolicy> page_policy_;
 
-  /// Registry lock; see the file comment for the protocol. First in the
-  /// SSM's lock order: always acquired before any table latch.
-  mutable SharedMutex registry_mu_
-      SCANSHARE_ACQUIRED_BEFORE(lock_order::kSsmTable);
-  ScanId next_id_ SCANSHARE_GUARDED_BY(registry_mu_) = 1;
-  /// Map structure guarded by registry_mu_; the ScanState *contents* of a
-  /// scan on table T additionally change only under T's latch, which is
-  /// what lets shared-registry holders of distinct tables mutate their own
-  /// scans concurrently (the analysis checks the container, the table
-  /// latch protocol covers the values — DESIGN.md §14.2).
-  std::unordered_map<ScanId, ScanState> scans_
-      SCANSHARE_GUARDED_BY(registry_mu_);
-  std::map<uint32_t, TableState> tables_ SCANSHARE_GUARDED_BY(registry_mu_);
-  /// Borrowed; wired per run by the engine (written under the exclusive
-  /// registry lock, read under at least a shared one on every emit path).
-  obs::Tracer* tracer_ SCANSHARE_GUARDED_BY(registry_mu_) = nullptr;
+  /// The manager's one lock, held by every public call. Policy hooks may
+  /// reach the position board, and every path may emit to the tracer,
+  /// while it is held.
+  mutable Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kSsm)
+      SCANSHARE_ACQUIRED_BEFORE(lock_order::kBoard, lock_order::kTracer);
+  ScanId next_id_ SCANSHARE_GUARDED_BY(mu_) = 1;
+  std::unordered_map<ScanId, ScanState> scans_ SCANSHARE_GUARDED_BY(mu_);
+  std::map<uint32_t, TableState> tables_ SCANSHARE_GUARDED_BY(mu_);
+  SsmStats stats_ SCANSHARE_GUARDED_BY(mu_);
+  /// Borrowed; wired per run by the engine.
+  obs::Tracer* tracer_ SCANSHARE_GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace scanshare::ssm

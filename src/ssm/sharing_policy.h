@@ -15,12 +15,10 @@
 // (no clocks, no RNG — enforced by the scanshare-policy lint rule over
 // src/ssm/policies/). Policies that need cross-call state (PBM's scan
 // trajectories) keep it behind the OnScan*/OnLocationUpdate observation
-// hooks, which the manager invokes under its locks:
-//   - OnScanStarted / OnScanEnded: registry lock held exclusively (no
-//     concurrent calls).
-//   - OnLocationUpdate: registry shared + one table latch — calls for
-//     scans of DISTINCT tables run concurrently, so hook state must be
-//     internally synchronized (ScanPositionBoard carries its own mutex).
+// hooks, which the manager invokes under its one lock: no two hook calls
+// ever overlap. State a hook shares with the buffer pool must still be
+// synchronized on its own (ScanPositionBoard carries a leaf mutex, since
+// the PBM replacer reads it under a pool partition latch).
 
 #pragma once
 

@@ -2,8 +2,10 @@
 //
 // ScanSharingManager under concurrent scanners: parallel StartScan /
 // UpdateLocation / EndScan across workers, same-scan update contention
-// (the morsel-worker pattern), and grouping-snapshot consistency — readers
-// must never observe a half-built grouping. Runs under the TSan preset.
+// (the morsel-worker pattern), and scans on distinct tables. Every public
+// call holds the manager's one lock, so a reader sees each table's
+// grouping whole, between two calls, never mid-update. Runs under the
+// TSan preset.
 
 #include "ssm/scan_sharing_manager.h"
 
@@ -64,8 +66,8 @@ TEST(ConcurrentSsmTest, ParallelScanLifecyclesKeepInvariants) {
         ASSERT_TRUE(update.ok()) << "worker " << w;
         auto advised = ssm.AdvisePriority(id);
         ASSERT_TRUE(advised.ok());
-        // Snapshot consistency: groups visible right now either contain
-        // this scan or predate it, but are always internally complete.
+        // Groups visible right now either contain this scan or predate
+        // it, but are always internally complete.
         for (const ScanGroup& group : ssm.GroupsForTable(1)) {
           ASSERT_FALSE(group.members.empty());
           ASSERT_EQ(group.trailer, group.members.front());
@@ -124,8 +126,8 @@ TEST(ConcurrentSsmTest, SameScanUpdateContention) {
 }
 
 TEST(ConcurrentSsmTest, DistinctTablesProceedIndependently) {
-  // Updates on different tables only share the registry in shared mode —
-  // they must interleave freely and keep per-table state separate.
+  // Updates on different tables serialize on the manager's lock; they
+  // must interleave in any order and keep per-table state separate.
   constexpr size_t kWorkers = 4;
   ScanSharingManager ssm(Options());
   std::atomic<uint64_t> clock{1};

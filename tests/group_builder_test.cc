@@ -185,5 +185,80 @@ TEST(GroupBuilderTest, BudgetBoundProperty) {
   }
 }
 
+// ------------------------------------------------- GroupIndex::Add
+
+TEST(GroupIndexAddTest, GrowsAcrossDoublingsFromEmpty) {
+  // From an empty index through eight doublings (2 .. 512 slots); every
+  // id added so far keeps its group after each growth.
+  GroupIndex index;
+  for (ScanId id = 1; id <= 200; ++id) {
+    index.Add(id, static_cast<size_t>(id % 7));
+    ASSERT_EQ(index.size(), id);
+    for (ScanId seen = 1; seen <= id; ++seen) {
+      ASSERT_EQ(index.Find(seen), static_cast<size_t>(seen % 7))
+          << "scan " << seen << " after adding " << id;
+    }
+  }
+  EXPECT_EQ(index.Find(201), GroupIndex::kNotFound);
+}
+
+TEST(GroupIndexAddTest, AddsAfterAssign) {
+  std::vector<ScanGroup> groups(2);
+  groups[0].members = {10, 11, 12};
+  groups[1].members = {20};
+  GroupIndex index;
+  index.Assign(groups);
+  // Appending singleton groups 2, 3, ... as an adaptive start does, past
+  // the capacity Assign chose.
+  for (ScanId id = 30; id < 60; ++id) {
+    index.Add(id, static_cast<size_t>(id - 28));
+  }
+  EXPECT_EQ(index.size(), 34u);
+  EXPECT_EQ(index.Find(10), 0u);
+  EXPECT_EQ(index.Find(11), 0u);
+  EXPECT_EQ(index.Find(12), 0u);
+  EXPECT_EQ(index.Find(20), 1u);
+  for (ScanId id = 30; id < 60; ++id) {
+    EXPECT_EQ(index.Find(id), static_cast<size_t>(id - 28));
+  }
+  // Assign starts over, whatever Add left behind.
+  index.Assign(groups);
+  EXPECT_EQ(index.size(), 4u);
+  EXPECT_EQ(index.Find(30), GroupIndex::kNotFound);
+  EXPECT_EQ(index.Find(20), 1u);
+}
+
+TEST(GroupIndexAddTest, IdAddedTwiceMapsToTheLaterGroup) {
+  GroupIndex index;
+  index.Add(7, 0);
+  index.Add(8, 1);
+  index.Add(7, 4);
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_EQ(index.Find(7), 4u);
+  EXPECT_EQ(index.Find(8), 1u);
+
+  // The same rule as Assign's for a scan listed in two groups.
+  std::vector<ScanGroup> groups(5);
+  groups[0].members = {7};
+  groups[1].members = {8};
+  groups[4].members = {7};
+  GroupIndex assigned;
+  assigned.Assign(groups);
+  EXPECT_EQ(assigned.size(), index.size());
+  EXPECT_EQ(assigned.Find(7), index.Find(7));
+}
+
+TEST(GroupIndexAddTest, FindMissesInvalidAndAbsentIds) {
+  GroupIndex index;
+  EXPECT_EQ(index.Find(kInvalidScanId), GroupIndex::kNotFound);
+  EXPECT_EQ(index.Find(1), GroupIndex::kNotFound);
+  for (ScanId id = 1; id <= 40; id += 3) index.Add(id, 0);
+  EXPECT_EQ(index.Find(kInvalidScanId), GroupIndex::kNotFound);
+  for (ScanId id = 2; id <= 40; id += 3) {
+    EXPECT_EQ(index.Find(id), GroupIndex::kNotFound) << "scan " << id;
+  }
+  EXPECT_EQ(index.Find(1'000'000), GroupIndex::kNotFound);
+}
+
 }  // namespace
 }  // namespace scanshare::ssm

@@ -265,8 +265,8 @@ TEST(GroupIndexTest, MapsEveryMemberToItsGroup) {
 // ------------------------------------------- the manager's maintained order
 
 // Seeded starts, updates and ends under adaptive_regroup, where scans move
-// several times between full regroups and starts/ends splice the snapshot.
-// After every full regroup the published groups equal the reference over
+// several times between full regroups and starts/ends splice the grouping
+// in place. After every full regroup the groups equal the reference over
 // the scans' current positions.
 TEST(GroupKernelTest, AdaptiveRegroupMatchesReferenceAfterEveryRegroup) {
   for (uint64_t seed = 0; seed < 24; ++seed) {

@@ -144,9 +144,10 @@ TEST(ScanPositionBoardTest, UpsertRefreshesAndEraseRemoves) {
 
 // Writers continuously publish/refresh/erase trajectories while readers
 // hammer NextConsumptionUs/size — the PBM deployment shape (SSM hooks
-// publish under table latches, per-partition replacers read at eviction
-// time). Run under TSan via the tsan preset; every value a reader sees
-// must be a complete published trajectory, never a torn one.
+// publish under the SSM lock, per-partition replacers read at eviction
+// time; two writers are more than the SSM ever runs at once). Run under
+// TSan via the tsan preset; every value a reader sees must be a complete
+// published trajectory, never a torn one.
 TEST(ScanPositionBoardTest, ConcurrentPublishReadHammer) {
   ScanPositionBoard board;
   constexpr int kWriters = 2;

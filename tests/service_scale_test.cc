@@ -3,15 +3,19 @@
 // admission conservation law, the cap/queue bounds, and the engine's own
 // invariants (pool + SSM CheckInvariants, audited mid-run) asserted on
 // every run — plus a wall-clock budget on the SSM's per-regroup cost at
-// 10k registered scans (the adaptive-regroup fix this layer depends on).
+// 10k registered scans (the adaptive-regroup fix this layer depends on),
+// and adaptive registration timed against legacy.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/audit.h"
 #include "service/scan_service.h"
 #include "service/service_metrics.h"
 #include "ssm/scan_sharing_manager.h"
@@ -171,6 +175,31 @@ TEST(ServiceScaleTest, TenThousandStreamsRunCleanly) {
   EXPECT_TRUE(saw_arrived);
 }
 
+// One table of 2^20 pages, big enough that scans never crowd it; the
+// regroup and registration timings below both scan it.
+constexpr uint64_t kBigTablePages = 1 << 20;
+
+ssm::ScanDescriptor BigTableScan() {
+  ssm::ScanDescriptor d;
+  d.table_id = 1;
+  d.table_first = 0;
+  d.table_end = kBigTablePages;
+  d.range_first = 0;
+  d.range_end = kBigTablePages;
+  d.estimated_pages = kBigTablePages;
+  d.estimated_duration = sim::Seconds(100);
+  return d;
+}
+
+ssm::SsmOptions GroupingOnly(bool adaptive) {
+  ssm::SsmOptions options;
+  options.bufferpool_pages = 4'096;
+  options.prefetch_extent_pages = 16;
+  options.adaptive_regroup = adaptive;
+  options.enable_throttling = false;  // Pure grouping; no throttle waits.
+  return options;
+}
+
 // Per-regroup wall budget at 10k registered scans. With adaptive_regroup
 // the full Fig.-14 rebuild runs once per ~active/8 updates, so a rebuild
 // over 10k scans must stay cheap in absolute terms — this pins the
@@ -179,23 +208,10 @@ TEST(ServiceScaleTest, TenThousandStreamsRunCleanly) {
 // behaviour it guards against was a rebuild per update, orders of
 // magnitude over it.
 TEST(ServiceScaleTest, RegroupWallTimeBoundedAtTenThousandScans) {
-  ssm::SsmOptions options;
-  options.bufferpool_pages = 4'096;
-  options.prefetch_extent_pages = 16;
-  options.adaptive_regroup = true;
-  options.enable_throttling = false;  // Pure grouping; no throttle waits.
-  ssm::ScanSharingManager ssm(options);
+  ssm::ScanSharingManager ssm(GroupingOnly(/*adaptive=*/true));
 
   constexpr size_t kScans = 10'000;
-  constexpr uint64_t kTablePages = 1 << 20;
-  ssm::ScanDescriptor d;
-  d.table_id = 1;
-  d.table_first = 0;
-  d.table_end = kTablePages;
-  d.range_first = 0;
-  d.range_end = kTablePages;
-  d.estimated_pages = kTablePages;
-  d.estimated_duration = sim::Seconds(100);
+  const ssm::ScanDescriptor d = BigTableScan();
 
   std::vector<ssm::ScanId> ids;
   ids.reserve(kScans);
@@ -214,7 +230,7 @@ TEST(ServiceScaleTest, RegroupWallTimeBoundedAtTenThousandScans) {
   for (int round = 0; round < 4; ++round) {
     for (size_t i = 0; i < 1'300; ++i) {
       ++position;
-      auto update = ssm.UpdateLocation(ids[i], position % kTablePages,
+      auto update = ssm.UpdateLocation(ids[i], position % kBigTablePages,
                                        position, ++now);
       ASSERT_TRUE(update.ok());
     }
@@ -239,6 +255,40 @@ TEST(ServiceScaleTest, RegroupWallTimeBoundedAtTenThousandScans) {
     ASSERT_TRUE(ssm.EndScan(id, ++now).ok());
   }
   EXPECT_EQ(ssm.ActiveScanCount(), 0u);
+}
+
+// Registration cost of a burst of scans on one table. An adaptive start
+// appends a singleton group and one reverse-index entry; a legacy start
+// rebuilds the table's whole grouping. So adaptive registration must take
+// no longer than legacy. Both modes run in this process, best of three
+// each, so the host's speed cancels out.
+TEST(ServiceScaleTest, AdaptiveRegistrationNoSlowerThanLegacy) {
+  if (kAuditEnabled) {
+    GTEST_SKIP() << "audit builds run a full O(scans) audit after every "
+                    "start, which swamps the difference timed here";
+  }
+  constexpr size_t kScans = 2'000;
+  const ssm::ScanDescriptor d = BigTableScan();
+  const auto best_register_seconds = [&](bool adaptive) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      ssm::ScanSharingManager ssm(GroupingOnly(adaptive));
+      sim::Micros now = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < kScans; ++i) {
+        EXPECT_TRUE(ssm.StartScan(d, ++now).ok());
+      }
+      const auto elapsed = std::chrono::steady_clock::now() - t0;
+      EXPECT_EQ(ssm.ActiveScanCount(), kScans);
+      best = std::min(best, std::chrono::duration<double>(elapsed).count());
+    }
+    return best;
+  };
+  const double legacy = best_register_seconds(false);
+  const double adaptive = best_register_seconds(true);
+  EXPECT_LE(adaptive, legacy) << "registering " << kScans << " scans took "
+                              << adaptive << " s adaptive against " << legacy
+                              << " s legacy";
 }
 
 }  // namespace

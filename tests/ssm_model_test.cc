@@ -6,9 +6,12 @@
 // starts, early terminations, one or two tables) against the real SSM and
 // checks after every operation that
 //
-//   - the SSM's incrementally maintained groups equal a from-scratch
-//     recomputation over the model's positions by the reference builder
-//     (tests/group_oracle.h, not the production kernel), and
+//   - the SSM's groups equal the model's: after every rebuild, a
+//     from-scratch recomputation over the model's positions by the
+//     reference builder (tests/group_oracle.h, not the production kernel);
+//     under adaptive_regroup, a start appends a singleton group to the
+//     model's groups and an end splices the scan out of its group,
+//     promotes the front and back members and recomputes the extent. And
 //     independently: the groups partition the live scans, members sit in
 //     circle order, the recorded extent is the trailer->leader distance,
 //     and the summed extents respect the buffer-pool merge budget of
@@ -174,7 +177,14 @@ class ModelDriver {
     scan.estimated_pages = desc.estimated_pages;
     scan.estimated_duration = desc.estimated_duration;
     scans_.emplace(scan.id, scan);
-    RegroupModel(&table);
+    if (options_.adaptive_regroup) {
+      // A singleton group at the end; no rebuild, so the update count
+      // since the last one carries on.
+      table.groups.push_back(ScanGroup{{scan.id}, scan.id, scan.id, 0});
+      table.regroup_positions[scan.id] = scan.position;
+    } else {
+      RegroupModel(&table);
+    }
   }
 
   void UpdateOne(ScanId id) {
@@ -254,7 +264,35 @@ class ModelDriver {
     const Status ended = ssm_.EndScan(id, now_);
     ASSERT_TRUE(ended.ok()) << ended.ToString();
     scans_.erase(id);
-    RegroupModel(&tables_.at(tid));
+    ModelTable& table = tables_.at(tid);
+    if (options_.adaptive_regroup) {
+      SpliceOut(&table, id);
+    } else {
+      RegroupModel(&table);
+    }
+  }
+
+  /// An adaptive end: the scan leaves its group, the group keeps the order
+  /// of the rest (or vanishes), and its ends and extent follow the
+  /// surviving members' current positions.
+  void SpliceOut(ModelTable* table, ScanId id) {
+    table->regroup_positions.erase(id);
+    for (auto g = table->groups.begin(); g != table->groups.end(); ++g) {
+      auto member = std::find(g->members.begin(), g->members.end(), id);
+      if (member == g->members.end()) continue;
+      g->members.erase(member);
+      if (g->members.empty()) {
+        table->groups.erase(g);
+        return;
+      }
+      g->trailer = g->members.front();
+      g->leader = g->members.back();
+      g->extent_pages = ScanCircle(table->first, table->end)
+                            .ForwardDistance(scans_.at(g->trailer).position,
+                                             scans_.at(g->leader).position);
+      return;
+    }
+    FAIL() << "scan " << id << " is in no model group";
   }
 
   void RegroupModel(ModelTable* table) {
@@ -355,6 +393,13 @@ TEST(SsmModelTest, RandomizedWorkloadsMatchReferenceModel) {
     options.fairness_cap = knobs.Bernoulli(0.5) ? 0.8 : 0.4;
     options.regroup_interval_updates = knobs.Bernoulli(0.8) ? 1 : 3;
     const uint32_t num_tables = 1 + static_cast<uint32_t>(knobs.Uniform(2));
+    // Incremental starts and ends, on seeds that rebuild on every update:
+    // with at most six scans the adaptive interval stays 1, so every
+    // update still gets its from-scratch check, and positions never drift
+    // from the ones the groups were built from — which keeps a splice's
+    // recomputed extent within the order, extent and budget checks.
+    options.adaptive_regroup =
+        knobs.Bernoulli(0.5) && options.regroup_interval_updates == 1;
 
     ModelDriver driver(0xABCD'1234'0000'0000ull + static_cast<uint64_t>(seed),
                        options, num_tables);

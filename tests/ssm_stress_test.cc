@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SsmStressTest,
 // both regroup modes. The partition invariants must hold at any density;
 // the extent-geometry equality additionally holds in legacy mode, where
 // every update rebuilds the grouping from live positions (in adaptive
-// mode snapshots are intentionally stale between amortized rebuilds, and
+// mode groups are intentionally stale between amortized rebuilds, and
 // the SSM's own audit likewise only checks geometry at rebuild points).
 class SsmDensityTest : public ::testing::TestWithParam<bool> {};
 

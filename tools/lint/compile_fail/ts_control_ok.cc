@@ -28,14 +28,14 @@ class Control {
     return value_;
   }
 
-  void ReadShared() SCANSHARE_EXCLUDES(registry_mu_) {
-    scanshare::ReaderLock lock(registry_mu_);
-    (void)shared_value_;
+  int ReadRegistry() const SCANSHARE_EXCLUDES(registry_mu_) {
+    scanshare::MutexLock lock(registry_mu_);
+    return registry_value_;
   }
 
-  void WriteShared() SCANSHARE_EXCLUDES(registry_mu_) {
-    scanshare::WriterLock lock(registry_mu_);
-    ++shared_value_;
+  void WriteRegistry() SCANSHARE_EXCLUDES(registry_mu_) {
+    scanshare::MutexLock lock(registry_mu_);
+    ++registry_value_;
   }
 
  private:
@@ -43,10 +43,10 @@ class Control {
 
   scanshare::Mutex mu_
       SCANSHARE_ACQUIRED_AFTER(scanshare::lock_order::kDriver);
-  scanshare::SharedMutex registry_mu_
-      SCANSHARE_ACQUIRED_BEFORE(scanshare::lock_order::kSsmTable);
+  mutable scanshare::Mutex registry_mu_
+      SCANSHARE_ACQUIRED_BEFORE(scanshare::lock_order::kSsm);
   int value_ SCANSHARE_GUARDED_BY(mu_) = 0;
-  int shared_value_ SCANSHARE_GUARDED_BY(registry_mu_) = 0;
+  int registry_value_ SCANSHARE_GUARDED_BY(registry_mu_) = 0;
 };
 
 }  // namespace
@@ -54,8 +54,8 @@ class Control {
 int main() {
   Control c;
   c.Mutate();
-  c.WriteShared();
-  c.ReadShared();
+  c.WriteRegistry();
+  (void)c.ReadRegistry();
   scanshare::buffer::ScanPositionBoard board;
   board.Upsert({/*scan_id=*/1, /*position=*/0, /*speed_pps=*/1.0,
                 /*range_first=*/0, /*range_end=*/8, /*start_page=*/0});

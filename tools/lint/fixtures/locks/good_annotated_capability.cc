@@ -14,18 +14,18 @@ class GoodRegistry {
     ++value_;
   }
 
-  void MutateShared() SCANSHARE_EXCLUDES(registry_mu_) {
-    WriterLock lock(registry_mu_);
-    ++shared_value_;
+  void MutateRegistry() SCANSHARE_EXCLUDES(registry_mu_) {
+    MutexLock lock(registry_mu_);
+    ++registry_value_;
   }
 
  private:
   Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kDriver);
   // Wrapped declaration: annotation on the continuation line is fine.
-  mutable SharedMutex registry_mu_
-      SCANSHARE_ACQUIRED_BEFORE(lock_order::kSsmTable);
+  mutable Mutex registry_mu_
+      SCANSHARE_ACQUIRED_BEFORE(lock_order::kSsm);
   int value_ SCANSHARE_GUARDED_BY(mu_) = 0;
-  int shared_value_ SCANSHARE_GUARDED_BY(registry_mu_) = 0;
+  int registry_value_ SCANSHARE_GUARDED_BY(registry_mu_) = 0;
 };
 
 }  // namespace scanshare
