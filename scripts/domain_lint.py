@@ -24,7 +24,7 @@ contracts, so this linter enforces them lexically:
              pins through PageGuard so error paths cannot leak a pin.
 
   logging    No iostream / printf-family output in src/: the library is
-             silent by default; diagnostics go through common/logging.h.
+             silent and reports every failure through the Status it returns.
              (The audit abort path in common/audit.h and the report
              printers in src/metrics are allowlisted.)
 
@@ -333,7 +333,7 @@ def check_pin(relpath, raw, code):
 # --------------------------------------------------------------------------
 # Rule: logging — silent library
 
-LOGGING_ALLOWED = ("src/common/logging.h", "src/common/audit.h")
+LOGGING_ALLOWED = ("src/common/audit.h",)
 LOGGING_PATTERNS = [
     (re.compile(r"#\s*include\s*<iostream>"), "iostream include"),
     (re.compile(r"std::(cout|cerr|clog)\b"), "stream output"),
@@ -353,7 +353,8 @@ def check_logging(relpath, raw, code):
                     continue
                 findings.append(Finding(
                     "logging", relpath, lineno,
-                    "%s in library code; use common/logging.h" % what))
+                    "%s in library code; the library is silent and "
+                    "returns a Status" % what))
     return findings
 
 

@@ -115,9 +115,8 @@ class PartitionedBufferPool final : public PageSource,
   bool IsPageCached(sim::PageId page) const override;
 
   /// Attaches a borrowed tracer to every partition. With concurrent
-  /// workers the tracer must be in concurrent mode (TraceOptions::
-  /// concurrent) — partition latches do not serialize cross-partition
-  /// emissions. If construction clamped the requested partition count, a
+  /// workers the tracer must be concurrent (obs::Tracer's constructor) —
+  /// partition latches do not serialize cross-partition emissions. If construction clamped the requested partition count, a
   /// kPartitionClamp event (timestamped 0 — the clamp predates the run)
   /// is emitted here so traced runs record the reduced sharding.
   void SetTracer(obs::Tracer* tracer);

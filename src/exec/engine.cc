@@ -87,7 +87,9 @@ StatusOr<std::unique_ptr<EngineInstance>> EngineInstance::Create(
   std::unique_ptr<EngineInstance> engine(new EngineInstance(db, config));
   EngineInstance& e = *engine;
   if (config.trace.enabled) {
-    e.tracer_ = std::make_shared<obs::Tracer>(config.trace);
+    // A caller-built pool serves concurrent workers, which all emit.
+    e.tracer_ = std::make_shared<obs::Tracer>(config.trace.capacity,
+                                              /*concurrent=*/pool == Pool::kNone);
     e.ssm_.SetTracer(e.tracer_.get());
     db->env()->disk().SetTracer(e.tracer_.get());
   }

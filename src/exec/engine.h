@@ -163,7 +163,9 @@ class EngineInstance {
  public:
   enum class Pool {
     kSequential,  ///< BufferPool + push pipeline + StreamExecutor.
-    kNone,  ///< The caller builds a pool from MakeReplacer() + tracer().
+    /// The caller builds a pool from MakeReplacer() + tracer() for
+    /// concurrent workers; the tracer is concurrent.
+    kNone,
   };
 
   /// Fails only when the file backend cannot open its table image.

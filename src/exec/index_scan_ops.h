@@ -1,18 +1,19 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// Block-index scan operators (extension layer, after the authors' VLDB
-// 2007 follow-up):
+// The block-index scan operator (extension layer, after the authors' VLDB
+// 2007 follow-up). Like the table scan, its sharing role is switched on by
+// the manager in its environment:
 //
-//  * IndexScanOp — the baseline IXSCAN over an MDC block index: visit the
-//    keys of [key_lo, key_hi] in order and each key's blocks in BID order,
-//    releasing pages at Normal priority (paper Fig. 1).
-//  * SharedIndexScanOp — the SISCAN: asks the Index Scan Sharing Manager
-//    where to start, traverses [startLoc → end key] then wraps to
-//    [start key → startLoc] (paper Fig. 3), reports its (key, block)
-//    location every block, inserts the ISM's throttle waits, and releases
-//    pages at the ISM-advised priority.
+//  * without an Index Scan Sharing Manager it is the baseline IXSCAN over
+//    an MDC block index: it visits the keys of [key_lo, key_hi] in order
+//    and each key's blocks in BID order, releasing pages at Normal
+//    priority (paper Fig. 1);
+//  * with one it is the SISCAN: it asks the ISM where to start, traverses
+//    [startLoc → end key] then wraps to [start key → startLoc] (paper
+//    Fig. 3), reports its (key, block) location every block, inserts the
+//    ISM's throttle waits, and releases pages at the ISM-advised priority.
 //
-// Both step one *block* at a time (the block is the prefetch unit of an
+// It steps one *block* at a time (the block is the prefetch unit of an
 // MDC scan), so the discrete-event executor interleaves index scans at
 // block granularity.
 
@@ -26,22 +27,19 @@
 
 namespace scanshare::exec {
 
-/// Environment for index scan operators: the table-scan ScanEnv plus the
-/// block index and (for shared scans) the ISM.
+/// Environment for the index scan operator: the table-scan ScanEnv plus
+/// the block index and, for a sharing scan, the ISM.
 struct IndexScanEnv {
-  ScanEnv base;                                       ///< pool/table/cost.
-  const storage::BlockIndex* index = nullptr;         ///< Required.
-  ssm::IndexScanSharingManager* ism = nullptr;        ///< Shared scans only.
+  ScanEnv base;                                ///< pool/table/cost (ssm unread).
+  const storage::BlockIndex* index = nullptr;  ///< Required.
+  /// Set, it makes the index scan a sharing scan; null for baseline scans.
+  ssm::IndexScanSharingManager* ism = nullptr;
 };
 
-/// Creates the baseline block-index scan cursor for `query`
-/// (query.access must be kIndexScan).
+/// Creates the block-index scan cursor for `query` (query.access must be
+/// kIndexScan): a sharing scan if env.ism is set, the baseline otherwise.
 std::unique_ptr<ScanCursor> MakeIndexScan(const IndexScanEnv& env,
                                           QuerySpec query);
-
-/// Creates the sharing block-index scan cursor (env.ism must be set).
-std::unique_ptr<ScanCursor> MakeSharedIndexScan(const IndexScanEnv& env,
-                                                QuerySpec query);
 
 /// Clamps a query's key range to the index's key domain and returns the
 /// number of blocks it covers (0 if the range misses every key).

@@ -41,13 +41,11 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
         "(RunConfig::io must stay default)");
   }
 
-  // The engine core with a concurrent-mode tracer (workers emit through the
+  // The engine core with a concurrent tracer (workers emit through the
   // pool, the SSM and the disk); each partition gets its own replacer.
-  RunConfig engine_config = config;
-  engine_config.trace.concurrent = true;
   SCANSHARE_ASSIGN_OR_RETURN(
       std::unique_ptr<EngineInstance> engine,
-      EngineInstance::Create(db, engine_config, EngineInstance::Pool::kNone));
+      EngineInstance::Create(db, config, EngineInstance::Pool::kNone));
   buffer::PartitionedBufferPoolOptions pool_options;
   pool_options.partitions = options.partitions > 0 ? options.partitions : jobs;
   pool_options.pool = config.buffer;
@@ -86,18 +84,12 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
   ssm::ScanId scan_id = ssm::kInvalidScanId;
   sim::PageId start_page = range_first;
   if (use_ssm) {
-    ssm::ScanDescriptor desc;
-    desc.table_id = table->id;
-    desc.table_first = table->first_page;
-    desc.table_end = table->end_page();
-    desc.range_first = range_first;
-    desc.range_end = range_end;
-    desc.estimated_pages = range_pages;
-    desc.estimated_duration = EstimateScanDuration(
-        *table, spec, config.cost, db->env()->disk().options(), range_pages);
-    desc.throttle_tolerance = spec.throttle_tolerance;
-    SCANSHARE_ASSIGN_OR_RETURN(ssm::StartInfo info,
-                               ssm->StartScan(desc, ticks.fetch_add(1)));
+    SCANSHARE_ASSIGN_OR_RETURN(
+        ssm::StartInfo info,
+        ssm->StartScan(DescribeTableScan(*table, spec, range_first, range_end,
+                                         config.cost,
+                                         db->env()->disk().options()),
+                       ticks.fetch_add(1)));
     scan_id = info.id;
     start_page = info.start_page;
   }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-
-#include "exec/chunk_processor.h"
 
 namespace scanshare::exec {
 
@@ -15,225 +12,153 @@ sim::PageId AlignDown(sim::PageId page, uint64_t extent) {
   return page - (page % extent);
 }
 
-/// Work shared by both scan operators: range resolution, binding,
-/// page-chunk processing with pipelined cost accounting.
-class ScanOpBase : public ScanCursor {
+/// The table scan: front-to-back at Normal priority without an SSM; with
+/// one, an SSM-placed wrap-around traversal with per-extent location
+/// updates, throttle waits and advised priorities.
+class TableScanOp final : public ScanCursor {
  public:
-  ScanOpBase(const ScanEnv& env, QuerySpec query)
-      : env_(env), query_(std::move(query)) {}
-
-  const ScanMetrics& metrics() const override { return metrics_; }
-
- protected:
-  Status BindAll() {
-    const storage::Schema& schema = env_.table->schema;
-    SCANSHARE_RETURN_IF_ERROR(query_.predicate.Bind(schema));
-    agg_ = std::make_unique<Aggregator>(query_.aggs, query_.group_by);
-    SCANSHARE_RETURN_IF_ERROR(agg_->Bind(schema));
-    ResolveScanRange(*env_.table, query_, env_.pool->prefetch_extent_pages(),
-                     &range_first_, &range_end_);
-    SCANSHARE_ASSIGN_OR_RETURN(
-        chunks_, ChunkProcessor::Create(env_.pool, env_.table, env_.cost,
-                                        query_, agg_.get(), &metrics_));
-    return Status::OK();
-  }
-
-  /// Processes pages [first, end) starting at virtual time `now`, releasing
-  /// each with `priority`. Returns elapsed virtual micros.
-  StatusOr<sim::Micros> ProcessChunk(sim::PageId first, sim::PageId end,
-                                     sim::Micros now,
-                                     buffer::PagePriority priority) {
-    return chunks_->ProcessRange(first, end, now, priority);
-  }
-
-  ScanEnv env_;
-  QuerySpec query_;
-  std::unique_ptr<Aggregator> agg_;
-  std::optional<ChunkProcessor> chunks_;
-  ScanMetrics metrics_;
-  sim::PageId range_first_ = 0;
-  sim::PageId range_end_ = 0;
-  bool open_ = false;
-  bool done_ = false;
-  bool closed_ = false;
-};
-
-// ------------------------------------------------------------- TableScanOp
-
-/// Baseline scan: front-to-back, Normal priority, no SSM interaction.
-class TableScanOp final : public ScanOpBase {
- public:
-  using ScanOpBase::ScanOpBase;
-
-  Status Open(sim::Micros now) override {
-    if (open_) return Status::FailedPrecondition("TableScanOp: already open");
-    SCANSHARE_RETURN_IF_ERROR(BindAll());
-    cursor_ = range_first_;
-    metrics_.start_time = now;
-    open_ = true;
-    return Status::OK();
-  }
-
-  StatusOr<sim::Micros> Step(sim::Micros now, bool* done) override {
-    if (!open_ || closed_) {
-      return Status::FailedPrecondition("TableScanOp: not open");
-    }
-    if (done_) {
-      *done = true;
-      return static_cast<sim::Micros>(0);
-    }
-    const uint64_t extent = env_.pool->prefetch_extent_pages();
-    const sim::PageId chunk_end =
-        std::min<sim::PageId>(AlignDown(cursor_, extent) + extent, range_end_);
-    SCANSHARE_ASSIGN_OR_RETURN(
-        sim::Micros elapsed,
-        ProcessChunk(cursor_, chunk_end, now, buffer::PagePriority::kNormal));
-    cursor_ = chunk_end;
-    if (cursor_ >= range_end_) {
-      done_ = true;
-      metrics_.end_time = now + elapsed;
-    }
-    *done = done_;
-    return elapsed;
-  }
-
-  StatusOr<QueryOutput> Close(sim::Micros now) override {
-    if (!done_) return Status::FailedPrecondition("TableScanOp: not finished");
-    if (closed_) return Status::FailedPrecondition("TableScanOp: already closed");
-    closed_ = true;
-    if (metrics_.end_time == 0) metrics_.end_time = now;
-    return agg_->Finish(metrics_.tuples_scanned);
-  }
+  TableScanOp(const ScanEnv& env, QuerySpec query)
+      : ScanCursor(env, std::move(query)) {}
 
   sim::PageId position() const override { return cursor_; }
 
  private:
-  sim::PageId cursor_ = 0;
-};
-
-// ------------------------------------------------------------ SharedScanOp
-
-/// The paper's sharing scan: SSM-placed wrap-around traversal with
-/// per-extent location updates, throttle waits, and advised priorities.
-class SharedScanOp final : public ScanOpBase {
- public:
-  using ScanOpBase::ScanOpBase;
-
-  Status Open(sim::Micros now) override {
-    if (open_) return Status::FailedPrecondition("SharedScanOp: already open");
-    if (env_.ssm == nullptr) {
-      return Status::InvalidArgument("SharedScanOp: no ScanSharingManager");
+  Status Start(sim::Micros now) override {
+    SCANSHARE_RETURN_IF_ERROR(Bind());
+    ResolveScanRange(*env_.table, query_, env_.pool->prefetch_extent_pages(),
+                     &range_first_, &range_end_);
+    start_page_ = range_first_;
+    if (env_.ssm != nullptr) {
+      SCANSHARE_ASSIGN_OR_RETURN(
+          ssm::StartInfo start,
+          env_.ssm->StartScan(
+              DescribeTableScan(*env_.table, query_, range_first_, range_end_,
+                                *env_.cost, disk_options()),
+              now));
+      ChargeManagerCall();
+      scan_id_ = start.id;
+      start_page_ = start.start_page;
     }
-    SCANSHARE_RETURN_IF_ERROR(BindAll());
-
-    ssm::ScanDescriptor desc;
-    desc.table_id = env_.table->id;
-    desc.table_first = env_.table->first_page;
-    desc.table_end = env_.table->end_page();
-    desc.range_first = range_first_;
-    desc.range_end = range_end_;
-    desc.estimated_pages = range_end_ - range_first_;
-    desc.estimated_duration = EstimateScanDuration(
-        *env_.table, query_, *env_.cost,
-        env_.disk_options != nullptr ? *env_.disk_options : sim::DiskOptions(),
-        desc.estimated_pages);
-    desc.throttle_tolerance = query_.throttle_tolerance;
-
-    SCANSHARE_ASSIGN_OR_RETURN(ssm::StartInfo start, env_.ssm->StartScan(desc, now));
-    metrics_.overhead += SsmCallCost();
-    scan_id_ = start.id;
-    start_page_ = start.start_page;
     cursor_ = start_page_;
-    phase2_ = false;
-    metrics_.start_time = now;
-    open_ = true;
     return Status::OK();
   }
 
-  StatusOr<sim::Micros> Step(sim::Micros now, bool* done) override {
-    if (!open_ || closed_) {
-      return Status::FailedPrecondition("SharedScanOp: not open");
-    }
-    if (done_) {
-      *done = true;
-      return static_cast<sim::Micros>(0);
-    }
+  StatusOr<sim::Micros> Advance(sim::Micros now) override {
     const uint64_t extent = env_.pool->prefetch_extent_pages();
-    const sim::PageId segment_end = phase2_ ? start_page_ : range_end_;
+    const sim::PageId segment_end = wrapped_ ? start_page_ : range_end_;
     const sim::PageId chunk_end =
         std::min<sim::PageId>(AlignDown(cursor_, extent) + extent, segment_end);
 
-    // Report the location *before* the chunk (paper Fig. 3: update the
-    // ISM, then release pages with the freshly advised ISM.pr()). Role
-    // assignment must reflect the pages this scan is about to read:
-    // releasing fresh pages under a stale "trailer" role would mark them
-    // Low and have them evicted before the group members behind can read
-    // them — exactly the thrash the fresh call avoids.
-    SCANSHARE_ASSIGN_OR_RETURN(
-        ssm::UpdateResult update,
-        env_.ssm->UpdateLocation(scan_id_, cursor_, metrics_.pages_scanned, now));
-    metrics_.overhead += SsmCallCost();
-    sim::Micros elapsed = SsmCallCost();
-    priority_ = update.priority;
-    if (update.wait > 0) {
-      // Throttle wait inserted inside the update call (the scan just sees
-      // a slow call), postponing the read-ahead that widens the group.
-      metrics_.throttle_wait += update.wait;
-      elapsed += update.wait;
-      // The wait ends when the update call returns: release is stamped at
-      // the insert's far edge so insert/release pair up in the timeline.
-      SCANSHARE_TRACE_EVENT(env_.tracer, obs::EventKind::kThrottleRelease,
-                            now + elapsed, scan_id_, update.wait);
+    sim::Micros elapsed = 0;
+    buffer::PagePriority priority = buffer::PagePriority::kNormal;
+    if (env_.ssm != nullptr) {
+      // Report the location *before* the chunk (paper Fig. 3: update the
+      // ISM, then release pages with the freshly advised ISM.pr()). Role
+      // assignment must reflect the pages this scan is about to read:
+      // releasing fresh pages under a stale "trailer" role would mark them
+      // Low and have them evicted before the group members behind can read
+      // them — exactly the thrash the fresh call avoids.
+      SCANSHARE_ASSIGN_OR_RETURN(
+          ssm::UpdateResult update,
+          env_.ssm->UpdateLocation(scan_id_, cursor_, metrics_.pages_scanned,
+                                   now));
+      // A throttle wait is inserted inside the update call (the scan just
+      // sees a slow call), postponing the read-ahead that widens the group.
+      elapsed = ChargeManagerCall(update.wait);
+      priority = update.priority;
+      if (update.wait > 0) {
+        // The wait ends when the update call returns: release is stamped
+        // at the insert's far edge so insert/release pair up in the
+        // timeline.
+        SCANSHARE_TRACE_EVENT(env_.tracer, obs::EventKind::kThrottleRelease,
+                              now + elapsed, scan_id_, update.wait);
+      }
     }
 
     SCANSHARE_ASSIGN_OR_RETURN(
         sim::Micros chunk_cost,
-        ProcessChunk(cursor_, chunk_end, now + elapsed, priority_));
+        chunks_->ProcessRange(cursor_, chunk_end, now + elapsed, priority));
     elapsed += chunk_cost;
     cursor_ = chunk_end;
 
-    // Segment / scan termination. Phase 2 covers [range_first, start_page).
-    if (!phase2_ && cursor_ >= range_end_) {
-      phase2_ = true;
+    // A sharing scan wraps at the range end, even when it started at the
+    // range begin; its second segment covers [range_first, start_page).
+    if (!wrapped_ && cursor_ >= range_end_ && env_.ssm != nullptr) {
+      wrapped_ = true;
       cursor_ = range_first_;
     }
-    const bool finished =
-        phase2_ && (cursor_ >= start_page_ || start_page_ == range_first_);
-
-    if (finished) {
+    if (wrapped_ ? cursor_ >= start_page_ : cursor_ >= range_end_) {
       done_ = true;
       metrics_.end_time = now + elapsed;
-      SCANSHARE_RETURN_IF_ERROR(env_.ssm->EndScan(scan_id_, metrics_.end_time));
-      metrics_.overhead += SsmCallCost();
-      elapsed += SsmCallCost();
+      if (env_.ssm != nullptr) {
+        SCANSHARE_RETURN_IF_ERROR(
+            env_.ssm->EndScan(scan_id_, metrics_.end_time));
+        elapsed += ChargeManagerCall();
+      }
     }
-    *done = done_;
     return elapsed;
   }
 
-  StatusOr<QueryOutput> Close(sim::Micros now) override {
-    if (!done_) return Status::FailedPrecondition("SharedScanOp: not finished");
-    if (closed_) return Status::FailedPrecondition("SharedScanOp: already closed");
-    closed_ = true;
-    if (metrics_.end_time == 0) metrics_.end_time = now;
-    return agg_->Finish(metrics_.tuples_scanned);
-  }
-
-  sim::PageId position() const override { return cursor_; }
-
- private:
-  sim::Micros SsmCallCost() const {
-    return static_cast<sim::Micros>(std::llround(env_.cost->ssm_call_us));
-  }
-
+  sim::PageId range_first_ = 0;
+  sim::PageId range_end_ = 0;
   ssm::ScanId scan_id_ = ssm::kInvalidScanId;
   sim::PageId start_page_ = 0;
   sim::PageId cursor_ = 0;
-  bool phase2_ = false;
-  buffer::PagePriority priority_ = buffer::PagePriority::kNormal;
+  bool wrapped_ = false;
 };
 
 }  // namespace
+
+Status ScanCursor::Open(sim::Micros now) {
+  if (open_) return Status::FailedPrecondition("scan: already open");
+  SCANSHARE_RETURN_IF_ERROR(Start(now));
+  metrics_.start_time = now;
+  if (done_) metrics_.end_time = now;
+  open_ = true;
+  return Status::OK();
+}
+
+StatusOr<sim::Micros> ScanCursor::Step(sim::Micros now, bool* done) {
+  if (!open_ || closed_) return Status::FailedPrecondition("scan: not open");
+  if (done_) {
+    *done = true;
+    return static_cast<sim::Micros>(0);
+  }
+  SCANSHARE_ASSIGN_OR_RETURN(sim::Micros elapsed, Advance(now));
+  *done = done_;
+  return elapsed;
+}
+
+StatusOr<QueryOutput> ScanCursor::Close(sim::Micros now) {
+  if (!done_) return Status::FailedPrecondition("scan: not finished");
+  if (closed_) return Status::FailedPrecondition("scan: already closed");
+  closed_ = true;
+  if (metrics_.end_time == 0) metrics_.end_time = now;
+  return agg_->Finish(metrics_.tuples_scanned);
+}
+
+Status ScanCursor::Bind() {
+  const storage::Schema& schema = env_.table->schema;
+  SCANSHARE_RETURN_IF_ERROR(query_.predicate.Bind(schema));
+  agg_ = std::make_unique<Aggregator>(query_.aggs, query_.group_by);
+  SCANSHARE_RETURN_IF_ERROR(agg_->Bind(schema));
+  SCANSHARE_ASSIGN_OR_RETURN(
+      chunks_, ChunkProcessor::Create(env_.pool, env_.table, env_.cost,
+                                      query_, agg_.get(), &metrics_));
+  return Status::OK();
+}
+
+sim::Micros ScanCursor::ChargeManagerCall(sim::Micros wait) {
+  const auto call = static_cast<sim::Micros>(std::llround(env_.cost->ssm_call_us));
+  metrics_.overhead += call;
+  metrics_.throttle_wait += wait;
+  return call + wait;
+}
+
+const sim::DiskOptions& ScanCursor::disk_options() const {
+  static const sim::DiskOptions kDefaults;
+  return env_.disk_options != nullptr ? *env_.disk_options : kDefaults;
+}
 
 void ResolveScanRange(const storage::TableInfo& table, const QuerySpec& query,
                       uint64_t extent_pages, sim::PageId* first,
@@ -279,12 +204,28 @@ sim::Micros EstimateScanDuration(const storage::TableInfo& table,
       std::llround(per_page_us * static_cast<double>(pages)));
 }
 
-std::unique_ptr<ScanCursor> MakeTableScan(const ScanEnv& env, QuerySpec query) {
-  return std::make_unique<TableScanOp>(env, std::move(query));
+ssm::ScanDescriptor DescribeTableScan(const storage::TableInfo& table,
+                                      const QuerySpec& query,
+                                      sim::PageId range_first,
+                                      sim::PageId range_end,
+                                      const CostModel& cost,
+                                      const sim::DiskOptions& disk_options) {
+  ssm::ScanDescriptor desc;
+  desc.table_id = table.id;
+  desc.table_first = table.first_page;
+  desc.table_end = table.end_page();
+  desc.range_first = range_first;
+  desc.range_end = range_end;
+  desc.estimated_pages = range_end - range_first;
+  desc.estimated_duration = EstimateScanDuration(table, query, cost,
+                                                 disk_options,
+                                                 desc.estimated_pages);
+  desc.throttle_tolerance = query.throttle_tolerance;
+  return desc;
 }
 
-std::unique_ptr<ScanCursor> MakeSharedScan(const ScanEnv& env, QuerySpec query) {
-  return std::make_unique<SharedScanOp>(env, std::move(query));
+std::unique_ptr<ScanCursor> MakeTableScan(const ScanEnv& env, QuerySpec query) {
+  return std::make_unique<TableScanOp>(env, std::move(query));
 }
 
 }  // namespace scanshare::exec

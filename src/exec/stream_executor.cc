@@ -149,17 +149,14 @@ Status StreamExecutor::Open(size_t id, sim::Micros now) {
   scan_env.ssm = shared ? ssm_ : nullptr;
   scan_env.tracer = tracer_;
   if (spec.access == AccessPath::kIndexScan) {
-    SCANSHARE_ASSIGN_OR_RETURN(const storage::BlockIndex* block_index,
-                               catalog_->GetBlockIndex(spec.table));
     IndexScanEnv index_env;
     index_env.base = scan_env;
-    index_env.index = block_index;
+    SCANSHARE_ASSIGN_OR_RETURN(index_env.index,
+                               catalog_->GetBlockIndex(spec.table));
     index_env.ism = shared ? ism_ : nullptr;
-    job.cursor = shared ? MakeSharedIndexScan(index_env, spec)
-                        : MakeIndexScan(index_env, spec);
+    job.cursor = MakeIndexScan(index_env, spec);
   } else {
-    job.cursor = shared ? MakeSharedScan(scan_env, spec)
-                        : MakeTableScan(scan_env, spec);
+    job.cursor = MakeTableScan(scan_env, spec);
   }
   SCANSHARE_RETURN_IF_ERROR(job.cursor->Open(now));
   SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kQueryBegin, now,

@@ -92,11 +92,13 @@ struct RunResult {
   io::RealIoStats real_io;
 };
 
-/// Execution mode: which scan operator (and implicitly which buffer
-/// replacement policy the caller configured) drives the run.
+/// Execution mode: whether the scans get a sharing manager (and
+/// implicitly which buffer replacement policy the caller configured). The
+/// scan operators are the same in both; the manager in their environment
+/// switches sharing on.
 enum class ScanMode {
-  kBaseline,  ///< TableScanOp; scans in isolation (vanilla engine).
-  kShared,    ///< SharedScanOp through the Scan Sharing Manager.
+  kBaseline,  ///< No manager: scans in isolation (vanilla engine).
+  kShared,    ///< Scans attach the SSM (table) or the ISM (block index).
 };
 
 class StreamExecutor;

@@ -114,29 +114,23 @@ struct TraceOptions {
   /// keeping the deterministic prefix is what makes truncated traces still
   /// comparable across runs. 1<<18 events is ~12 MiB.
   size_t capacity = size_t{1} << 18;
-
-  /// Concurrent-emitter mode: Emit serializes through an internal mutex
-  /// (with the same drop accounting). Required whenever more than one
-  /// thread can emit — the morsel-parallel executor turns this on; the
-  /// single-threaded simulator leaves it off and pays nothing.
-  bool concurrent = false;
 };
 
 /// Append-only bounded event log with per-kind counters.
 ///
 /// By default not thread-safe — like every simulation component it is
 /// confined to the run that owns it (one tracer per Database::Run, never
-/// shared). Construct from TraceOptions with `concurrent = true` to make
-/// Emit safe under multiple emitters (mutex-serialized, same drop
-/// accounting); readers (events(), count(), ...) still require emission to
-/// have quiesced.
+/// shared). A `concurrent` tracer makes Emit safe under multiple emitters
+/// (mutex-serialized, same drop accounting); the engine builds one for
+/// the morsel-parallel runner, whose workers all emit, and the
+/// single-threaded simulator pays nothing. Readers (events(), count(), ...)
+/// still require emission to have quiesced.
 class Tracer {
  public:
-  explicit Tracer(size_t capacity) : capacity_(capacity) {
+  explicit Tracer(size_t capacity, bool concurrent = false)
+      : capacity_(capacity),
+        mu_(concurrent ? std::make_unique<Mutex>() : nullptr) {
     events_.reserve(capacity);
-  }
-  explicit Tracer(const TraceOptions& options) : Tracer(options.capacity) {
-    if (options.concurrent) mu_ = std::make_unique<Mutex>();
   }
 
   /// Records one event (drop-newest once full; see TraceOptions).
@@ -204,7 +198,7 @@ class Tracer {
   std::vector<TraceEvent> events_;
   uint64_t dropped_ = 0;
   uint64_t counts_[kNumEventKinds] = {};
-  /// Present iff TraceOptions::concurrent; guards EmitLocked. Allocated
+  /// Present iff the tracer is concurrent; guards EmitLocked. Allocated
   /// (not inline) so the default single-threaded tracer stays copy-free of
   /// mutex state and the disabled path costs one null test. The ring state
   /// is *conditionally* guarded — present only in concurrent mode — which

@@ -189,19 +189,15 @@ StatusOr<IndexUpdateResult> IndexScanSharingManager::UpdateIndexScan(
   IndexScanState& scan = it->second;
   IndexState& index = indexes_.at(scan.desc.index_id);
 
-  // Windowed speed + offset advance (paper §7.1).
-  const sim::Micros dt = now - scan.last_update_at;
-  const uint64_t db = blocks_processed > scan.blocks_at_last_update
-                          ? blocks_processed - scan.blocks_at_last_update
-                          : 0;
-  if (dt > 0 && db > 0) {
-    scan.speed_bps = static_cast<double>(db) / (static_cast<double>(dt) / 1e6);
+  // Windowed speed + offset advance (paper §7.1). The offset moves by the
+  // blocks since the previous report, which the speed window may span.
+  AdvanceSpeedWindow(blocks_processed, now, &scan.speed_bps,
+                     &scan.last_update_at, &scan.blocks_at_last_update);
+  if (blocks_processed > scan.blocks_processed) {
+    scan.anchor_offset += blocks_processed - scan.blocks_processed;
   }
-  scan.anchor_offset += db;
   scan.location = location;
   scan.blocks_processed = blocks_processed;
-  scan.last_update_at = now;
-  scan.blocks_at_last_update = blocks_processed;
   ++stats_.updates;
 
   IndexUpdateResult result;

@@ -12,18 +12,14 @@
 // pages it left in the pool (paper's special case).
 //
 // The rules are free functions so every placement runs one copy of them:
-// PlacementPolicy::Choose, AbmRelevancePolicy::Place (range test and
+// GroupThrottlePolicy::Place, AbmRelevancePolicy::Place (range test and
 // extent grid under its own score) and the index-scan manager's placement
 // loop (score and range test on the block and key axes).
 
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
-#include "ssm/options.h"
-#include "ssm/scan_order.h"
 #include "ssm/scan_state.h"
 
 namespace scanshare::ssm {
@@ -54,27 +50,6 @@ struct Placement {
   sim::PageId start_page = 0;          ///< The scan's wrap point.
   ScanId joined_scan = kInvalidScanId; ///< Ongoing scan joined, if any.
   double expected_shared_pages = 0.0;  ///< Score of the chosen placement.
-};
-
-/// Pure policy: picks the start location for a new scan.
-class PlacementPolicy {
- public:
-  explicit PlacementPolicy(const SsmOptions& options) : options_(options) {}
-
-  /// Chooses a start page for a scan described by `desc` whose initial
-  /// speed estimate is `est_speed_pps`. `active` holds the states of all
-  /// ongoing scans of the same table; `total_active_scans` counts every
-  /// scan sharing the buffer pool (across tables — it scales the pool-
-  /// churn estimate of the young-candidate refinement); `last_finished_pos`
-  /// is where the most recent scan of this table ended, if any.
-  Placement Choose(const ScanDescriptor& desc, double est_speed_pps,
-                   const std::vector<const ScanState*>& active,
-                   size_t total_active_scans,
-                   std::optional<sim::PageId> last_finished_pos,
-                   const ScanCircle& circle) const;
-
- private:
-  const SsmOptions& options_;
 };
 
 }  // namespace scanshare::ssm

@@ -245,28 +245,11 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
     return Status::InvalidArgument("UpdateLocation: position off table");
   }
 
-  // Windowed speed estimate (paper: pages since last update / time since
-  // last update). Throttle waits show up as slow updates and therefore as
-  // reduced measured speed — that is intentional and matches the prototype:
-  // a throttled leader "looks" slower, which stabilizes the group.
-  //
-  // Updates landing at the same virtual timestamp (dt == 0) must keep the
-  // measurement window open: advancing pages_at_last_update here would
-  // drop those pages from every future window and permanently underestimate
-  // the speed — for a trailer that directly inflates the wait the throttle
-  // imposes on its leader.
-  const sim::Micros dt = now - scan.last_update_at;
-  const uint64_t dp =
-      pages_processed > scan.pages_at_last_update
-          ? pages_processed - scan.pages_at_last_update
-          : 0;
-  if (dt > 0 && now > scan.last_update_at) {
-    if (dp > 0) {
-      scan.speed_pps = static_cast<double>(dp) / (static_cast<double>(dt) / 1e6);
-    }
-    scan.last_update_at = now;
-    scan.pages_at_last_update = pages_processed;
-  }
+  // Throttle waits show up as slow updates and therefore as reduced
+  // measured speed — that is intentional and matches the prototype: a
+  // throttled leader "looks" slower, which stabilizes the group.
+  AdvanceSpeedWindow(pages_processed, now, &scan.speed_pps,
+                     &scan.last_update_at, &scan.pages_at_last_update);
   if (position != scan.position) {
     // The active list still files the scan under its old position; the
     // next regroup re-sorts it (ResortMoved).

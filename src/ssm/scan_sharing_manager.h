@@ -224,7 +224,7 @@ class ScanSharingManager {
   /// emits the scan-lifecycle events: admit/join, leader/trailer
   /// transitions, throttle insertions, fairness-cap suppressions, regroup
   /// decisions, and scan end. With concurrent scanners the tracer must be
-  /// in concurrent mode (TraceOptions::concurrent).
+  /// concurrent (obs::Tracer's constructor).
   void SetTracer(obs::Tracer* tracer) SCANSHARE_EXCLUDES(mu_);
 
  private:

@@ -30,6 +30,27 @@ enum class GroupRole : uint8_t {
   kInner,     ///< Mid-group member.
 };
 
+/// The windowed speed rule of both managers (paper: units processed since
+/// the last update / time since the last update). A scan that has
+/// processed `progress` units in total reports at `now`; its window opened
+/// at `*window_start` with `*window_units` processed. A report that is
+/// not later than the window start keeps the window open. Closing it at
+/// the same timestamp would drop that report's units from every later
+/// window and underestimate the speed for good. For a trailer, that
+/// inflates the wait the throttle imposes on its leader. An earlier `now`
+/// would wrap the unsigned time delta.
+inline void AdvanceSpeedWindow(uint64_t progress, sim::Micros now,
+                               double* speed, sim::Micros* window_start,
+                               uint64_t* window_units) {
+  if (now <= *window_start) return;
+  if (progress > *window_units) {
+    *speed = static_cast<double>(progress - *window_units) /
+             (static_cast<double>(now - *window_start) / 1e6);
+  }
+  *window_start = now;
+  *window_units = progress;
+}
+
 /// What a scan declares when it registers (paper: supplied by the costing
 /// component of the query compiler).
 struct ScanDescriptor {

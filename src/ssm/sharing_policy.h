@@ -1,12 +1,11 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // SSM side of the policy seam (DESIGN.md §13). A SharingPolicy makes every
-// scan-coordination decision the ScanSharingManager used to hard-wire as
-// the PlacementPolicy + GroupBuilder + ThrottleController composition:
-// where an admitted scan starts (Place), how active scans cluster into
-// leader/trailer groups (Group — the ordering decision: a group's member
-// order IS the scan order the throttle and release hints act on), and
-// whether a leader must wait (Throttle). The manager keeps everything
+// scan-coordination decision of the ScanSharingManager: where an admitted
+// scan starts (Place), how active scans cluster into leader/trailer groups
+// (Group — the ordering decision: a group's member order IS the scan order
+// the throttle and release hints act on), and whether a leader must wait
+// (Throttle). The manager keeps everything
 // else: registries, locking, stats, fairness-cap accounting, tracing and
 // audits — so rival policies compete on decisions alone, under identical
 // bookkeeping.
@@ -49,8 +48,10 @@ class SharingPolicy {
   /// Stable policy name for reports.
   virtual const char* name() const = 0;
 
-  /// Start location for a new scan (same contract as
-  /// PlacementPolicy::Choose, which the default policy delegates to).
+  /// Start location for a new scan whose initial speed estimate is
+  /// `est_speed_pps`. `active` holds the ongoing scans of its table,
+  /// `total_active_scans` counts every scan sharing the buffer pool, and
+  /// `last_finished_pos` is where the table's most recent scan ended.
   virtual Placement Place(const ScanDescriptor& desc, double est_speed_pps,
                           const std::vector<const ScanState*>& active,
                           size_t total_active_scans,

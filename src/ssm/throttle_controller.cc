@@ -52,21 +52,4 @@ ThrottleDecision ChargeFairnessBudget(ThrottleDecision decision, double budget,
   return decision;
 }
 
-ThrottleDecision ThrottleController::Decide(const ScanState& scan,
-                                            const ScanGroup& group,
-                                            const ScanState& trailer_state,
-                                            const ScanCircle& circle) const {
-  if (!options_.enable_throttling) return {};
-  if (group.size() < 2) return {};          // Nobody to wait for.
-  if (scan.id != group.leader) return {};   // Only leaders slow down.
-  if (scan.id == trailer_state.id) return {};
-  // EffectiveExtent (not the raw field) so a zero-extent config keeps the
-  // one-page quantum the alignment paths already assume.
-  const uint64_t gap =
-      circle.ForwardDistance(trailer_state.position, scan.position);
-  return LeaderWait(gap, options_.EffectiveDistanceThreshold(),
-                    options_.EffectiveExtent(), trailer_state.speed_pps,
-                    scan.throttling_exhausted, options_.max_wait_per_update);
-}
-
 }  // namespace scanshare::ssm

@@ -12,17 +12,15 @@
 // again, so no scan can be delayed indefinitely for the benefit of others.
 //
 // Both rules are free functions over a linear distance axis, so the two
-// managers run one copy of each. ThrottleController::Decide (pages, one-
-// extent quantum) and IndexScanSharingManager (blocks, one-block quantum)
-// call LeaderWait; both managers charge every decision, whatever policy
-// made it, through ChargeFairnessBudget.
+// managers run one copy of each. GroupThrottlePolicy::Throttle (pages,
+// one-extent quantum) and IndexScanSharingManager (blocks, one-block
+// quantum) call LeaderWait; both managers charge every decision, whatever
+// policy made it, through ChargeFairnessBudget.
 
 #pragma once
 
 #include <cstdint>
 
-#include "ssm/group_builder.h"
-#include "ssm/options.h"
 #include "ssm/scan_state.h"
 
 namespace scanshare::ssm {
@@ -65,21 +63,5 @@ double FairnessBudget(double fairness_cap, double tolerance,
 ThrottleDecision ChargeFairnessBudget(ThrottleDecision decision, double budget,
                                       sim::Micros* accumulated_wait,
                                       bool* exhausted);
-
-/// Pure policy object: computes waits from group geometry and speeds.
-class ThrottleController {
- public:
-  explicit ThrottleController(const SsmOptions& options) : options_(options) {}
-
-  /// Computes the wait for `scan` (the scan that just updated its location)
-  /// given its group, the group trailer's state, and the table circle.
-  /// Only group leaders are ever throttled; everyone else gets wait 0.
-  ThrottleDecision Decide(const ScanState& scan, const ScanGroup& group,
-                          const ScanState& trailer_state,
-                          const ScanCircle& circle) const;
-
- private:
-  const SsmOptions& options_;
-};
 
 }  // namespace scanshare::ssm

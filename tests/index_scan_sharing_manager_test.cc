@@ -318,6 +318,29 @@ TEST(IsmTest, UpdateUnknownScanFails) {
   EXPECT_EQ(ism.EndIndexScan(99, 0).code(), Status::Code::kNotFound);
 }
 
+// The ISM keeps the SSM's speed window: a second report at the window's
+// own timestamp (1 ms) leaves it open, so at 2 ms the speed is 10 blocks
+// over 1 ms, not the 5 blocks since the second report. The anchor offset
+// still counts every block once.
+TEST(IsmTest, SameTimestampUpdateKeepsTheSpeedWindowOpen) {
+  IndexScanSharingManager ism(TestOptions());
+  auto a = ism.StartIndexScan(Desc(), 0);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(a->id, IndexScanLocation{0, 5}, 5, sim::Millis(1))
+          .ok());
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(a->id, IndexScanLocation{1, 0}, 10, sim::Millis(1))
+          .ok());
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(a->id, IndexScanLocation{1, 5}, 15, sim::Millis(2))
+          .ok());
+  auto state = ism.GetScanState(a->id);
+  ASSERT_TRUE(state.ok());
+  EXPECT_DOUBLE_EQ(state->speed_bps, 10'000.0);
+  EXPECT_EQ(state->anchor_offset, 15u);
+}
+
 TEST(IsmTest, StatsCountLifecycle) {
   IndexScanSharingManager ism(TestOptions());
   auto a = ism.StartIndexScan(Desc(), 0);

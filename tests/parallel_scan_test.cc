@@ -2,7 +2,8 @@
 //
 // RunQueryParallel unit coverage: morsel sweep completeness (every page in
 // range visited exactly once), SSM registration/advice on the parallel
-// path, baseline mode bypassing the SSM, and input validation. The
+// path, the concurrent tracer, baseline mode bypassing the SSM, and input
+// validation. The
 // bit-identity contract itself lives in parallel_determinism_test.
 
 #include "exec/parallel_scan.h"
@@ -70,6 +71,29 @@ TEST_F(ParallelScanTest, SharedModeRegistersWithSsm) {
   EXPECT_EQ(r->ssm.scans_started, 1u);
   EXPECT_EQ(r->ssm.scans_ended, 1u);
   EXPECT_GT(r->ssm.updates, 0u);
+}
+
+TEST_F(ParallelScanTest, TracedRunGetsAConcurrentTracer) {
+  // Every worker emits through the pool, the SSM and the disk, so the
+  // engine builds the parallel run's tracer concurrent; a sequential run's
+  // tracer stays lock-free.
+  RunConfig traced = config_;
+  traced.trace.enabled = true;
+  ParallelScanOptions options;
+  options.jobs = 4;
+  auto r = RunQueryParallel(db_.get(), traced,
+                            workload::MakeQ6Like("lineitem"), options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r->trace, nullptr);
+  EXPECT_TRUE(r->trace->concurrent());
+  EXPECT_GT(r->trace->count(obs::EventKind::kPoolMiss), 0u);
+
+  StreamSpec stream;
+  stream.queries.push_back(workload::MakeQ6Like("lineitem"));
+  auto sequential = db_->Run(traced, {stream});
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+  ASSERT_NE(sequential->trace, nullptr);
+  EXPECT_FALSE(sequential->trace->concurrent());
 }
 
 TEST_F(ParallelScanTest, BaselineModeBypassesSsm) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ssm/policies/group_throttle_policy.h"
+
 namespace scanshare::ssm {
 namespace {
 
@@ -42,29 +44,29 @@ ScanState ActiveScan(ScanId id, sim::PageId pos, double pps,
 
 TEST(PlacementPolicyTest, NoScansNoHistoryStartsAtRangeBegin) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {}, 0, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {}, 0, std::nullopt, c);
   EXPECT_EQ(placement.start_page, 0u);
   EXPECT_EQ(placement.joined_scan, kInvalidScanId);
 }
 
 TEST(PlacementPolicyTest, JoinsOnlyOngoingScan) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(7, 512, 100.0, 512);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 7u);
   EXPECT_EQ(placement.start_page, 512u);  // Already extent-aligned.
 }
 
 TEST(PlacementPolicyTest, StartPageAlignedDownToExtent) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(7, 519, 100.0, 500);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
   EXPECT_EQ(placement.start_page, 512u);  // 519 aligned down to 16-grid.
 }
 
@@ -73,82 +75,82 @@ TEST(PlacementPolicyTest, ZeroExtentAlignsToSinglePages) {
   // (EffectiveExtent), not a division by zero or a surprise grid.
   SsmOptions o = DefaultOptions();
   o.prefetch_extent_pages = 0;
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(7, 519, 100.0, 500);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 7u);
   EXPECT_EQ(placement.start_page, 519u);  // Exact position: one-page grid.
 }
 
 TEST(PlacementPolicyTest, PrefersSpeedMatchedScan) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   // Both have plenty of range left; the speed-matched one wins (the
   // paper's Figure-7 "scan C beats scan A" case).
   ScanState fast = ActiveScan(1, 256, 500.0, 700);
   ScanState matched = ActiveScan(2, 512, 100.0, 450);
   auto placement =
-      p.Choose(FullTableDesc(), 100.0, {&fast, &matched}, 2, std::nullopt, c);
+      p.Place(FullTableDesc(), 100.0, {&fast, &matched}, 2, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 2u);
 }
 
 TEST(PlacementPolicyTest, PrefersScanWithMoreRemainingRange) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   // Same speeds; the one about to finish shares almost nothing (the
   // paper's Figure-7 "scan B has little remaining overlap" case).
   ScanState nearly_done = ActiveScan(1, 1000, 100.0, 16);
   ScanState fresh = ActiveScan(2, 128, 100.0, 900);
   auto placement =
-      p.Choose(FullTableDesc(), 100.0, {&nearly_done, &fresh}, 2, std::nullopt, c);
+      p.Place(FullTableDesc(), 100.0, {&nearly_done, &fresh}, 2, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 2u);
 }
 
 TEST(PlacementPolicyTest, IgnoresScansOutsideNewRange) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanDescriptor d = FullTableDesc();
   d.range_first = 512;  // New scan only covers the second half.
   d.range_end = 1024;
   d.estimated_pages = 512;
   ScanState outside = ActiveScan(1, 100, 100.0, 900);
-  auto placement = p.Choose(d, 100.0, {&outside}, 1, std::nullopt, c);
+  auto placement = p.Place(d, 100.0, {&outside}, 1, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, kInvalidScanId);
   EXPECT_EQ(placement.start_page, 512u);
 }
 
 TEST(PlacementPolicyTest, UsesLastFinishedPositionWhenIdle) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {}, 0, sim::PageId{768}, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {}, 0, sim::PageId{768}, c);
   EXPECT_EQ(placement.start_page, 768u);
   EXPECT_EQ(placement.joined_scan, kInvalidScanId);
 }
 
 TEST(PlacementPolicyTest, LastFinishedOutsideRangeIgnored) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanDescriptor d = FullTableDesc();
   d.range_first = 0;
   d.range_end = 512;
   d.estimated_pages = 512;
-  auto placement = p.Choose(d, 100.0, {}, 0, sim::PageId{768}, c);
+  auto placement = p.Place(d, 100.0, {}, 0, sim::PageId{768}, c);
   EXPECT_EQ(placement.start_page, 0u);
 }
 
 TEST(PlacementPolicyTest, SmartPlacementDisabled) {
   SsmOptions o = DefaultOptions();
   o.enable_smart_placement = false;
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(7, 512, 100.0, 512);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&a}, 1, sim::PageId{256}, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&a}, 1, sim::PageId{256}, c);
   EXPECT_EQ(placement.start_page, 0u);
   EXPECT_EQ(placement.joined_scan, kInvalidScanId);
 }
@@ -178,12 +180,12 @@ TEST(PlacementPolicyTest, SharingScoreIsSharedTimeTimesSlowerSpeed) {
 TEST(PlacementPolicyTest, YoungCandidateJoinedAtItsStart) {
   SsmOptions o = DefaultOptions();
   o.bufferpool_pages = 256;
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState young = ActiveScan(7, 192, 100.0, 800);
   young.start_page = 64;
   young.pages_processed = 128;  // 128 * 1 <= 256: everything resident.
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&young}, 1, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&young}, 1, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 7u);
   // Placed at the candidate's start: the catch-up rides buffered pages
   // and the wrap tail shrinks by the candidate's progress.
@@ -193,7 +195,7 @@ TEST(PlacementPolicyTest, YoungCandidateJoinedAtItsStart) {
 TEST(PlacementPolicyTest, YoungRefinementScalesWithActiveScanCount) {
   SsmOptions o = DefaultOptions();
   o.bufferpool_pages = 256;
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   // Same candidate progress, but three active scans churn the pool three
   // times as fast: 128 * 3 > 256, so the refinement must not fire.
@@ -203,18 +205,18 @@ TEST(PlacementPolicyTest, YoungRefinementScalesWithActiveScanCount) {
   ScanState other1 = ActiveScan(2, 700, 100.0, 300);
   ScanState other2 = ActiveScan(3, 900, 100.0, 100);
   auto placement =
-      p.Choose(FullTableDesc(), 100.0, {&cand, &other1, &other2}, 3, std::nullopt, c);
+      p.Place(FullTableDesc(), 100.0, {&cand, &other1, &other2}, 3, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 1u);
   EXPECT_EQ(placement.start_page, 192u);  // Current position, not start.
 }
 
 TEST(PlacementPolicyTest, EqualScoresBreakTiesByScanId) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(3, 256, 100.0, 400);
   ScanState b = ActiveScan(9, 512, 100.0, 400);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&b, &a}, 2, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&b, &a}, 2, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 3u);
 }
 

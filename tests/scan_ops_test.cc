@@ -5,6 +5,8 @@
 #include "buffer/buffer_pool.h"
 #include "exec/engine.h"
 #include "storage/catalog.h"
+#include "workload/mdc_gen.h"
+#include "workload/queries.h"
 
 namespace scanshare::exec {
 namespace {
@@ -108,7 +110,7 @@ TEST_F(ScanOpsTest, BaselineScanVisitsEveryPageOnce) {
 }
 
 TEST_F(ScanOpsTest, SharedScanAloneSameResult) {
-  auto cursor = MakeSharedScan(Env(true), SumQuery());
+  auto cursor = MakeTableScan(Env(true), SumQuery());
   QueryOutput out = Drive(cursor.get());
   EXPECT_DOUBLE_EQ(out.groups[0].values[0], ExpectedSum());
   EXPECT_EQ(cursor->metrics().pages_scanned, table_.num_pages);
@@ -135,7 +137,7 @@ TEST_F(ScanOpsTest, SharedScanWrapAroundCoversWholeRange) {
   ASSERT_TRUE(
       ssm_->UpdateLocation(decoy->id, mid, table_.num_pages / 2, 1000).ok());
 
-  auto cursor = MakeSharedScan(Env(true), SumQuery());
+  auto cursor = MakeTableScan(Env(true), SumQuery());
   QueryOutput out = Drive(cursor.get(), 2000);
   // Despite starting mid-table, the wrap-around covers every tuple exactly
   // once: the aggregate is identical.
@@ -196,9 +198,67 @@ TEST_F(ScanOpsTest, LifecycleErrors) {
   EXPECT_FALSE(cursor->Close(0).ok());  // Double close.
 }
 
-TEST_F(ScanOpsTest, SharedScanRequiresSsm) {
-  auto cursor = MakeSharedScan(Env(false), SumQuery());
-  EXPECT_EQ(cursor->Open(0).code(), Status::Code::kInvalidArgument);
+// Where each operator ends. The executor samples position() after every
+// step into QueryRecord::trace, so metrics::BitIdentical compares these
+// end points: a baseline scan ends where its walk stops, a sharing scan
+// wraps and ends where it started, even when that is the range begin.
+TEST(ScanEndPositionTest, EachAccessPathAndRoleEndsWhereItsWalkDoes) {
+  Database db;
+  workload::MdcOptions mdc;
+  mdc.block_pages = 4;
+  mdc.num_regions = 2;
+  mdc.days_per_key = 365;  // 7 keys.
+  auto info = workload::GenerateMdcLineitem(db.catalog(), "mdc", 20000, 7, mdc);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  auto index = db.catalog()->GetBlockIndex("mdc");
+  ASSERT_TRUE(index.ok());
+
+  StreamSpec table_stream;
+  table_stream.queries.push_back(
+      workload::MakeRangeScan("mdc", 0.25, 0.75, "range"));
+  StreamSpec index_stream;
+  index_stream.queries.push_back(workload::MakeIndexCount("mdc", 1, 4));
+
+  sim::PageId range_first = 0;
+  sim::PageId range_end = 0;
+  ResolveScanRange(*info, table_stream.queries[0], mdc.block_pages,
+                   &range_first, &range_end);
+  ASSERT_GT(range_first, info->first_page);
+  ASSERT_LT(range_end, info->end_page());
+  const std::vector<storage::BlockId> blocks = (*index)->BlockSequence(1, 4);
+  ASSERT_GE(blocks.size(), 2u);
+  auto block_page = [&](storage::BlockId bid) {
+    return info->first_page +
+           static_cast<sim::PageId>(bid) * (*index)->block_pages();
+  };
+
+  auto end_positions = [&](ScanMode mode) {
+    RunConfig config;
+    config.mode = mode;
+    config.buffer.num_frames = 24;
+    config.buffer.prefetch_extent_pages = mdc.block_pages;
+    config.record_traces = true;
+    auto run = db.Run(config, {table_stream, index_stream});
+    std::vector<sim::PageId> ends;
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    if (!run.ok()) return ends;
+    for (const StreamRecord& stream : run->streams) {
+      const std::vector<LocationSample>& trace = stream.queries[0].trace;
+      EXPECT_FALSE(trace.empty());
+      if (!trace.empty()) ends.push_back(trace.back().position);
+    }
+    return ends;
+  };
+
+  const std::vector<sim::PageId> baseline = end_positions(ScanMode::kBaseline);
+  ASSERT_EQ(baseline.size(), 2u);
+  EXPECT_EQ(baseline[0], range_end);                  // Table, no SSM.
+  EXPECT_EQ(baseline[1], block_page(blocks.back()));  // Index, no ISM.
+
+  const std::vector<sim::PageId> shared = end_positions(ScanMode::kShared);
+  ASSERT_EQ(shared.size(), 2u);
+  EXPECT_EQ(shared[0], range_first);                 // Table, SSM.
+  EXPECT_EQ(shared[1], block_page(blocks.front()));  // Index, ISM.
 }
 
 TEST_F(ScanOpsTest, MetricsSplitIoAndCpu) {

@@ -94,48 +94,6 @@ TEST(GroupThrottlePolicyTest, YoungCandidateJoinedAtItsStart) {
   EXPECT_EQ(at_pos.start_page, 288u);  // 300 aligned down to the 16-grid.
 }
 
-TEST(GroupThrottlePolicyTest, DelegatesToSeedComponents) {
-  // The default policy's three decisions must equal the seed components'
-  // outputs exactly — this is the decision-level half of the bit-identity
-  // contract (policy_parity_test pins the run-level half).
-  SsmOptions o = DefaultOptions();
-  GroupThrottlePolicy p(o);
-  PlacementPolicy placement(o);
-  ThrottleController throttle(o);
-  ScanCircle c(0, 1024);
-
-  ScanState a = ActiveScan(3, 128, 90.0, 800);
-  ScanState b = ActiveScan(5, 600, 110.0, 500);
-  const std::vector<const ScanState*> active{&a, &b};
-  const auto seam = p.Place(FullTableDesc(), 100.0, active, 2, std::nullopt, c);
-  const auto seed =
-      placement.Choose(FullTableDesc(), 100.0, active, 2, std::nullopt, c);
-  EXPECT_EQ(seam.start_page, seed.start_page);
-  EXPECT_EQ(seam.joined_scan, seed.joined_scan);
-
-  const std::vector<ScanPoint> points{{3, 128}, {5, 600}};
-  const auto groups = p.Group(points, c);
-  const auto seed_groups = BuildScanGroups(points, c, o.bufferpool_pages);
-  ASSERT_EQ(groups.size(), seed_groups.size());
-  for (size_t i = 0; i < groups.size(); ++i) {
-    EXPECT_EQ(groups[i].members, seed_groups[i].members);
-    EXPECT_EQ(groups[i].trailer, seed_groups[i].trailer);
-    EXPECT_EQ(groups[i].leader, seed_groups[i].leader);
-    EXPECT_EQ(groups[i].extent_pages, seed_groups[i].extent_pages);
-  }
-
-  ScanGroup g;
-  g.members = {3, 5};
-  g.trailer = 3;
-  g.leader = 5;
-  ScanState leader = ActiveScan(5, 600, 110.0, 500);
-  ScanState trailer = ActiveScan(3, 128, 90.0, 800);
-  const auto seam_wait = p.Throttle(leader, g, trailer, c);
-  const auto seed_wait = throttle.Decide(leader, g, trailer, c);
-  EXPECT_EQ(seam_wait.wait, seed_wait.wait);
-  EXPECT_EQ(seam_wait.gap_pages, seed_wait.gap_pages);
-}
-
 // ------------------------------------------------- AbmRelevancePolicy
 
 TEST(AbmRelevancePolicyTest, RelevanceCountsNearbyScans) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ssm/policies/group_throttle_policy.h"
+
 namespace scanshare::ssm {
 namespace {
 
@@ -39,62 +41,62 @@ TEST(ThrottleControllerTest, ZeroExtentActsAsOnePageQuantum) {
   EXPECT_EQ(o.EffectiveExtent(), 1u);
   EXPECT_EQ(o.EffectiveDistanceThreshold(), 2u);  // 2 * effective extent.
 
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 1000);
   ScanState trailer = MakeScan(1, 100, 100);
   auto g = MakeGroup({1, 2});
 
   // Gap 3 = threshold (2) + one-page hysteresis slack: not throttled.
   ScanState near_leader = MakeScan(2, 103, 100);
-  auto near_decision = tc.Decide(near_leader, g, trailer, c);
+  auto near_decision = tc.Throttle(near_leader, g, trailer, c);
   EXPECT_EQ(near_decision.wait, 0u);
   EXPECT_EQ(near_decision.gap_pages, 3u);
 
   // Gap 4 exceeds the slack: wait for the trailer to close the two excess
   // pages at 100 pages/s = 20'000 us.
   ScanState far_leader = MakeScan(2, 104, 100);
-  auto far_decision = tc.Decide(far_leader, g, trailer, c);
+  auto far_decision = tc.Throttle(far_leader, g, trailer, c);
   EXPECT_EQ(far_decision.gap_pages, 4u);
   EXPECT_EQ(far_decision.wait, 20'000u);
 }
 
 TEST(ThrottleControllerTest, SingletonNeverThrottled) {
   SsmOptions o = DefaultOptions();
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 1000);
   ScanState leader = MakeScan(1, 500, 100);
-  auto d = tc.Decide(leader, MakeGroup({1}), leader, c);
+  auto d = tc.Throttle(leader, MakeGroup({1}), leader, c);
   EXPECT_EQ(d.wait, 0u);
 }
 
 TEST(ThrottleControllerTest, NonLeaderNeverThrottled) {
   SsmOptions o = DefaultOptions();
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 1000);
   ScanState trailer = MakeScan(1, 100, 100);
   auto g = MakeGroup({1, 2});  // Leader is scan 2; the caller is the trailer.
-  auto d = tc.Decide(trailer, g, trailer, c);
+  auto d = tc.Throttle(trailer, g, trailer, c);
   EXPECT_EQ(d.wait, 0u);
 }
 
 TEST(ThrottleControllerTest, LeaderWithinThresholdNotThrottled) {
   SsmOptions o = DefaultOptions();
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 1000);
   ScanState trailer = MakeScan(1, 100, 100);
   ScanState leader = MakeScan(2, 130, 100);  // Gap 30 <= 32.
-  auto d = tc.Decide(leader, MakeGroup({1, 2}), trailer, c);
+  auto d = tc.Throttle(leader, MakeGroup({1, 2}), trailer, c);
   EXPECT_EQ(d.wait, 0u);
   EXPECT_EQ(d.gap_pages, 30u);
 }
 
 TEST(ThrottleControllerTest, LeaderBeyondThresholdWaits) {
   SsmOptions o = DefaultOptions();
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 10000);
   ScanState trailer = MakeScan(1, 100, 50.0);  // 50 pages/s.
   ScanState leader = MakeScan(2, 232, 100.0);  // Gap 132, excess 100.
-  auto d = tc.Decide(leader, MakeGroup({1, 2}), trailer, c);
+  auto d = tc.Throttle(leader, MakeGroup({1, 2}), trailer, c);
   EXPECT_EQ(d.gap_pages, 132u);
   // Excess 100 pages at trailer speed 50 pps -> 2 s.
   EXPECT_EQ(d.wait, sim::Seconds(2));
@@ -102,36 +104,36 @@ TEST(ThrottleControllerTest, LeaderBeyondThresholdWaits) {
 
 TEST(ThrottleControllerTest, WaitScalesWithTrailerSpeed) {
   SsmOptions o = DefaultOptions();
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 10000);
   ScanState slow_trailer = MakeScan(1, 0, 10.0);
   ScanState fast_trailer = MakeScan(1, 0, 1000.0);
   ScanState leader = MakeScan(2, 132, 100.0);
   auto g = MakeGroup({1, 2});
-  auto slow = tc.Decide(leader, g, slow_trailer, c);
-  auto fast = tc.Decide(leader, g, fast_trailer, c);
+  auto slow = tc.Throttle(leader, g, slow_trailer, c);
+  auto fast = tc.Throttle(leader, g, fast_trailer, c);
   EXPECT_GT(slow.wait, fast.wait);
 }
 
 TEST(ThrottleControllerTest, WaitClampedToPerUpdateMax) {
   SsmOptions o = DefaultOptions();
   o.max_wait_per_update = 1000;
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 10000);
   ScanState trailer = MakeScan(1, 0, 1.0);     // Glacial trailer.
   ScanState leader = MakeScan(2, 5000, 100.0);
-  auto d = tc.Decide(leader, MakeGroup({1, 2}), trailer, c);
+  auto d = tc.Throttle(leader, MakeGroup({1, 2}), trailer, c);
   EXPECT_EQ(d.wait, 1000u);
 }
 
 TEST(ThrottleControllerTest, ExhaustedLeaderNotThrottled) {
   SsmOptions o = DefaultOptions();
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 10000);
   ScanState trailer = MakeScan(1, 0, 50.0);
   ScanState leader = MakeScan(2, 500, 100.0);
   leader.throttling_exhausted = true;  // The paper's 80 % rule kicked in.
-  auto d = tc.Decide(leader, MakeGroup({1, 2}), trailer, c);
+  auto d = tc.Throttle(leader, MakeGroup({1, 2}), trailer, c);
   EXPECT_EQ(d.wait, 0u);
   EXPECT_TRUE(d.capped);
 }
@@ -139,22 +141,22 @@ TEST(ThrottleControllerTest, ExhaustedLeaderNotThrottled) {
 TEST(ThrottleControllerTest, DisabledByOption) {
   SsmOptions o = DefaultOptions();
   o.enable_throttling = false;
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 10000);
   ScanState trailer = MakeScan(1, 0, 50.0);
   ScanState leader = MakeScan(2, 500, 100.0);
-  auto d = tc.Decide(leader, MakeGroup({1, 2}), trailer, c);
+  auto d = tc.Throttle(leader, MakeGroup({1, 2}), trailer, c);
   EXPECT_EQ(d.wait, 0u);
 }
 
 TEST(ThrottleControllerTest, GapMeasuredAcrossWrap) {
   SsmOptions o = DefaultOptions();
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 1000);
   // Leader wrapped: trailer at 990, leader at 90 -> forward gap 100.
   ScanState trailer = MakeScan(1, 990, 100.0);
   ScanState leader = MakeScan(2, 90, 100.0);
-  auto d = tc.Decide(leader, MakeGroup({1, 2}), trailer, c);
+  auto d = tc.Throttle(leader, MakeGroup({1, 2}), trailer, c);
   EXPECT_EQ(d.gap_pages, 100u);
   EXPECT_GT(d.wait, 0u);
 }
@@ -162,11 +164,11 @@ TEST(ThrottleControllerTest, GapMeasuredAcrossWrap) {
 TEST(ThrottleControllerTest, CustomDistanceThreshold) {
   SsmOptions o = DefaultOptions();
   o.distance_threshold_pages = 200;
-  ThrottleController tc(o);
+  GroupThrottlePolicy tc(o);
   ScanCircle c(0, 10000);
   ScanState trailer = MakeScan(1, 0, 100.0);
   ScanState leader = MakeScan(2, 150, 100.0);  // Gap 150 < 200.
-  auto d = tc.Decide(leader, MakeGroup({1, 2}), trailer, c);
+  auto d = tc.Throttle(leader, MakeGroup({1, 2}), trailer, c);
   EXPECT_EQ(d.wait, 0u);
 }
 

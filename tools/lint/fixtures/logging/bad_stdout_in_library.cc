@@ -1,5 +1,5 @@
 // Fixture: direct console output in library code — every marked line
-// violates scanshare-logging. The library is silent; common/logging.h only.
+// violates scanshare-logging. The library is silent and returns a Status.
 #include <cstdio>
 #include <iostream>  // flagged: iostream include
 

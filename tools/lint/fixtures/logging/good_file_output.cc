@@ -1,14 +1,12 @@
-// Fixture: diagnostics through the logger, data through explicit FILE*
-// handles — nothing here may be flagged by scanshare-logging.
+// Fixture: data through explicit FILE* handles, failures through the
+// returned Status — nothing here may be flagged by scanshare-logging.
 #include <cstdio>
 
-#include "common/logging.h"
 #include "common/status.h"
 
 namespace scanshare::fixture {
 
 Status GoodWriteCsv(const std::string& path, double value) {
-  Logger::Log(LogLevel::kDebug, "writing csv");
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return Status::Internal("open failed");
   // Writing to an explicit file handle is data output, not console noise.
