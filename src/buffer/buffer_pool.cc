@@ -72,6 +72,7 @@ Status BufferPool::InstallInto(FrameId frame, sim::PageId page,
   }
   Frame& f = frames_[frame];
   f.data = data;
+  f.copied = src != nullptr;
   f.page = page;
   f.pin_count = initial_pins;
   MapInsert(page, frame);
@@ -294,13 +295,17 @@ Status BufferPool::CheckInvariants() const {
       return Status::Internal("audit: cached page " + std::to_string(f.page) +
                               " has its residency bit clear");
     }
-    // --- Payload: the page's store image or, for moved bytes, this
-    // frame's slab slot — never a freed pipeline buffer. ---
-    if (f.data != SlabSlot(i) && !disk_->IsPageImage(f.page, f.data)) {
-      return Status::Internal("audit: frame " + std::to_string(i) +
-                              " (page " + std::to_string(f.page) +
-                              ") points neither at the page's image nor at "
-                              "its slab slot");
+    // --- Payload: a frame that copied moved bytes points at its slab
+    // slot, every other frame at its page's store image — never at a
+    // freed pipeline buffer. ---
+    if (f.copied ? f.data != SlabSlot(i)
+                 : !disk_->IsPageImage(f.page, f.data)) {
+      return Status::Internal(
+          "audit: frame " + std::to_string(i) + " (page " +
+          std::to_string(f.page) + ") " +
+          (f.copied ? "copied moved bytes but does not point at its slab slot"
+                    : "was installed in place but does not point at the "
+                      "page's image"));
     }
     // --- Occupied frame ↔ replacer, pin-count sanity. ---
     if (!policy_->IsTracked(i)) {

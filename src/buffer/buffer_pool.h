@@ -236,6 +236,9 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   struct Frame {
     sim::PageId page = sim::kInvalidPageId;
     uint32_t pin_count = 0;
+    /// True iff InstallInto copied moved bytes into the slab slot, so
+    /// `data` must be SlabSlot; otherwise it must be the page's image.
+    bool copied = false;
     /// Read-only payload: the page's DiskManager image, or SlabSlot when a
     /// backend moved the bytes (push-file), as CheckInvariants audits.
     /// Stale while free.

@@ -7,7 +7,7 @@
 // decides per arrival whether a job runs, waits in the bounded queue, or
 // is shed. This is the regime the paper never evaluates (5 concurrent
 // streams) but a production scan service lives in: thousands of scans,
-// bursty arrivals, skewed table popularity (ROADMAP item 4).
+// bursty arrivals, skewed table popularity (DESIGN.md §16).
 //
 // Execution stays a single-threaded discrete-event simulation: the service
 // is a job source for the executor's one event loop, each admitted job a

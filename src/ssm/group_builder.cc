@@ -166,6 +166,28 @@ void GroupIndex::Add(ScanId id, size_t group) {
   slots_[i] = Slot{id, group};
 }
 
+void GroupIndex::Remove(ScanId id) {
+  if (slots_.empty() || id == kInvalidScanId) return;
+  const size_t mask = slots_.size() - 1;
+  size_t hole = Home(id);
+  while (slots_[hole].id != id) {
+    if (slots_[hole].id == kInvalidScanId) return;
+    hole = (hole + 1) & mask;
+  }
+  // Walk the rest of the probe run. An entry may fill the hole iff the
+  // hole lies on its probe path, i.e. its home is no later than the hole,
+  // cyclically; then the entry's slot becomes the hole.
+  for (size_t i = (hole + 1) & mask; slots_[i].id != kInvalidScanId;
+       i = (i + 1) & mask) {
+    if (((i - Home(slots_[i].id)) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+}
+
 size_t GroupIndex::Find(ScanId id) const {
   if (slots_.empty() || id == kInvalidScanId) return kNotFound;
   const size_t mask = slots_.size() - 1;

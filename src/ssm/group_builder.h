@@ -105,7 +105,8 @@ std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
 /// it. A flat open-addressed table (linear probing, capacity a power of
 /// two at least twice the member count). Assign refills it in place,
 /// allocating only to grow — no per-member node, no rehash; Add doubles
-/// it when half full.
+/// it when half full; Remove deletes by backward shift, leaving no
+/// tombstone.
 class GroupIndex {
  public:
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
@@ -117,6 +118,10 @@ class GroupIndex {
   /// Maps `id` to `group`, in amortized O(1). An id already indexed maps
   /// to `group` from now on, which is Assign's later-group rule.
   void Add(ScanId id, size_t group);
+
+  /// Unmaps `id` (a no-op if it is not indexed), in O(1) expected: the
+  /// entries after it in its probe run shift back over the hole.
+  void Remove(ScanId id);
 
   /// Index of the group holding `id`, or kNotFound.
   size_t Find(ScanId id) const;

@@ -198,6 +198,7 @@ void ScanSharingManager::InsertScanIncremental(TableState* table, ScanId id) {
 void ScanSharingManager::RemoveScanIncremental(TableState* table, ScanId id) {
   const size_t gi = table->group_of.Find(id);
   if (gi == GroupIndex::kNotFound) return;
+  table->group_of.Remove(id);
   ScanGroup& group = table->groups[gi];
   group.members.erase(
       std::remove(group.members.begin(), group.members.end(), id),
@@ -205,6 +206,12 @@ void ScanSharingManager::RemoveScanIncremental(TableState* table, ScanId id) {
   if (group.members.empty()) {
     table->groups.erase(table->groups.begin() +
                         static_cast<std::ptrdiff_t>(gi));
+    // Every later group moved down one index.
+    for (size_t g = gi; g < table->groups.size(); ++g) {
+      for (ScanId member : table->groups[g].members) {
+        table->group_of.Add(member, g);
+      }
+    }
   } else {
     // Member order was circle order from the old trailer; removing any
     // member preserves it relative to the surviving front member, so
@@ -218,9 +225,6 @@ void ScanSharingManager::RemoveScanIncremental(TableState* table, ScanId id) {
                                              scans_.at(group.leader).position)
             : 0;
   }
-  // Group indices shifted iff a group vanished; refilling the reverse
-  // index is O(active) either way and drops the ended scan.
-  table->group_of.Assign(table->groups);
 }
 
 const ScanGroup* ScanSharingManager::FindGroup(const TableState& table,

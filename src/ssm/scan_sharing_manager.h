@@ -264,7 +264,9 @@ class ScanSharingManager {
 
   /// Incremental grouping maintenance (SsmOptions::adaptive_regroup):
   /// appends the new scan as a singleton group in amortized O(1), or
-  /// splices the ended scan out of its group in O(active). Neither counts
+  /// splices the ended scan out of its group in O(group), plus one
+  /// re-index of the later groups' members when its group vanishes.
+  /// Neither counts
   /// as a regroup (no kRegroup event, no stats bump, updates_since_regroup
   /// untouched) — they keep the partition invariant exact while the
   /// *quality* of grouping waits for the next full rebuild.

@@ -1,6 +1,7 @@
 #include "storage/catalog.h"
 
-#include <cstring>
+#include <algorithm>
+#include <utility>
 
 namespace scanshare::storage {
 
@@ -12,10 +13,20 @@ TableBuilder::TableBuilder(Catalog* catalog, std::string name, Schema schema,
       page_size_(page_size) {}
 
 Status TableBuilder::StartNewPage() {
-  staged_pages_.emplace_back(page_size_, 0);
-  Page page(staged_pages_.back().data(), page_size_);
+  if (num_pages_ == capacity_) {
+    // One more arena as large as all before it doubles the capacity. The
+    // spare room costs no memory: the kernel faults in only written pages.
+    const uint64_t pages = std::max(capacity_, kInitialArenaPages);
+    SCANSHARE_ASSIGN_OR_RETURN(PageArena arena, PageArena::Map(pages * page_size_));
+    last_page_ = arena.data();
+    arenas_.push_back(std::move(arena));
+    capacity_ += pages;
+  } else {
+    last_page_ += page_size_;
+  }
+  ++num_pages_;
   // The final page id is assigned at Finish(); stage with the page's index.
-  return page.Init(static_cast<sim::PageId>(staged_pages_.size() - 1));
+  return LastPage().Init(num_pages_ - 1);
 }
 
 Status TableBuilder::Add(const std::vector<Value>& row) {
@@ -28,19 +39,17 @@ Status TableBuilder::AddEncoded(const uint8_t* tuple, uint16_t length) {
   if (finished_) {
     return Status::FailedPrecondition("TableBuilder: already finished");
   }
-  if (staged_pages_.empty() || force_new_page_) {
+  if (num_pages_ == 0 || force_new_page_) {
     SCANSHARE_RETURN_IF_ERROR(StartNewPage());
     force_new_page_ = false;
   }
-  Page page(staged_pages_.back().data(), page_size_);
-  auto slot = page.InsertTuple(tuple, length);
+  auto slot = LastPage().InsertTuple(tuple, length);
   if (!slot.ok()) {
     if (slot.status().code() != Status::Code::kResourceExhausted) {
       return slot.status();
     }
     SCANSHARE_RETURN_IF_ERROR(StartNewPage());
-    Page fresh(staged_pages_.back().data(), page_size_);
-    auto retry = fresh.InsertTuple(tuple, length);
+    auto retry = LastPage().InsertTuple(tuple, length);
     if (!retry.ok()) return retry.status();  // Tuple larger than a page.
   }
   ++num_tuples_;
@@ -54,8 +63,8 @@ Status TableBuilder::PadToPageMultiple(uint64_t multiple) {
   if (multiple == 0) {
     return Status::InvalidArgument("PadToPageMultiple: multiple must be positive");
   }
-  if (staged_pages_.empty()) return Status::OK();  // Nothing staged yet.
-  while (staged_pages_.size() % multiple != 0) {
+  if (num_pages_ == 0) return Status::OK();  // Nothing staged yet.
+  while (num_pages_ % multiple != 0) {
     SCANSHARE_RETURN_IF_ERROR(StartNewPage());  // Empty padding page.
   }
   // Seal the final page so the next Add opens a fresh one: rows appended
@@ -69,10 +78,11 @@ StatusOr<TableInfo> TableBuilder::Finish() {
     return Status::FailedPrecondition("TableBuilder: already finished");
   }
   finished_ = true;
-  if (staged_pages_.empty()) {
+  if (num_pages_ == 0) {
     SCANSHARE_RETURN_IF_ERROR(StartNewPage());  // Allow empty tables.
   }
-  return catalog_->RegisterLoaded(name_, schema_, staged_pages_, num_tuples_);
+  return catalog_->RegisterLoaded(name_, schema_, std::move(arenas_), num_pages_,
+                                  num_tuples_);
 }
 
 StatusOr<std::unique_ptr<TableBuilder>> Catalog::NewTableBuilder(std::string name,
@@ -84,31 +94,35 @@ StatusOr<std::unique_ptr<TableBuilder>> Catalog::NewTableBuilder(std::string nam
       this, std::move(name), std::move(schema), disk_->page_size()));
 }
 
-StatusOr<TableInfo> Catalog::RegisterLoaded(
-    std::string name, Schema schema,
-    const std::vector<std::vector<uint8_t>>& pages, uint64_t num_tuples) {
+StatusOr<TableInfo> Catalog::RegisterLoaded(std::string name, Schema schema,
+                                            std::vector<PageArena> arenas,
+                                            uint64_t num_pages,
+                                            uint64_t num_tuples) {
   if (tables_by_name_.count(name) > 0) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
-  SCANSHARE_ASSIGN_OR_RETURN(sim::PageId first,
-                             disk_->AllocateContiguous(pages.size()));
-  for (size_t i = 0; i < pages.size(); ++i) {
-    SCANSHARE_ASSIGN_OR_RETURN(uint8_t* dst, disk_->MutablePageData(first + i));
-    std::memcpy(dst, pages[i].data(), disk_->page_size());
-    Page view(dst, disk_->page_size());
-    if (!view.IsValid()) {
-      return Status::Corruption("staged page " + std::to_string(i) + " invalid");
+  const uint32_t page_size = disk_->page_size();
+  const sim::PageId first = disk_->num_pages();
+  uint64_t i = 0;
+  for (const PageArena& arena : arenas) {
+    for (size_t at = 0; at + page_size <= arena.size() && i < num_pages;
+         at += page_size, ++i) {
+      Page view(arena.data() + at, page_size);
+      if (!view.IsValid()) {
+        return Status::Corruption("staged page " + std::to_string(i) + " invalid");
+      }
+      // The staged header carries the staging index; patch in the physical id.
+      view.SetPageId(first + i);
     }
-    // The staged header carries the staging index; patch in the physical id.
-    view.SetPageId(first + i);
   }
+  SCANSHARE_RETURN_IF_ERROR(disk_->Adopt(std::move(arenas), num_pages).status());
 
   TableInfo info;
   info.id = next_id_++;
   info.name = name;
   info.schema = std::move(schema);
   info.first_page = first;
-  info.num_pages = pages.size();
+  info.num_pages = num_pages;
   info.num_tuples = num_tuples;
 
   names_by_id_[info.id] = name;

@@ -16,6 +16,7 @@
 #include "storage/block_index.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
+#include "storage/page_arena.h"
 #include "storage/schema.h"
 
 namespace scanshare::storage {
@@ -36,8 +37,9 @@ struct TableInfo {
   sim::PageId end_page() const { return first_page + num_pages; }
 };
 
-/// Accumulates rows for a table, formats slotted pages in staging memory,
-/// and flushes them to a contiguous disk range on Finish().
+/// Accumulates rows for a table and formats slotted pages straight into
+/// private PageArenas; Finish() hands them to the DiskManager as a
+/// contiguous page range, copying nothing.
 ///
 /// Obtained from Catalog::NewTableBuilder(); single use.
 class TableBuilder {
@@ -49,7 +51,7 @@ class TableBuilder {
   [[nodiscard]] Status AddEncoded(const uint8_t* tuple, uint16_t length);
 
   /// Pages staged so far (the last may still have free space).
-  uint64_t staged_pages() const { return staged_pages_.size(); }
+  uint64_t staged_pages() const { return num_pages_; }
 
   /// Closes the current page and pads with empty pages until the staged
   /// page count is a multiple of `multiple` — used by the MDC loader to
@@ -57,9 +59,10 @@ class TableBuilder {
   /// positive.
   [[nodiscard]] Status PadToPageMultiple(uint64_t multiple);
 
-  /// Allocates disk pages, writes the staged images, registers the table
-  /// with the catalog, and returns its metadata. The builder is spent
-  /// afterwards; further calls return FailedPrecondition.
+  /// Registers the table with the catalog, whose disk manager adopts the
+  /// staged pages as the next page ids, and returns its metadata. A failed
+  /// Finish adopts nothing. The builder is spent afterwards; further calls
+  /// return FailedPrecondition.
   [[nodiscard]] StatusOr<TableInfo> Finish();
 
  private:
@@ -67,13 +70,24 @@ class TableBuilder {
   TableBuilder(class Catalog* catalog, std::string name, Schema schema,
                uint32_t page_size);
 
+  /// First arena size, in pages.
+  static constexpr uint64_t kInitialArenaPages = 64;
+
   [[nodiscard]] Status StartNewPage();
+  /// The page being filled (requires a staged page).
+  Page LastPage() { return Page(last_page_, page_size_); }
 
   Catalog* catalog_;
   std::string name_;
   Schema schema_;
   uint32_t page_size_;
-  std::vector<std::vector<uint8_t>> staged_pages_;
+  // The staged pages fill arenas_ in order, each from its start; every
+  // arena but the last is full. Growing maps one more arena rather than
+  // remapping one, so a staged page never moves.
+  std::vector<PageArena> arenas_;
+  uint64_t capacity_ = 0;         // Pages arenas_ hold.
+  uint64_t num_pages_ = 0;        // Pages staged.
+  uint8_t* last_page_ = nullptr;  // The page being filled.
   uint64_t num_tuples_ = 0;
   bool finished_ = false;
   bool force_new_page_ = false;  // Set by PadToPageMultiple.
@@ -114,9 +128,13 @@ class Catalog {
 
  private:
   friend class TableBuilder;
+  /// Validates the `num_pages` pages that fill `arenas` (in the order
+  /// DiskManager::Adopt reads them), stamps each with its physical id, and
+  /// only then has the disk manager adopt them.
   [[nodiscard]] StatusOr<TableInfo> RegisterLoaded(std::string name, Schema schema,
-                                     const std::vector<std::vector<uint8_t>>& pages,
-                                     uint64_t num_tuples);
+                                                   std::vector<PageArena> arenas,
+                                                   uint64_t num_pages,
+                                                   uint64_t num_tuples);
 
   DiskManager* disk_;
   TableId next_id_ = 1;

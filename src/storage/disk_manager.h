@@ -1,13 +1,15 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// DiskManager owns the page store backing the simulated disk: a linear
-// array of page images plus an allocation cursor. Reads performed through
-// the buffer pool are charged against the sim::Disk cost model; the bulk
-// load path writes page images directly and charges nothing (experiments
-// reset disk statistics after loading anyway).
+// DiskManager owns the page store backing the simulated disk: the page
+// images, held in zero-filled anonymous mappings (PageArena) that the bulk
+// loader formatted them in, and a page-id -> image table. Reads performed
+// through the buffer
+// pool are charged against the sim::Disk cost model; the bulk load path
+// writes page images directly and charges nothing (experiments reset disk
+// statistics after loading anyway).
 //
 // Page images are stable and immutable once loaded: an image never moves
-// (growing the store keeps every existing image at its address), and only
+// (a mapping never moves, and growing the store adds mappings), and only
 // the bulk loader and test setup write one, before any pool reads it. The
 // buffer pool's pull path relies on both, pointing frames at the images
 // instead of copying them (DESIGN.md §10.3).
@@ -22,6 +24,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "sim/env.h"
+#include "storage/page_arena.h"
 
 namespace scanshare::storage {
 
@@ -38,12 +41,22 @@ class DiskManager {
   /// Default page size: 32 KiB (the paper's configuration).
   static constexpr uint32_t kDefaultPageSizeBytes = 32 * 1024;
 
-  /// Allocates `count` physically contiguous zeroed pages; returns the id of
-  /// the first. Returns InvalidArgument if `count` is zero.
+  /// Allocates `count` physically contiguous zeroed pages, one exact-size
+  /// arena; returns the id of the first. Returns InvalidArgument if `count`
+  /// is zero, ResourceExhausted if the mapping fails.
   [[nodiscard]] StatusOr<sim::PageId> AllocateContiguous(uint64_t count);
 
+  /// Takes ownership of `arenas` and appends `count` page images as the
+  /// next page ids, in place: the pages fill each arena from its start, in
+  /// order, and the last may have room to spare. Returns the id of the
+  /// first. The bulk loader's path: it formats pages into arenas and hands
+  /// them over, so nothing is copied. Returns InvalidArgument, adopting
+  /// nothing, if `count` is zero or the arenas hold fewer pages.
+  [[nodiscard]] StatusOr<sim::PageId> Adopt(std::vector<PageArena> arenas,
+                                            uint64_t count);
+
   /// Number of pages allocated so far.
-  uint64_t num_pages() const { return num_pages_; }
+  uint64_t num_pages() const { return images_.size(); }
 
   /// Page size in bytes.
   uint32_t page_size() const { return page_size_; }
@@ -61,7 +74,7 @@ class DiskManager {
   /// True iff `data` is `page`'s image. Bypasses the media-fault shim, so
   /// an auditor can ask without moving page_data_faults_injected().
   bool IsPageImage(sim::PageId page, const uint8_t* data) const {
-    return page < num_pages_ && store_[page].data() == data;
+    return page < images_.size() && images_[page] == data;
   }
 
   /// Issues a charged read of `count` contiguous pages starting at `first`
@@ -102,10 +115,11 @@ class DiskManager {
  private:
   sim::Env* env_;
   uint32_t page_size_;
-  uint64_t num_pages_ = 0;
-  // One flat byte vector per page: growing the outer vector moves the
-  // inner vectors, never their buffers, so every image keeps its address.
-  std::vector<std::vector<uint8_t>> store_;
+  // The mappings the images live in. Moving an arena moves its handle,
+  // never its region, so growing this vector keeps every image in place.
+  std::vector<PageArena> arenas_;
+  // Page id -> image, pointing into arenas_.
+  std::vector<uint8_t*> images_;
   // PageData media-fault range (tests only); kInvalidPageId = disarmed.
   // Armed in single-threaded test setup, read concurrently — not guarded
   // (DESIGN.md §14.3 documents the phase discipline).

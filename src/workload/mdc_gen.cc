@@ -45,13 +45,14 @@ StatusOr<storage::TableInfo> GenerateMdcLineitem(storage::Catalog* catalog,
   Schema schema = MdcLineitemSchema();
   Rng rng(seed);
 
-  // Generate rows and bucket them by clustering cell (region, timekey).
-  // The row *contents* are generated in a single deterministic stream;
-  // only their physical placement is clustered.
+  // Generate rows and bucket them by clustering cell (region, timekey),
+  // appending each row's bytes to its cell's one flat buffer. The row
+  // *contents* are generated in a single deterministic stream; only their
+  // physical placement is clustered.
   const int64_t num_keys = MdcNumTimeKeys(options);
   const size_t num_cells =
       static_cast<size_t>(options.num_regions) * static_cast<size_t>(num_keys);
-  std::vector<std::vector<std::vector<uint8_t>>> cells(num_cells);
+  std::vector<std::vector<uint8_t>> cells(num_cells);
 
   static const char kFlags[3] = {'A', 'N', 'R'};
   static const char kStatus[2] = {'O', 'F'};
@@ -89,7 +90,7 @@ StatusOr<storage::TableInfo> GenerateMdcLineitem(storage::Catalog* catalog,
 
     const size_t cell = static_cast<size_t>(region) * static_cast<size_t>(num_keys) +
                         static_cast<size_t>(timekey);
-    cells[cell].push_back(tuple);
+    cells[cell].insert(cells[cell].end(), tuple.begin(), tuple.end());
   }
 
   // Load region-major: every cell starts on a block boundary, so each
@@ -103,9 +104,9 @@ StatusOr<storage::TableInfo> GenerateMdcLineitem(storage::Catalog* catalog,
       if (cells[cell].empty()) continue;
       SCANSHARE_RETURN_IF_ERROR(builder->PadToPageMultiple(options.block_pages));
       const uint64_t first_block = builder->staged_pages() / options.block_pages;
-      for (const auto& row : cells[cell]) {
+      for (size_t at = 0; at < cells[cell].size(); at += tuple.size()) {
         SCANSHARE_RETURN_IF_ERROR(builder->AddEncoded(
-            row.data(), static_cast<uint16_t>(row.size())));
+            cells[cell].data() + at, static_cast<uint16_t>(tuple.size())));
       }
       SCANSHARE_RETURN_IF_ERROR(builder->PadToPageMultiple(options.block_pages));
       const uint64_t end_block = builder->staged_pages() / options.block_pages;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "workload/mdc_gen.h"
+
 namespace scanshare::storage {
 namespace {
 
@@ -99,6 +103,76 @@ TEST_F(CatalogTest, TupleContentRoundTripsThroughLoad) {
     }
   }
   EXPECT_EQ(expected, 997);
+}
+
+// Frames alias page images, so an image must keep its address while
+// later tables load and allocations grow the store.
+TEST_F(CatalogTest, ImagesKeepTheirAddressesAsTheStoreGrows) {
+  auto t1 = LoadTable("t1", 5000);
+  ASSERT_TRUE(t1.ok());
+  std::vector<const uint8_t*> images;
+  for (sim::PageId p = t1->first_page; p < t1->end_page(); ++p) {
+    images.push_back(*dm_.PageData(p));
+  }
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(LoadTable("more" + std::to_string(i), 3000 * (i + 1)).ok());
+    ASSERT_TRUE(dm_.AllocateContiguous(17).ok());
+  }
+  for (sim::PageId p = t1->first_page; p < t1->end_page(); ++p) {
+    EXPECT_EQ(*dm_.PageData(p), images[p - t1->first_page]) << "page " << p;
+    EXPECT_TRUE(dm_.IsPageImage(p, images[p - t1->first_page])) << "page " << p;
+    EXPECT_EQ(PageView(images[p - t1->first_page], dm_.page_size()).page_id(), p);
+  }
+}
+
+// A Finish that fails adopts nothing: the store keeps its size, and the
+// next table loads right where the failed one would have.
+TEST_F(CatalogTest, FailedFinishAdoptsNothing) {
+  auto first = catalog_.NewTableBuilder("dup", SmallSchema());
+  auto second = catalog_.NewTableBuilder("dup", SmallSchema());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE((*second)->Add({Value::Int64(i), Value::Double(0.0)}).ok());
+  }
+  ASSERT_TRUE((*first)->Add({Value::Int64(1), Value::Double(1.0)}).ok());
+  ASSERT_TRUE((*first)->Finish().ok());
+  const uint64_t pages = dm_.num_pages();
+  EXPECT_EQ((*second)->Finish().status().code(), Status::Code::kAlreadyExists);
+  EXPECT_EQ(dm_.num_pages(), pages);
+  EXPECT_EQ(catalog_.TotalTablePages(), pages);
+  auto next = LoadTable("next", 10);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->first_page, pages);
+}
+
+// An MDC table pads each clustering cell to whole blocks. The padding
+// pages are never written past their header, yet each reads back as a
+// valid, empty page stamped with its physical id.
+TEST_F(CatalogTest, MdcPaddingPagesAreValidEmptyAndCarryPhysicalIds) {
+  workload::MdcOptions options;
+  options.block_pages = 4;
+  options.days_per_key = 360;
+  auto info = workload::GenerateMdcLineitem(
+      &catalog_, "mdc", workload::MdcLineitemRowsForPages(24), 7, options);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->num_pages % options.block_pages, 0u);
+  uint64_t tuples = 0;
+  uint64_t empty = 0;
+  for (sim::PageId p = info->first_page; p < info->end_page(); ++p) {
+    auto data = dm_.PageData(p);
+    ASSERT_TRUE(data.ok());
+    PageView page(*data, dm_.page_size());
+    ASSERT_TRUE(page.IsValid()) << "page " << p;
+    EXPECT_EQ(page.page_id(), p);
+    if (page.tuple_count() == 0) {
+      ++empty;
+      EXPECT_EQ(page.free_space(), dm_.page_size() - 24u - 4u) << "page " << p;
+    }
+    tuples += page.tuple_count();
+  }
+  EXPECT_EQ(tuples, info->num_tuples);
+  EXPECT_GT(empty, 0u) << "the layout produced no padding page";
 }
 
 TEST_F(CatalogTest, EmptyTableGetsOnePage) {

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "testutil.h"
@@ -69,6 +70,92 @@ TEST(DiskManagerTest, PageDataStableAcrossGrowth) {
     EXPECT_EQ(*dm.PageData(p), before[p]) << "page " << p;
     EXPECT_TRUE(dm.IsPageImage(p, before[p])) << "page " << p;
   }
+}
+
+// The loader's path: adopted arenas' pages become the next ids where they
+// lie, filling each arena from its start, and later growth — adopted or
+// allocated — moves none of them.
+std::vector<PageArena> Arenas(std::initializer_list<size_t> pages) {
+  std::vector<PageArena> arenas;
+  for (size_t n : pages) {
+    auto arena = PageArena::Map(n * 4096);
+    EXPECT_TRUE(arena.ok());
+    arenas.push_back(std::move(*arena));
+  }
+  return arenas;
+}
+
+TEST(DiskManagerTest, AdoptKeepsImagesInPlaceAcrossGrowth) {
+  sim::Env env;
+  DiskManager dm(&env, 4096);
+  ASSERT_TRUE(dm.AllocateContiguous(4).ok());
+  std::vector<PageArena> arenas = Arenas({2, 3});
+  uint8_t* a = arenas[0].data();
+  uint8_t* b = arenas[1].data();
+  b[4096 + 7] = 0xAB;
+  // Four pages: both of the first arena's, then two of the second's; its
+  // third page stays unaddressable.
+  auto first = dm.Adopt(std::move(arenas), 4);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, 4u);
+  EXPECT_EQ(dm.num_pages(), 8u);
+  EXPECT_EQ(*dm.PageData(4), a);
+  EXPECT_EQ(*dm.PageData(5), a + 4096);
+  EXPECT_EQ(*dm.PageData(6), b);
+  EXPECT_EQ(*dm.PageData(7), b + 4096);
+  EXPECT_EQ((*dm.PageData(7))[7], 0xAB);
+  EXPECT_EQ(dm.PageData(8).status().code(), Status::Code::kOutOfRange);
+
+  std::vector<const uint8_t*> before;
+  for (sim::PageId p = 0; p < 8; ++p) before.push_back(*dm.PageData(p));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(dm.AllocateContiguous(64).ok());
+    ASSERT_TRUE(dm.Adopt(Arenas({16}), 16).ok());
+  }
+  EXPECT_EQ(dm.num_pages(), 8u + 8 * (64 + 16));
+  for (sim::PageId p = 0; p < 8; ++p) {
+    EXPECT_EQ(*dm.PageData(p), before[p]) << "page " << p;
+    EXPECT_TRUE(dm.IsPageImage(p, before[p])) << "page " << p;
+  }
+  EXPECT_EQ((*dm.PageData(7))[7], 0xAB);
+}
+
+TEST(DiskManagerTest, AdoptRejectsZeroPagesAndShortArenas) {
+  sim::Env env;
+  DiskManager dm(&env, 4096);
+  ASSERT_TRUE(dm.AllocateContiguous(2).ok());
+  EXPECT_EQ(dm.Adopt(Arenas({2, 1}), 4).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(dm.Adopt(Arenas({1}), 0).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(dm.Adopt({}, 1).status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(dm.num_pages(), 2u);
+}
+
+TEST(PageArenaTest, MapsZeroFilledMemory) {
+  EXPECT_EQ(PageArena::Map(0).status().code(), Status::Code::kInvalidArgument);
+  auto arena = PageArena::Map(3 * 4096);
+  ASSERT_TRUE(arena.ok());
+  ASSERT_NE(arena->data(), nullptr);
+  EXPECT_EQ(arena->size(), 3u * 4096);
+  for (size_t i = 0; i < arena->size(); ++i) ASSERT_EQ(arena->data()[i], 0);
+}
+
+TEST(PageArenaTest, MoveHandsOverTheMapping) {
+  auto mapped = PageArena::Map(4096);
+  ASSERT_TRUE(mapped.ok());
+  uint8_t* region = mapped->data();
+  PageArena a(std::move(*mapped));
+  EXPECT_EQ(mapped->data(), nullptr);
+  EXPECT_EQ(mapped->size(), 0u);
+  EXPECT_EQ(a.data(), region);
+  PageArena b;
+  b = std::move(a);
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(b.data(), region);
+  EXPECT_EQ(b.size(), 4096u);
+  region[10] = 1;  // Still mapped.
+  EXPECT_EQ(b.data()[10], 1);
 }
 
 // IsPageImage is the auditor's question: it names exactly one page's

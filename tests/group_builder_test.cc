@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
+
+#include "common/random.h"
 
 namespace scanshare::ssm {
 namespace {
@@ -258,6 +261,97 @@ TEST(GroupIndexAddTest, FindMissesInvalidAndAbsentIds) {
     EXPECT_EQ(index.Find(id), GroupIndex::kNotFound) << "scan " << id;
   }
   EXPECT_EQ(index.Find(1'000'000), GroupIndex::kNotFound);
+}
+
+// ---------------------------------------------- GroupIndex::Remove
+
+// The first `n` ids whose home is `slot` in an 8-slot table. This repeats
+// GroupIndex's Fibonacci hash so that a test can lay out a probe run that
+// wraps past the last slot.
+std::vector<ScanId> IdsHomingOnSlotOfEight(size_t slot, size_t n) {
+  std::vector<ScanId> ids;
+  for (ScanId id = 1; ids.size() < n; ++id) {
+    if (((id * 0x9E3779B97F4A7C15ull) >> 61) == slot) ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(GroupIndexRemoveTest, BackwardShiftRepairsAProbeRunThatWraps) {
+  // Four entries keep the table at eight slots. Three ids home on slot 7
+  // and one on slot 1, so the run fills slots 7, 0, 1 and 2: it wraps, and
+  // every entry after the first sits past its home. Removing any one must
+  // leave every other findable, which takes comparing homes cyclically:
+  // an entry homed on slot 7 sitting in slot 1 may fill a hole in slot 0.
+  std::vector<ScanId> ids = IdsHomingOnSlotOfEight(7, 3);
+  ids.push_back(IdsHomingOnSlotOfEight(1, 1)[0]);
+  for (size_t victim = 0; victim < ids.size(); ++victim) {
+    GroupIndex index;
+    for (size_t i = 0; i < ids.size(); ++i) index.Add(ids[i], i);
+    index.Remove(ids[victim]);
+    EXPECT_EQ(index.size(), ids.size() - 1);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(index.Find(ids[i]), i == victim ? GroupIndex::kNotFound : i)
+          << "removed scan " << ids[victim] << ", looked up scan " << ids[i];
+    }
+    index.Add(ids[victim], 9);  // The freed slot takes an entry again.
+    EXPECT_EQ(index.Find(ids[victim]), 9u);
+    EXPECT_EQ(index.size(), ids.size());
+  }
+}
+
+TEST(GroupIndexRemoveTest, RemovingAnAbsentIdIsANoOp) {
+  GroupIndex index;
+  index.Remove(5);
+  index.Remove(kInvalidScanId);
+  EXPECT_EQ(index.size(), 0u);
+  index.Add(5, 2);
+  index.Remove(6);
+  index.Remove(kInvalidScanId);
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(index.Find(5), 2u);
+  index.Remove(5);
+  index.Remove(5);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Find(5), GroupIndex::kNotFound);
+}
+
+TEST(GroupIndexRemoveTest, MatchesAHashMapUnderRandomAddRemoveFind) {
+  // A small id universe keeps the table small and its probe runs long, so
+  // runs wrap past the last slot often.
+  constexpr ScanId kIds = 40;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    GroupIndex index;
+    std::unordered_map<ScanId, size_t> model;
+    for (int op = 0; op < 3'000; ++op) {
+      const ScanId id = 1 + rng.Uniform(kIds);
+      switch (rng.Uniform(3)) {
+        case 0: {
+          const size_t group = rng.Uniform(16);
+          index.Add(id, group);
+          model[id] = group;
+          break;
+        }
+        case 1:
+          index.Remove(id);
+          model.erase(id);
+          break;
+        default: {
+          const auto it = model.find(id);
+          ASSERT_EQ(index.Find(id),
+                    it == model.end() ? GroupIndex::kNotFound : it->second)
+              << "seed " << seed << ", op " << op << ", scan " << id;
+        }
+      }
+      ASSERT_EQ(index.size(), model.size()) << "seed " << seed << ", op " << op;
+    }
+    for (ScanId id = 1; id <= kIds; ++id) {
+      const auto it = model.find(id);
+      EXPECT_EQ(index.Find(id),
+                it == model.end() ? GroupIndex::kNotFound : it->second)
+          << "seed " << seed << ", scan " << id;
+    }
+  }
 }
 
 }  // namespace
