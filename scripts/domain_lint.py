@@ -32,19 +32,21 @@ contracts, so this linter enforces them lexically:
              `return` — an audit the function returns past is an audit
              that never runs on the path it was meant to police.
 
-  threads    Thread confinement: the simulator core is single-threaded
-             by design (that is what makes it deterministic). Concurrency
-             primitives are confined to the explicitly concurrent-by-design
-             subsystems in THREADS_ALLOWED: common/thread_pool.{h,cc}, the
-             latch-partitioned buffer pool, the concurrent SSM, the
-             morsel-parallel scan driver, the tracer's concurrent mode,
-             and the DiskManager I/O latch. Everything else must not
-             include <thread>/<mutex>/<atomic>/<condition_variable>/
-             <future> or name the std types — a stray mutex elsewhere in
-             the engine would mean simulation state is shared across runs,
-             which breaks the parallel driver's bit-identity contract.
-             Harness code (bench/, tests/) may use threads freely; it sits
-             above the simulator.
+  threads    Thread confinement: every simulation decision is made on
+             the event-loop thread (that is what makes a run
+             deterministic). Concurrency primitives are confined to the
+             explicitly concurrent-by-design subsystems in THREADS_ALLOWED:
+             common/thread_pool.{h,cc}, the latch-partitioned buffer pool,
+             the concurrent SSM, the morsel-parallel scan driver, the
+             tracer's concurrent mode, the DiskManager I/O latch, the push
+             I/O pipeline, and kernel run-ahead, whose workers run only the
+             pure tuple kernel over immutable page images. Everything else
+             must not include <thread>/<mutex>/<atomic>/
+             <condition_variable>/<future> or name the std types — a stray
+             mutex elsewhere in the engine would mean simulation state is
+             shared across threads or runs, which breaks the parallel
+             driver's bit-identity contract. Harness code (bench/, tests/)
+             may use threads freely; it sits above the simulator.
 
   policy     Policy purity: implementations under src/ssm/policies/ and
              src/buffer/policies/ are pure decision functions of the state
@@ -402,7 +404,10 @@ def check_auditflow(relpath, raw, code):
 # convenience: these files implement the intra-query parallelism layer
 # (latch-partitioned pool, concurrent SSM, morsel driver) or its direct
 # dependencies (thread pool, concurrent tracer mode, DiskManager I/O
-# latch). Everything else in src/ stays single-threaded per run.
+# latch), the push I/O pipeline, or kernel run-ahead. Every simulation
+# decision stays on the event-loop thread; run-ahead workers run only the
+# pure tuple kernel over immutable page images, and everything else in
+# src/ is touched by that one thread per run.
 
 THREADS_ALLOWED = (
     "src/common/thread_pool.h",
@@ -434,6 +439,10 @@ THREADS_ALLOWED = (
     "src/io/file_backend.cc",
     "src/io/prefetcher.h",
     "src/io/prefetcher.cc",
+    # Kernel run-ahead (DESIGN.md §10.4): workers run each scan's pure
+    # tuple kernel over immutable page images; the turn lock is a leaf.
+    "src/exec/kernel_runahead.h",
+    "src/exec/kernel_runahead.cc",
 )
 THREADS_PATTERNS = [
     (re.compile(r"#\s*include\s*<(thread|mutex|shared_mutex|atomic|"

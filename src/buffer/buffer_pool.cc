@@ -185,6 +185,7 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
   SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kPoolMiss, now, /*actor=*/0,
                         page, end - first);
   if (!ext.bytes.ok()) {
+    if (ext.data != nullptr) pipeline_->Recycle(std::move(ext.data));
     ReturnFrames(acquired, 0);
     SCANSHARE_AUDIT_OK(CheckInvariants());
     return ext.bytes;
@@ -192,7 +193,7 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
 
   // One install loop for every source. A null buffer means each page is
   // the store's image (pull, and push-sim's in-place extents); otherwise
-  // the backend moved the bytes into a buffer that dies with `ext`.
+  // the backend moved the bytes into a buffer the pipeline takes back.
   const uint8_t* buffer = ext.data.get();
   const uint32_t page_bytes = disk_->page_size();
   const auto src = [&](sim::PageId p) -> const uint8_t* {
@@ -211,6 +212,8 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
     }
   }
   installing_ = false;
+  // The pages are copied out: the buffer goes back for the next read.
+  if (ext.data != nullptr) pipeline_->Recycle(std::move(ext.data));
   if (!st.ok()) {
     // A page image failed mid-extent. Pages already installed stay cached
     // (they are valid), but the fetch as a whole failed, so the demanded

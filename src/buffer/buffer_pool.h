@@ -223,6 +223,9 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// Bytes per frame (mirrors the disk page size).
   uint32_t page_size() const override { return disk_->page_size(); }
 
+  /// The page store this pool reads from.
+  const storage::DiskManager* disk_manager() const { return disk_; }
+
   /// The replacement policy in force (for reports).
   const ReplacementPolicy& policy() const { return *policy_; }
 

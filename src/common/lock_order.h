@@ -33,6 +33,10 @@
 //   kDriver          driver-side leaves with no engine nesting: the thread
 //                    pool's queue mutex and the parallel driver's error
 //                    latch (never held while an engine lock is taken)
+//   kScanKernel      each scan's kernel run-ahead lock (exec/
+//                    kernel_runahead.h): a leaf shared by the event loop
+//                    and one worker, never held while another lock is
+//                    taken and never taken under one
 
 #pragma once
 
@@ -86,5 +90,11 @@ inline constinit Rank kTracer
 /// Driver-side leaf level: thread-pool queue mutex and the morsel driver's
 /// error latch. Never nested with engine locks in either direction.
 inline constinit Rank kDriver;
+
+/// Kernel run-ahead level: one lock per scan, taken by the event loop and
+/// the worker running that scan's kernel. A leaf: the holder only reads and
+/// writes the scan's progress and turn, and submits nothing while it holds
+/// it.
+inline constinit Rank kScanKernel;
 
 }  // namespace scanshare::lock_order

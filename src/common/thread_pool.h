@@ -1,19 +1,26 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// Fixed-size worker pool for the *run drivers* — the only place in this
-// codebase where real OS threads exist. The simulation core stays
-// single-threaded and deterministic (all time from sim::VirtualClock, all
-// randomness from scanshare::Rng); parallelism lives strictly *between*
-// independent simulation runs, each of which owns a private Database
-// (env, clock, RNG, disk, pool, SSM). The domain lint confines every
-// thread primitive to this pair of files (scanshare-threads), so the
-// determinism guarantee cannot erode one `std::mutex` at a time.
+// Fixed-size worker pool. Three kinds of callers own one:
+//
+//  * the run drivers, which run independent simulation runs side by side,
+//    each over a private Database (env, clock, RNG, disk, pool, SSM);
+//  * the morsel-parallel scan driver (exec/parallel_scan.h);
+//  * each run's EngineInstance, whose workers run scans' tuple kernels
+//    ahead of the event loop inside the run (exec/kernel_runahead.h).
+//
+// Every simulation decision stays on a run's event-loop thread (all time
+// from sim::VirtualClock, all randomness from scanshare::Rng); run-ahead
+// workers only compute pure per-page kernel outputs over immutable page
+// images. The domain lint confines every thread primitive to the
+// concurrent-by-design files (scanshare-threads), so the determinism
+// guarantee cannot erode one `std::mutex` at a time.
 //
 // Determinism contract: callers submit a fixed set of tasks, each task
 // writes only into its own pre-sized result slot, and results are merged
 // in index order. Scheduling order may vary between executions; outputs
 // may not — parallel_determinism_test holds the whole driver stack to
-// bit-identical results at jobs=1 vs jobs=8.
+// bit-identical results at jobs=1 vs jobs=8, and kernel_runahead_test
+// holds runs to bit-identical results with 0, 1 and 3 kernel workers.
 
 #pragma once
 

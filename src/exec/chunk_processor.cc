@@ -2,21 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "buffer/page_guard.h"
-#include "storage/page.h"
 
 namespace scanshare::exec {
 
 StatusOr<ChunkProcessor> ChunkProcessor::Create(
-    buffer::PageSource* pool, const storage::TableInfo* table,
-    const CostModel* cost, const QuerySpec& query, Aggregator* aggregator,
-    ScanMetrics* metrics) {
+    buffer::PageSource* pool, const storage::DiskManager* store,
+    const storage::TableInfo* table, const CostModel* cost,
+    const QuerySpec& query, Aggregator* aggregator, ScanMetrics* metrics) {
   SCANSHARE_ASSIGN_OR_RETURN(CompiledPredicate predicate,
                              query.predicate.Compile(table->schema));
   SCANSHARE_RETURN_IF_ERROR(aggregator->PrepareHot(table->schema));
-  ChunkProcessor chunks(pool, table, cost, std::move(predicate), aggregator,
-                        metrics);
+  ChunkProcessor chunks(pool, store, table, cost, std::move(predicate),
+                        aggregator, metrics);
   chunks.per_tuple_ns_ =
       cost->tuple_base_ns +
       static_cast<double>(query.predicate.size()) * cost->predicate_atom_ns +
@@ -25,10 +26,26 @@ StatusOr<ChunkProcessor> ChunkProcessor::Create(
   return chunks;
 }
 
+ChunkProcessor::~ChunkProcessor() {
+  if (kernel_ != nullptr) kernel_->Cancel();
+}
+
+void ChunkProcessor::StartWalk(ScanWalk walk, ThreadPool* workers) {
+  if (kernel_ != nullptr) kernel_->Cancel();
+  const bool empty = walk.pages() == 0;
+  kernel_ = std::make_shared<ScanKernel>(predicate_, aggregator_, store_,
+                                         std::move(walk),
+                                         pool_->prefetch_extent_pages());
+  if (!empty) SubmitRunAhead(workers, kernel_);
+}
+
 StatusOr<sim::Micros> ChunkProcessor::ProcessRange(sim::PageId first,
                                                    sim::PageId end,
                                                    sim::Micros now,
                                                    buffer::PagePriority priority) {
+  if (kernel_ == nullptr) {
+    return Status::FailedPrecondition("scan: no walk started");
+  }
   double cpu_us = 0.0;
   double ovh_us = 0.0;
   sim::Micros io_us = 0;
@@ -55,23 +72,17 @@ StatusOr<sim::Micros> ChunkProcessor::ProcessRange(sim::PageId first,
     buffer::PageGuard guard(pool_, p, fetched.data);
     guard.set_release_priority(priority);
 
-    const storage::PageView view(fetched.data, pool_->page_size());
-    if (!view.IsValid()) {
+    // A frame that is not the store's image is a copy of moved bytes
+    // (push-file): the kernel read the image, so the copy must equal it.
+    if (!store_->IsPageImage(p, fetched.data) &&
+        std::memcmp(fetched.data, store_->PageImage(p), pool_->page_size()) !=
+            0) {
       return Status::Corruption("scan: page " + std::to_string(p) +
-                                " failed validation");
+                                " differs from its page-store image");
     }
-    // Materialize the page's tuple pointers once, run the predicate as
-    // dense compare-and-mask passes into a selection array, then fold the
-    // selected tuples in slot order.
-    const uint16_t count = view.tuple_count();
-    batch_tuples_.resize(count);
-    for (uint16_t slot = 0; slot < count; ++slot) {
-      batch_tuples_[slot] = view.TupleDataUnchecked(slot);
-    }
-    batch_sel_.resize(count);
-    predicate_.MatchBatch(batch_tuples_.data(), count, batch_sel_.data());
-    const uint64_t matched = aggregator_->ConsumeBatch(
-        batch_tuples_.data(), batch_sel_.data(), count);
+    SCANSHARE_ASSIGN_OR_RETURN(const PageResult page, kernel_->Take(p));
+    const uint16_t count = page.rows;
+    const uint16_t matched = page.matched;
     tuples += count;
     matches += matched;
     cpu_us += cost_->page_cpu_us +

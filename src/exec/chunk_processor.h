@@ -2,25 +2,30 @@
 //
 // ChunkProcessor: the page-level inner loop shared by every scan operator
 // (table scans, block-index scans and morsel workers): fetch each page of
-// a contiguous run through the buffer pool, validate it, run the columnar
-// tuple kernel (CompiledPredicate::MatchBatch into a selection array, then
-// Aggregator::ConsumeBatch), release with a caller-chosen priority, and
-// account virtual CPU/I/O cost under the pipelined model (sequential
-// prefetch overlaps transfer with tuple processing, so a chunk costs
-// max(cpu, io) plus bookkeeping). The kernel is compiled once, when the
-// scan opens; Predicate::Eval and Aggregator::Consume are its reference.
+// a contiguous run through the buffer pool, take the page's rows and
+// matches from the scan's kernel, release the page with a caller-chosen
+// priority, and account virtual CPU/I/O cost under the pipelined model
+// (sequential prefetch overlaps transfer with tuple processing, so a chunk
+// costs max(cpu, io) plus bookkeeping). The kernel (CompiledPredicate::
+// MatchBatch into a selection array, then Aggregator::ConsumeBatch) is
+// compiled once, when the scan opens, and runs over the page store's
+// images along the scan's walk — inline, or ahead of the event loop on a
+// worker (exec/kernel_runahead.h). Predicate::Eval and Aggregator::Consume
+// are its reference.
 
 #pragma once
 
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "buffer/page_source.h"
 #include "common/status.h"
 #include "exec/aggregate.h"
+#include "exec/kernel_runahead.h"
 #include "exec/predicate.h"
 #include "exec/query.h"
 #include "storage/catalog.h"
+#include "storage/disk_manager.h"
 
 namespace scanshare::exec {
 
@@ -30,26 +35,39 @@ class ChunkProcessor {
   /// Compiles `query`'s predicate and prepares `aggregator` for the
   /// columnar kernel, and takes the per-tuple cost constants from the
   /// query shape. Both must already be bound against `table`'s schema;
-  /// a compile failure is returned as is. All pointers are borrowed and
-  /// must outlive the processor.
+  /// a compile failure is returned as is. `store` is the page store `pool`
+  /// reads. All pointers are borrowed and must outlive the processor.
   [[nodiscard]] static StatusOr<ChunkProcessor> Create(
-      buffer::PageSource* pool, const storage::TableInfo* table,
-      const CostModel* cost, const QuerySpec& query, Aggregator* aggregator,
-      ScanMetrics* metrics);
+      buffer::PageSource* pool, const storage::DiskManager* store,
+      const storage::TableInfo* table, const CostModel* cost,
+      const QuerySpec& query, Aggregator* aggregator, ScanMetrics* metrics);
+
+  /// Cancels the kernel's walk and waits until no worker holds its turn,
+  /// so no thread touches the aggregator once the scan is gone.
+  ~ChunkProcessor();
+  ChunkProcessor(ChunkProcessor&&) noexcept = default;
+  ChunkProcessor& operator=(ChunkProcessor&&) = delete;
+
+  /// Fixes the pages the scan will read, in order, and hands the walk to
+  /// `workers` when there are any (null: the kernel runs inline). Called
+  /// once the scan is placed; a morsel starts a walk per morsel.
+  void StartWalk(ScanWalk walk, ThreadPool* workers);
 
   /// Processes pages [first, end) starting at virtual time `now`,
-  /// releasing each with `priority`. Returns elapsed virtual micros and
-  /// updates the bound ScanMetrics once per call (per extent chunk), not
-  /// per page.
+  /// releasing each with `priority`. The pages must be the walk's next
+  /// ones (Internal otherwise). Returns elapsed virtual micros and updates
+  /// the bound ScanMetrics once per call (per extent chunk), not per page.
   StatusOr<sim::Micros> ProcessRange(sim::PageId first, sim::PageId end,
                                      sim::Micros now,
                                      buffer::PagePriority priority);
 
  private:
-  ChunkProcessor(buffer::PageSource* pool, const storage::TableInfo* table,
-                 const CostModel* cost, CompiledPredicate predicate,
-                 Aggregator* aggregator, ScanMetrics* metrics)
+  ChunkProcessor(buffer::PageSource* pool, const storage::DiskManager* store,
+                 const storage::TableInfo* table, const CostModel* cost,
+                 CompiledPredicate predicate, Aggregator* aggregator,
+                 ScanMetrics* metrics)
       : pool_(pool),
+        store_(store),
         table_(table),
         cost_(cost),
         predicate_(std::move(predicate)),
@@ -57,6 +75,7 @@ class ChunkProcessor {
         metrics_(metrics) {}
 
   buffer::PageSource* pool_;
+  const storage::DiskManager* store_;
   const storage::TableInfo* table_;
   const CostModel* cost_;
   CompiledPredicate predicate_;
@@ -64,11 +83,9 @@ class ChunkProcessor {
   ScanMetrics* metrics_;
   double per_tuple_ns_ = 0.0;
   double per_match_ns_ = 0.0;
-
-  // Kernel scratch, reused across pages: materialized tuple pointers and
-  // the per-slot selection flags.
-  std::vector<const uint8_t*> batch_tuples_;
-  std::vector<uint8_t> batch_sel_;
+  // The current walk's kernel (null before StartWalk), shared with the
+  // worker that runs it ahead.
+  std::shared_ptr<ScanKernel> kernel_;
 };
 
 }  // namespace scanshare::exec

@@ -5,6 +5,7 @@
 
 #include "buffer/alternative_replacers.h"
 #include "buffer/policies/scan_position_board.h"
+#include "common/thread_pool.h"
 #include "io/file_backend.h"
 #include "io/prefetcher.h"
 #include "io/sim_backend.h"
@@ -130,6 +131,10 @@ StatusOr<std::unique_ptr<EngineInstance>> EngineInstance::Create(
   // depth-0 window issues nothing, and the attachment is what routes the
   // pipeline/backend counters into RunResult::io / RunResult::real_io.
   if (e.prefetcher_ != nullptr) e.executor_->SetIoPipeline(e.prefetcher_.get());
+  if (const size_t workers = RunAheadWorkerCount(); workers > 0) {
+    e.kernel_workers_ = std::make_unique<ThreadPool>(workers);
+    e.executor_->SetKernelWorkers(e.kernel_workers_.get());
+  }
   return engine;
 }
 

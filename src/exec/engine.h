@@ -157,8 +157,10 @@ class Database {
 /// One run's engine over a Database's storage. Create resets the clock and
 /// disk, then builds the policy pair, the SSM (with its post-override
 /// SsmOptions), the ISM, the tracer and — for Pool::kSequential — the
-/// BufferPool, the optional push pipeline and a StreamExecutor over them.
-/// Destruction detaches the tracer from the disk, which outlives the run.
+/// BufferPool, the optional push pipeline, the kernel run-ahead workers
+/// (one fewer than the CPUs the process may use; none on one CPU) and a
+/// StreamExecutor over them. Destruction detaches the tracer from the disk,
+/// which outlives the run.
 class EngineInstance {
  public:
   enum class Pool {
@@ -203,6 +205,9 @@ class EngineInstance {
   // before the backend.
   std::unique_ptr<io::IoBackend> io_backend_;
   std::unique_ptr<io::Prefetcher> prefetcher_;
+  // Declared before the executor: its cursors cancel their kernels when it
+  // dies, and only then are the workers joined.
+  std::unique_ptr<ThreadPool> kernel_workers_;
   std::unique_ptr<StreamExecutor> executor_;
 };
 

@@ -35,9 +35,19 @@ class IndexScanOp final : public ScanCursor {
     ResolveIndexRange(*index_, query_, &key_lo_, &key_hi_);
     sequence_ = index_->BlockSequence(key_lo_, key_hi_);
     done_ = sequence_.empty();
-    // A baseline scan, or one whose range misses every key, never registers.
-    if (done_ || ism_ == nullptr) return Status::OK();
+    // A scan whose range misses every key never registers.
+    if (done_) return Status::OK();
+    if (ism_ != nullptr) SCANSHARE_RETURN_IF_ERROR(Register(now));
+    current_ = start_idx_;
+    chunks_->StartWalk(
+        ScanWalk::Blocks(sequence_, start_idx_, env_.table->first_page,
+                         index_->block_pages(), env_.table->end_page()),
+        env_.kernel_workers);
+    return Status::OK();
+  }
 
+  /// Registers with the ISM and places the scan at the block it assigns.
+  Status Register(sim::Micros now) {
     locations_.reserve(sequence_.size());
     for (int64_t key = key_lo_; key <= key_hi_; ++key) {
       const uint32_t blocks =
@@ -71,7 +81,6 @@ class IndexScanOp final : public ScanCursor {
         start_idx_ = static_cast<size_t>(it - locations_.begin());
       }
     }
-    current_ = start_idx_;
     return Status::OK();
   }
 

@@ -123,8 +123,9 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
 
   auto worker = [&](size_t w) {
     Aggregator agg = prototype;
-    StatusOr<ChunkProcessor> chunks = ChunkProcessor::Create(
-        &pool, table, &config.cost, spec, &agg, &worker_metrics[w]);
+    StatusOr<ChunkProcessor> chunks =
+        ChunkProcessor::Create(&pool, db->disk_manager(), table, &config.cost,
+                               spec, &agg, &worker_metrics[w]);
     if (!chunks.ok()) {
       // Deterministic, so every worker fails alike before its first morsel.
       fail(0, chunks.status());
@@ -143,6 +144,9 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
         if (advised.ok()) priority = *advised;
       }
       const sim::Micros now = ticks.fetch_add(1);
+      // A one-segment walk with no workers: the morsel's worker computes
+      // its kernel inline.
+      chunks->StartWalk(ScanWalk::Range(first, end, first), nullptr);
       auto elapsed = chunks->ProcessRange(first, end, now, priority);
       if (!elapsed.ok()) {
         fail(index, elapsed.status());

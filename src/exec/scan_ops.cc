@@ -40,6 +40,8 @@ class TableScanOp final : public ScanCursor {
       start_page_ = start.start_page;
     }
     cursor_ = start_page_;
+    chunks_->StartWalk(ScanWalk::Range(range_first_, range_end_, start_page_),
+                       env_.kernel_workers);
     return Status::OK();
   }
 
@@ -143,8 +145,10 @@ Status ScanCursor::Bind() {
   agg_ = std::make_unique<Aggregator>(query_.aggs, query_.group_by);
   SCANSHARE_RETURN_IF_ERROR(agg_->Bind(schema));
   SCANSHARE_ASSIGN_OR_RETURN(
-      chunks_, ChunkProcessor::Create(env_.pool, env_.table, env_.cost,
-                                      query_, agg_.get(), &metrics_));
+      ChunkProcessor chunks,
+      ChunkProcessor::Create(env_.pool, env_.pool->disk_manager(), env_.table,
+                             env_.cost, query_, agg_.get(), &metrics_));
+  chunks_.emplace(std::move(chunks));
   return Status::OK();
 }
 

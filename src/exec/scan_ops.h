@@ -51,13 +51,16 @@ struct ScanEnv {
   /// Borrowed event tracer (null = tracing disabled). Scan operators emit
   /// throttle-release events; the SSM/pool/disk emit the rest themselves.
   obs::Tracer* tracer = nullptr;
+  /// Borrowed workers that run the scan's kernel ahead of the event loop
+  /// (exec/kernel_runahead.h); null runs it inline.
+  ThreadPool* kernel_workers = nullptr;
 };
 
 /// Steppable scan-aggregate cursor. It holds what the table scan and the
 /// block-index scan share: the bind of predicate, aggregator and
 /// ChunkProcessor, the lifecycle checks, Close and metrics(). Each access
-/// path walks its range in Start and Advance, and wraps around only when a
-/// manager is attached.
+/// path fixes its walk at the end of Start, once placed, and steps along it
+/// in Advance; it wraps around only when a manager is attached.
 class ScanCursor {
  public:
   virtual ~ScanCursor() = default;
@@ -89,8 +92,9 @@ class ScanCursor {
   ScanCursor(const ScanEnv& env, QuerySpec query)
       : env_(env), query_(std::move(query)) {}
 
-  /// Resolves the range, calls Bind, and registers with the manager if one
-  /// is attached, at `now`. Sets done_ if there is nothing to scan.
+  /// Resolves the range, calls Bind, registers with the manager if one is
+  /// attached, at `now`, and starts the ChunkProcessor's walk. Sets done_
+  /// if there is nothing to scan.
   virtual Status Start(sim::Micros now) = 0;
 
   /// Processes the next extent or block at `now` and returns the virtual

@@ -148,6 +148,7 @@ Status StreamExecutor::Open(size_t id, sim::Micros now) {
   scan_env.disk_options = &env_->disk().options();
   scan_env.ssm = shared ? ssm_ : nullptr;
   scan_env.tracer = tracer_;
+  scan_env.kernel_workers = kernel_workers_;
   if (spec.access == AccessPath::kIndexScan) {
     IndexScanEnv index_env;
     index_env.base = scan_env;

@@ -174,6 +174,12 @@ class StreamExecutor {
   /// of the run. Null (the default) skips both.
   void SetIoPipeline(io::Prefetcher* prefetcher) { prefetcher_ = prefetcher; }
 
+  /// Attaches borrowed workers that run each scan's tuple kernel ahead of
+  /// the event loop (exec/kernel_runahead.h). Every decision, and so every
+  /// result, is the same with or without them. Null (the default) runs the
+  /// kernel inline.
+  void SetKernelWorkers(ThreadPool* workers) { kernel_workers_ = workers; }
+
  private:
   struct Job {
     std::unique_ptr<ScanCursor> cursor;  ///< Null between queries.
@@ -199,6 +205,7 @@ class StreamExecutor {
   ScanMode mode_;
   obs::Tracer* tracer_;  // Borrowed; null when tracing is off.
   io::Prefetcher* prefetcher_ = nullptr;  // Borrowed; null in pull mode.
+  ThreadPool* kernel_workers_ = nullptr;  // Borrowed; null runs inline.
 
   // State of the running Run(source): at most one heap event per job,
   // keyed (ready time, job id).

@@ -95,6 +95,9 @@ class IoPipeline {
   /// time `now` — ready-set pop (prefetch hit) or inline charged read.
   [[nodiscard]] virtual ExtentRead Acquire(sim::PageId first, uint64_t count,
                                            sim::Micros now) = 0;
+  /// Takes back an ExtentRead's buffer once the pool has copied its pages
+  /// out, so a later read can reuse it. The default frees it.
+  virtual void Recycle(AlignedBuffer buffer) { buffer.reset(); }
 };
 
 }  // namespace scanshare::io

@@ -81,6 +81,9 @@ void Prefetcher::Pump(sim::Micros now) {
         continue;
       }
       (void)backend_->Join(it->second.token);
+      if (it->second.data != nullptr) {
+        spares_.push_back(std::move(it->second.data));
+      }
       ++stats_.dropped_stale;
       SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoPrefetchDrop, now,
                             it->second.table_id, it->first, it->second.count);
@@ -244,13 +247,27 @@ ExtentRead Prefetcher::Acquire(sim::PageId first, uint64_t count,
 
 Status Prefetcher::StartRead(sim::PageId first, uint64_t count,
                              AlignedBuffer* data, ReadToken* token) {
-  if (spare_ == nullptr || spare_pages_ < count) {
-    spare_pages_ = std::max(count, extent_pages_);
-    spare_ = AllocateIoBuffer(spare_pages_ * backend_->page_size());
+  AlignedBuffer buffer;
+  if (count <= extent_pages_ && !spares_.empty()) {
+    buffer = std::move(spares_.back());
+    spares_.pop_back();
+  } else {
+    buffer = AllocateIoBuffer(std::max(count, extent_pages_) *
+                              backend_->page_size());
+    ++buffers_allocated_;
   }
-  Status bytes = backend_->StartBytes(first, count, spare_.get(), token);
-  if (bytes.ok() && *token != kInPlace) *data = std::move(spare_);
+  Status bytes = backend_->StartBytes(first, count, buffer.get(), token);
+  if (bytes.ok() && *token != kInPlace) {
+    *data = std::move(buffer);
+  } else {
+    spares_.push_back(std::move(buffer));
+  }
   return bytes;
+}
+
+void Prefetcher::Recycle(AlignedBuffer buffer) {
+  MutexLock lock(mu_);
+  spares_.push_back(std::move(buffer));
 }
 
 IoPipelineStats Prefetcher::stats() const {
@@ -261,6 +278,11 @@ IoPipelineStats Prefetcher::stats() const {
 size_t Prefetcher::ready_extents() const {
   MutexLock lock(mu_);
   return ready_.size();
+}
+
+uint64_t Prefetcher::buffers_allocated() const {
+  MutexLock lock(mu_);
+  return buffers_allocated_;
 }
 
 }  // namespace scanshare::io

@@ -18,11 +18,13 @@
 //                fallback) — either way the caller gets one ExtentRead
 //                naming the bytes and carrying the virtual-time charge.
 //
-// Buffers: every read hands the backend one kept spare extent buffer. A
-// backend that serves the extent in place (kInPlace, the sim backend)
-// leaves it unwritten for the next read, so a push-sim run allocates one
-// buffer in all; one that moves bytes (the file backend) fills it, the
-// read keeps it, and the next read allocates a new spare.
+// Buffers: every read hands the backend a spare extent buffer from a free
+// list. A backend that serves the extent in place (kInPlace, the sim
+// backend) leaves it unwritten and it goes straight back, so a push-sim
+// run allocates one buffer in all; one that moves bytes (the file backend)
+// fills it and the read keeps it until the pool has copied the pages out
+// (Recycle) or a stale drop discards the extent. So a push-file run holds
+// at most one buffer beyond the extents ready at once.
 //
 // Determinism: with the sim backend every charge is issued at a pump or
 // demand point fully determined by the executor's event order, and the
@@ -125,11 +127,17 @@ class Prefetcher final : public IoPipeline {
                                    sim::Micros now) override
       SCANSHARE_EXCLUDES(mu_);
 
+  /// Puts a consumed extent buffer on the free list for the next read.
+  void Recycle(AlignedBuffer buffer) override SCANSHARE_EXCLUDES(mu_);
+
   /// Counter snapshot.
   IoPipelineStats stats() const SCANSHARE_EXCLUDES(mu_);
 
   /// Un-consumed ready extents (test introspection).
   size_t ready_extents() const SCANSHARE_EXCLUDES(mu_);
+
+  /// Extent buffers allocated so far (test introspection).
+  uint64_t buffers_allocated() const SCANSHARE_EXCLUDES(mu_);
 
   /// The byte source in use.
   const IoBackend& backend() const { return *backend_; }
@@ -201,17 +209,15 @@ class Prefetcher final : public IoPipeline {
   /// Records a demand-consumed extent key (caller holds mu_).
   void RecordConsumed(sim::PageId first) SCANSHARE_REQUIRES(mu_);
 
-  /// Starts a charged read's bytes into the spare buffer; the spare moves
+  /// Starts a charged read's bytes into a spare buffer; the spare moves
   /// into `*data` unless the backend answered kInPlace or failed.
   [[nodiscard]] Status StartRead(sim::PageId first, uint64_t count,
                                  AlignedBuffer* data, ReadToken* token)
       SCANSHARE_REQUIRES(mu_);
 
-  /// The extent buffer the next StartRead hands the backend, and its
-  /// capacity in pages (null until the first read, and after a read that
-  /// kept it).
-  AlignedBuffer spare_ SCANSHARE_GUARDED_BY(mu_);
-  uint64_t spare_pages_ SCANSHARE_GUARDED_BY(mu_) = 0;
+  /// Extent buffers no read holds, each at least extent_pages_ pages.
+  std::vector<AlignedBuffer> spares_ SCANSHARE_GUARDED_BY(mu_);
+  uint64_t buffers_allocated_ SCANSHARE_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace scanshare::io

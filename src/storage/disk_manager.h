@@ -77,6 +77,14 @@ class DiskManager {
     return page < images_.size() && images_[page] == data;
   }
 
+  /// `page`'s image, or null for an unallocated page. Bypasses the
+  /// media-fault shim like IsPageImage: the tuple kernel reads images
+  /// through it (exec/kernel_runahead.h), ahead of and beside the charged
+  /// install path, so page_data_faults_injected() counts only that path.
+  const uint8_t* PageImage(sim::PageId page) const {
+    return page < images_.size() ? images_[page] : nullptr;
+  }
+
   /// Issues a charged read of `count` contiguous pages starting at `first`
   /// at virtual time `now`. Updates disk statistics and queueing state;
   /// the caller reaches the bytes via PageData(). Returns OutOfRange if the

@@ -19,9 +19,11 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "buffer/buffer_pool.h"
 #include "io/file_backend.h"
 #include "io/prefetcher.h"
 #include "io/sim_backend.h"
@@ -31,6 +33,7 @@
 #include "service/service_metrics.h"
 #include "ssm/scan_sharing_manager.h"
 #include "testutil.h"
+#include "workload/queries.h"
 
 namespace scanshare {
 namespace {
@@ -340,6 +343,80 @@ TEST(PushPipelineEngineTest, PushSimIsBitReproducible) {
   ASSERT_TRUE(b.ok());
   std::string diff;
   EXPECT_TRUE(metrics::BitIdentical(*a, *b, &diff)) << "first diff: " << diff;
+}
+
+/// Moves bytes the way the file backend does, copying them from the page
+/// store, and records every extent buffer it is handed.
+class RecordingCopyBackend final : public io::IoBackend {
+ public:
+  explicit RecordingCopyBackend(storage::DiskManager* disk) : disk_(disk) {}
+
+  uint32_t page_size() const override { return disk_->page_size(); }
+  const char* name() const override { return "recording_copy"; }
+  StatusOr<sim::IoResult> Charge(sim::PageId first, uint64_t count,
+                                 sim::Micros now) override {
+    return disk_->ChargedRead(first, count, now);
+  }
+  Status StartBytes(sim::PageId first, uint64_t count, uint8_t* dest,
+                    io::ReadToken* token) override {
+    for (uint64_t i = 0; i < count; ++i) {
+      SCANSHARE_ASSIGN_OR_RETURN(const uint8_t* image,
+                                 disk_->PageData(first + i));
+      std::memcpy(dest + i * page_size(), image, page_size());
+    }
+    buffers_.insert(dest);
+    ++reads_;
+    *token = io::kNoToken;
+    return Status::OK();
+  }
+  Status Join(io::ReadToken) override { return Status::OK(); }
+
+  size_t buffers() const { return buffers_.size(); }
+  uint64_t reads() const { return reads_; }
+
+ private:
+  storage::DiskManager* disk_;
+  std::set<const uint8_t*> buffers_;
+  uint64_t reads_ = 0;
+};
+
+TEST(PushPipelineEngineTest, ByteMovingReadsReuseTheirExtentBuffers) {
+  exec::Database* db = testutil::SharedLineitemDb(kTablePages, /*seed=*/3);
+  db->env()->clock().Reset();
+  db->env()->disk().Reset();
+  constexpr uint64_t kDepth = 4;
+  const exec::RunConfig config = PushConfig(4 * kExtent, kDepth);
+  buffer::BufferPool pool(
+      db->disk_manager(),
+      std::make_unique<buffer::PriorityLruReplacer>(config.buffer.num_frames),
+      config.buffer);
+  ssm::ScanSharingManager ssm(SsmOpts(), nullptr, nullptr);
+  ssm::IndexScanSharingManager ism(ssm::IsmOptions{});
+  RecordingCopyBackend backend(db->disk_manager());
+  io::PrefetchOptions prefetch;
+  prefetch.depth = kDepth;
+  io::Prefetcher prefetcher(&backend, &ssm, &pool, kExtent, prefetch);
+  pool.SetIoPipeline(&prefetcher);
+  exec::StreamExecutor executor(db->env(), &pool, db->catalog(), &ssm, &ism,
+                                config.cost, exec::ScanMode::kShared);
+  executor.SetIoPipeline(&prefetcher);
+
+  // Back-to-back scans of one stream: one scan at a time is one group, and
+  // its window holds at most kDepth ready extents.
+  exec::StreamSpec stream;
+  stream.queries = {workload::MakeQ1Like("lineitem"),
+                    workload::MakeQ6Like("lineitem"),
+                    workload::MakeQ1Like("lineitem")};
+  auto run = executor.Run({stream});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_GE(backend.reads(), 8 * (kDepth + 1));
+  EXPECT_GT(run->io.prefetch_hits, 0u);
+  // Every buffer the reads used was live at once: the ready extents plus
+  // the one a demand read fills. The allocation count is the sharper
+  // check: an allocator may hand a freed buffer's address straight back,
+  // so distinct pointers alone cannot see buffers freed and reallocated.
+  EXPECT_LE(backend.buffers(), kDepth + 1);
+  EXPECT_LE(prefetcher.buffers_allocated(), kDepth + 1);
 }
 
 TEST(PushPipelineEngineTest, DiskFaultParityWithPullPath) {
