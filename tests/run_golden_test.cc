@@ -10,26 +10,41 @@
 // mix (the count-only, predicate-free path). A diff here means a virtual
 // result moved: a counter, a timestamp, or an aggregate's last bit.
 //
+// The parity corpus (tests/golden/parity/*.run) pins every engine path at
+// small scale with location samples and tracing on: five shapes (a Q1/Q6
+// mix, staggered Q6, range scans, index scans, and a mix of table, index
+// and empty-range scans), each in baseline and shared mode and under the
+// ABM and PBM policies, each with pull reads and with a depth-4 push
+// pipeline, plus one scan-service run over plain and MDC tables. Each
+// golden is the run's text above plus every location sample and every
+// trace event; a section longer than kSectionLines keeps its first
+// kHeadLines lines and ends in a digest of all of them.
+//
 // Updating a golden after an intentional behaviour change:
 //
 //   SCANSHARE_REGEN_GOLDEN=1 ./build/tests/run_golden_test
 //
-// rewrites tests/golden/*.run in the source tree (the path is baked in via
-// SCANSHARE_GOLDEN_DIR); re-run without the variable to confirm, and
-// commit the new golden together with the change that explains it.
+// rewrites tests/golden/*.run and tests/golden/parity/*.run in the source
+// tree (the path is baked in via SCANSHARE_GOLDEN_DIR); re-run without the
+// variable to confirm, and commit the new goldens together with the change
+// that explains them. A mismatch prints the first differing line.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "metrics/metrics_export.h"
 #include "obs/export.h"
+#include "service/scan_service.h"
+#include "service/service_metrics.h"
 #include "testutil.h"
+#include "workload/mdc_gen.h"
 #include "workload/queries.h"
 
 namespace scanshare {
@@ -89,6 +104,42 @@ std::string RenderRun(const exec::RunResult& run) {
   RenderSeries("reads_over_time", run.reads_over_time, &out);
   RenderSeries("seeks_over_time", run.seeks_over_time, &out);
   return out.str();
+}
+
+/// Compares `text` with tests/golden/<name>.run, or rewrites that file
+/// under SCANSHARE_REGEN_GOLDEN. A mismatch names the first differing line.
+void ExpectGolden(const std::string& name, const std::string& text) {
+  const std::string path =
+      std::string(SCANSHARE_GOLDEN_DIR) + "/" + name + ".run";
+  if (std::getenv("SCANSHARE_REGEN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(obs::WriteTextFile(path, text).ok()) << path;
+    GTEST_SKIP() << "regenerated " << path << " (" << text.size()
+                 << " bytes); re-run without SCANSHARE_REGEN_GOLDEN to verify";
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden " << path
+                         << " — run with SCANSHARE_REGEN_GOLDEN=1 to create";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  if (text == golden.str()) return;
+  std::istringstream fresh_lines(text);
+  std::istringstream golden_lines(golden.str());
+  std::string fresh_line;
+  std::string golden_line;
+  size_t line = 1;
+  for (;; ++line) {
+    const bool has_fresh =
+        static_cast<bool>(std::getline(fresh_lines, fresh_line));
+    const bool has_golden =
+        static_cast<bool>(std::getline(golden_lines, golden_line));
+    if (!has_fresh) fresh_line = "<end of text>";
+    if (!has_golden) golden_line = "<end of text>";
+    if (fresh_line != golden_line || !has_fresh || !has_golden) break;
+  }
+  ADD_FAILURE() << "run diverged from " << path << " at line " << line
+                << "\n  golden: " << golden_line << "\n  fresh:  " << fresh_line
+                << "\n— if intentional, regen with SCANSHARE_REGEN_GOLDEN=1";
 }
 
 /// One golden's engine, config and streams.
@@ -180,29 +231,295 @@ TEST_P(RunGoldenTest, RunIsByteIdenticalToGolden) {
   // The run must exercise the pool, or the golden pins nothing useful.
   ASSERT_GT(run->buffer.hits, 0u);
   ASSERT_GT(run->buffer.misses, 0u);
-  const std::string text = RenderRun(*run);
-
-  const std::string path =
-      std::string(SCANSHARE_GOLDEN_DIR) + "/" + golden_run.name + ".run";
-  if (std::getenv("SCANSHARE_REGEN_GOLDEN") != nullptr) {
-    ASSERT_TRUE(obs::WriteTextFile(path, text).ok());
-    GTEST_SKIP() << "regenerated " << path << " (" << text.size()
-                 << " bytes); re-run without SCANSHARE_REGEN_GOLDEN to verify";
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden " << path
-                         << " — run with SCANSHARE_REGEN_GOLDEN=1 to create";
-  std::stringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(text, golden.str())
-      << "run diverged from " << path
-      << " — if intentional, regen with SCANSHARE_REGEN_GOLDEN=1";
+  ExpectGolden(golden_run.name, RenderRun(*run));
 }
 
 INSTANTIATE_TEST_SUITE_P(Runs, RunGoldenTest,
                          ::testing::ValuesIn(kGoldenRuns),
                          [](const auto& tpi) { return tpi.param.name; });
+
+// ---------------------------------------------------------- parity corpus
+
+/// Longest section kept verbatim; a longer one keeps kHeadLines lines and
+/// a digest of the whole section.
+constexpr size_t kSectionLines = 128;
+constexpr size_t kHeadLines = 16;
+
+/// Replaces the body of every section (the lines after a "# " header)
+/// longer than kSectionLines with its first kHeadLines lines and a line
+/// "digest lines <n> fnv1a <hex>" over all of its lines.
+std::string DigestLongSections(const std::string& text) {
+  std::ostringstream out;
+  std::vector<std::string> body;
+  const auto flush = [&out, &body] {
+    if (body.size() <= kSectionLines) {
+      for (const std::string& line : body) out << line << '\n';
+    } else {
+      uint64_t hash = 14695981039346656037ULL;  // FNV-1a, 64-bit.
+      for (const std::string& line : body) {
+        for (const char c : line + '\n') {
+          hash ^= static_cast<unsigned char>(c);
+          hash *= 1099511628211ULL;
+        }
+      }
+      for (size_t i = 0; i < kHeadLines; ++i) out << body[i] << '\n';
+      char digest[32];
+      std::snprintf(digest, sizeof(digest), "%016llx",
+                    static_cast<unsigned long long>(hash));
+      out << "digest lines " << body.size() << " fnv1a " << digest << '\n';
+    }
+    body.clear();
+  };
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# ", 0) == 0) {
+      flush();
+      out << line << '\n';
+    } else {
+      body.push_back(line);
+    }
+  }
+  flush();
+  return out.str();
+}
+
+/// Every trace event, in emission order.
+void RenderTrace(const obs::Tracer& tracer, std::ostringstream* out) {
+  *out << "# trace emitted " << tracer.emitted() << " dropped "
+       << tracer.dropped() << '\n';
+  for (const obs::TraceEvent& e : tracer.events()) {
+    *out << obs::EventKindName(e.kind) << ' ' << e.at << ' ' << e.dur << ' '
+         << e.actor << ' ' << e.arg0 << ' ' << e.arg1 << '\n';
+  }
+}
+
+/// RenderRun's text, every location sample and every trace event.
+std::string RenderCorpusRun(const exec::RunResult& run) {
+  std::ostringstream out;
+  out << RenderRun(run);
+  out << "# samples\n";
+  for (const exec::StreamRecord& stream : run.streams) {
+    for (const exec::QueryRecord& q : stream.queries) {
+      for (const exec::LocationSample& sample : q.trace) {
+        out << q.stream << '.' << q.index << ' ' << sample.time << ' '
+            << sample.position << '\n';
+      }
+    }
+  }
+  RenderTrace(*run.trace, &out);
+  return DigestLongSections(out.str());
+}
+
+/// The corpus database: lineitem (128 pages, seed 2024) and "mdc", an MDC
+/// lineitem with a block index (4-page blocks, 2 regions, 7 keys). Built
+/// once and leaked, like testutil::SharedLineitemDb.
+exec::Database* CorpusDb() {
+  static exec::Database* const db = [] {
+    std::unique_ptr<exec::Database> made = testutil::MakeLineitemDb(128, 2024);
+    workload::MdcOptions mdc;
+    mdc.block_pages = 4;
+    mdc.num_regions = 2;
+    mdc.days_per_key = 365;
+    if (!workload::GenerateMdcLineitem(made->catalog(), "mdc", 20000, 2024, mdc)
+             .ok()) {
+      std::abort();
+    }
+    return made.release();
+  }();
+  return db;
+}
+
+/// Three streams of Q1 and Q6 in per-stream orders, 20 ms apart.
+std::vector<exec::StreamSpec> CorpusQ1Q6Mix() {
+  std::vector<exec::StreamSpec> streams = workload::MakeThroughputStreams(
+      {workload::MakeQ1Like("lineitem"), workload::MakeQ6Like("lineitem")}, 3,
+      2, 5);
+  for (size_t i = 0; i < streams.size(); ++i) {
+    streams[i].start_delay = sim::Millis(20 * i);
+  }
+  return streams;
+}
+
+std::vector<exec::StreamSpec> CorpusStaggeredQ6() {
+  return workload::MakeStaggeredStreams(workload::MakeQ6Like("lineitem"), 3,
+                                        sim::Millis(40));
+}
+
+/// Overlapping partial-range scans of lineitem, 10 ms apart.
+std::vector<exec::StreamSpec> CorpusRangeScans() {
+  std::vector<exec::StreamSpec> streams(4);
+  streams[0].queries = {workload::MakeRangeScan("lineitem", 0.0, 0.5, "R1")};
+  streams[1].queries = {workload::MakeRangeScan("lineitem", 0.25, 0.75, "R2")};
+  streams[2].queries = {workload::MakeRangeScan("lineitem", 0.5, 1.0, "R3"),
+                        workload::MakeRangeScan("lineitem", 0.1, 0.9, "R4")};
+  streams[3].queries = {workload::MakeRangeScan("lineitem", 0.0, 1.0, "R5")};
+  for (size_t i = 0; i < streams.size(); ++i) {
+    streams[i].start_delay = sim::Millis(10 * i);
+  }
+  return streams;
+}
+
+/// Block-index scans over overlapping key ranges of "mdc".
+std::vector<exec::StreamSpec> CorpusIndexScans() {
+  std::vector<exec::StreamSpec> streams(3);
+  streams[0].queries = {workload::MakeIndexQ6Like("mdc", 0, 6),
+                        workload::MakeIndexHeavy("mdc", 2, 5)};
+  streams[1].start_delay = sim::Millis(10);
+  streams[1].queries = {workload::MakeIndexHeavy("mdc", 0, 6),
+                        workload::MakeIndexCount("mdc", 3, 3)};
+  streams[2].start_delay = sim::Millis(25);
+  streams[2].queries = {workload::MakeIndexCount("mdc", 1, 6),
+                        workload::MakeIndexQ6Like("mdc", 5, 6)};
+  return streams;
+}
+
+/// Table and index scans of "mdc" side by side, with an empty range scan
+/// between them, and a Q6 of lineitem.
+std::vector<exec::StreamSpec> CorpusMixedScans() {
+  std::vector<exec::StreamSpec> streams(3);
+  streams[0].queries = {workload::MakeRangeScan("mdc", 0.0, 1.0, "T"),
+                        workload::MakeIndexCount("mdc", 1, 4)};
+  streams[1].start_delay = sim::Millis(5);
+  streams[1].queries = {workload::MakeIndexQ6Like("mdc", 0, 6),
+                        workload::MakeRangeScan("mdc", 0.5, 0.5, "E"),
+                        workload::MakeRangeScan("mdc", 0.2, 0.7, "T2")};
+  streams[2].start_delay = sim::Millis(15);
+  streams[2].queries = {workload::MakeQ6Like("lineitem"),
+                        workload::MakeIndexHeavy("mdc", 3, 6)};
+  return streams;
+}
+
+struct CorpusShape {
+  const char* name;
+  std::vector<exec::StreamSpec> (*streams)();
+};
+
+constexpr CorpusShape kCorpusShapes[] = {
+    {"q1q6_mix", CorpusQ1Q6Mix},     {"staggered_q6", CorpusStaggeredQ6},
+    {"range_scans", CorpusRangeScans}, {"index_scans", CorpusIndexScans},
+    {"mixed_scans", CorpusMixedScans},
+};
+
+/// One corpus run: a shape under one engine regime and one read path.
+struct CorpusRun {
+  std::string name;  ///< tests/golden/parity/<name>.run
+  const CorpusShape* shape;
+  exec::ScanMode mode;
+  PolicyKind policy;
+  bool push;  ///< Depth-4 push pipeline instead of pull reads.
+};
+
+void PrintTo(const CorpusRun& run, std::ostream* os) { *os << run.name; }
+
+std::vector<CorpusRun> CorpusRuns() {
+  struct Regime {
+    const char* name;
+    exec::ScanMode mode;
+    PolicyKind policy;
+  };
+  const Regime regimes[] = {
+      {"baseline", exec::ScanMode::kBaseline, PolicyKind::kGroupThrottle},
+      {"shared", exec::ScanMode::kShared, PolicyKind::kGroupThrottle},
+      {"abm", exec::ScanMode::kShared, PolicyKind::kAbmRelevance},
+      {"pbm", exec::ScanMode::kShared, PolicyKind::kPbmPredictive},
+  };
+  std::vector<CorpusRun> runs;
+  for (const CorpusShape& shape : kCorpusShapes) {
+    for (const Regime& regime : regimes) {
+      for (const bool push : {false, true}) {
+        runs.push_back(CorpusRun{std::string("parity/") + shape.name + "_" +
+                                     regime.name + (push ? "_push" : "_pull"),
+                                 &shape, regime.mode, regime.policy, push});
+      }
+    }
+  }
+  return runs;
+}
+
+class ParityCorpusTest : public ::testing::TestWithParam<CorpusRun> {};
+
+TEST_P(ParityCorpusTest, RunIsByteIdenticalToGolden) {
+  const CorpusRun& corpus_run = GetParam();
+  exec::RunConfig config =
+      testutil::MakeRunConfig(corpus_run.mode, /*frames=*/24, /*extent=*/4);
+  config.policy = corpus_run.policy;
+  if (corpus_run.push) config.io.prefetch_depth = 4;
+  config.record_traces = true;
+  config.trace.enabled = true;
+  auto run = CorpusDb()->Run(config, corpus_run.shape->streams());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_GT(run->buffer.misses, 0u);
+  ASSERT_NE(run->trace, nullptr);
+  ASSERT_EQ(run->trace->dropped(), 0u) << "ring too small for a golden run";
+  ExpectGolden(corpus_run.name, RenderCorpusRun(*run));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, ParityCorpusTest, ::testing::ValuesIn(CorpusRuns()),
+    [](const auto& tpi) { return tpi.param.name.substr(sizeof("parity/") - 1); });
+
+TEST(ParityCorpusTest, ServiceRunOverPlainAndMdcTablesIsByteIdenticalToGolden) {
+  static exec::Database db;
+  service::ServiceOptions options;
+  options.workload.num_tables = 4;
+  options.workload.mdc_every = 2;
+  options.workload.pages_per_table = 48;
+  options.workload.seed = 31;
+  options.arrival.kind = service::ArrivalKind::kClosedLoop;
+  options.arrival.seed = 5;
+  options.arrival.num_jobs = 40;
+  options.arrival.clients = 10;
+  options.arrival.think_time = sim::Millis(20);
+  options.admission.global_cap = 6;
+  options.admission.per_table_cap = 3;
+  options.run = testutil::MakeRunConfig(exec::ScanMode::kShared, 24, 4);
+  options.run.trace.enabled = true;
+  auto tables = service::BuildServiceTables(db.catalog(), options.workload);
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  service::ScanService svc(&db);
+  auto result = svc.Run(options, *tables);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->admission.queued, 0u);
+  ASSERT_GT(result->ism.scans_started, 0u);  // The MDC tables were used.
+  ASSERT_NE(result->trace, nullptr);
+  ASSERT_EQ(result->trace->dropped(), 0u) << "ring too small for a golden run";
+
+  std::ostringstream out;
+  out << "# metrics\n";
+  for (const obs::MetricSample& m : service::CollectServiceMetrics(*result)) {
+    out << m.name << ' ';
+    if (m.type == obs::MetricSample::Type::kCounter) {
+      out << m.counter;
+    } else {
+      out << Hex(m.gauge);
+    }
+    out << '\n';
+  }
+  out << "steps " << result->steps << '\n';
+  out << "# jobs\n";
+  for (const service::JobRecord& job : result->jobs) {
+    const exec::ScanMetrics& m = job.metrics;
+    out << "job " << job.id << " table " << job.table << " client "
+        << job.client << ' ' << job.query << " arrival " << job.arrival
+        << " shed " << job.shed << " reason "
+        << static_cast<int>(job.shed_reason) << " queued " << job.from_queue
+        << " admit " << job.admit_at << " end " << job.end << " pages "
+        << m.pages_scanned << " tuples " << m.tuples_scanned << " matched "
+        << m.tuples_matched << " hits " << m.buffer_hits << " misses "
+        << m.buffer_misses << " cpu " << m.cpu << " io_stall " << m.io_stall
+        << " throttle " << m.throttle_wait << " overhead " << m.overhead
+        << '\n';
+    for (const exec::GroupResult& g : job.output.groups) {
+      out << "  group '" << g.key << "' rows " << g.rows;
+      for (double v : g.values) out << ' ' << Hex(v);
+      out << '\n';
+    }
+  }
+  RenderTrace(*result->trace, &out);
+  ExpectGolden("parity/service_plain_and_mdc",
+               DigestLongSections(out.str()));
+}
 
 }  // namespace
 }  // namespace scanshare
