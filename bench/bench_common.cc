@@ -19,7 +19,7 @@ namespace {
                "flags: --pages=N --streams=N --queries=N --seed=N --bp=F "
                "--extent=N --stagger-ms=N --csv=PATH --json=PATH "
                "--trace-out=PATH --warmup=N --reps=N (N >= 2) --jobs=N "
-               "--intra-jobs=N --smoke\n",
+               "--smoke\n",
                flag);
   std::exit(2);
 }
@@ -76,7 +76,7 @@ BenchConfig ParseFlags(int argc, char** argv) {
       config.trace_path = arg + 12;
       continue;
     }
-    uint64_t warmup = 0, reps = 0, jobs = 0, intra = 0;
+    uint64_t warmup = 0, reps = 0, jobs = 0;
     if (ParseUint(arg, "--warmup=", &warmup)) {
       config.warmup = static_cast<int>(warmup);
       continue;
@@ -89,10 +89,6 @@ BenchConfig ParseFlags(int argc, char** argv) {
     }
     if (ParseUint(arg, "--jobs=", &jobs)) {
       config.jobs = static_cast<int>(jobs);
-      continue;
-    }
-    if (ParseUint(arg, "--intra-jobs=", &intra)) {
-      config.intra_jobs = static_cast<int>(intra);
       continue;
     }
     if (std::strcmp(arg, "--smoke") == 0) {

@@ -23,8 +23,6 @@
 //   --warmup=N     wall-clock warmup repetitions          (default 1)
 //   --reps=N       wall-clock measured repetitions        (default 5, min 2)
 //   --jobs=N       worker threads for independent runs    (default: cores)
-//   --intra-jobs=N morsel workers inside one query         (default: cores;
-//                  bench_p2_parallel's intra-query section only)
 //   --smoke        tiny pages/streams/reps for CI smoke runs (flags after
 //                  --smoke still override the shrunken defaults)
 
@@ -57,7 +55,6 @@ struct BenchConfig {
   int warmup = 1;           // Wall-clock warmup repetitions.
   int reps = 5;             // Wall-clock measured repetitions (>= 2).
   int jobs = 0;             // Worker threads for RunJobs; 0 = hardware.
-  int intra_jobs = 0;       // Morsel workers within one query; 0 = hardware.
   bool smoke = false;       // CI smoke mode (tiny workload).
 };
 

@@ -1,31 +1,25 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// bench_p2_parallel: wall-clock measurement of the deterministic
-// parallelism work, in two parts:
-//
-//   1. Run driver: a fairness-cap sweep (8 caps x base/shared = 16
-//      independent simulation runs) executed through RunJobs with one
-//      worker vs a thread pool. Before timing anything, every per-job
-//      result of the parallel driver is checked bit-identical to the
-//      sequential driver's (metrics::BitIdentical) — the speedup is only
-//      reported for a driver that provably changes nothing.
-//   2. Intra-query morsel parallelism: RunQueryParallel on Q1 and Q6 at
-//      jobs=1 vs --intra-jobs=N over the latch-partitioned buffer pool.
-//      Aggregates are verified bit-identical (metrics::BitIdentical on
-//      QueryOutput) before anything is timed.
+// bench_p2_parallel: wall-clock measurement of the run driver. A
+// fairness-cap sweep (8 caps x base/shared = 16 independent simulation
+// runs) is executed through RunJobs with one worker vs a thread pool.
+// Before timing anything, every per-job result of the parallel driver is
+// checked bit-identical to the sequential driver's (metrics::BitIdentical)
+// — the speedup is only reported for a driver that provably changes
+// nothing.
 //
 // Like bench_p1, these are real elapsed times of this process (the figure
-// benches report virtual time). The machine's core count bounds part 1:
-// on a single-core box the parallel driver can only add thread overhead,
-// and the JSON records hardware_concurrency so readers can interpret the
-// ratio. Use --json=PATH for the artifact (BENCH_parallel.json).
+// benches report virtual time). The machine's core count bounds the
+// speedup: on a single-core box the parallel driver can only add thread
+// overhead, and the JSON records hardware_concurrency so readers can
+// interpret the ratio. Use --json=PATH for the artifact
+// (BENCH_parallel.json).
 
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_common.h"
 #include "common/thread_pool.h"
-#include "exec/parallel_scan.h"
 
 namespace scanshare::bench {
 namespace {
@@ -66,8 +60,7 @@ uint64_t ResultsChecksum(const std::vector<exec::RunResult>& results) {
 int Main(int argc, char** argv) {
   BenchConfig config = ParseFlags(argc, argv);
   auto db = BuildDatabase(config);
-  PrintHeader("P2: parallel run driver + intra-query parallelism", *db,
-              config);
+  PrintHeader("P2: parallel run driver", *db, config);
 
   const size_t hw = ThreadPool::HardwareConcurrency();
   BenchConfig seq_config = config;
@@ -112,88 +105,9 @@ int Main(int argc, char** argv) {
           ? driver_par.ops_per_sec() / driver_seq.ops_per_sec()
           : 0.0;
 
-  // Intra-query morsel parallelism: one query, many workers over the
-  // latch-partitioned pool. On a single-core box extra workers can only
-  // add latch and scheduling overhead — say so loudly instead of letting
-  // a ~1.0x "speedup" masquerade as a parallelism result.
-  const size_t intra_jobs = config.intra_jobs > 0
-                                ? static_cast<size_t>(config.intra_jobs)
-                                : (hw > 1 ? hw : 2);
-  const bool single_core = hw == 1;
-  if (single_core) {
-    std::printf(
-        "\n*** NOTICE: hardware_concurrency() == 1 on this machine. ***\n"
-        "*** The intra-query numbers below measure determinism and   ***\n"
-        "*** overhead only; no parallel speedup is possible here.    ***\n\n");
-  }
-  const exec::RunConfig intra_cfg =
-      MakeRunConfig(*db, config, exec::ScanMode::kShared);
-  struct IntraSeries {
-    std::string name;
-    WallMeasurement jobs1;
-    WallMeasurement jobsN;
-    double speedup = 0.0;
-    uint64_t tuples = 0;
-  };
-  std::vector<IntraSeries> intra_series;
-  for (const exec::QuerySpec& query :
-       {workload::MakeQ1Like("lineitem"), workload::MakeQ6Like("lineitem")}) {
-    exec::ParallelScanOptions one;
-    one.jobs = 1;
-    exec::ParallelScanOptions many;
-    many.jobs = intra_jobs;
-    // Determinism gate: jobs=1 and jobs=N must agree bit for bit.
-    auto probe1 = exec::RunQueryParallel(db.get(), intra_cfg, query, one);
-    auto probeN = exec::RunQueryParallel(db.get(), intra_cfg, query, many);
-    if (!probe1.ok() || !probeN.ok()) {
-      std::fprintf(stderr, "intra-query probe run failed for %s\n",
-                   query.name.c_str());
-      std::exit(1);
-    }
-    std::string intra_diff;
-    if (!metrics::BitIdentical(probe1->output, probeN->output, &intra_diff)) {
-      std::fprintf(stderr,
-                   "FAIL: %s aggregates differ between intra jobs=1 and "
-                   "jobs=%zu (%s)\n",
-                   query.name.c_str(), intra_jobs, intra_diff.c_str());
-      std::exit(1);
-    }
-    IntraSeries series;
-    series.name = query.name;
-    series.tuples = probe1->metrics.tuples_scanned;
-    const double intra_ops = static_cast<double>(series.tuples);
-    series.jobs1 = MeasureWall("intra_" + query.name + "_jobs1", intra_ops,
-                               config.warmup, config.reps, [&] {
-                                 auto run = exec::RunQueryParallel(
-                                     db.get(), intra_cfg, query, one);
-                                 if (!run.ok()) std::exit(1);
-                                 return run->output.rows_matched;
-                               });
-    series.jobsN = MeasureWall(
-        "intra_" + query.name + "_jobs" + std::to_string(intra_jobs),
-        intra_ops, config.warmup, config.reps, [&] {
-          auto run = exec::RunQueryParallel(db.get(), intra_cfg, query, many);
-          if (!run.ok()) std::exit(1);
-          return run->output.rows_matched;
-        });
-    series.speedup = series.jobs1.ops_per_sec() > 0
-                         ? series.jobsN.ops_per_sec() / series.jobs1.ops_per_sec()
-                         : 0.0;
-    intra_series.push_back(std::move(series));
-  }
-  std::printf("intra-query parity: %zu/%zu queries bit-identical "
-              "(jobs=1 vs jobs=%zu)\n\n",
-              intra_series.size(), intra_series.size(), intra_jobs);
-
   PrintWall(driver_seq);
   PrintWall(driver_par);
   std::printf("%-28s %12.2fx\n", "driver speedup (parallel)", driver_speedup);
-  for (const IntraSeries& s : intra_series) {
-    PrintWall(s.jobs1);
-    PrintWall(s.jobsN);
-    std::printf("%-28s %12.2fx%s\n", ("intra speedup (" + s.name + ")").c_str(),
-                s.speedup, single_core ? "  [single-core host]" : "");
-  }
 
   if (!config.json_path.empty()) {
     JsonObject cfg;
@@ -213,24 +127,10 @@ int Main(int argc, char** argv) {
         .PutRaw("jobs1", WallToJson(driver_seq))
         .PutRaw("jobsN", WallToJson(driver_par))
         .Put("speedup_parallel", driver_speedup);
-    JsonObject intra;
-    intra.Put("jobs", static_cast<uint64_t>(intra_jobs))
-        .Put("single_core_notice", single_core ? std::string("true")
-                                               : std::string("false"));
-    for (const IntraSeries& s : intra_series) {
-      JsonObject q;
-      q.Put("tuples_per_run", s.tuples)
-          .PutRaw("jobs1", WallToJson(s.jobs1))
-          .PutRaw("jobsN", WallToJson(s.jobsN))
-          .Put("speedup", s.speedup)
-          .Put("bit_identical", std::string("true"));
-      intra.PutRaw(s.name, q.ToString());
-    }
     JsonObject root;
     root.Put("bench", std::string("p2_parallel"))
         .PutRaw("config", cfg.ToString())
-        .PutRaw("driver", driver.ToString())
-        .PutRaw("intra_query", intra.ToString());
+        .PutRaw("driver", driver.ToString());
     WriteFileOrDie(config.json_path, root.ToString());
     std::printf("wrote %s\n", config.json_path.c_str());
   }

@@ -35,12 +35,13 @@ contracts, so this linter enforces them lexically:
   threads    Thread confinement: every simulation decision is made on
              the event-loop thread (that is what makes a run
              deterministic). Concurrency primitives are confined to the
-             explicitly concurrent-by-design subsystems in THREADS_ALLOWED:
-             common/thread_pool.{h,cc}, the latch-partitioned buffer pool,
-             the concurrent SSM, the morsel-parallel scan driver, the
-             tracer's concurrent mode, the DiskManager I/O latch, the push
-             I/O pipeline, and kernel run-ahead, whose workers run only the
-             pure tuple kernel over immutable page images. Everything else
+             seven files in THREADS_ALLOWED that start or synchronise
+             threads: common/thread_pool.{h,cc}, common/mutex.h, the file
+             backend's pread workers (io/file_backend.{h,cc}), and kernel
+             run-ahead (exec/kernel_runahead.{h,cc}), whose workers run
+             only the pure tuple kernel over immutable page images. The
+             pool, the SSM, the position board, the prefetcher, the page
+             store and the tracer take no lock. Everything else
              must not include <thread>/<mutex>/<atomic>/
              <condition_variable>/<future> or name the std types — a stray
              mutex elsewhere in the engine would mean simulation state is
@@ -399,15 +400,14 @@ def check_auditflow(relpath, raw, code):
 
 
 # --------------------------------------------------------------------------
-# Rule: threads — concurrency confined to the concurrent-by-design
-# subsystems. Each entry here is a deliberate design decision, not a
-# convenience: these files implement the intra-query parallelism layer
-# (latch-partitioned pool, concurrent SSM, morsel driver) or its direct
-# dependencies (thread pool, concurrent tracer mode, DiskManager I/O
-# latch), the push I/O pipeline, or kernel run-ahead. Every simulation
-# decision stays on the event-loop thread; run-ahead workers run only the
-# pure tuple kernel over immutable page images, and everything else in
-# src/ is touched by that one thread per run.
+# Rule: threads — concurrency confined to the files that start or
+# synchronise threads: the thread pool (run drivers and kernel run-ahead
+# workers), the annotated mutex wrapper, the real-file backend's pread
+# workers, and kernel run-ahead. Every simulation decision stays on each
+# run's event-loop thread; run-ahead workers run only the pure tuple kernel
+# over immutable page images, and everything else in src/ (the pool, the
+# SSM, the position board, the prefetcher, the page store, the tracer) is
+# touched by that one thread per run and takes no lock.
 
 THREADS_ALLOWED = (
     "src/common/thread_pool.h",
@@ -417,28 +417,10 @@ THREADS_ALLOWED = (
     # the wrappers), and including it opts a file into this confinement
     # check via the include pattern below.
     "src/common/mutex.h",
-    "src/obs/trace.h",                      # opt-in concurrent Emit mode
-    "src/storage/disk_manager.h",           # I/O charge latch
-    "src/storage/disk_manager.cc",
-    "src/buffer/partitioned_buffer_pool.h", # per-partition latches
-    "src/buffer/partitioned_buffer_pool.cc",
-    "src/ssm/scan_sharing_manager.h",       # registry/table locks + atomics
-    "src/ssm/scan_sharing_manager.cc",
-    "src/exec/parallel_scan.h",             # morsel-parallel scan driver
-    "src/exec/parallel_scan.cc",
-    # Predictive-policy trajectory board: written by the SSM side, read by
-    # per-partition replacers at eviction time — a concurrent channel by
-    # design. Its mutex is a leaf lock (never held while another lock is
-    # acquired).
-    "src/buffer/policies/scan_position_board.h",
-    "src/buffer/policies/scan_position_board.cc",
     # Push I/O pipeline (DESIGN.md §15): the real-file backend runs pread
-    # worker threads by nature, and the prefetcher's ready store is shared
-    # between the pumping executor and concurrent pool partitions.
+    # worker threads by nature; its job-queue lock is a leaf.
     "src/io/file_backend.h",
     "src/io/file_backend.cc",
-    "src/io/prefetcher.h",
-    "src/io/prefetcher.cc",
     # Kernel run-ahead (DESIGN.md §10.4): workers run each scan's pure
     # tuple kernel over immutable page images; the turn lock is a leaf.
     "src/exec/kernel_runahead.h",

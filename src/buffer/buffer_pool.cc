@@ -87,6 +87,33 @@ Status BufferPool::InstallInto(FrameId frame, sim::PageId page,
   return Status::OK();
 }
 
+StatusOr<FetchResult> BufferPool::FetchPage(sim::PageId page, sim::Micros now,
+                                            sim::PageId clip_first,
+                                            sim::PageId clip_end) {
+  if (page < translation_.size()) {
+    const FrameId frame = translation_[page];
+    if (frame != kInvalidFrame) {
+      if (page < clip_first || page >= clip_end) {
+        return Status::InvalidArgument("FetchPage: page outside clip range");
+      }
+      ++stats_.logical_reads;
+      ++stats_.hits;
+      SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kPoolHit, now,
+                            /*actor=*/0, page);
+      Frame& f = frames_[frame];
+      ++f.pin_count;
+      policy_->Pin(frame);
+      policy_->RecordAccess(frame);
+      FetchResult result;
+      result.data = f.data;
+      result.hit = true;
+      SCANSHARE_AUDIT_OK(CheckInvariants());
+      return result;
+    }
+  }
+  return FetchSlow(page, now, clip_first, clip_end);
+}
+
 StatusOr<FetchResult> BufferPool::FetchPage(sim::PageId page, sim::Micros now) {
   return FetchPage(page, now, 0, disk_->num_pages());
 }
@@ -103,8 +130,8 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
   }
 
   FetchResult result;
-  // Miss (the inline FetchPage returned every hit): read the aligned
-  // prefetch extent containing `page`, clipped.
+  // Miss (FetchPage returned every hit): read the aligned prefetch extent
+  // containing `page`, clipped.
   // Frames are secured *before* the disk is touched and the counters are
   // only charged once the read succeeds, so a fetch that fails for lack of
   // frames (or an injected read fault) leaves the statistics and the

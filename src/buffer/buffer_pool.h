@@ -27,16 +27,26 @@
 #include <new>
 #include <vector>
 
-#include "buffer/page_source.h"
 #include "buffer/replacer.h"
 #include "common/audit.h"
 #include "common/counters.h"
 #include "common/status.h"
 #include "io/pipeline.h"
 #include "obs/trace.h"
+#include "sim/disk.h"
 #include "storage/disk_manager.h"
 
 namespace scanshare::buffer {
+
+/// Outcome of FetchPage: a pinned frame plus I/O timing if a read happened.
+struct FetchResult {
+  /// The page's bytes, read-only and valid while pinned: the page store's
+  /// own image, or the frame's slab copy when a backend moved the bytes
+  /// (push-file; DESIGN.md §10.3).
+  const uint8_t* data = nullptr;
+  bool hit = false;               ///< True if no physical I/O was needed.
+  sim::IoResult io{};             ///< Valid iff !hit: when the read completed.
+};
 
 /// Sentinel translation-table entry: "this page has no frame".
 inline constexpr FrameId kInvalidFrame = static_cast<FrameId>(-1);
@@ -64,13 +74,6 @@ struct BufferPoolStats {
   /// Misses served from the push pipeline's ready queue (always 0 without
   /// an attached IoPipeline — the default and golden configuration).
   uint64_t prefetch_hits = 0;
-  /// Effective partition count serving this pool (1 for an unsharded
-  /// BufferPool). PartitionedBufferPool sets both fields on aggregate
-  /// snapshots so bench configs can SEE when the frame-budget clamp
-  /// reduced the sharding they asked for instead of silently running
-  /// unsharded.
-  uint64_t partitions = 1;
-  uint64_t partitions_requested = 1;  ///< Count asked for before clamping.
 };
 
 /// BufferPoolStats' counters in registry order (common/counters.h).
@@ -82,22 +85,16 @@ inline constexpr counters::Field<BufferPoolStats> kBufferPoolStatsCounters[] = {
     {"buffer.io_requests", &BufferPoolStats::io_requests},
     {"buffer.evictions", &BufferPoolStats::evictions},
     {"buffer.prefetch_hits", &BufferPoolStats::prefetch_hits},
-    {"buffer.partitions", &BufferPoolStats::partitions},
-    {"buffer.partitions_requested", &BufferPoolStats::partitions_requested},
 };
 static_assert(counters::Covers(kBufferPoolStatsCounters,
                                sizeof(BufferPoolStats)));
 
 /// A fixed-size page cache with explicit pin/unpin and release priorities.
 ///
-/// Not thread-safe: the deterministic executor serializes all access (the
-/// paper's DB2 prototype of course runs concurrent threads; determinism is
-/// part of this reproduction's simulation substitution — see DESIGN.md).
-/// Concurrent scans go through PartitionedBufferPool, which shards page
-/// ids over N latched instances of this class. `final` so calls through a
-/// concrete BufferPool* devirtualize and the inline hit path below keeps
-/// its cost in the simulator.
-class BufferPool final : public PageSource, public io::ResidencyProbe {
+/// Not thread-safe: each run's event loop is its only caller (the paper's
+/// DB2 prototype of course runs concurrent threads; determinism is part of
+/// this reproduction's simulation substitution — see DESIGN.md).
+class BufferPool final : public io::ResidencyProbe {
  public:
   /// Creates a pool of `options.num_frames` frames over `disk_manager`,
   /// evicting with `policy`.
@@ -127,35 +124,12 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// nothing and never leaks frames. In all cases the pool remains in a
   /// state where CheckInvariants() passes.
   ///
-  /// Every hit is resolved in this header: one translation-array load plus
-  /// pin bookkeeping. Misses and validation failures go through the
-  /// out-of-line FetchSlow.
-  [[nodiscard]] StatusOr<FetchResult> FetchPage(sim::PageId page, sim::Micros now,
-                                  sim::PageId clip_first,
-                                  sim::PageId clip_end) override {
-    if (page < translation_.size()) {
-      const FrameId frame = translation_[page];
-      if (frame != kInvalidFrame) {
-        if (page < clip_first || page >= clip_end) {
-          return Status::InvalidArgument("FetchPage: page outside clip range");
-        }
-        ++stats_.logical_reads;
-        ++stats_.hits;
-        SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kPoolHit, now,
-                              /*actor=*/0, page);
-        Frame& f = frames_[frame];
-        ++f.pin_count;
-        policy_->Pin(frame);
-        policy_->RecordAccess(frame);
-        FetchResult result;
-        result.data = f.data;
-        result.hit = true;
-        SCANSHARE_AUDIT_OK(CheckInvariants());
-        return result;
-      }
-    }
-    return FetchSlow(page, now, clip_first, clip_end);
-  }
+  /// A hit is one translation-array load plus pin bookkeeping; misses and
+  /// validation failures go through FetchSlow.
+  [[nodiscard]] StatusOr<FetchResult> FetchPage(sim::PageId page,
+                                                sim::Micros now,
+                                                sim::PageId clip_first,
+                                                sim::PageId clip_end);
 
   /// Convenience overload with the clip range spanning the whole disk.
   [[nodiscard]] StatusOr<FetchResult> FetchPage(sim::PageId page, sim::Micros now);
@@ -163,7 +137,7 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// Unpins `page`, attaching the release priority the scan chose (paper
   /// §7.3). Returns NotFound if the page is not resident, or
   /// FailedPrecondition if it was not pinned.
-  [[nodiscard]] Status UnpinPage(sim::PageId page, PagePriority priority) override;
+  [[nodiscard]] Status UnpinPage(sim::PageId page, PagePriority priority);
 
   /// True if `page` is currently cached (pinned or not).
   bool Contains(sim::PageId page) const { return IsResident(page); }
@@ -217,11 +191,11 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   size_t num_frames() const { return options_.num_frames; }
   /// Effective prefetch extent (>= 1): a configured 0 reads one page at
   /// a time, the rule SsmOptions::EffectiveExtent states for the SSM.
-  uint64_t prefetch_extent_pages() const override {
+  uint64_t prefetch_extent_pages() const {
     return std::max<uint64_t>(1, options_.prefetch_extent_pages);
   }
   /// Bytes per frame (mirrors the disk page size).
-  uint32_t page_size() const override { return disk_->page_size(); }
+  uint32_t page_size() const { return disk_->page_size(); }
 
   /// The page store this pool reads from.
   const storage::DiskManager* disk_manager() const { return disk_; }
@@ -231,8 +205,8 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
 
   /// Attaches a borrowed event tracer (or detaches with nullptr). The pool
   /// emits kPoolHit/kPoolMiss/kPoolEvict point events. Hooks cost one
-  /// untaken branch when detached — the hit path above stays within the
-  /// tracing overhead budget.
+  /// untaken branch when detached — the hit path stays within the tracing
+  /// overhead budget.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
@@ -298,7 +272,7 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
     ClearResident(page);
   }
 
-  /// Out-of-line continuation of FetchPage: validation failures and the
+  /// FetchPage's continuation past a hit: validation failures and the
   /// miss/prefetch path.
   [[nodiscard]] StatusOr<FetchResult> FetchSlow(sim::PageId page, sim::Micros now,
                                   sim::PageId clip_first, sim::PageId clip_end);

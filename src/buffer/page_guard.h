@@ -5,7 +5,7 @@
 
 #pragma once
 
-#include "buffer/page_source.h"
+#include "buffer/buffer_pool.h"
 
 namespace scanshare::buffer {
 
@@ -21,8 +21,8 @@ class [[nodiscard]] PageGuard {
   PageGuard() = default;
 
   /// Adopts a pin on `page` in `pool` (the pin must already be held, e.g.
-  /// from PageSource::FetchPage).
-  PageGuard(PageSource* pool, sim::PageId page, const uint8_t* data)
+  /// from BufferPool::FetchPage).
+  PageGuard(BufferPool* pool, sim::PageId page, const uint8_t* data)
       : pool_(pool), page_(page), data_(data) {}
 
   PageGuard(const PageGuard&) = delete;
@@ -64,7 +64,7 @@ class [[nodiscard]] PageGuard {
   bool holds() const { return pool_ != nullptr; }
 
  private:
-  PageSource* pool_ = nullptr;
+  BufferPool* pool_ = nullptr;
   sim::PageId page_ = sim::kInvalidPageId;
   const uint8_t* data_ = nullptr;
   PagePriority priority_ = PagePriority::kNormal;

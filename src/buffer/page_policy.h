@@ -14,10 +14,8 @@
 // scan ids, groups, or circles (the layering the seed already enforced —
 // buffer/ must not depend on ssm/).
 //
-// Thread expectations: ReleasePriority is called under the SSM's table
-// latch (possibly concurrently for distinct tables) and must therefore be
-// const and stateless or internally synchronized. MakeReplacer is called
-// once per pool partition at run construction, before any concurrency.
+// Thread expectations: none. ReleasePriority is called by the SSM and
+// MakeReplacer once per run, both on the run's event loop; both are const.
 
 #pragma once
 
@@ -57,8 +55,7 @@ class PagePolicy {
   /// Stable policy name for reports.
   virtual const char* name() const = 0;
 
-  /// Builds the replacement policy for one pool (or pool partition) of
-  /// `num_frames` frames.
+  /// Builds the replacement policy for one pool of `num_frames` frames.
   virtual std::unique_ptr<ReplacementPolicy> MakeReplacer(
       size_t num_frames) const = 0;
 

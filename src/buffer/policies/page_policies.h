@@ -2,8 +2,8 @@
 //
 // The three PagePolicy implementations behind the buffer side of the
 // policy seam (DESIGN.md §13). All are stateless (the PBM one holds only
-// an immutable board pointer), so one instance safely serves concurrent
-// tables and pool partitions. DefaultPagePolicy::ReleasePriority is the
+// an immutable board pointer), so one instance serves every table of a
+// run. DefaultPagePolicy::ReleasePriority is the
 // one copy of the paper's release rule: the table-scan manager calls it
 // through the seam, the index-scan manager directly.
 

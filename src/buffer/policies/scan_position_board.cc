@@ -28,24 +28,8 @@ std::optional<uint64_t> ForwardPagesTo(const ScanPositionBoard::Trajectory& t,
 
 }  // namespace
 
-void ScanPositionBoard::Upsert(const Trajectory& t) {
-  MutexLock lock(mu_);
-  scans_[t.scan_id] = t;
-}
-
-void ScanPositionBoard::Erase(uint64_t scan_id) {
-  MutexLock lock(mu_);
-  scans_.erase(scan_id);
-}
-
-size_t ScanPositionBoard::size() const {
-  MutexLock lock(mu_);
-  return scans_.size();
-}
-
 std::optional<double> ScanPositionBoard::NextConsumptionUs(
     uint64_t page) const {
-  MutexLock lock(mu_);
   std::optional<double> soonest;
   for (const auto& [id, t] : scans_) {
     const std::optional<uint64_t> pages = ForwardPagesTo(t, page);

@@ -12,26 +12,21 @@
 // not depend on ssm/: the board is the one object both sides of the
 // policy seam share.
 //
-// Concurrency: writers run under the SSM lock, readers under buffer-pool
-// partition latches — so the board carries its own mutex, taken last on
-// both paths (leaf lock; no ordering cycles). All math is a pure function of published state: identical runs
-// publish identical trajectories and therefore evict identically.
-//
-// This file is on the domain lint's concurrent-engine allowlist
-// (scanshare-threads).
+// Writers (the SSM's hooks) and readers (the replacer) both run on the
+// run's event loop, so the board takes no lock. All math is a pure
+// function of published state: identical runs publish identical
+// trajectories and therefore evict identically.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 
-#include "common/lock_order.h"
-#include "common/mutex.h"
-
 namespace scanshare::buffer {
 
-/// Thread-safe blackboard of scan trajectories.
+/// Blackboard of scan trajectories.
 class ScanPositionBoard {
  public:
   /// One scan's published trajectory. A scan starts at `start_page`,
@@ -49,26 +44,21 @@ class ScanPositionBoard {
   };
 
   /// Publishes (or refreshes) one scan's trajectory, keyed by scan_id.
-  void Upsert(const Trajectory& t) SCANSHARE_EXCLUDES(mu_);
+  void Upsert(const Trajectory& t) { scans_[t.scan_id] = t; }
 
   /// Removes a finished scan.
-  void Erase(uint64_t scan_id) SCANSHARE_EXCLUDES(mu_);
+  void Erase(uint64_t scan_id) { scans_.erase(scan_id); }
 
   /// Registered trajectory count.
-  size_t size() const SCANSHARE_EXCLUDES(mu_);
+  size_t size() const { return scans_.size(); }
 
   /// Predicted microseconds until the SOONEST registered scan consumes
   /// `page`, or nullopt when no scan's remaining path covers it (the page
   /// is dead weight in the pool). Pure function of the published state.
-  std::optional<double> NextConsumptionUs(uint64_t page) const
-      SCANSHARE_EXCLUDES(mu_);
+  std::optional<double> NextConsumptionUs(uint64_t page) const;
 
  private:
-  /// Leaf lock: writers arrive under the SSM lock, readers under a
-  /// buffer-pool partition latch; nothing is acquired while it is held.
-  mutable Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kSsm,
-                                             lock_order::kPoolPartition);
-  std::unordered_map<uint64_t, Trajectory> scans_ SCANSHARE_GUARDED_BY(mu_);
+  std::unordered_map<uint64_t, Trajectory> scans_;
 };
 
 }  // namespace scanshare::buffer

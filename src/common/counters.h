@@ -5,8 +5,8 @@
 // AdmissionStats, ScanMetrics) is followed by a constexpr array of
 // {registry name, member pointer} in registry order, and that array is
 // the only place its counters are enumerated: the metrics registry
-// (obs::MetricsRegistry::RegisterCounters), metrics::BitIdentical and
-// every cross-shard or cross-worker sum walk it. A static_assert on
+// (obs::MetricsRegistry::RegisterCounters) and metrics::BitIdentical
+// walk it. A static_assert on
 // Covers() next to each list fails the build when a counter is added to
 // the struct but not to its list.
 
@@ -48,12 +48,6 @@ const char* FirstDiff(const List& fields, const S& a, const S& b) {
     if (a.*f.member != b.*f.member) return f.name;
   }
   return nullptr;
-}
-
-/// Adds every listed counter of `from` into `into`.
-template <typename List, typename S>
-void Add(const List& fields, const S& from, S* into) {
-  for (const auto& f : fields) into->*f.member += from.*f.member;
 }
 
 }  // namespace scanshare::counters

@@ -14,29 +14,20 @@
 // annotations in src/ — token-to-token edges here plus mutex-to-token
 // edges at the declarations — and fails if the combined graph has a cycle.
 //
-// The hierarchy (a lock may only be acquired while holding locks of
-// strictly earlier ranks):
+// The hierarchy. Every lock is a leaf: no lock is taken while another is
+// held, so the ranks order nothing against each other. Each run's
+// simulation (pool, SSM, position board, prefetcher, page store, tracer)
+// runs on its event loop alone and takes no lock; the three locks below
+// are the ones a second thread really contends for.
 //
-//   kSsm             ScanSharingManager::mu_ (the manager's one lock)
-//   kPoolPartition   per-partition buffer-pool latch
-//     -> kIoQueue    io::Prefetcher's ready-queue mutex (FetchSlow pops a
-//                    ready extent under its partition latch)
-//       -> kIo       DiskManager::io_mu_ (disk charge under a partition
-//                    latch, or under the prefetcher mutex at issue time)
-//       -> kIoBackend io::FileIoBackend's job-queue mutex (the prefetcher
-//                    joins an async read while holding its own mutex)
-//   {kSsm, kPoolPartition, kIoQueue, kIo}
-//     -> kBoard      ScanPositionBoard::mu_ (leaf: SSM hooks publish under
-//                    the SSM lock; replacers read under a partition latch)
-//     -> kTracer     Tracer's concurrent-mode mutex (leaf: every subsystem
-//                    emits under whatever lock it already holds)
-//   kDriver          driver-side leaves with no engine nesting: the thread
-//                    pool's queue mutex and the parallel driver's error
-//                    latch (never held while an engine lock is taken)
+//   kIoBackend       io::FileIoBackend's job-queue mutex: the event loop
+//                    (StartBytes/Join) and the backend's pread workers
+//   kDriver          the thread pool's queue mutex: submitters (a run
+//                    driver, or a run's event loop handing out kernels)
+//                    and the pool's workers
 //   kScanKernel      each scan's kernel run-ahead lock (exec/
-//                    kernel_runahead.h): a leaf shared by the event loop
-//                    and one worker, never held while another lock is
-//                    taken and never taken under one
+//                    kernel_runahead.h): the event loop and the one worker
+//                    running that scan's kernel
 
 #pragma once
 
@@ -53,42 +44,12 @@ class SCANSHARE_CAPABILITY("lock_order") Rank {
   Rank& operator=(const Rank&) = delete;
 };
 
-/// Scan Sharing Manager lock level: its one mutex, held by every public
-/// call.
-inline constinit Rank kSsm;
+/// Real-file backend job-queue level: a leaf taken by the event loop and
+/// by the backend's pread workers.
+inline constinit Rank kIoBackend;
 
-/// Buffer-pool partition latch level (root of the pool chain; FetchPage /
-/// UnpinPage hold exactly one, aggregate readers take all in index order).
-inline constinit Rank kPoolPartition;
-
-/// Push-pipeline ready-queue level (io::Prefetcher): FetchSlow consumes a
-/// ready extent while holding its partition latch; the pump path issues
-/// charged reads (kIo) and joins backend completions (kIoBackend) while
-/// holding this mutex.
-inline constinit Rank kIoQueue SCANSHARE_ACQUIRED_AFTER(kPoolPartition);
-
-/// Disk I/O charge latch level: taken under a partition latch on the
-/// charged-read path, or under the prefetcher mutex at submit time.
-inline constinit Rank kIo SCANSHARE_ACQUIRED_AFTER(kPoolPartition, kIoQueue);
-
-/// Real-file backend job-queue level: a leaf below the prefetcher mutex —
-/// workers take it alone; the prefetcher takes it (via Submit/Join) while
-/// holding kIoQueue, never the other way round.
-inline constinit Rank kIoBackend SCANSHARE_ACQUIRED_AFTER(kIoQueue);
-
-/// Scan-position board level: a leaf — written from SSM hooks (SSM lock
-/// held), read from predictive replacers (partition latch held).
-inline constinit Rank kBoard SCANSHARE_ACQUIRED_AFTER(kSsm, kPoolPartition);
-
-/// Concurrent-tracer level: the terminal leaf — every subsystem emits
-/// while holding its own lock, so the tracer mutex orders after all of
-/// them and may never be held while acquiring anything else.
-inline constinit Rank kTracer
-    SCANSHARE_ACQUIRED_AFTER(kSsm, kPoolPartition, kIoQueue, kIo, kIoBackend,
-                             kBoard);
-
-/// Driver-side leaf level: thread-pool queue mutex and the morsel driver's
-/// error latch. Never nested with engine locks in either direction.
+/// Thread-pool level: a leaf taken by whoever submits a task and by the
+/// pool's workers, never held while a task runs.
 inline constinit Rank kDriver;
 
 /// Kernel run-ahead level: one lock per scan, taken by the event loop and

@@ -88,9 +88,7 @@
   SCANSHARE_THREAD_ANNOTATION__(assert_capability(x))
 
 /// Escape hatch: disables the analysis for one function. The acceptance
-/// bar for the engine is ZERO uses outside this header's own definition —
-/// dynamic lock sets (the partitioned pool's all-latch snapshot) are
-/// expressed with unannotated std::unique_lock instead, which the analysis
-/// ignores rather than misreports (DESIGN.md §14.2).
+/// bar for the engine is ZERO uses outside this header's own definition
+/// (DESIGN.md §14.2).
 #define SCANSHARE_NO_THREAD_SAFETY_ANALYSIS \
   SCANSHARE_THREAD_ANNOTATION__(no_thread_safety_analysis)

@@ -1,10 +1,9 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// Fixed-size worker pool. Three kinds of callers own one:
+// Fixed-size worker pool. Two kinds of callers own one:
 //
 //  * the run drivers, which run independent simulation runs side by side,
 //    each over a private Database (env, clock, RNG, disk, pool, SSM);
-//  * the morsel-parallel scan driver (exec/parallel_scan.h);
 //  * each run's EngineInstance, whose workers run scans' tuple kernels
 //    ahead of the event loop inside the run (exec/kernel_runahead.h).
 //
@@ -84,8 +83,9 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  /// Queue latch: a driver-side leaf — released before a task runs, so it
-  /// is never held while the task takes engine locks (common/lock_order.h).
+  /// Queue lock, a leaf released before a task runs (common/lock_order.h
+  /// kDriver): contended by the submitting thread (Submit, the destructor)
+  /// and this pool's workers (WorkerLoop).
   Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kDriver);
   /// _any variant: waits directly on the annotated Mutex (std::
   /// condition_variable would need the raw std::mutex back).

@@ -261,36 +261,6 @@ size_t Aggregator::ConsumeBatch(const uint8_t* const* tuples,
   return m;
 }
 
-AggPartial Aggregator::DrainPartial() {
-  AggPartial partial;
-  const size_t num_aggs = specs_.size();
-  for (const auto& [key, slot] : slots_) {
-    AggPartialGroup pg;
-    const double* acc = acc_.data() + size_t{slot} * num_aggs;
-    pg.acc.assign(acc, acc + num_aggs);
-    pg.rows = rows_[slot];
-    partial.groups.emplace_hint(partial.groups.end(), key, std::move(pg));
-  }
-  slots_.clear();
-  acc_.clear();
-  rows_.clear();
-  // The id table names slots that no longer exist.
-  ResetIds();
-  return partial;
-}
-
-void Aggregator::AbsorbPartial(const AggPartial& partial) {
-  for (const auto& [key, pg] : partial.groups) {
-    const uint32_t slot = GroupSlot(key);
-    rows_[slot] += pg.rows;
-    double* acc = acc_.data() + size_t{slot} * specs_.size();
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      FoldLane(specs_[i].op, &pg.acc[i], 1,
-               [&](size_t) -> double& { return acc[i]; });
-    }
-  }
-}
-
 QueryOutput Aggregator::Finish(uint64_t rows_scanned) const {
   QueryOutput out;
   out.rows_scanned = rows_scanned;

@@ -46,20 +46,6 @@ struct GroupResult {
   uint64_t rows = 0;            ///< Rows folded into this group.
 };
 
-/// One group's raw accumulator state, extracted from a worker's aggregator
-/// before finalization (AVG still split into its sum and `rows`).
-struct AggPartialGroup {
-  std::vector<double> acc;  ///< Sum / min / max accumulator per spec.
-  uint64_t rows = 0;        ///< Rows folded; COUNT and AVG's divisor.
-};
-
-/// A drained partial aggregation: per-key accumulators in key-sorted order.
-/// The unit of exchange between morsel workers and the deterministic merge
-/// (see Aggregator::DrainPartial / AbsorbPartial).
-struct AggPartial {
-  std::map<std::string, AggPartialGroup> groups;
-};
-
 /// Final result of an aggregation query.
 struct QueryOutput {
   std::vector<GroupResult> groups;  ///< Sorted by key for determinism.
@@ -104,22 +90,6 @@ class Aggregator {
   size_t ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
                       size_t n);
 
-  /// Moves the accumulated raw state out and empties the group store and
-  /// the group-id table (the compiled program is kept, so the aggregator
-  /// can keep consuming without a new PrepareHot). Morsel workers drain
-  /// after every morsel; the partials are then merged in canonical morsel
-  /// order by AbsorbPartial, which is what makes parallel aggregation
-  /// bit-identical to sequential regardless of worker scheduling.
-  AggPartial DrainPartial();
-
-  /// Folds a drained partial into this aggregator: per group (key-sorted),
-  /// sums add, rows add, min/max fold. Absorbing partials in a fixed
-  /// order yields a fixed floating-point reduction tree — the determinism
-  /// contract of the parallel scan. Mixing AbsorbPartial with Consume*
-  /// calls is allowed: it only adds slots, and a slot keeps its number
-  /// until DrainPartial, so the group-id table stays valid.
-  void AbsorbPartial(const AggPartial& partial);
-
   /// Produces the final output. `rows_scanned` is supplied by the scan.
   QueryOutput Finish(uint64_t rows_scanned) const;
 
@@ -156,8 +126,8 @@ class Aggregator {
   uint32_t key_width_ = 0;  // Sum of group_by_widths_.
   bool bound_ = false;
 
-  // The group store: canonical key -> slot (sorted, the order Finish and
-  // DrainPartial report), and per slot its accumulators and rows.
+  // The group store: canonical key -> slot (sorted, the order Finish
+  // reports), and per slot its accumulators and rows.
   std::map<std::string, uint32_t> slots_;
   std::vector<double> acc_;
   std::vector<uint64_t> rows_;

@@ -10,14 +10,14 @@
 namespace scanshare::exec {
 
 StatusOr<ChunkProcessor> ChunkProcessor::Create(
-    buffer::PageSource* pool, const storage::DiskManager* store,
-    const storage::TableInfo* table, const CostModel* cost,
-    const QuerySpec& query, Aggregator* aggregator, ScanMetrics* metrics) {
+    buffer::BufferPool* pool, const storage::TableInfo* table,
+    const CostModel* cost, const QuerySpec& query, Aggregator* aggregator,
+    ScanMetrics* metrics) {
   SCANSHARE_ASSIGN_OR_RETURN(CompiledPredicate predicate,
                              query.predicate.Compile(table->schema));
   SCANSHARE_RETURN_IF_ERROR(aggregator->PrepareHot(table->schema));
-  ChunkProcessor chunks(pool, store, table, cost, std::move(predicate),
-                        aggregator, metrics);
+  ChunkProcessor chunks(pool, table, cost, std::move(predicate), aggregator,
+                        metrics);
   chunks.per_tuple_ns_ =
       cost->tuple_base_ns +
       static_cast<double>(query.predicate.size()) * cost->predicate_atom_ns +

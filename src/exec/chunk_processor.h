@@ -1,7 +1,7 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // ChunkProcessor: the page-level inner loop shared by every scan operator
-// (table scans, block-index scans and morsel workers): fetch each page of
+// (table scans and block-index scans): fetch each page of
 // a contiguous run through the buffer pool, take the page's rows and
 // matches from the scan's kernel, release the page with a caller-chosen
 // priority, and account virtual CPU/I/O cost under the pipelined model
@@ -18,7 +18,7 @@
 #include <memory>
 #include <utility>
 
-#include "buffer/page_source.h"
+#include "buffer/buffer_pool.h"
 #include "common/status.h"
 #include "exec/aggregate.h"
 #include "exec/kernel_runahead.h"
@@ -35,12 +35,13 @@ class ChunkProcessor {
   /// Compiles `query`'s predicate and prepares `aggregator` for the
   /// columnar kernel, and takes the per-tuple cost constants from the
   /// query shape. Both must already be bound against `table`'s schema;
-  /// a compile failure is returned as is. `store` is the page store `pool`
-  /// reads. All pointers are borrowed and must outlive the processor.
+  /// a compile failure is returned as is. The kernel reads the page store
+  /// `pool` reads. All pointers are borrowed and must outlive the
+  /// processor.
   [[nodiscard]] static StatusOr<ChunkProcessor> Create(
-      buffer::PageSource* pool, const storage::DiskManager* store,
-      const storage::TableInfo* table, const CostModel* cost,
-      const QuerySpec& query, Aggregator* aggregator, ScanMetrics* metrics);
+      buffer::BufferPool* pool, const storage::TableInfo* table,
+      const CostModel* cost, const QuerySpec& query, Aggregator* aggregator,
+      ScanMetrics* metrics);
 
   /// Cancels the kernel's walk and waits until no worker holds its turn,
   /// so no thread touches the aggregator once the scan is gone.
@@ -50,7 +51,7 @@ class ChunkProcessor {
 
   /// Fixes the pages the scan will read, in order, and hands the walk to
   /// `workers` when there are any (null: the kernel runs inline). Called
-  /// once the scan is placed; a morsel starts a walk per morsel.
+  /// once, when the scan is placed.
   void StartWalk(ScanWalk walk, ThreadPool* workers);
 
   /// Processes pages [first, end) starting at virtual time `now`,
@@ -62,19 +63,18 @@ class ChunkProcessor {
                                      buffer::PagePriority priority);
 
  private:
-  ChunkProcessor(buffer::PageSource* pool, const storage::DiskManager* store,
-                 const storage::TableInfo* table, const CostModel* cost,
-                 CompiledPredicate predicate, Aggregator* aggregator,
-                 ScanMetrics* metrics)
+  ChunkProcessor(buffer::BufferPool* pool, const storage::TableInfo* table,
+                 const CostModel* cost, CompiledPredicate predicate,
+                 Aggregator* aggregator, ScanMetrics* metrics)
       : pool_(pool),
-        store_(store),
+        store_(pool->disk_manager()),
         table_(table),
         cost_(cost),
         predicate_(std::move(predicate)),
         aggregator_(aggregator),
         metrics_(metrics) {}
 
-  buffer::PageSource* pool_;
+  buffer::BufferPool* pool_;
   const storage::DiskManager* store_;
   const storage::TableInfo* table_;
   const CostModel* cost_;

@@ -81,20 +81,17 @@ EngineInstance::EngineInstance(Database* db, const RunConfig& config)
 EngineInstance::~EngineInstance() { db_->env()->disk().SetTracer(nullptr); }
 
 StatusOr<std::unique_ptr<EngineInstance>> EngineInstance::Create(
-    Database* db, const RunConfig& config, Pool pool) {
+    Database* db, const RunConfig& config) {
   // Cold, reproducible start.
   db->env()->clock().Reset();
   db->env()->disk().Reset();
   std::unique_ptr<EngineInstance> engine(new EngineInstance(db, config));
   EngineInstance& e = *engine;
   if (config.trace.enabled) {
-    // A caller-built pool serves concurrent workers, which all emit.
-    e.tracer_ = std::make_shared<obs::Tracer>(config.trace.capacity,
-                                              /*concurrent=*/pool == Pool::kNone);
+    e.tracer_ = std::make_shared<obs::Tracer>(config.trace.capacity);
     e.ssm_.SetTracer(e.tracer_.get());
     db->env()->disk().SetTracer(e.tracer_.get());
   }
-  if (pool == Pool::kNone) return engine;
 
   e.pool_ = std::make_unique<buffer::BufferPool>(
       db->disk_manager(), e.MakeReplacer(config.buffer.num_frames),

@@ -5,8 +5,8 @@
 // executes experiment runs — each run gets a fresh buffer pool (sized and
 // policied per the run config), a fresh Scan Sharing Manager, and a reset
 // clock/disk, so base-vs-shared comparisons are exactly apples-to-apples.
-// EngineInstance is that per-run engine, built in this one place for every
-// driver: Database::Run, the scan service and the morsel-parallel runner.
+// EngineInstance is that per-run engine, built in this one place for both
+// drivers: Database::Run and the scan service.
 
 #pragma once
 
@@ -156,32 +156,21 @@ class Database {
 
 /// One run's engine over a Database's storage. Create resets the clock and
 /// disk, then builds the policy pair, the SSM (with its post-override
-/// SsmOptions), the ISM, the tracer and — for Pool::kSequential — the
-/// BufferPool, the optional push pipeline, the kernel run-ahead workers
-/// (one fewer than the CPUs the process may use; none on one CPU) and a
+/// SsmOptions), the ISM, the tracer, the BufferPool, the optional push
+/// pipeline, the kernel run-ahead workers (RunAheadWorkerCount) and a
 /// StreamExecutor over them. Destruction detaches the tracer from the disk,
 /// which outlives the run.
 class EngineInstance {
  public:
-  enum class Pool {
-    kSequential,  ///< BufferPool + push pipeline + StreamExecutor.
-    /// The caller builds a pool from MakeReplacer() + tracer() for
-    /// concurrent workers; the tracer is concurrent.
-    kNone,
-  };
-
   /// Fails only when the file backend cannot open its table image.
   [[nodiscard]] static StatusOr<std::unique_ptr<EngineInstance>> Create(
-      Database* db, const RunConfig& config, Pool pool = Pool::kSequential);
+      Database* db, const RunConfig& config);
   ~EngineInstance();
   EngineInstance(const EngineInstance&) = delete;
   EngineInstance& operator=(const EngineInstance&) = delete;
 
-  /// The PagePolicy's replacer in shared mode, else the baseline policy.
-  std::unique_ptr<buffer::ReplacementPolicy> MakeReplacer(size_t frames) const;
-
-  buffer::BufferPool* pool() { return pool_.get(); }      // Null for kNone.
-  StreamExecutor* executor() { return executor_.get(); }  // Null for kNone.
+  buffer::BufferPool* pool() { return pool_.get(); }
+  StreamExecutor* executor() { return executor_.get(); }
   /// Null in baseline mode, which never consults them.
   ssm::ScanSharingManager* ssm() { return shared() ? &ssm_ : nullptr; }
   ssm::IndexScanSharingManager* ism() { return shared() ? &ism_ : nullptr; }
@@ -192,6 +181,9 @@ class EngineInstance {
  private:
   EngineInstance(Database* db, const RunConfig& config);
   bool shared() const { return config_.mode == ScanMode::kShared; }
+
+  /// The PagePolicy's replacer in shared mode, else the baseline policy.
+  std::unique_ptr<buffer::ReplacementPolicy> MakeReplacer(size_t frames) const;
 
   Database* db_;
   const RunConfig config_;

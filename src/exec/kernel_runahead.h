@@ -190,7 +190,9 @@ class ScanKernel {
   uint64_t taken_ = 0;
   uint64_t known_ = 0;
 
-  /// The scan's lock: a leaf (common/lock_order.h).
+  /// The scan's lock, a leaf (common/lock_order.h kScanKernel): contended
+  /// by the event loop (Take, Cancel) and the worker running this walk
+  /// (RunAhead).
   Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kScanKernel);
   /// _any variant: waits on the annotated Mutex, as ThreadPool does.
   std::condition_variable_any cv_;

@@ -146,8 +146,8 @@ Status ScanCursor::Bind() {
   SCANSHARE_RETURN_IF_ERROR(agg_->Bind(schema));
   SCANSHARE_ASSIGN_OR_RETURN(
       ChunkProcessor chunks,
-      ChunkProcessor::Create(env_.pool, env_.pool->disk_manager(), env_.table,
-                             env_.cost, query_, agg_.get(), &metrics_));
+      ChunkProcessor::Create(env_.pool, env_.table, env_.cost, query_,
+                             agg_.get(), &metrics_));
   chunks_.emplace(std::move(chunks));
   return Status::OK();
 }

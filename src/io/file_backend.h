@@ -107,10 +107,10 @@ class FileIoBackend final : public IoBackend {
   std::string path_;
   int fd_ = -1;
 
-  /// Job-queue latch: a leaf under the prefetcher mutex
-  /// (common/lock_order.h kIoBackend) — workers take it alone, the
-  /// prefetcher reaches it through StartBytes/Join while holding kIoQueue.
-  mutable Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kIoQueue);
+  /// Job-queue lock, a leaf (common/lock_order.h kIoBackend): contended
+  /// by the event loop (StartBytes, Join, real_stats) and the kWorkers
+  /// pread workers (WorkerLoop).
+  mutable Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kIoBackend);
   /// _any variants: wait directly on the annotated Mutex (see ThreadPool).
   std::condition_variable_any job_ready_;
   std::condition_variable_any job_done_;

@@ -95,10 +95,9 @@ inline constexpr counters::Field<RealIoStats> kRealIoStatsCounters[] = {
 static_assert(counters::Covers(kRealIoStatsCounters,
                                offsetof(RealIoStats, direct_io)));
 
-/// Abstract byte source for the push pipeline. Implementations are
-/// thread-compatible the way the pipeline uses them: Charge/StartBytes are
-/// serialized by the prefetcher's mutex, Join may block on backend worker
-/// threads, and the backend outlives every outstanding token.
+/// Abstract byte source for the push pipeline. The run's event loop makes
+/// every call; Join may block on backend worker threads, and the backend
+/// outlives every outstanding token.
 class IoBackend {
  public:
   virtual ~IoBackend() = default;

@@ -20,9 +20,7 @@ namespace scanshare::io {
 
 /// Residency oracle the pipeline's pump consults before issuing a window
 /// extent, so already-cached extents cost no disk time. Implemented by
-/// BufferPool and PartitionedBufferPool. Called with no pipeline lock held
-/// (the probe may take pool partition latches, which order *before* the
-/// pipeline's mutex — common/lock_order.h).
+/// BufferPool.
 class ResidencyProbe {
  public:
   virtual ~ResidencyProbe() = default;

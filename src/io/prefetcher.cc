@@ -16,7 +16,6 @@ Prefetcher::Prefetcher(IoBackend* backend, ssm::ScanSharingManager* ssm,
       options_(options) {}
 
 Prefetcher::~Prefetcher() {
-  MutexLock lock(mu_);
   for (auto& [first, entry] : ready_) {
     (void)first;
     // Outstanding byte movements write into entry.data; join before the
@@ -58,7 +57,7 @@ void Prefetcher::Pump(sim::Micros now) {
   if (ssm_ == nullptr) return;
   const std::vector<ssm::GroupFrontier> frontiers = ssm_->GroupFrontiers();
 
-  // Phase 1: window geometry — pure math, no locks held.
+  // Phase 1: window geometry.
   std::vector<std::vector<WindowExtent>> windows;
   windows.reserve(frontiers.size());
   std::unordered_set<sim::PageId> live;
@@ -68,35 +67,24 @@ void Prefetcher::Pump(sim::Micros now) {
   }
 
   // Phase 2: drop ready extents no window wants anymore (regroup, wrap, or
-  // a leader that skipped past a fully-cached extent), and snapshot the
-  // keys that stay plus the consumed history (phase 3 runs without mu_).
-  std::unordered_set<sim::PageId> have;
-  std::unordered_set<sim::PageId> consumed;
-  {
-    MutexLock lock(mu_);
-    for (auto it = ready_.begin(); it != ready_.end();) {
-      if (live.count(it->first) != 0) {
-        have.insert(it->first);
-        ++it;
-        continue;
-      }
-      (void)backend_->Join(it->second.token);
-      if (it->second.data != nullptr) {
-        spares_.push_back(std::move(it->second.data));
-      }
-      ++stats_.dropped_stale;
-      SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoPrefetchDrop, now,
-                            it->second.table_id, it->first, it->second.count);
-      it = ready_.erase(it);
+  // a leader that skipped past a fully-cached extent).
+  for (auto it = ready_.begin(); it != ready_.end();) {
+    if (live.count(it->first) != 0) {
+      ++it;
+      continue;
     }
-    consumed = consumed_keys_;
+    (void)backend_->Join(it->second.token);
+    if (it->second.data != nullptr) {
+      spares_.push_back(std::move(it->second.data));
+    }
+    ++stats_.dropped_stale;
+    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoPrefetchDrop, now,
+                          it->second.table_id, it->first, it->second.count);
+    it = ready_.erase(it);
   }
 
   // Phase 3: pick what to issue. Per-window budget counts both extents
-  // already ready and ones picked this pump; the residency probe runs
-  // WITHOUT mu_ (it takes pool partition latches, which order before the
-  // prefetcher mutex — see the header). The have/ready_ gap this opens is
-  // benign: at worst one wasted read, re-checked under mu_ in phase 4.
+  // already ready and ones picked this pump.
   const uint64_t bound =
       options_.queue_bound == 0 ? options_.depth : options_.queue_bound;
   // Refill hysteresis: a window is topped up only once it has drained to
@@ -116,19 +104,19 @@ void Prefetcher::Pump(sim::Micros now) {
   for (const std::vector<WindowExtent>& window : windows) {
     uint64_t ready_now = 0;
     for (const WindowExtent& e : window) {
-      if (have.count(e.first) != 0) ++ready_now;
+      if (ready_.count(e.first) != 0) ++ready_now;
     }
     if (ready_now > low_water) continue;  // Still draining; no refill yet.
     uint64_t budget_used = 0;
     for (const WindowExtent& e : window) {
-      if (consumed.count(e.first) != 0) {
+      if (consumed_keys_.count(e.first) != 0) {
         // The group already read this extent; the frontier just has not
         // caught up yet (positions are reported at chunk start). Costs no
         // budget — the window's useful part is further ahead.
         ++reissue_suppressed;
         continue;
       }
-      if (have.count(e.first) != 0 || issuing.count(e.first) != 0) {
+      if (ready_.count(e.first) != 0 || issuing.count(e.first) != 0) {
         ++budget_used;  // Overlapping groups share ready extents.
         continue;
       }
@@ -154,43 +142,34 @@ void Prefetcher::Pump(sim::Micros now) {
   }
 
   // Phase 4: charge + start byte movement, in deterministic frontier
-  // order, under mu_ (the kIoQueue -> kIo / kIoBackend edges).
-  {
-    MutexLock lock(mu_);
-    for (const WindowExtent& e : to_issue) {
-      if (ready_.count(e.first) != 0) continue;
-      if (consumed_keys_.count(e.first) != 0) {
-        // Consumed by a demand fetch between phase 2's snapshot and now.
-        ++reissue_suppressed;
-        continue;
-      }
-      ReadyExtent entry;
-      entry.count = e.count;
-      entry.table_id = e.table_id;
-      ++stats_.submitted;
-      SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoSubmit, now,
-                            e.table_id, e.first, e.count);
-      StatusOr<sim::IoResult> charge = backend_->Charge(e.first, e.count, now);
-      if (!charge.ok()) {
-        // Nothing was charged (sim faults fail before accounting): park
-        // the error so the demanding scan surfaces it exactly where the
-        // pull path would have.
-        entry.bytes = charge.status();
-      } else {
-        entry.charged = true;
-        entry.io = charge.value();
-        entry.bytes = StartRead(e.first, e.count, &entry.data, &entry.token);
-        // Emitted now with the completion's (possibly future) timestamp —
-        // same pattern as throttle releases.
-        SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoComplete,
-                              entry.io.complete_micros, e.table_id, e.first,
-                              e.count);
-      }
-      ready_.emplace(e.first, std::move(entry));
+  // order.
+  for (const WindowExtent& e : to_issue) {
+    ReadyExtent entry;
+    entry.count = e.count;
+    entry.table_id = e.table_id;
+    ++stats_.submitted;
+    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoSubmit, now, e.table_id,
+                          e.first, e.count);
+    StatusOr<sim::IoResult> charge = backend_->Charge(e.first, e.count, now);
+    if (!charge.ok()) {
+      // Nothing was charged (sim faults fail before accounting): park the
+      // error so the demanding scan surfaces it exactly where the pull
+      // path would have.
+      entry.bytes = charge.status();
+    } else {
+      entry.charged = true;
+      entry.io = charge.value();
+      entry.bytes = StartRead(e.first, e.count, &entry.data, &entry.token);
+      // Emitted now with the completion's (possibly future) timestamp —
+      // same pattern as throttle releases.
+      SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoComplete,
+                            entry.io.complete_micros, e.table_id, e.first,
+                            e.count);
     }
-    stats_.queue_full += queue_full_hits;
-    stats_.reissue_suppressed += reissue_suppressed;
+    ready_.emplace(e.first, std::move(entry));
   }
+  stats_.queue_full += queue_full_hits;
+  stats_.reissue_suppressed += reissue_suppressed;
 }
 
 void Prefetcher::RecordConsumed(sim::PageId first) {
@@ -205,7 +184,6 @@ void Prefetcher::RecordConsumed(sim::PageId first) {
 
 ExtentRead Prefetcher::Acquire(sim::PageId first, uint64_t count,
                                sim::Micros now) {
-  MutexLock lock(mu_);
   RecordConsumed(first);
   auto it = ready_.find(first);
   if (it != ready_.end() && it->second.count == count) {
@@ -263,26 +241,6 @@ Status Prefetcher::StartRead(sim::PageId first, uint64_t count,
     spares_.push_back(std::move(buffer));
   }
   return bytes;
-}
-
-void Prefetcher::Recycle(AlignedBuffer buffer) {
-  MutexLock lock(mu_);
-  spares_.push_back(std::move(buffer));
-}
-
-IoPipelineStats Prefetcher::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
-size_t Prefetcher::ready_extents() const {
-  MutexLock lock(mu_);
-  return ready_.size();
-}
-
-uint64_t Prefetcher::buffers_allocated() const {
-  MutexLock lock(mu_);
-  return buffers_allocated_;
 }
 
 }  // namespace scanshare::io

@@ -68,16 +68,9 @@
 // chunk CPU, so there is nothing to gain there; see DESIGN.md §15.2 and
 // bench_paper --exp=A10).
 //
-// Locking (common/lock_order.h): mu_ is rank kIoQueue — acquired after a
-// pool partition latch (FetchSlow calls Acquire while holding one) and
-// before the disk charge latch (kIo) and the backend job queue
-// (kIoBackend). The pump's pool-residency probe runs *without* mu_ held,
-// since the probe takes partition latches (a kPoolPartition-after-kIoQueue
-// inversion otherwise); the worst case from that window is one wasted
-// read, never a wrong one.
-//
-// This file is on the domain lint's concurrent-engine allowlist
-// (scanshare-threads).
+// Threads: the run's event loop is the only caller (the executor pumps,
+// the pool acquires), so the prefetcher takes no lock. The file backend's
+// workers touch only the backend's own job queue.
 
 #pragma once
 
@@ -86,10 +79,9 @@
 #include <deque>
 #include <map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "common/lock_order.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "io/io_backend.h"
 #include "io/pipeline.h"
@@ -98,8 +90,8 @@
 
 namespace scanshare::io {
 
-/// Push-side scheduler + bounded ready store. One per run, shared by every
-/// pool partition; thread-safe per the locking notes above.
+/// Push-side scheduler + bounded ready store. One per run, called from the
+/// run's event loop only.
 class Prefetcher final : public IoPipeline {
  public:
   /// Borrows everything. `ssm` may be null (demand-only pipeline: Pump is
@@ -119,25 +111,26 @@ class Prefetcher final : public IoPipeline {
   /// stale extents, issue missing window extents. Issue-time failures are
   /// *stored* per extent and surface at Acquire, exactly where the demand
   /// path would have failed.
-  void Pump(sim::Micros now) SCANSHARE_EXCLUDES(mu_);
+  void Pump(sim::Micros now);
 
   /// Demand read of the clipped extent [first, first + count) at time
   /// `now` — ready-set pop or inline charged read; see ExtentRead.
   [[nodiscard]] ExtentRead Acquire(sim::PageId first, uint64_t count,
-                                   sim::Micros now) override
-      SCANSHARE_EXCLUDES(mu_);
+                                   sim::Micros now) override;
 
   /// Puts a consumed extent buffer on the free list for the next read.
-  void Recycle(AlignedBuffer buffer) override SCANSHARE_EXCLUDES(mu_);
+  void Recycle(AlignedBuffer buffer) override {
+    spares_.push_back(std::move(buffer));
+  }
 
   /// Counter snapshot.
-  IoPipelineStats stats() const SCANSHARE_EXCLUDES(mu_);
+  IoPipelineStats stats() const { return stats_; }
 
   /// Un-consumed ready extents (test introspection).
-  size_t ready_extents() const SCANSHARE_EXCLUDES(mu_);
+  size_t ready_extents() const { return ready_.size(); }
 
   /// Extent buffers allocated so far (test introspection).
-  uint64_t buffers_allocated() const SCANSHARE_EXCLUDES(mu_);
+  uint64_t buffers_allocated() const { return buffers_allocated_; }
 
   /// The byte source in use.
   const IoBackend& backend() const { return *backend_; }
@@ -147,9 +140,7 @@ class Prefetcher final : public IoPipeline {
 
   /// Attaches a borrowed event tracer (or detaches with nullptr). Emits
   /// kIoSubmit / kIoComplete / kIoQueueFull / kIoPrefetchHit /
-  /// kIoPrefetchDrop, all actor-ed by table id. Wire before the run (not
-  /// guarded; same single-threaded-attach discipline as the other
-  /// components).
+  /// kIoPrefetchDrop, all actor-ed by table id. Wire before the run.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
@@ -185,20 +176,16 @@ class Prefetcher final : public IoPipeline {
   const PrefetchOptions options_;
   obs::Tracer* tracer_ = nullptr;
 
-  /// Ready-store latch (rank kIoQueue; see the file comment).
-  mutable Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kPoolPartition)
-      SCANSHARE_ACQUIRED_BEFORE(lock_order::kIo, lock_order::kIoBackend,
-                                lock_order::kTracer);
   /// Ready extents keyed by clipped first page (the same key FetchSlow
   /// computes for a demand miss). Ordered map: deterministic drop order.
-  std::map<sim::PageId, ReadyExtent> ready_ SCANSHARE_GUARDED_BY(mu_);
-  IoPipelineStats stats_ SCANSHARE_GUARDED_BY(mu_);
+  std::map<sim::PageId, ReadyExtent> ready_;
+  IoPipelineStats stats_;
 
   /// Recently consumed extent keys (see the consumed-history file notes):
   /// FIFO order for eviction, set for the pump's membership test. Bounded
   /// by ConsumedHistoryCap().
-  std::deque<sim::PageId> consumed_fifo_ SCANSHARE_GUARDED_BY(mu_);
-  std::unordered_set<sim::PageId> consumed_keys_ SCANSHARE_GUARDED_BY(mu_);
+  std::deque<sim::PageId> consumed_fifo_;
+  std::unordered_set<sim::PageId> consumed_keys_;
 
   /// Bound of the consumed history: a few windows deep — enough to cover
   /// every frontier's staleness, far smaller than a scan circle.
@@ -206,18 +193,17 @@ class Prefetcher final : public IoPipeline {
     return std::max<uint64_t>(16, 4 * options_.depth);
   }
 
-  /// Records a demand-consumed extent key (caller holds mu_).
-  void RecordConsumed(sim::PageId first) SCANSHARE_REQUIRES(mu_);
+  /// Records a demand-consumed extent key.
+  void RecordConsumed(sim::PageId first);
 
   /// Starts a charged read's bytes into a spare buffer; the spare moves
   /// into `*data` unless the backend answered kInPlace or failed.
   [[nodiscard]] Status StartRead(sim::PageId first, uint64_t count,
-                                 AlignedBuffer* data, ReadToken* token)
-      SCANSHARE_REQUIRES(mu_);
+                                 AlignedBuffer* data, ReadToken* token);
 
   /// Extent buffers no read holds, each at least extent_pages_ pages.
-  std::vector<AlignedBuffer> spares_ SCANSHARE_GUARDED_BY(mu_);
-  uint64_t buffers_allocated_ SCANSHARE_GUARDED_BY(mu_) = 0;
+  std::vector<AlignedBuffer> spares_;
+  uint64_t buffers_allocated_ = 0;
 };
 
 }  // namespace scanshare::io

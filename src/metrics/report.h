@@ -42,9 +42,7 @@ bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
                   std::string* first_diff = nullptr);
 
 /// Same contract over a single query output: row counters equal and every
-/// group's key, row count, and aggregate values matching bit-for-bit. This
-/// is the determinism contract of the morsel-parallel scan — jobs=1 and
-/// jobs=N executions of one query must produce indistinguishable outputs.
+/// group's key, row count, and aggregate values matching bit-for-bit.
 bool BitIdentical(const exec::QueryOutput& a, const exec::QueryOutput& b,
                   std::string* first_diff = nullptr);
 

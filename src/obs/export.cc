@@ -41,7 +41,6 @@ ChromeRow RowFor(EventKind kind) {
     case EventKind::kPoolHit:
     case EventKind::kPoolMiss:
     case EventKind::kPoolEvict:
-    case EventKind::kPartitionClamp:
       return ChromeRow{kPidEngine, "buffer"};
     case EventKind::kDiskRead:
     case EventKind::kDiskSeek:

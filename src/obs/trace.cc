@@ -16,7 +16,6 @@ const char* EventKindName(EventKind kind) {
     case EventKind::kPoolHit: return "pool_hit";
     case EventKind::kPoolMiss: return "pool_miss";
     case EventKind::kPoolEvict: return "pool_evict";
-    case EventKind::kPartitionClamp: return "partition_clamp";
     case EventKind::kDiskRead: return "disk_read";
     case EventKind::kDiskSeek: return "disk_seek";
     case EventKind::kDiskFault: return "disk_fault";
@@ -54,7 +53,6 @@ bool IsLifecycleKind(EventKind kind) {
     case EventKind::kShed:
       return true;
     case EventKind::kRegroup:
-    case EventKind::kPartitionClamp:
     case EventKind::kPoolHit:
     case EventKind::kPoolMiss:
     case EventKind::kPoolEvict:

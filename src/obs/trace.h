@@ -23,11 +23,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/lock_order.h"
-#include "common/mutex.h"
 #include "sim/virtual_clock.h"
 
 namespace scanshare::obs {
@@ -52,8 +49,6 @@ enum class EventKind : uint8_t {
   kPoolHit,           ///< Fetch satisfied from memory.
   kPoolMiss,          ///< Fetch read an extent; arg1 = pages read.
   kPoolEvict,         ///< Victim frame recycled; arg0 = evicted page.
-  kPartitionClamp,    ///< Requested pool sharding reduced by the frame-budget
-                      ///< clamp; arg0 = effective count, arg1 = requested.
   // Disk (actor = 0).
   kDiskRead,          ///< Span: arg0 = first page, arg1 = page count.
   kDiskSeek,          ///< Head repositioned; arg0 = travel distance in pages.
@@ -118,34 +113,31 @@ struct TraceOptions {
 
 /// Append-only bounded event log with per-kind counters.
 ///
-/// By default not thread-safe — like every simulation component it is
-/// confined to the run that owns it (one tracer per Database::Run, never
-/// shared). A `concurrent` tracer makes Emit safe under multiple emitters
-/// (mutex-serialized, same drop accounting); the engine builds one for
-/// the morsel-parallel runner, whose workers all emit, and the
-/// single-threaded simulator pays nothing. Readers (events(), count(), ...)
-/// still require emission to have quiesced.
+/// Not thread-safe: like every simulation component it is confined to the
+/// event loop of the run that owns it (one tracer per run, never shared).
 class Tracer {
  public:
-  explicit Tracer(size_t capacity, bool concurrent = false)
-      : capacity_(capacity),
-        mu_(concurrent ? std::make_unique<Mutex>() : nullptr) {
+  explicit Tracer(size_t capacity) : capacity_(capacity) {
     events_.reserve(capacity);
   }
 
   /// Records one event (drop-newest once full; see TraceOptions).
   void Emit(EventKind kind, sim::Micros at, uint64_t actor, uint64_t arg0 = 0,
             uint64_t arg1 = 0, sim::Micros dur = 0) {
-    if (mu_ != nullptr) {
-      MutexLock lock(*mu_);
-      EmitLocked(kind, at, actor, arg0, arg1, dur);
+    ++counts_[static_cast<size_t>(kind)];
+    if (events_.size() >= capacity_) {
+      ++dropped_;
       return;
     }
-    EmitLocked(kind, at, actor, arg0, arg1, dur);
+    TraceEvent e;
+    e.at = at;
+    e.dur = dur;
+    e.actor = actor;
+    e.arg0 = arg0;
+    e.arg1 = arg1;
+    e.kind = kind;
+    events_.push_back(e);
   }
-
-  /// True if Emit serializes through a mutex.
-  bool concurrent() const { return mu_ != nullptr; }
 
   /// Events in emission order (virtual timestamps are near-sorted but not
   /// strictly monotonic: a throttle release is emitted at insert time with
@@ -177,36 +169,10 @@ class Tracer {
   }
 
  private:
-  void EmitLocked(EventKind kind, sim::Micros at, uint64_t actor,
-                  uint64_t arg0, uint64_t arg1, sim::Micros dur) {
-    ++counts_[static_cast<size_t>(kind)];
-    if (events_.size() >= capacity_) {
-      ++dropped_;
-      return;
-    }
-    TraceEvent e;
-    e.at = at;
-    e.dur = dur;
-    e.actor = actor;
-    e.arg0 = arg0;
-    e.arg1 = arg1;
-    e.kind = kind;
-    events_.push_back(e);
-  }
-
   size_t capacity_;
   std::vector<TraceEvent> events_;
   uint64_t dropped_ = 0;
   uint64_t counts_[kNumEventKinds] = {};
-  /// Present iff the tracer is concurrent; guards EmitLocked. Allocated
-  /// (not inline) so the default single-threaded tracer stays copy-free of
-  /// mutex state and the disabled path costs one null test. The ring state
-  /// is *conditionally* guarded — present only in concurrent mode — which
-  /// capability analysis cannot express, so EmitLocked carries no REQUIRES
-  /// and the fields no GUARDED_BY (DESIGN.md §14.3 documents this). The
-  /// tracer is a hierarchy leaf: every engine lock orders before
-  /// lock_order::kTracer and Emit acquires nothing further.
-  std::unique_ptr<Mutex> mu_;
 };
 
 }  // namespace scanshare::obs

@@ -15,7 +15,7 @@
 namespace scanshare::ssm {
 
 /// Grouping + throttling (paper default). Stateless beyond its options;
-/// safe to share across concurrent tables.
+/// one instance serves every table of a run.
 class GroupThrottlePolicy final : public SharingPolicy {
  public:
   explicit GroupThrottlePolicy(const SsmOptions& options) : options_(options) {}

@@ -66,7 +66,6 @@ ScanSharingManager::ScanSharingManager(
 StatusOr<StartInfo> ScanSharingManager::StartScan(const ScanDescriptor& desc,
                                                   sim::Micros now) {
   SCANSHARE_RETURN_IF_ERROR(ValidateDescriptor(desc));
-  MutexLock lock(mu_);
 
   TableState& table = tables_[desc.table_id];
   table.id = desc.table_id;
@@ -122,7 +121,7 @@ StatusOr<StartInfo> ScanSharingManager::StartScan(const ScanDescriptor& desc,
 
   ++stats_.scans_started;
   if (placement.joined_scan != kInvalidScanId) ++stats_.scans_joined;
-  SCANSHARE_AUDIT_OK(CheckInvariantsLocked());
+  SCANSHARE_AUDIT_OK(CheckInvariants());
   return StartInfo{id, placement.start_page, placement.joined_scan};
 }
 
@@ -237,7 +236,6 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
                                                           sim::PageId position,
                                                           uint64_t pages_processed,
                                                           sim::Micros now) {
-  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("UpdateLocation: unknown scan " +
@@ -272,7 +270,7 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
   UpdateResult result;
   const ScanGroup* group = FindGroup(table, id);
   if (group == nullptr) {
-    SCANSHARE_AUDIT_OK(CheckTableInvariantsLocked(table));
+    SCANSHARE_AUDIT_OK(CheckTableInvariants(table));
     return result;
   }
 
@@ -322,13 +320,12 @@ StatusOr<UpdateResult> ScanSharingManager::UpdateLocation(ScanId id,
                             decision.gap_pages);
     }
   }
-  SCANSHARE_AUDIT_OK(regrouped ? CheckTableInvariantsLocked(table)
-                               : CheckUpdateInvariantsLocked(table, scan));
+  SCANSHARE_AUDIT_OK(regrouped ? CheckTableInvariants(table)
+                               : CheckUpdateInvariants(table, scan));
   return result;
 }
 
 Status ScanSharingManager::EndScan(ScanId id, sim::Micros now) {
-  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("EndScan: unknown scan " + std::to_string(id));
@@ -357,7 +354,7 @@ Status ScanSharingManager::EndScan(ScanId id, sim::Micros now) {
     Regroup(&table, now);
   }
   ++stats_.scans_ended;
-  SCANSHARE_AUDIT_OK(CheckInvariantsLocked());
+  SCANSHARE_AUDIT_OK(CheckInvariants());
   return Status::OK();
 }
 
@@ -374,7 +371,7 @@ Status ScanSharingManager::CheckFairness(const ScanState& scan) const {
   return Status::OK();
 }
 
-Status ScanSharingManager::CheckGroupLocked(
+Status ScanSharingManager::CheckGroup(
     const TableState& table, size_t g, std::span<const ScanId> members) const {
   const ScanGroup& group = table.groups[g];
   if (group.members.empty()) return AuditFailure(table.id, "empty group");
@@ -398,7 +395,7 @@ Status ScanSharingManager::CheckGroupLocked(
   return Status::OK();
 }
 
-Status ScanSharingManager::CheckTableInvariantsLocked(
+Status ScanSharingManager::CheckTableInvariants(
     const TableState& table) const {
   const uint32_t table_id = table.id;
 
@@ -452,7 +449,7 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   size_t grouped = 0;
   for (size_t g = 0; g < table.groups.size(); ++g) {
     SCANSHARE_RETURN_IF_ERROR(
-        CheckGroupLocked(table, g, table.groups[g].members));
+        CheckGroup(table, g, table.groups[g].members));
     grouped += table.groups[g].size();
   }
   if (grouped != table.active.size() ||
@@ -503,7 +500,7 @@ Status ScanSharingManager::CheckTableInvariantsLocked(
   return Status::OK();
 }
 
-Status ScanSharingManager::CheckUpdateInvariantsLocked(
+Status ScanSharingManager::CheckUpdateInvariants(
     const TableState& table, const ScanState& scan) const {
   SCANSHARE_RETURN_IF_ERROR(CheckFairness(scan));
   // Without a regroup the grouping is unchanged, so only what it says
@@ -519,13 +516,13 @@ Status ScanSharingManager::CheckUpdateInvariantsLocked(
   }
   const ScanGroup& group = table.groups[g];
   const ScanId ends[] = {group.trailer, group.leader};
-  return CheckGroupLocked(table, g, ends);
+  return CheckGroup(table, g, ends);
 }
 
-Status ScanSharingManager::CheckInvariantsLocked() const {
+Status ScanSharingManager::CheckInvariants() const {
   size_t active_total = 0;
   for (const auto& [table_id, table] : tables_) {
-    SCANSHARE_RETURN_IF_ERROR(CheckTableInvariantsLocked(table));
+    SCANSHARE_RETURN_IF_ERROR(CheckTableInvariants(table));
     active_total += table.active.size();
   }
   if (active_total != scans_.size()) {
@@ -536,24 +533,17 @@ Status ScanSharingManager::CheckInvariantsLocked() const {
   return Status::OK();
 }
 
-Status ScanSharingManager::CheckInvariants() const {
-  MutexLock lock(mu_);
-  return CheckInvariantsLocked();
-}
-
 Status ScanSharingManager::CheckScanInvariants(ScanId id) const {
-  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("CheckScanInvariants: unknown scan " +
                             std::to_string(id));
   }
-  return CheckUpdateInvariantsLocked(tables_.at(it->second.desc.table_id),
+  return CheckUpdateInvariants(tables_.at(it->second.desc.table_id),
                                      it->second);
 }
 
 StatusOr<buffer::PagePriority> ScanSharingManager::AdvisePriority(ScanId id) const {
-  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("AdvisePriority: unknown scan " +
@@ -586,7 +576,6 @@ uint64_t ScanSharingManager::SuccessorGap(const TableState& table,
 }
 
 StatusOr<ScanState> ScanSharingManager::GetScanState(ScanId id) const {
-  MutexLock lock(mu_);
   auto it = scans_.find(id);
   if (it == scans_.end()) {
     return Status::NotFound("GetScanState: unknown scan " + std::to_string(id));
@@ -595,7 +584,6 @@ StatusOr<ScanState> ScanSharingManager::GetScanState(ScanId id) const {
 }
 
 std::vector<ScanGroup> ScanSharingManager::GroupsForTable(uint32_t table_id) const {
-  MutexLock lock(mu_);
   auto it = tables_.find(table_id);
   if (it == tables_.end()) return {};
   return it->second.groups;
@@ -603,7 +591,6 @@ std::vector<ScanGroup> ScanSharingManager::GroupsForTable(uint32_t table_id) con
 
 std::vector<GroupFrontier> ScanSharingManager::GroupFrontiers() const {
   std::vector<GroupFrontier> frontiers;
-  MutexLock lock(mu_);
   // tables_ is an ordered map, so frontiers come out ascending by table id
   // and, within a table, in group order — the deterministic issue order
   // the push pipeline relies on.
@@ -619,21 +606,6 @@ std::vector<GroupFrontier> ScanSharingManager::GroupFrontiers() const {
     }
   }
   return frontiers;
-}
-
-size_t ScanSharingManager::ActiveScanCount() const {
-  MutexLock lock(mu_);
-  return scans_.size();
-}
-
-SsmStats ScanSharingManager::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
-void ScanSharingManager::SetTracer(obs::Tracer* tracer) {
-  MutexLock lock(mu_);
-  tracer_ = tracer;
 }
 
 }  // namespace scanshare::ssm

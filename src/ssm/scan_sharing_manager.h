@@ -12,11 +12,9 @@
 // pool when releasing pages. The SSM never touches the buffer pool, the
 // heap, or the disk.
 //
-// Concurrency (see DESIGN.md §12.2): one mutex, mu_, is held for the whole
-// of every public call, so no two calls ever overlap — the paper's one
-// coordinator per buffer pool. The only concurrent caller outside tests,
-// the morsel-parallel executor, reports one scan on one table from many
-// workers, which a finer protocol could not speed up.
+// One manager per run, called from the run's event loop only (the paper's
+// one coordinator per buffer pool), so it takes no lock. Its bookkeeping
+// (see DESIGN.md §13.4):
 //   - each table's grouping (its groups and the group_of reverse index)
 //     is updated in place: Regroup assigns the policy's groups and refills
 //     group_of in its kept storage; under adaptive_regroup a start appends
@@ -29,14 +27,7 @@
 //     handing the list to SharingPolicy::Group — Fig. 14 then needs no
 //     sort of its own. (Re-sorting on every update instead shifts the
 //     entries of every scan the update overtakes, which the adaptive
-//     regroup-scaling cells cannot afford; see DESIGN.md §12.2.)
-//   - policy hooks run under mu_; the position board and the tracer they
-//     or the manager reach keep their own leaf mutexes
-//     (common/lock_order.h).
-// The single-threaded simulator path takes the same lock uncontended.
-//
-// This file is on the domain lint's concurrent-engine allowlist
-// (scanshare-threads).
+//     regroup-scaling cells cannot afford; see DESIGN.md §13.4.)
 
 #pragma once
 
@@ -52,8 +43,6 @@
 #include "buffer/replacer.h"
 #include "common/audit.h"
 #include "common/counters.h"
-#include "common/lock_order.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "obs/trace.h"
 #include "ssm/group_builder.h"
@@ -117,10 +106,8 @@ static_assert(counters::Covers(kSsmStatsCounters, sizeof(SsmStats)));
 
 /// One group's read frontier as the push I/O pipeline consumes it
 /// (io::Prefetcher::Pump): enough to aim a window of extent reads ahead of
-/// the group's leader without holding any SSM lock while issuing them.
-/// Taken under the SSM lock and stale the moment it is returned; the
-/// pipeline tolerates staleness (a wasted read at worst, never a wrong
-/// install).
+/// the group's leader. Stale once a scan moves; the pipeline tolerates
+/// staleness (a wasted read at worst, never a wrong install).
 struct GroupFrontier {
   uint32_t table_id = 0;
   sim::PageId table_first = 0;     ///< Table span (clip bounds for reads).
@@ -130,8 +117,7 @@ struct GroupFrontier {
 };
 
 /// Central registry + policies. One instance per buffer pool (paper: "there
-/// is one manager per bufferpool"). Safe under concurrent scanners: every
-/// public call holds one mutex throughout (see the file comment).
+/// is one manager per bufferpool"). Not thread-safe (see the file comment).
 class ScanSharingManager {
  public:
   /// Default policy pair: the paper's grouping + throttling
@@ -142,36 +128,34 @@ class ScanSharingManager {
   /// Policy-seam constructor (DESIGN.md §13): every placement / grouping /
   /// throttle decision routes through `sharing`, every release-priority
   /// decision through `page`. Null pointers fall back to the defaults
-  /// above. The manager keeps all bookkeeping — registries, locking,
-  /// stats, fairness-cap budgets, tracing, audits — so policies compete
-  /// on decisions alone.
+  /// above. The manager keeps all bookkeeping — registries, stats,
+  /// fairness-cap budgets, tracing, audits — so policies compete on
+  /// decisions alone.
   ScanSharingManager(SsmOptions options, std::shared_ptr<SharingPolicy> sharing,
                      std::shared_ptr<const buffer::PagePolicy> page);
 
   /// Registers a scan and decides where it starts. Validates the
   /// descriptor (ranges, estimates); returns InvalidArgument on misuse.
-  [[nodiscard]] StatusOr<StartInfo> StartScan(const ScanDescriptor& desc, sim::Micros now)
-      SCANSHARE_EXCLUDES(mu_);
+  [[nodiscard]] StatusOr<StartInfo> StartScan(const ScanDescriptor& desc,
+                                               sim::Micros now);
 
   /// Reports that the scan is now at `position` having processed
   /// `pages_processed` pages in total. Returns the throttle wait to insert
   /// and the release priority to use until the next update. NotFound for
   /// unknown ids; InvalidArgument if `position` is outside the scan's
-  /// table. Concurrent updates serialize on the manager's lock.
-  [[nodiscard]] StatusOr<UpdateResult> UpdateLocation(ScanId id, sim::PageId position,
-                                        uint64_t pages_processed,
-                                        sim::Micros now)
-      SCANSHARE_EXCLUDES(mu_);
+  /// table.
+  [[nodiscard]] StatusOr<UpdateResult> UpdateLocation(ScanId id,
+                                                      sim::PageId position,
+                                                      uint64_t pages_processed,
+                                                      sim::Micros now);
 
   /// Deregisters the scan, remembering its final position for the
   /// "no ongoing scans" placement case.
-  [[nodiscard]] Status EndScan(ScanId id, sim::Micros now)
-      SCANSHARE_EXCLUDES(mu_);
+  [[nodiscard]] Status EndScan(ScanId id, sim::Micros now);
 
   /// Release priority for `id` based on its current group role, without
   /// the cost of a full location update.
-  [[nodiscard]] StatusOr<buffer::PagePriority> AdvisePriority(ScanId id) const
-      SCANSHARE_EXCLUDES(mu_);
+  [[nodiscard]] StatusOr<buffer::PagePriority> AdvisePriority(ScanId id) const;
 
   /// Full cross-structure consistency audit. Verifies, in O(scans +
   /// groups):
@@ -194,27 +178,24 @@ class ScanSharingManager {
   /// UpdateLocation that regrouped, and scoped to what one update can
   /// change otherwise (the moved scan's fairness budget, its group's
   /// membership and roles).
-  [[nodiscard]] Status CheckInvariants() const SCANSHARE_EXCLUDES(mu_);
+  [[nodiscard]] Status CheckInvariants() const;
 
   /// The scoped audit an UpdateLocation that did not regroup runs in
   /// SCANSHARE_AUDIT builds, for scan `id`: its fairness budget and its
   /// group's membership and roles. NotFound for unknown ids, Internal on a
   /// violation. Always compiled in, like CheckInvariants.
-  [[nodiscard]] Status CheckScanInvariants(ScanId id) const
-      SCANSHARE_EXCLUDES(mu_);
+  [[nodiscard]] Status CheckScanInvariants(ScanId id) const;
 
   /// Introspection (tests, reports).
-  [[nodiscard]] StatusOr<ScanState> GetScanState(ScanId id) const
-      SCANSHARE_EXCLUDES(mu_);
-  std::vector<ScanGroup> GroupsForTable(uint32_t table_id) const
-      SCANSHARE_EXCLUDES(mu_);
+  [[nodiscard]] StatusOr<ScanState> GetScanState(ScanId id) const;
+  std::vector<ScanGroup> GroupsForTable(uint32_t table_id) const;
   /// Read frontiers of every group on every table, in deterministic order
   /// (tables ascending by id, groups in the table's group order; singletons
   /// included). The push I/O pipeline polls this to aim prefetch windows.
-  std::vector<GroupFrontier> GroupFrontiers() const SCANSHARE_EXCLUDES(mu_);
-  size_t ActiveScanCount() const SCANSHARE_EXCLUDES(mu_);
+  std::vector<GroupFrontier> GroupFrontiers() const;
+  size_t ActiveScanCount() const { return scans_.size(); }
   /// Counters over every table.
-  SsmStats stats() const SCANSHARE_EXCLUDES(mu_);
+  SsmStats stats() const { return stats_; }
   const SsmOptions& options() const { return options_; }
   /// The policies in force (for reports and the parity tests).
   const SharingPolicy& sharing_policy() const { return *sharing_policy_; }
@@ -223,14 +204,11 @@ class ScanSharingManager {
   /// Attaches a borrowed event tracer (or detaches with nullptr). The SSM
   /// emits the scan-lifecycle events: admit/join, leader/trailer
   /// transitions, throttle insertions, fairness-cap suppressions, regroup
-  /// decisions, and scan end. With concurrent scanners the tracer must be
-  /// concurrent (obs::Tracer's constructor).
-  void SetTracer(obs::Tracer* tracer) SCANSHARE_EXCLUDES(mu_);
+  /// decisions, and scan end.
+  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  /// One table's scans and grouping. Its fields are guarded by mu_, which
-  /// a nested struct's annotations cannot name; every function that
-  /// reaches a TableState requires mu_.
+  /// One table's scans and grouping.
   struct TableState {
     uint32_t id = 0;  ///< Table id (trace actor).
     std::optional<ScanCircle> circle;
@@ -255,63 +233,53 @@ class ScanSharingManager {
 
   /// Recomputes groups for one table from current scan positions. `now`
   /// only stamps the trace event.
-  void Regroup(TableState* table, sim::Micros now) SCANSHARE_REQUIRES(mu_);
+  void Regroup(TableState* table, sim::Micros now);
 
   /// Brings the table's active list up to date: drops the moved scans'
   /// stale entries and merges them back at their current positions, in
   /// O(active + k log active) for k move notes.
-  void ResortMoved(TableState* table) SCANSHARE_REQUIRES(mu_);
+  void ResortMoved(TableState* table);
 
   /// Incremental grouping maintenance (SsmOptions::adaptive_regroup):
   /// appends the new scan as a singleton group in amortized O(1), or
   /// splices the ended scan out of its group in O(group), plus one
   /// re-index of the later groups' members when its group vanishes.
-  /// Neither counts
-  /// as a regroup (no kRegroup event, no stats bump, updates_since_regroup
-  /// untouched) — they keep the partition invariant exact while the
-  /// *quality* of grouping waits for the next full rebuild.
-  /// RemoveScanIncremental must run before the scan leaves scans_ (it
-  /// reads surviving members' positions).
-  void InsertScanIncremental(TableState* table, ScanId id)
-      SCANSHARE_REQUIRES(mu_);
-  void RemoveScanIncremental(TableState* table, ScanId id)
-      SCANSHARE_REQUIRES(mu_);
+  /// Neither counts as a regroup (no kRegroup event, no stats bump,
+  /// updates_since_regroup untouched) — they keep the partition invariant
+  /// exact while the *quality* of grouping waits for the next full
+  /// rebuild. RemoveScanIncremental must run before the scan leaves
+  /// scans_ (it reads surviving members' positions).
+  void InsertScanIncremental(TableState* table, ScanId id);
+  void RemoveScanIncremental(TableState* table, ScanId id);
 
   /// Group containing `id` in the table's grouping, or nullptr.
   static const ScanGroup* FindGroup(const TableState& table, ScanId id);
 
   /// Forward distance from the group's trailer to the member right ahead
   /// of it (0 for singletons) — input to the release-priority decision.
-  uint64_t SuccessorGap(const TableState& table, const ScanGroup& group) const
-      SCANSHARE_REQUIRES(mu_);
+  uint64_t SuccessorGap(const TableState& table, const ScanGroup& group) const;
 
   /// Condenses `id`'s role in `group` into the policy-neutral context the
   /// page policy advises on.
   buffer::ReleaseContext MakeReleaseContext(ScanId id, const TableState& table,
-                                            const ScanGroup& group) const
-      SCANSHARE_REQUIRES(mu_);
+                                            const ScanGroup& group) const;
 
-  /// Audit body for one table.
-  [[nodiscard]] Status CheckTableInvariantsLocked(const TableState& table) const
-      SCANSHARE_REQUIRES(mu_);
+  /// CheckInvariants for one table.
+  [[nodiscard]] Status CheckTableInvariants(const TableState& table) const;
   /// The part of the table audit one location update of `scan` can
   /// invalidate when it does not regroup: the scan's fairness budget, and
   /// its group's membership and roles (trailer and leader). O(group) id
   /// comparisons and a constant number of lookups; the moved list is
   /// audited in full at the next regroup, which consumes it.
-  [[nodiscard]] Status CheckUpdateInvariantsLocked(const TableState& table,
-                                                   const ScanState& scan) const
-      SCANSHARE_REQUIRES(mu_);
+  [[nodiscard]] Status CheckUpdateInvariants(const TableState& table,
+                                             const ScanState& scan) const;
   /// Group `g` of the table's grouping is non-empty, its trailer/leader
   /// are its first/last member, and each of `members` is a registered scan
   /// of this table that the reverse index maps back to `g`.
-  [[nodiscard]] Status CheckGroupLocked(const TableState& table, size_t g,
-                                        std::span<const ScanId> members) const
-      SCANSHARE_REQUIRES(mu_);
+  [[nodiscard]] Status CheckGroup(const TableState& table, size_t g,
+                                  std::span<const ScanId> members) const;
   /// `scan`'s accumulated throttle wait is within its fairness budget.
   [[nodiscard]] Status CheckFairness(const ScanState& scan) const;
-  /// Full audit body.
-  [[nodiscard]] Status CheckInvariantsLocked() const SCANSHARE_REQUIRES(mu_);
 
   SsmOptions options_;
   /// The two sides of the policy seam; never null after construction.
@@ -320,17 +288,12 @@ class ScanSharingManager {
   std::shared_ptr<SharingPolicy> sharing_policy_;
   std::shared_ptr<const buffer::PagePolicy> page_policy_;
 
-  /// The manager's one lock, held by every public call. Policy hooks may
-  /// reach the position board, and every path may emit to the tracer,
-  /// while it is held.
-  mutable Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kSsm)
-      SCANSHARE_ACQUIRED_BEFORE(lock_order::kBoard, lock_order::kTracer);
-  ScanId next_id_ SCANSHARE_GUARDED_BY(mu_) = 1;
-  std::unordered_map<ScanId, ScanState> scans_ SCANSHARE_GUARDED_BY(mu_);
-  std::map<uint32_t, TableState> tables_ SCANSHARE_GUARDED_BY(mu_);
-  SsmStats stats_ SCANSHARE_GUARDED_BY(mu_);
+  ScanId next_id_ = 1;
+  std::unordered_map<ScanId, ScanState> scans_;
+  std::map<uint32_t, TableState> tables_;
+  SsmStats stats_;
   /// Borrowed; wired per run by the engine.
-  obs::Tracer* tracer_ SCANSHARE_GUARDED_BY(mu_) = nullptr;
+  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace scanshare::ssm

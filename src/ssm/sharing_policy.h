@@ -14,10 +14,9 @@
 // (no clocks, no RNG — enforced by the scanshare-policy lint rule over
 // src/ssm/policies/). Policies that need cross-call state (PBM's scan
 // trajectories) keep it behind the OnScan*/OnLocationUpdate observation
-// hooks, which the manager invokes under its one lock: no two hook calls
-// ever overlap. State a hook shares with the buffer pool must still be
-// synchronized on its own (ScanPositionBoard carries a leaf mutex, since
-// the PBM replacer reads it under a pool partition latch).
+// hooks, which the manager invokes on the run's event loop: no two hook
+// calls ever overlap, and the state a hook shares with the buffer pool
+// (PBM's ScanPositionBoard, which the PBM replacer reads) needs no lock.
 
 #pragma once
 

@@ -54,7 +54,7 @@ StatusOr<const uint8_t*> DiskManager::PageData(sim::PageId page) const {
                               " not allocated");
   }
   if (page >= fault_first_ && page < fault_end_) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
+    ++faults_injected_;
     return Status::Corruption("PageData: injected media fault on page " +
                               std::to_string(page));
   }
@@ -70,11 +70,6 @@ StatusOr<sim::IoResult> DiskManager::ChargedRead(sim::PageId first, uint64_t cou
     return Status::OutOfRange("ChargedRead: range [" + std::to_string(first) + ", " +
                               std::to_string(first + count) + ") not allocated");
   }
-  // The sim::Disk head/queue model mutates on every read; partitioned-pool
-  // workers reach here from different latches, so this lock is the one
-  // serialization point for the shared virtual disk. Uncontended (the
-  // single-threaded simulator) it is a single atomic exchange.
-  MutexLock lock(io_mu_);
   return env_->disk().Read(first, count, now);
 }
 

@@ -16,12 +16,9 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
-#include "common/lock_order.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "sim/env.h"
 #include "storage/page_arena.h"
@@ -90,8 +87,9 @@ class DiskManager {
   /// the caller reaches the bytes via PageData(). Returns OutOfRange if the
   /// range is not fully allocated. Fault injection armed on the underlying
   /// sim::Disk (see sim::DiskFaultOptions) surfaces here as Corruption.
-  [[nodiscard]] StatusOr<sim::IoResult> ChargedRead(sim::PageId first, uint64_t count,
-                                      sim::Micros now) SCANSHARE_EXCLUDES(io_mu_);
+  [[nodiscard]] StatusOr<sim::IoResult> ChargedRead(sim::PageId first,
+                                                    uint64_t count,
+                                                    sim::Micros now);
 
   /// Media-fault shim for the post-read install path (tests only):
   /// PageData() returns Corruption for pages in [first, end), while
@@ -113,9 +111,7 @@ class DiskManager {
   }
 
   /// PageData calls failed by injection since construction.
-  uint64_t page_data_faults_injected() const {
-    return faults_injected_.load(std::memory_order_relaxed);
-  }
+  uint64_t page_data_faults_injected() const { return faults_injected_; }
 
   /// The environment this manager charges I/O against.
   sim::Env* env() const { return env_; }
@@ -129,24 +125,9 @@ class DiskManager {
   // Page id -> image, pointing into arenas_.
   std::vector<uint8_t*> images_;
   // PageData media-fault range (tests only); kInvalidPageId = disarmed.
-  // Armed in single-threaded test setup, read concurrently — not guarded
-  // (DESIGN.md §14.3 documents the phase discipline).
   sim::PageId fault_first_ = sim::kInvalidPageId;
   sim::PageId fault_end_ = sim::kInvalidPageId;
-  // Atomic: PageData() runs concurrently under *different* partition
-  // latches on the morsel-parallel install path, so a plain counter here
-  // was a data race once a fault range was armed (found by the
-  // -Wthread-safety triage sweep; regression test in disk_manager_test).
-  mutable std::atomic<uint64_t> faults_injected_{0};
-  // Serializes ChargedRead: the shared sim::Disk head/queue model is the
-  // only cross-partition mutable state partitioned-pool workers touch.
-  // Allocation and fault arming remain single-threaded (bulk load / test
-  // setup phases) and are intentionally not covered. Ordered after the
-  // prefetcher mutex too: the push pipeline charges reads at submit time
-  // while holding its ready-queue lock (lock_order::kIoQueue).
-  Mutex io_mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kPoolPartition,
-                                        lock_order::kIoQueue)
-      SCANSHARE_ACQUIRED_BEFORE(lock_order::kTracer);
+  mutable uint64_t faults_injected_ = 0;
 };
 
 }  // namespace scanshare::storage

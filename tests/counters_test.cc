@@ -1,6 +1,6 @@
 // The counter field lists (common/counters.h): each list covers its
 // struct, and every walk over a list — metrics::BitIdentical, the run and
-// service registries, counters::Add — sees each counter under its name.
+// service registries — sees each counter under its name.
 
 #include "common/counters.h"
 
@@ -141,18 +141,6 @@ TEST(CountersTest, EveryServiceCounterIsRegisteredByName) {
                              &service::ServiceResult::io);
   ExpectServiceCountersNamed(io::kRealIoStatsCounters,
                              &service::ServiceResult::real_io);
-}
-
-TEST(CountersTest, AddSumsEveryListedCounter) {
-  ssm::SsmStats total;
-  ssm::SsmStats one;
-  uint64_t value = 1;
-  for (const auto& f : ssm::kSsmStatsCounters) one.*f.member = value++;
-  counters::Add(ssm::kSsmStatsCounters, one, &total);
-  counters::Add(ssm::kSsmStatsCounters, one, &total);
-  for (const auto& f : ssm::kSsmStatsCounters) {
-    EXPECT_EQ(total.*f.member, 2 * (one.*f.member)) << f.name;
-  }
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/parallel_scan.h"
 #include "metrics/report.h"
 #include "testutil.h"
 #include "workload/queries.h"
@@ -118,7 +117,7 @@ TEST(DatabaseTest, QueryResultsIdenticalAcrossModes) {
   }
 }
 
-// A prefetch extent of 0 reads one page at a time: both pools report the
+// A prefetch extent of 0 reads one page at a time: the pool reports the
 // effective extent (>= 1), so the scan operators' chunking, the miss path
 // and the SSM's EffectiveExtent all see the same one-page quantum. Each
 // run must match its extent-1 twin bit for bit.
@@ -145,22 +144,6 @@ TEST(DatabaseTest, ZeroExtentRunsAsOnePageExtent) {
     EXPECT_TRUE(metrics::BitIdentical(*zero_run, *one_run, &diff))
         << label << ": first difference at " << diff;
   }
-
-  RunConfig zero = testutil::MakeRunConfig(ScanMode::kShared, 32, 0);
-  RunConfig one = testutil::MakeRunConfig(ScanMode::kShared, 32, 1);
-  const ParallelScanOptions options;  // jobs = 1: deterministic counters.
-  auto zero_q = RunQueryParallel(db.get(), zero, workload::MakeQ1Like("lineitem"),
-                                 options);
-  auto one_q = RunQueryParallel(db.get(), one, workload::MakeQ1Like("lineitem"),
-                                options);
-  ASSERT_TRUE(zero_q.ok()) << zero_q.status().ToString();
-  ASSERT_TRUE(one_q.ok()) << one_q.status().ToString();
-  std::string diff;
-  EXPECT_TRUE(metrics::BitIdentical(zero_q->output, one_q->output, &diff))
-      << "RunQueryParallel: first difference at " << diff;
-  EXPECT_EQ(zero_q->morsels, one_q->morsels);
-  EXPECT_EQ(zero_q->buffer.misses, one_q->buffer.misses);
-  EXPECT_EQ(zero_q->metrics.pages_scanned, one_q->metrics.pages_scanned);
 }
 
 }  // namespace

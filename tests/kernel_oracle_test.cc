@@ -388,11 +388,9 @@ TEST(KernelOracleTest, RawBytesAfterTheFirstNulFoldAsOneGroupInSlotOrder) {
 }
 
 // One aggregator through every entry point: batches, single tuples, a
-// drain absorbed back (slots renumber in key order, so a stale group-id
-// table would misfile rows), a partial absorbed from another aggregator,
-// a plain copy, a copy followed by PrepareHot (what each RunQueryParallel
-// worker does), and a drain held across later batches. The reference runs
-// the same script with Consume wherever the kernel runs ConsumeBatch.
+// plain copy, and a copy followed by PrepareHot (which empties the
+// group-id table the copy carried). The reference runs the same script
+// with Consume wherever the kernel runs ConsumeBatch.
 TEST(KernelOracleTest, MixedEntryPointsMatchAConsumeOnlyScript) {
   const Schema schema = TestSchema();
   const Batch batch = MakeBatch(schema, 300);
@@ -429,22 +427,12 @@ TEST(KernelOracleTest, MixedEntryPointsMatchAConsumeOnlyScript) {
       Aggregator agg = make(hot);
       fold(agg, hot, 0, 40);
       for (size_t r = 40; r < 50; ++r) agg.Consume(schema, batch.tuples[r]);
-      fold(agg, hot, 50, 90);
-      agg.AbsorbPartial(agg.DrainPartial());
-      fold(agg, hot, 90, 130);
-      Aggregator side = make(hot);
-      fold(side, hot, 130, 160);
-      agg.AbsorbPartial(side.DrainPartial());
-      fold(agg, hot, 160, 180);
+      fold(agg, hot, 50, 180);
       Aggregator copy = agg;
       fold(copy, hot, 180, 200);
       Aggregator prepared = copy;
       EXPECT_TRUE(prepared.PrepareHot(schema).ok());
-      fold(prepared, hot, 200, 230);
-      const AggPartial held = prepared.DrainPartial();
-      fold(prepared, hot, 230, 270);
-      prepared.AbsorbPartial(held);
-      fold(prepared, hot, 270, n);
+      fold(prepared, hot, 200, n);
       return prepared.Finish(n);
     };
     std::string diff;

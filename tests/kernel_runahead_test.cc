@@ -337,8 +337,8 @@ class ChunkProcessorWalkTest : public testing::Test {
     table_ = *db_->catalog()->GetTable("lineitem");
     EXPECT_TRUE(query_.predicate.Bind(table_->schema).ok());
     EXPECT_TRUE(agg_.Bind(table_->schema).ok());
-    auto chunks = exec::ChunkProcessor::Create(
-        &pool_, db_->disk_manager(), table_, &cost_, query_, &agg_, &metrics_);
+    auto chunks = exec::ChunkProcessor::Create(&pool_, table_, &cost_, query_,
+                                               &agg_, &metrics_);
     EXPECT_TRUE(chunks.ok());
     chunks_.emplace(std::move(chunks).value());
   }

@@ -8,14 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "exec/engine.h"
-#include "exec/parallel_scan.h"
 #include "metrics/report.h"
 #include "testutil.h"
 #include "workload/queries.h"
@@ -162,92 +159,6 @@ TEST(ParallelDeterminismTest, RepeatedRunsOnOneDatabaseBitIdentical) {
   std::string diff;
   EXPECT_TRUE(metrics::BitIdentical(*first, *second, &diff))
       << "differs at " << diff;
-}
-
-// Intra-query determinism: the morsel-parallel scan must produce
-// bit-identical aggregates (output rows, group keys, every double by bit
-// pattern) for jobs=1 and jobs=8 on the same database — regardless of
-// which worker claims which morsel or where the SSM rotates the start
-// position. Buffer/disk counters are NOT part of this contract (eviction
-// order depends on scheduling); QueryOutput and the row counters are.
-TEST(ParallelDeterminismTest, IntraQueryJobsBitIdenticalAggregates) {
-  auto db = FreshDb();
-  exec::RunConfig config;
-  config.mode = exec::ScanMode::kShared;
-  config.buffer.num_frames = 24;
-
-  const std::vector<exec::QuerySpec> queries = {
-      workload::MakeQ1Like("lineitem"), workload::MakeQ6Like("lineitem")};
-  for (const exec::QuerySpec& query : queries) {
-    exec::ParallelScanOptions one;
-    one.jobs = 1;
-    auto a = exec::RunQueryParallel(db.get(), config, query, one);
-    ASSERT_TRUE(a.ok()) << query.name << ": " << a.status().ToString();
-
-    exec::ParallelScanOptions eight;
-    eight.jobs = 8;
-    auto b = exec::RunQueryParallel(db.get(), config, query, eight);
-    ASSERT_TRUE(b.ok()) << query.name << ": " << b.status().ToString();
-
-    std::string diff;
-    EXPECT_TRUE(metrics::BitIdentical(a->output, b->output, &diff))
-        << query.name << " jobs=1 vs jobs=8 differs at " << diff;
-    EXPECT_EQ(a->metrics.pages_scanned, b->metrics.pages_scanned)
-        << query.name;
-    EXPECT_EQ(a->metrics.tuples_scanned, b->metrics.tuples_scanned)
-        << query.name;
-    EXPECT_GT(a->output.rows_scanned, 0u) << query.name;
-  }
-}
-
-// The parallel path must agree with the sequential simulation engine on
-// what the query *computes*: identical row/group counters and matching
-// aggregate values. Values are compared with a tight relative bound, not
-// BitIdentical: the morsel merge uses a canonical per-morsel reduction
-// tree while the engine folds one accumulator across the whole scan, and
-// floating-point addition is not associative — bit-identity is a contract
-// *within* the parallel path (jobs=1 vs jobs=N), not across engines.
-TEST(ParallelDeterminismTest, IntraQueryAgreesWithSequentialEngine) {
-  auto db = FreshDb();
-  exec::RunConfig config;
-  config.mode = exec::ScanMode::kShared;
-  config.buffer.num_frames = 24;
-
-  for (const exec::QuerySpec& query :
-       {workload::MakeQ1Like("lineitem"), workload::MakeQ6Like("lineitem")}) {
-    exec::StreamSpec stream;
-    stream.queries.push_back(query);
-    auto engine_run = db->Run(config, {stream});
-    ASSERT_TRUE(engine_run.ok()) << engine_run.status().ToString();
-    ASSERT_EQ(engine_run->streams.size(), 1u);
-    ASSERT_EQ(engine_run->streams[0].queries.size(), 1u);
-    const exec::QueryOutput& expect =
-        engine_run->streams[0].queries[0].output;
-
-    exec::ParallelScanOptions options;
-    options.jobs = 4;
-    auto got = exec::RunQueryParallel(db.get(), config, query, options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-
-    EXPECT_EQ(got->output.rows_scanned, expect.rows_scanned) << query.name;
-    EXPECT_EQ(got->output.rows_matched, expect.rows_matched) << query.name;
-    ASSERT_EQ(got->output.groups.size(), expect.groups.size()) << query.name;
-    for (size_t g = 0; g < expect.groups.size(); ++g) {
-      EXPECT_EQ(got->output.groups[g].key, expect.groups[g].key);
-      EXPECT_EQ(got->output.groups[g].rows, expect.groups[g].rows);
-      ASSERT_EQ(got->output.groups[g].values.size(),
-                expect.groups[g].values.size());
-      for (size_t v = 0; v < expect.groups[g].values.size(); ++v) {
-        // Reassociating ~1e5 additions moves the result by a few ULPs per
-        // accumulation level; a relative 1e-12 bound is ~1000x that and
-        // still catches any real aggregation bug.
-        const double want = expect.groups[g].values[v];
-        EXPECT_NEAR(got->output.groups[g].values[v], want,
-                    1e-12 * std::max(1.0, std::abs(want)))
-            << query.name << " group " << g << " value " << v;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,20 +1,15 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// ScanPositionBoard unit + concurrency tests: the wrap-protocol path
-// prediction (pre-wrap two-leg walk, post-wrap tail, dead pages), the
-// speed clamp, and a multi-thread publish/read hammer over the board's
-// leaf mutex (the PBM policy's SSM-side writers vs. replacer-side readers).
+// ScanPositionBoard unit tests: the wrap-protocol path prediction
+// (pre-wrap two-leg walk, post-wrap tail, dead pages) and the speed clamp.
 
 #include "buffer/policies/scan_position_board.h"
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "testutil.h"
 
 namespace scanshare::buffer {
 namespace {
@@ -140,62 +135,6 @@ TEST(ScanPositionBoardTest, UpsertRefreshesAndEraseRemoves) {
   // Erasing an unknown id is a no-op, not an error.
   board.Erase(99);
   EXPECT_EQ(board.size(), 0u);
-}
-
-// Writers continuously publish/refresh/erase trajectories while readers
-// hammer NextConsumptionUs/size — the PBM deployment shape (SSM hooks
-// publish under the SSM lock, per-partition replacers read at eviction
-// time; two writers are more than the SSM ever runs at once). Run under
-// TSan via the tsan preset; every value a reader sees must be a complete
-// published trajectory, never a torn one.
-TEST(ScanPositionBoardTest, ConcurrentPublishReadHammer) {
-  ScanPositionBoard board;
-  constexpr int kWriters = 2;
-  constexpr int kReaders = 2;
-  constexpr int kIters = 4000;
-  constexpr uint64_t kRange = 1000;
-  testutil::ConcurrencyWitness witness;
-
-  std::vector<std::thread> threads;
-  threads.reserve(kWriters + kReaders);
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&board, &witness, w] {
-      witness.Enter();
-      const uint64_t base_id = static_cast<uint64_t>(w) * 1000 + 1;
-      for (int i = 0; i < kIters; ++i) {
-        const uint64_t id = base_id + static_cast<uint64_t>(i % 3);
-        const uint64_t pos = static_cast<uint64_t>(i) % kRange;
-        board.Upsert({id, pos, 1e6, 0, kRange, /*start_page=*/0});
-        if (i % 7 == 0) board.Erase(id);
-      }
-      witness.Exit();
-    });
-  }
-  for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&board, &witness, r] {
-      witness.Enter();
-      for (int i = 0; i < kIters; ++i) {
-        const uint64_t page = static_cast<uint64_t>((i * 13 + r) %
-                                                    static_cast<int>(kRange));
-        const std::optional<double> us = board.NextConsumptionUs(page);
-        if (us.has_value()) {
-          // Any prediction must be finite and non-negative: a torn
-          // trajectory could yield a negative page distance cast huge.
-          EXPECT_GE(*us, 0.0);
-          EXPECT_LE(*us, static_cast<double>(kRange) / 1e-9 * 1e6);
-        }
-        (void)board.size();
-      }
-      witness.Exit();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_TRUE(testutil::OverlapObservedOrSingleCoreNoted(
-      "scan-position-board hammer", witness.max_concurrent()));
-
-  // Quiesced: the board still answers deterministically.
-  board.Upsert(Traj(7, /*position=*/0, /*speed_pps=*/1e6, 0, kRange, 0));
-  ASSERT_TRUE(board.NextConsumptionUs(1).has_value());
 }
 
 }  // namespace

@@ -13,8 +13,6 @@
 #include <memory>
 
 #include "buffer/page_policy.h"
-#include "common/thread_pool.h"
-#include "testutil.h"
 #include "buffer/policies/page_policies.h"
 #include "buffer/policies/pbm_replacer.h"
 #include "buffer/policies/scan_position_board.h"
@@ -245,36 +243,6 @@ TEST(ScanPositionBoardTest, PredictsAlongTheWrapProtocol) {
   auto soonest = board.NextConsumptionUs(200);
   ASSERT_TRUE(soonest.has_value());
   EXPECT_DOUBLE_EQ(*soonest, 10'000.0);
-}
-
-TEST(ScanPositionBoardTest, ConcurrentPublishersAndReadersStaySafe) {
-  // The board is the one piece of policy state shared across subsystems:
-  // the PBM sharing policy publishes trajectories under SSM locks
-  // (concurrently for distinct tables) while PbmReplacer reads predictions
-  // under a pool partition latch. Writers and readers hammer it in
-  // parallel; the TSan preset verifies the leaf lock.
-  constexpr size_t kWorkers = 4;
-  constexpr int kRounds = 200;
-  ScanPositionBoard board;
-  testutil::ConcurrencyWitness witness;
-  ThreadPool workers(kWorkers);
-  workers.ParallelFor(kWorkers, [&](size_t w) {
-    witness.Enter();
-    const uint64_t id = w + 1;
-    for (int r = 0; r < kRounds; ++r) {
-      board.Upsert(MakeTrajectory(id, /*pos=*/(w * 100 + static_cast<uint64_t>(r)) % 1024,
-                                  /*pps=*/100.0, /*start=*/w * 100));
-      auto eta = board.NextConsumptionUs((static_cast<uint64_t>(r) * 7) % 1024);
-      if (eta.has_value()) {
-        EXPECT_GE(*eta, 0.0);
-      }
-      if (r % 16 == 15) board.Erase(id);
-    }
-    witness.Exit();
-  });
-  EXPECT_TRUE(testutil::OverlapObservedOrSingleCoreNoted(
-      "scan-position board", witness.max_concurrent()));
-  EXPECT_LE(board.size(), kWorkers);  // Only live publishers remain.
 }
 
 TEST(PbmReplacerTest, EmptyBoardDegeneratesToLru) {

@@ -4,14 +4,11 @@
 // header's annotations regressed and the ts_*.cc rejections above are not
 // attributable to the analysis.
 
-#include "buffer/partitioned_buffer_pool.h"
-#include "buffer/policies/scan_position_board.h"
 #include "common/lock_order.h"
 #include "common/mutex.h"
 #include "common/thread_pool.h"
-#include "obs/trace.h"
-#include "ssm/scan_sharing_manager.h"
-#include "storage/disk_manager.h"
+#include "exec/kernel_runahead.h"
+#include "io/file_backend.h"
 
 namespace {
 
@@ -44,7 +41,7 @@ class Control {
   scanshare::Mutex mu_
       SCANSHARE_ACQUIRED_AFTER(scanshare::lock_order::kDriver);
   mutable scanshare::Mutex registry_mu_
-      SCANSHARE_ACQUIRED_BEFORE(scanshare::lock_order::kSsm);
+      SCANSHARE_ACQUIRED_BEFORE(scanshare::lock_order::kIoBackend);
   int value_ SCANSHARE_GUARDED_BY(mu_) = 0;
   int registry_value_ SCANSHARE_GUARDED_BY(registry_mu_) = 0;
 };
@@ -56,8 +53,5 @@ int main() {
   c.Mutate();
   c.WriteRegistry();
   (void)c.ReadRegistry();
-  scanshare::buffer::ScanPositionBoard board;
-  board.Upsert({/*scan_id=*/1, /*position=*/0, /*speed_pps=*/1.0,
-                /*range_first=*/0, /*range_end=*/8, /*start_page=*/0});
   return c.Read();
 }

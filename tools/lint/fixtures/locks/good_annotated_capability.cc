@@ -23,7 +23,7 @@ class GoodRegistry {
   Mutex mu_ SCANSHARE_ACQUIRED_AFTER(lock_order::kDriver);
   // Wrapped declaration: annotation on the continuation line is fine.
   mutable Mutex registry_mu_
-      SCANSHARE_ACQUIRED_BEFORE(lock_order::kSsm);
+      SCANSHARE_ACQUIRED_BEFORE(lock_order::kIoBackend);
   int value_ SCANSHARE_GUARDED_BY(mu_) = 0;
   int registry_value_ SCANSHARE_GUARDED_BY(registry_mu_) = 0;
 };

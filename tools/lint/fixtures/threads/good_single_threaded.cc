@@ -28,8 +28,8 @@ struct ThreadPoolStats {
 
 // Mentions in comments or strings are not code: std::thread, <mutex>,
 // std::shared_mutex, std::atomic<int> stay comments. Real concurrent
-// subsystems (partitioned pool, concurrent SSM, parallel scan driver)
-// are exempted by membership in THREADS_ALLOWED, not by NOLINT.
+// subsystems (thread pool, file backend, kernel run-ahead) are exempted
+// by membership in THREADS_ALLOWED, not by NOLINT.
 const char* kDoc = "the engine never spawns a std::thread";
 
 // A justified, suppressed use: the suppression mechanism itself must not
