@@ -12,6 +12,10 @@
 //                       its CPU affinity).
 //   The walk            ScanWalk's page order; a page fetched out of walk
 //                       order, or past its end, returns Internal.
+//   The worker path     a kernel whose worker ran its whole walk before
+//                       the first Take hands out the same page results,
+//                       error and aggregate as an inline kernel: a wrapped
+//                       table walk, a block walk and an invalid page.
 //   Errors              an invalid page returns the same Corruption at the
 //                       same page with 0 and 3 workers; a push-file image
 //                       with one flipped byte returns Corruption naming
@@ -21,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -386,6 +391,111 @@ TEST_F(ChunkProcessorWalkTest, PageOutOfWalkOrderIsInternal) {
   EXPECT_EQ(past.status().code(), Status::Code::kInternal);
   EXPECT_TRUE(pool_.CheckInvariants().ok());
   EXPECT_TRUE(pool_.FlushAll().ok()) << "an error path leaked a pin";
+}
+
+// ---------------------------------------------------------- worker path
+
+/// What a kernel handed out over its whole walk.
+struct KernelOutcome {
+  std::vector<exec::PageResult> pages;  ///< Up to the first failed Take.
+  Status status;                        ///< That Take's error, if any.
+  exec::QueryOutput output;             ///< The aggregator's Finish.
+};
+
+/// Runs `query`'s kernel over `walk` of `db`'s store and takes every page.
+/// With `ahead`, a one-thread pool runs the whole walk first: the pool's
+/// destructor drains its queue, so the worker has computed every batch
+/// before the first Take. Otherwise every batch is computed inline.
+KernelOutcome RunKernel(exec::Database* db, exec::QuerySpec query,
+                        const exec::ScanWalk& walk, bool ahead) {
+  KernelOutcome out;
+  const storage::TableInfo* table = *db->catalog()->GetTable(query.table);
+  EXPECT_TRUE(query.predicate.Bind(table->schema).ok());
+  StatusOr<exec::CompiledPredicate> predicate =
+      query.predicate.Compile(table->schema);
+  EXPECT_TRUE(predicate.ok());
+  exec::Aggregator agg(query.aggs, query.group_by);
+  EXPECT_TRUE(agg.Bind(table->schema).ok());
+  EXPECT_TRUE(agg.PrepareHot(table->schema).ok());
+  auto kernel = std::make_shared<exec::ScanKernel>(
+      std::move(predicate).value(), &agg, db->disk_manager(), walk, kExtent);
+  if (ahead) {
+    ThreadPool worker(1);
+    exec::SubmitRunAhead(&worker, kernel);
+  }
+  uint64_t rows = 0;
+  for (exec::ScanWalk::Position pos = walk.Begin(); !walk.AtEnd(pos);
+       walk.Next(&pos)) {
+    StatusOr<exec::PageResult> page = kernel->Take(pos.page);
+    if (!page.ok()) {
+      out.status = page.status();
+      break;
+    }
+    out.pages.push_back(*page);
+    rows += page->rows;
+  }
+  kernel->Cancel();
+  out.output = agg.Finish(rows);
+  return out;
+}
+
+/// The worker-run kernel and the inline one agree on every page result,
+/// the error and every aggregate bit.
+void ExpectWorkerPathIsInline(exec::Database* db, const exec::QuerySpec& query,
+                              const exec::ScanWalk& walk) {
+  const KernelOutcome inline_run = RunKernel(db, query, walk, false);
+  const KernelOutcome ahead = RunKernel(db, query, walk, true);
+  ASSERT_EQ(inline_run.pages.size(), ahead.pages.size());
+  for (size_t i = 0; i < inline_run.pages.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "walk page " << i);
+    EXPECT_EQ(inline_run.pages[i].rows, ahead.pages[i].rows);
+    EXPECT_EQ(inline_run.pages[i].matched, ahead.pages[i].matched);
+  }
+  EXPECT_EQ(inline_run.status.ToString(), ahead.status.ToString());
+  std::string diff;
+  EXPECT_TRUE(metrics::BitIdentical(inline_run.output, ahead.output, &diff))
+      << "first diff: " << diff;
+}
+
+TEST(KernelWorkerPathTest, WrappedTableWalkMatchesInline) {
+  exec::Database* db = testutil::SharedLineitemDb(kTablePages, /*seed=*/17);
+  const storage::TableInfo* table = *db->catalog()->GetTable("lineitem");
+  const sim::PageId first = table->first_page;
+  // Pages [first + 100, end), then [first, first + 100): 10 batches.
+  const exec::ScanWalk walk =
+      exec::ScanWalk::Range(first, table->end_page(), first + 100);
+  for (const exec::QuerySpec& query :
+       {workload::MakeQ1Like("lineitem"), workload::MakeQ6Like("lineitem")}) {
+    SCOPED_TRACE(query.name);
+    ExpectWorkerPathIsInline(db, query, walk);
+  }
+}
+
+TEST(KernelWorkerPathTest, BlockWalkMatchesInline) {
+  exec::Database* db = testutil::SharedLineitemDb(kTablePages, /*seed=*/17);
+  const storage::TableInfo* table = *db->catalog()->GetTable("lineitem");
+  // Blocks of 12 pages out of order from the third, the last one clipped
+  // at the table's end (page 252 of 256 starts block 21).
+  const exec::ScanWalk walk = exec::ScanWalk::Blocks(
+      {7, 2, 21, 0, 13, 5}, 2, table->first_page, 12, table->end_page());
+  ExpectWorkerPathIsInline(db, workload::MakeMidWeight("lineitem"), walk);
+}
+
+TEST(KernelWorkerPathTest, InvalidPageMatchesInline) {
+  const std::unique_ptr<exec::Database> db =
+      testutil::MakeLineitemDb(kTablePages, /*seed=*/19);
+  const storage::TableInfo* table = *db->catalog()->GetTable("lineitem");
+  const sim::PageId bad = table->first_page + 70;
+  StatusOr<uint8_t*> image = db->disk_manager()->MutablePageData(bad);
+  ASSERT_TRUE(image.ok());
+  (*image)[0] ^= 0xFF;  // The page header's magic.
+  const exec::ScanWalk walk = exec::ScanWalk::Range(
+      table->first_page, table->end_page(), table->first_page + 40);
+  const KernelOutcome inline_run =
+      RunKernel(db.get(), workload::MakeQ1Like("lineitem"), walk, false);
+  EXPECT_EQ(inline_run.pages.size(), 30u);  // Pages 40..69 of the table.
+  EXPECT_EQ(inline_run.status.code(), Status::Code::kCorruption);
+  ExpectWorkerPathIsInline(db.get(), workload::MakeQ1Like("lineitem"), walk);
 }
 
 // ---------------------------------------------------------------- errors
