@@ -4,11 +4,18 @@
 
 namespace scanshare {
 
+namespace {
+
+/// The size of the pool the calling thread works for (0: none).
+thread_local size_t current_pool_size = 0;
+
+}  // namespace
+
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t count = std::max<size_t>(1, num_threads);
   workers_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, count] { WorkerLoop(count); });
   }
 }
 
@@ -21,7 +28,8 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t size) {
+  current_pool_size = size;
   for (;;) {
     std::function<void()> task;
     {
@@ -64,5 +72,7 @@ size_t ThreadPool::HardwareConcurrency() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
+
+size_t ThreadPool::CurrentPoolSize() { return current_pool_size; }
 
 }  // namespace scanshare

@@ -80,8 +80,12 @@ class ThreadPool {
   /// permits 0 for "unknown").
   static size_t HardwareConcurrency();
 
+  /// On a pool's worker, that pool's size; 0 on any other thread.
+  static size_t CurrentPoolSize();
+
  private:
-  void WorkerLoop();
+  /// Runs tasks until the pool stops, on a worker of a pool of `size`.
+  void WorkerLoop(size_t size);
 
   /// Queue lock, a leaf released before a task runs (common/lock_order.h
   /// kDriver): contended by the submitting thread (Submit, the destructor)

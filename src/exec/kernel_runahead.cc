@@ -194,7 +194,8 @@ size_t RunAheadWorkerCount() {
   }
 #endif
   if (cpus == 0) cpus = ThreadPool::HardwareConcurrency();
-  return cpus - 1;
+  const size_t runs = std::max<size_t>(1, ThreadPool::CurrentPoolSize());
+  return std::max<size_t>(1, cpus / runs) - 1;
 }
 
 }  // namespace scanshare::exec

@@ -209,10 +209,13 @@ class ScanKernel {
 /// a null pool leaves every batch to the event loop).
 void SubmitRunAhead(ThreadPool* workers, std::shared_ptr<ScanKernel> kernel);
 
-/// The workers a run gets for kernel run-ahead: one fewer than the CPUs
-/// this process may run on (sched_getaffinity, else the hardware
-/// concurrency), so a pinned process never oversubscribes its cores. Zero
-/// on one CPU.
+/// The workers a run gets for kernel run-ahead: one fewer than its share of
+/// the CPUs this thread may run on (sched_getaffinity, else the hardware
+/// concurrency). A run on a worker of a ThreadPool of n (a run driver's)
+/// shares them with the pool's other n - 1 runs, so it gets
+/// max(1, cpus / n) - 1; any other run gets cpus - 1. So neither a pinned
+/// process nor a parallel run driver oversubscribes its cores. Zero on one
+/// CPU.
 size_t RunAheadWorkerCount();
 
 }  // namespace scanshare::exec

@@ -16,6 +16,8 @@
 //                       the first Take hands out the same page results,
 //                       error and aggregate as an inline kernel: a wrapped
 //                       table walk, a block walk and an invalid page.
+//   Worker count        RunAheadWorkerCount on a ThreadPool(n) worker is
+//                       max(1, cpus / n) - 1, and cpus - 1 off any pool.
 //   Errors              an invalid page returns the same Corruption at the
 //                       same page with 0 and 3 workers; a push-file image
 //                       with one flipped byte returns Corruption naming
@@ -299,6 +301,27 @@ TEST(KernelRunAheadTest, ServiceRunIsBitIdentical) {
   if (compared == 0) {
     GTEST_SKIP() << "one CPU: no worker count to compare against";
   }
+}
+
+TEST(KernelRunAheadTest, WorkerCountLeavesARunDriversCpusToItsRuns) {
+  size_t checked = 0;
+  for (int cpus : {1, 2, 4}) {
+    // Threads inherit their creator's mask, so the pools below see `cpus`.
+    CpuLimit limit(cpus);
+    if (!limit.ok()) continue;
+    SCOPED_TRACE(testing::Message() << cpus << " CPUs");
+    EXPECT_EQ(exec::RunAheadWorkerCount(), static_cast<size_t>(cpus - 1));
+    for (size_t runs : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+      ThreadPool driver(runs);
+      const size_t expected =
+          std::max<size_t>(1, static_cast<size_t>(cpus) / runs) - 1;
+      EXPECT_EQ(driver.Submit([] { return exec::RunAheadWorkerCount(); }).get(),
+                expected)
+          << "on a worker of a pool of " << runs;
+    }
+    ++checked;
+  }
+  ASSERT_GT(checked, 0u);
 }
 #endif  // __linux__
 
