@@ -104,6 +104,9 @@ bool CompiledPredicate::Atom::Match(const uint8_t* tuple) const {
 
 void CompiledPredicate::MatchBatch(const uint8_t* const* tuples, size_t n,
                                    uint8_t* sel) const {
+  // An empty page's selection may be a null pointer, which memset must not
+  // see even with a zero length.
+  if (n == 0) return;
   std::memset(sel, 1, n);
   for (const Atom& atom : atoms_) {
     switch (atom.type) {
