@@ -8,7 +8,7 @@
 // each other directly — they each reference the global token for their
 // level instead).
 //
-// Every real mutex in the concurrent engine declares its place in this
+// Every real mutex in src/ declares its place in this
 // hierarchy on its declaration (enforced by the domain lint's `locks`
 // rule); scripts/lock_order.py parses all SCANSHARE_ACQUIRED_BEFORE/AFTER
 // annotations in src/ — token-to-token edges here plus mutex-to-token

@@ -3,15 +3,15 @@
 // Capability-annotated mutex wrapper (DESIGN.md §14). libstdc++'s
 // std::mutex carries no thread-safety attributes, so Clang Thread Safety
 // Analysis cannot see through it; this zero-overhead wrapper is the
-// annotated replacement every concurrent subsystem uses. The domain
+// annotated replacement every lock in src/ uses. The domain
 // lint's `locks` rule bans raw std mutex declarations and manual
 // lock()/unlock() calls in src/ — locks are declared as Mutex (with an
 // SCANSHARE_ACQUIRED_BEFORE/AFTER hierarchy edge, see
 // common/lock_order.h) and held through the RAII guard below.
 //
 // This file is the one place in src/ allowed to name std::mutex and to
-// define lock()/unlock(); it is on the domain lint's concurrent-engine
-// allowlist (scanshare-threads) and exempt from the `locks` rule.
+// define lock()/unlock(); it is on the domain lint's thread allowlist
+// (scanshare-threads) and exempt from the `locks` rule.
 
 #pragma once
 

@@ -1,9 +1,9 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // Clang Thread Safety Analysis macros (DESIGN.md §14). The locking
-// contracts of the concurrent engine — which lock guards which field,
-// which *Locked helper requires which capability, and acquisition orders
-// such as SSM -> {board, tracer} — are encoded
+// contracts of the thread pool, the file backend and kernel run-ahead —
+// which lock guards which field, which helper requires which capability,
+// and where each lock sits in common/lock_order.h — are encoded
 // with these annotations and machine-checked at compile time by clang's
 // -Wthread-safety / -Wthread-safety-beta analysis (the SCANSHARE_THREAD_SAFETY
 // CMake option; scripts/check.sh --thread-safety; the thread-safety CI job).

@@ -10,9 +10,9 @@
 // Every simulation decision stays on a run's event-loop thread (all time
 // from sim::VirtualClock, all randomness from scanshare::Rng); run-ahead
 // workers only compute pure per-page kernel outputs over immutable page
-// images. The domain lint confines every thread primitive to the
-// concurrent-by-design files (scanshare-threads), so the determinism
-// guarantee cannot erode one `std::mutex` at a time.
+// images. The domain lint confines every thread primitive to the files
+// that start or synchronise threads (scanshare-threads), so the
+// determinism guarantee cannot erode one `std::mutex` at a time.
 //
 // Determinism contract: callers submit a fixed set of tasks, each task
 // writes only into its own pre-sized result slot, and results are merged

@@ -28,8 +28,7 @@
 // Locking (common/lock_order.h): each kernel's mutex is rank kScanKernel,
 // a leaf held by no one while any other lock is taken.
 //
-// This file is on the domain lint's concurrent-engine allowlist
-// (scanshare-threads).
+// This file is on the domain lint's thread allowlist (scanshare-threads).
 
 #pragma once
 

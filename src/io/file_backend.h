@@ -19,9 +19,9 @@
 // Determinism of the simulation is untouched by real I/O latency; the A10
 // bench is the consumer of the real-side numbers.
 //
-// This file is on the domain lint's concurrent-engine allowlist
-// (scanshare-threads) and is one of the two files allowed to issue raw
-// positional reads (scanshare-rawio).
+// This file is on the domain lint's thread allowlist (scanshare-threads)
+// and is one of the two files allowed to issue raw positional reads
+// (scanshare-rawio).
 
 #pragma once
 

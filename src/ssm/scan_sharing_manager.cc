@@ -66,7 +66,6 @@ ScanSharingManager::ScanSharingManager(
 StatusOr<StartInfo> ScanSharingManager::StartScan(const ScanDescriptor& desc,
                                                   sim::Micros now) {
   SCANSHARE_RETURN_IF_ERROR(ValidateDescriptor(desc));
-
   TableState& table = tables_[desc.table_id];
   table.id = desc.table_id;
   if (!table.circle.has_value()) {
@@ -395,8 +394,7 @@ Status ScanSharingManager::CheckGroup(
   return Status::OK();
 }
 
-Status ScanSharingManager::CheckTableInvariants(
-    const TableState& table) const {
+Status ScanSharingManager::CheckTableInvariants(const TableState& table) const {
   const uint32_t table_id = table.id;
 
   // Where the list files each scan moved since the last regroup: its
@@ -448,8 +446,7 @@ Status ScanSharingManager::CheckTableInvariants(
   // membership lists.
   size_t grouped = 0;
   for (size_t g = 0; g < table.groups.size(); ++g) {
-    SCANSHARE_RETURN_IF_ERROR(
-        CheckGroup(table, g, table.groups[g].members));
+    SCANSHARE_RETURN_IF_ERROR(CheckGroup(table, g, table.groups[g].members));
     grouped += table.groups[g].size();
   }
   if (grouped != table.active.size() ||
@@ -540,7 +537,7 @@ Status ScanSharingManager::CheckScanInvariants(ScanId id) const {
                             std::to_string(id));
   }
   return CheckUpdateInvariants(tables_.at(it->second.desc.table_id),
-                                     it->second);
+                               it->second);
 }
 
 StatusOr<buffer::PagePriority> ScanSharingManager::AdvisePriority(ScanId id) const {
