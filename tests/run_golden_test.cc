@@ -64,19 +64,43 @@ void RenderSeries(const char* name, const TimeSeries& series,
   }
 }
 
+/// A "# metrics" section: one line per sample, gauges as %a.
+void RenderMetrics(const std::vector<obs::MetricSample>& samples,
+                   std::ostringstream* out) {
+  *out << "# metrics\n";
+  for (const obs::MetricSample& m : samples) {
+    *out << m.name << ' ';
+    if (m.type == obs::MetricSample::Type::kCounter) {
+      *out << m.counter;
+    } else {
+      *out << Hex(m.gauge);
+    }
+    *out << '\n';
+  }
+}
+
+/// A scan's counters from pages on, ending the line.
+void RenderScanCounters(const exec::ScanMetrics& m, std::ostringstream* out) {
+  *out << " pages " << m.pages_scanned << " tuples " << m.tuples_scanned
+       << " matched " << m.tuples_matched << " hits " << m.buffer_hits
+       << " misses " << m.buffer_misses << " cpu " << m.cpu << " io_stall "
+       << m.io_stall << " throttle " << m.throttle_wait << " overhead "
+       << m.overhead << '\n';
+}
+
+/// One line per aggregate group, values as %a.
+void RenderGroups(const exec::QueryOutput& output, std::ostringstream* out) {
+  for (const exec::GroupResult& g : output.groups) {
+    *out << "  group '" << g.key << "' rows " << g.rows;
+    for (double v : g.values) *out << ' ' << Hex(v);
+    *out << '\n';
+  }
+}
+
 /// The golden text of one run.
 std::string RenderRun(const exec::RunResult& run) {
   std::ostringstream out;
-  out << "# metrics\n";
-  for (const obs::MetricSample& m : metrics::CollectRunMetrics(run)) {
-    out << m.name << ' ';
-    if (m.type == obs::MetricSample::Type::kCounter) {
-      out << m.counter;
-    } else {
-      out << Hex(m.gauge);
-    }
-    out << '\n';
-  }
+  RenderMetrics(metrics::CollectRunMetrics(run), &out);
   out << "steps " << run.steps << '\n';
   out << "# queries\n";
   for (size_t s = 0; s < run.streams.size(); ++s) {
@@ -84,21 +108,13 @@ std::string RenderRun(const exec::RunResult& run) {
     out << "stream " << s << " start " << stream.start << " end " << stream.end
         << '\n';
     for (const exec::QueryRecord& q : stream.queries) {
-      const exec::ScanMetrics& m = q.metrics;
       out << "query " << q.stream << '.' << q.index << ' ' << q.name
-          << " start " << m.start_time << " end " << m.end_time << " pages "
-          << m.pages_scanned << " tuples " << m.tuples_scanned << " matched "
-          << m.tuples_matched << " hits " << m.buffer_hits << " misses "
-          << m.buffer_misses << " cpu " << m.cpu << " io_stall " << m.io_stall
-          << " throttle " << m.throttle_wait << " overhead " << m.overhead
-          << '\n';
+          << " start " << q.metrics.start_time << " end "
+          << q.metrics.end_time;
+      RenderScanCounters(q.metrics, &out);
       out << "  output scanned " << q.output.rows_scanned << " matched "
           << q.output.rows_matched << '\n';
-      for (const exec::GroupResult& g : q.output.groups) {
-        out << "  group '" << g.key << "' rows " << g.rows;
-        for (double v : g.values) out << ' ' << Hex(v);
-        out << '\n';
-      }
+      RenderGroups(q.output, &out);
     }
   }
   RenderSeries("reads_over_time", run.reads_over_time, &out);
@@ -486,35 +502,17 @@ TEST(ParityCorpusTest, ServiceRunOverPlainAndMdcTablesIsByteIdenticalToGolden) {
   ASSERT_EQ(result->trace->dropped(), 0u) << "ring too small for a golden run";
 
   std::ostringstream out;
-  out << "# metrics\n";
-  for (const obs::MetricSample& m : service::CollectServiceMetrics(*result)) {
-    out << m.name << ' ';
-    if (m.type == obs::MetricSample::Type::kCounter) {
-      out << m.counter;
-    } else {
-      out << Hex(m.gauge);
-    }
-    out << '\n';
-  }
+  RenderMetrics(service::CollectServiceMetrics(*result), &out);
   out << "steps " << result->steps << '\n';
   out << "# jobs\n";
   for (const service::JobRecord& job : result->jobs) {
-    const exec::ScanMetrics& m = job.metrics;
     out << "job " << job.id << " table " << job.table << " client "
         << job.client << ' ' << job.query << " arrival " << job.arrival
         << " shed " << job.shed << " reason "
         << static_cast<int>(job.shed_reason) << " queued " << job.from_queue
-        << " admit " << job.admit_at << " end " << job.end << " pages "
-        << m.pages_scanned << " tuples " << m.tuples_scanned << " matched "
-        << m.tuples_matched << " hits " << m.buffer_hits << " misses "
-        << m.buffer_misses << " cpu " << m.cpu << " io_stall " << m.io_stall
-        << " throttle " << m.throttle_wait << " overhead " << m.overhead
-        << '\n';
-    for (const exec::GroupResult& g : job.output.groups) {
-      out << "  group '" << g.key << "' rows " << g.rows;
-      for (double v : g.values) out << ' ' << Hex(v);
-      out << '\n';
-    }
+        << " admit " << job.admit_at << " end " << job.end;
+    RenderScanCounters(job.metrics, &out);
+    RenderGroups(job.output, &out);
   }
   RenderTrace(*result->trace, &out);
   ExpectGolden("parity/service_plain_and_mdc",
