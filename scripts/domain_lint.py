@@ -459,8 +459,9 @@ def check_threads(relpath, raw, code):
                 findings.append(Finding(
                     "threads", relpath, lineno,
                     "%s in simulator code; concurrency is confined to "
-                    "the concurrent-by-design subsystems in THREADS_ALLOWED "
-                    "— simulation state must stay single-threaded per run"
+                    "the files in THREADS_ALLOWED that start or synchronise "
+                    "threads — simulation state must stay single-threaded "
+                    "per run"
                     % what))
     return findings
 
